@@ -36,19 +36,7 @@ from .evaluate import (
 from .features import (
     FEATURE_NAMES,
     FeatureSequence,
-    FeatureVector,
     extract_sequence,
-    frame_features,
-    frame_kurtosis,
-    frame_mean,
-    frame_median,
-    frame_mode,
-    frame_quantile_range,
-    frame_shannon_energy,
-    frame_shannon_entropy,
-    frame_skewness,
-    frame_variance,
-    frame_zcr,
     normalize_sequence,
     read_features,
     write_features,
@@ -85,12 +73,10 @@ from .nnet import (
 )
 from .synth import SynthConfig, generate, generate_dataset, generate_with_intervals
 from .windows import (
-    Frame,
     WindowShape,
     WindowSpec,
     WindowSpectrum,
     frame_matrix,
-    frame_signal,
     mainlobe_width,
     make_window,
     peak_sidelobe_db,

@@ -8,8 +8,9 @@ classification.
 
 Conventions, fixed once and used everywhere:
   * quantiles interpolate linearly at position (count - 1) * q;
-  * mode and entropy share one histogram rule: equal-width bins over the
-    frame's [min, max], ties resolved toward the lowest bin;
+  * mode and entropy share one histogram rule: numpy's equal-width rule
+    (np.histogram with `bins` bins over the frame's [min, max]) applied
+    row-wise to the frame matrix, ties resolved toward the lowest bin;
   * logarithms are natural, with 0 * log 0 = 0;
   * moments are population moments (divisor L+1), and skewness/kurtosis of
     a constant frame are 0 by guard.
@@ -20,12 +21,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .ingest import Label
-from .windows import Frame, WindowShape, WindowSpec
+from .windows import WindowShape, WindowSpec
 
 FEATURE_NAMES = (
     "mean",
@@ -41,21 +41,6 @@ FEATURE_NAMES = (
 )
 
 DEFAULT_BINS = 10
-
-
-class FeatureVector(NamedTuple):
-    """The ten per-frame statistics, in the fixed column order."""
-
-    mean: float
-    median: float
-    mode: float
-    variance: float
-    skewness: float
-    kurtosis: float
-    shannon_energy: float
-    shannon_entropy: float
-    zcr: float
-    quantile_range: float
 
 
 @dataclass
@@ -76,130 +61,48 @@ class FeatureSequence:
 
 
 # ---------------------------------------------------------------------------
-# Single-frame features
-# ---------------------------------------------------------------------------
-
-def frame_mean(frame: np.ndarray) -> float:
-    return float(np.mean(frame))
-
-
-def frame_median(frame: np.ndarray) -> float:
-    return float(np.quantile(frame, 0.5))
-
-
-def _histogram(frame: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    counts, edges = np.histogram(frame, bins=bins, range=(frame.min(), frame.max()))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return counts, centers
-
-
-def frame_mode(frame: np.ndarray, bins: int = DEFAULT_BINS) -> float:
-    """Center of the most populated histogram bin (lowest bin wins ties)."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.min() == frame.max():
-        return float(frame[0])
-    counts, centers = _histogram(frame, bins)
-    return float(centers[np.argmax(counts)])
-
-
-def _is_constant(frame: np.ndarray) -> bool:
-    return frame.min() == frame.max()
-
-
-def frame_variance(frame: np.ndarray) -> float:
-    frame = np.asarray(frame, dtype=np.float64)
-    if _is_constant(frame):
-        return 0.0  # exact, regardless of accumulation noise in the mean
-    return float(np.var(frame))
-
-
-def frame_skewness(frame: np.ndarray) -> float:
-    frame = np.asarray(frame, dtype=np.float64)
-    if _is_constant(frame):
-        return 0.0
-    mu = frame.mean()
-    sigma = frame.std()
-    return float(np.mean((frame - mu) ** 3) / sigma ** 3)
-
-
-def frame_kurtosis(frame: np.ndarray) -> float:
-    frame = np.asarray(frame, dtype=np.float64)
-    if _is_constant(frame):
-        return 0.0
-    mu = frame.mean()
-    sigma = frame.std()
-    return float(np.mean((frame - mu) ** 4) / sigma ** 4 - 3.0)
-
-
-def frame_shannon_energy(frame: np.ndarray) -> float:
-    """Sum of |y|^2 * ln|y|^2 over the frame, with 0 * ln 0 = 0."""
-    y2 = np.asarray(frame, dtype=np.float64) ** 2
-    out = np.zeros_like(y2)
-    nz = y2 > 0.0
-    out[nz] = y2[nz] * np.log(y2[nz])
-    return float(out.sum())
-
-
-def frame_shannon_entropy(frame: np.ndarray, bins: int = DEFAULT_BINS) -> float:
-    """Sum of p * ln p over occupied histogram bins (<= 0)."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.min() == frame.max():
-        return 0.0
-    counts, _ = _histogram(frame, bins)
-    p = counts[counts > 0] / frame.size
-    return float(np.sum(p * np.log(p)))
-
-
-def frame_zcr(frame: np.ndarray) -> float:
-    """Sign-change rate: sum of |sign(y[l]) - sign(y[l-1])| over 2L+1.
-
-    sign(x) is +1 for x >= 0 and -1 otherwise; the sum runs over the L
-    in-frame sample pairs, so the value stays in [0, 2L/(2L+1)).
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.size < 2:
-        raise ValueError("zero-crossing rate needs at least 2 samples")
-    s = np.where(frame >= 0.0, 1.0, -1.0)
-    L = frame.size - 1
-    return float(np.abs(np.diff(s)).sum() / (2 * L + 1))
-
-
-def frame_quantile_range(frame: np.ndarray) -> float:
-    q25, q75 = np.quantile(frame, [0.25, 0.75])
-    return float(q75 - q25)
-
-
-def frame_features(frame: np.ndarray, bins: int = DEFAULT_BINS) -> FeatureVector:
-    """All ten statistics of one frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    return FeatureVector(
-        mean=frame_mean(frame),
-        median=frame_median(frame),
-        mode=frame_mode(frame, bins),
-        variance=frame_variance(frame),
-        skewness=frame_skewness(frame),
-        kurtosis=frame_kurtosis(frame),
-        shannon_energy=frame_shannon_energy(frame),
-        shannon_entropy=frame_shannon_entropy(frame, bins),
-        zcr=frame_zcr(frame),
-        quantile_range=frame_quantile_range(frame),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Sequence extraction
 # ---------------------------------------------------------------------------
 
-def _mode_entropy_columns(frames: np.ndarray,
+def _mode_entropy_columns(frames: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                           bins: int) -> tuple[np.ndarray, np.ndarray]:
-    # Per-frame histograms; loop is fine at desk scale and keeps the shared
-    # binning rule in one place.
-    T = frames.shape[0]
-    mode = np.empty(T)
-    entropy = np.empty(T)
-    for t in range(T):
-        mode[t] = frame_mode(frames[t], bins)
-        entropy[t] = frame_shannon_entropy(frames[t], bins)
+    """Mode and entropy of every row from one equal-width histogram per row.
+
+    np.histogram's equal-width rule applied to all rows at once: the same
+    edges, the same float bin index and the same two edge corrections, so
+    each row's counts equal np.histogram(row, bins, range=(lo, hi)).  A row
+    whose span is under `bins` steps of the float grid, which np.histogram
+    refuses, is binned by the same rule and gets a mode inside [lo, hi].
+    """
+    T, n = frames.shape
+    constant = lo == hi
+    span = np.where(constant, 1.0, hi - lo)  # constant rows are set below
+    # np.linspace's formula per row; np.linspace over arrays switches every
+    # row to its denormal-step formula as soon as one row needs it.
+    edges = np.arange(bins + 1.0) * (span / bins)[:, None]
+    edges += lo[:, None]
+    edges[:, -1] = hi
+
+    # Scaled in place to keep one (T, n) float temporary.
+    scaled = frames - lo[:, None]
+    scaled /= span[:, None]
+    scaled *= bins
+    idx = scaled.astype(np.intp)
+    idx[idx == bins] -= 1
+    idx[frames < np.take_along_axis(edges, idx, axis=1)] -= 1
+    idx[(frames >= np.take_along_axis(edges, idx + 1, axis=1))
+        & (idx != bins - 1)] += 1
+
+    idx += np.arange(T)[:, None] * bins
+    counts = np.bincount(idx.ravel(), minlength=T * bins).reshape(T, bins)
+
+    rows = np.arange(T)
+    best = counts.argmax(axis=1)  # lowest bin wins ties
+    mode = 0.5 * (edges[rows, best] + edges[rows, best + 1])
+    p = counts / n
+    entropy = (p * np.log(p, out=np.zeros_like(p), where=counts > 0)).sum(axis=1)
+    mode[constant] = frames[constant, 0]
+    entropy[constant] = 0.0
     return mode, entropy
 
 
@@ -208,9 +111,19 @@ def feature_matrix(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] < 1:
         raise ValueError("need a non-empty (num_frames, frame_length) matrix")
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+    lo = frames.min(axis=1)
+    hi = frames.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(hi - lo).all()  # False for NaN or Inf samples too
+    if not finite:
+        raise ValueError("frames must be finite, with a finite max - min")
+    # The histogram runs before the (T, n) temporaries below exist.
+    mode, entropy = _mode_entropy_columns(frames, lo, hi, bins)
     n = frames.shape[1]
 
-    constant = frames.min(axis=1) == frames.max(axis=1)
+    constant = lo == hi
     mu = frames.mean(axis=1)
     centered = frames - mu[:, None]
     var = np.mean(centered ** 2, axis=1)
@@ -221,40 +134,36 @@ def feature_matrix(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     kurt = np.zeros_like(mu)
     skew[ok] = np.mean(centered[ok] ** 3, axis=1) / sigma[ok] ** 3
     kurt[ok] = np.mean(centered[ok] ** 4, axis=1) / sigma[ok] ** 4 - 3.0
+    del centered  # each (T, n) temporary goes once used: peak memory at hop 1
 
     y2 = frames ** 2
     logy2 = np.zeros_like(y2)
     nz = y2 > 0.0
     logy2[nz] = np.log(y2[nz])
     energy = (y2 * logy2).sum(axis=1)
+    del y2, logy2, nz
 
     signs = np.where(frames >= 0.0, 1.0, -1.0)
     zcr = np.abs(np.diff(signs, axis=1)).sum(axis=1) / (2 * (n - 1) + 1)
+    del signs
 
     median, q25, q75 = np.quantile(frames, [0.5, 0.25, 0.75], axis=1)
-    mode, entropy = _mode_entropy_columns(frames, bins)
 
     return np.column_stack(
         [mu, median, mode, var, skew, kurt, energy, entropy, zcr, q75 - q25])
 
 
-def extract_sequence(frames: list[Frame] | np.ndarray,
+def extract_sequence(frames: np.ndarray,
                      bins: int = DEFAULT_BINS,
                      signal_id: str = "",
                      label: Label = Label.UNLABELED,
                      window: WindowSpec | None = None,
                      hop: int = 1) -> FeatureSequence:
-    """Compute the T x 10 feature sequence for a list of frames."""
-    if isinstance(frames, np.ndarray):
-        matrix = frames
-    else:
-        if len(frames) < 1:
-            raise ValueError("need at least one frame")
-        matrix = np.stack([f.values for f in frames])
+    """Compute the T x 10 feature sequence of a (T, L+1) frame matrix."""
     if window is None:
-        window = WindowSpec(WindowShape.RECTANGULAR, (matrix.shape[1] - 1) // 2)
+        window = WindowSpec(WindowShape.RECTANGULAR, (frames.shape[1] - 1) // 2)
     return FeatureSequence(
-        values=feature_matrix(matrix, bins),
+        values=feature_matrix(frames, bins),
         signal_id=signal_id,
         label=label,
         window=window,

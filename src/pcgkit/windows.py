@@ -70,14 +70,6 @@ class WindowSpec:
 
 
 @dataclass
-class Frame:
-    """One windowed segment y_n[l] = w[l] * x[n+l], centered at sample n."""
-
-    values: np.ndarray
-    center: int
-
-
-@dataclass
 class WindowSpectrum:
     """dB magnitude over normalized frequency [0, 0.5], peak pinned at 0 dB."""
 
@@ -115,6 +107,9 @@ def frame_matrix(samples: np.ndarray, spec: WindowSpec,
                  hop: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """All frames at once as a (num_frames, L+1) matrix plus their centers.
 
+    Row t is the windowed segment y_n[l] = w[l] * x[n+l] centered at sample
+    n = centers[t].
+
     Only fully covered (valid) frames are produced; the signal edges are
     never padded.
     """
@@ -123,13 +118,6 @@ def frame_matrix(samples: np.ndarray, spec: WindowSpec,
     offsets = np.arange(-spec.half_length, spec.half_length + 1)
     frames = samples[centers[:, None] + offsets[None, :]] * make_window(spec)
     return frames, centers
-
-
-def frame_signal(samples: np.ndarray, spec: WindowSpec,
-                 hop: int = 1) -> list[Frame]:
-    """Frame a signal into windowed segments (see frame_matrix)."""
-    frames, centers = frame_matrix(samples, spec, hop)
-    return [Frame(values=row, center=int(c)) for row, c in zip(frames, centers)]
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,16 @@ class TestExtractCommand:
         assert code == 2
         assert "nope.wav" in capsys.readouterr().err
 
+    def test_bins_below_one_exits_1(self, corpus_dir, tmp_path, capsys):
+        wav = sorted(corpus_dir.glob("*.wav"))[0]
+        code = main(["extract", "--input", str(wav), "--hop", "50",
+                     "--bins", "0", "--out", str(tmp_path / "f.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bins" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "f.csv").exists()
+
     def test_repeated_run_is_byte_identical(self, corpus_dir, tmp_path):
         wav = sorted(corpus_dir.glob("*.wav"))[0]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,43 +1,42 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from pcgkit.features import (
+    DEFAULT_BINS,
     FEATURE_NAMES,
     extract_sequence,
     feature_matrix,
-    frame_kurtosis,
-    frame_mean,
-    frame_median,
-    frame_mode,
-    frame_quantile_range,
-    frame_shannon_energy,
-    frame_shannon_entropy,
-    frame_skewness,
-    frame_variance,
-    frame_zcr,
     normalize_sequence,
     read_features,
     write_features,
 )
 from pcgkit.ingest import Label
-from pcgkit.windows import WindowShape, WindowSpec
+from pcgkit.windows import WindowShape, WindowSpec, frame_matrix
 
 from naive_features import NAIVE_BY_NAME
 
-LIB_BY_NAME = {
-    "mean": frame_mean,
-    "median": frame_median,
-    "mode": frame_mode,
-    "variance": frame_variance,
-    "skewness": frame_skewness,
-    "kurtosis": frame_kurtosis,
-    "shannon_energy": frame_shannon_energy,
-    "shannon_entropy": frame_shannon_entropy,
-    "zcr": frame_zcr,
-    "quantile_range": frame_quantile_range,
-}
+
+@functools.lru_cache(maxsize=16)
+def _feature_row(frame_bytes, bins):
+    return feature_matrix(np.frombuffer(frame_bytes)[None, :], bins)[0]
+
+
+def feature(name, frame, bins=DEFAULT_BINS):
+    """One feature of one frame, read from its row of feature_matrix.
+
+    Rows are cached by frame content, so reading all ten features of a
+    frame costs one feature_matrix call.
+    """
+    frame = np.asarray(frame, dtype=np.float64)
+    return float(_feature_row(frame.tobytes(), bins)[FEATURE_NAMES.index(name)])
+
+
+# The production path, one feature at a time; the oracle suites compare
+# these against the independent implementations in naive_features.
+LIB_BY_NAME = {name: functools.partial(feature, name) for name in FEATURE_NAMES}
 
 
 def random_frames(count, rng):
@@ -54,63 +53,65 @@ def random_frames(count, rng):
 
 class TestSingleFrameExamples:
     def test_mean(self):
-        assert frame_mean(np.array([1.0, 2.0, 3.0])) == 2.0
-        assert frame_mean(np.zeros(7)) == 0.0
+        assert feature("mean", np.array([1.0, 2.0, 3.0])) == 2.0
+        assert feature("mean", np.zeros(7)) == 0.0
 
     def test_median(self):
-        assert frame_median(np.array([3.0, 1.0, 2.0])) == 2.0
-        assert frame_median(np.array([1.0, 2.0, 3.0, 4.0])) == 2.5
+        assert feature("median", np.array([3.0, 1.0, 2.0])) == 2.0
+        assert feature("median", np.array([1.0, 2.0, 3.0, 4.0])) == 2.5
 
     def test_median_outlier_resistant(self):
         base = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         spiked = base.copy()
         spiked[4] = 1e6
-        assert frame_median(spiked) == frame_median(base)
+        assert feature("median", spiked) == feature("median", base)
 
     def test_mode(self):
-        assert frame_mode(np.array([5.0, 5.0, 5.0])) == 5.0
-        assert frame_mode(np.array([0.0, 0.0, 0.0, 1.0]), bins=2) == 0.25
+        assert feature("mode", np.array([5.0, 5.0, 5.0])) == 5.0
+        assert feature("mode", np.array([0.0, 0.0, 0.0, 1.0]), bins=2) == 0.25
         # symmetric bimodal: tie resolves to the lowest bin center
-        assert frame_mode(np.array([0.0, 0.0, 1.0, 1.0]), bins=2) == 0.25
+        assert feature("mode", np.array([0.0, 0.0, 1.0, 1.0]), bins=2) == 0.25
 
     def test_variance(self):
-        assert frame_variance(np.array([1.0, 2.0, 3.0])) == pytest.approx(2 / 3)
-        assert frame_variance(np.full(5, 3.3)) == 0.0
+        assert feature("variance", np.array([1.0, 2.0, 3.0])) == pytest.approx(2 / 3)
+        assert feature("variance", np.full(5, 3.3)) == 0.0
         zero_mean = np.array([-0.4, 0.1, 0.3])
-        assert frame_variance(zero_mean) == pytest.approx(
+        assert feature("variance", zero_mean) == pytest.approx(
             np.mean(zero_mean ** 2))
 
     def test_skewness(self):
-        assert frame_skewness(np.array([-1.0, 0.0, 1.0])) == 0.0
-        assert frame_skewness(np.full(4, 2.0)) == 0.0
+        assert feature("skewness", np.array([-1.0, 0.0, 1.0])) == 0.0
+        assert feature("skewness", np.full(4, 2.0)) == 0.0
 
     def test_kurtosis(self):
-        assert frame_kurtosis(np.array([-1.0, 1.0, -1.0, 1.0])) == pytest.approx(-2.0)
-        assert frame_kurtosis(np.full(4, 2.0)) == 0.0
+        assert feature("kurtosis", np.array([-1.0, 1.0, -1.0, 1.0])) == (
+            pytest.approx(-2.0))
+        assert feature("kurtosis", np.full(4, 2.0)) == 0.0
 
     def test_kurtosis_of_gaussian_draws(self):
         x = np.random.default_rng(11).standard_normal(100_000)
-        assert abs(frame_kurtosis(x)) < 0.3
+        assert abs(feature("kurtosis", x)) < 0.3
 
     def test_shannon_energy(self):
-        assert frame_shannon_energy(np.array([1.0, -1.0, 1.0])) == 0.0
-        assert frame_shannon_energy(np.zeros(5)) == 0.0
-        assert frame_shannon_energy(np.array([0.5])) == pytest.approx(
+        assert feature("shannon_energy", np.array([1.0, -1.0, 1.0])) == 0.0
+        assert feature("shannon_energy", np.zeros(5)) == 0.0
+        assert feature("shannon_energy", np.array([0.5])) == pytest.approx(
             0.25 * math.log(0.25))
 
     def test_shannon_entropy(self):
-        assert frame_shannon_entropy(np.full(5, 1.0)) == 0.0
-        assert frame_shannon_entropy(np.array([0.0, 1.0]), bins=2) == pytest.approx(
-            -math.log(2))
+        assert feature("shannon_entropy", np.full(5, 1.0)) == 0.0
+        assert feature("shannon_entropy", np.array([0.0, 1.0]),
+                       bins=2) == pytest.approx(-math.log(2))
         # uniform over B bins reaches the extreme value -log B
         B = 5
         frame = np.arange(B) + 0.5
-        assert frame_shannon_entropy(frame, bins=B) == pytest.approx(-math.log(B))
+        assert feature("shannon_entropy", frame, bins=B) == pytest.approx(
+            -math.log(B))
 
     def test_zcr(self):
-        assert frame_zcr(np.array([0.3, 0.2, 0.9])) == 0.0
+        assert feature("zcr", np.array([0.3, 0.2, 0.9])) == 0.0
         alternating = np.array([1.0, -1.0, 1.0, -1.0, 1.0])  # L = 4
-        assert frame_zcr(alternating) == pytest.approx(8 / 9)
+        assert feature("zcr", alternating) == pytest.approx(8 / 9)
 
     def test_zcr_bound(self):
         rng = np.random.default_rng(12)
@@ -118,17 +119,17 @@ class TestSingleFrameExamples:
             n = int(rng.integers(2, 60))
             frame = rng.normal(size=n)
             L = n - 1
-            assert 0.0 <= frame_zcr(frame) <= 2 * L / (2 * L + 1)
+            assert 0.0 <= feature("zcr", frame) <= 2 * L / (2 * L + 1)
 
     def test_quantile_range(self):
-        assert frame_quantile_range(np.full(9, 2.0)) == 0.0
-        assert frame_quantile_range(np.arange(101.0)) == 50.0
+        assert feature("quantile_range", np.full(9, 2.0)) == 0.0
+        assert feature("quantile_range", np.arange(101.0)) == 50.0
 
     def test_quantile_range_scales(self):
         rng = np.random.default_rng(13)
         frame = rng.normal(size=31)
-        assert frame_quantile_range(3.5 * frame) == pytest.approx(
-            3.5 * frame_quantile_range(frame))
+        assert feature("quantile_range", 3.5 * frame) == pytest.approx(
+            3.5 * feature("quantile_range", frame))
 
 
 class TestOracleEquivalence:
@@ -148,7 +149,7 @@ class TestOracleEquivalence:
         for x in frame:
             naive += x
         naive /= frame.size
-        assert frame_mean(frame) == pytest.approx(naive, abs=1e-12)
+        assert feature("mean", frame) == pytest.approx(naive, abs=1e-12)
 
 
 class TestShiftScaleBehavior:
@@ -160,48 +161,28 @@ class TestShiftScaleBehavior:
             frame = self.rng.normal(size=31)
             c = self.rng.uniform(-5, 5)
             shifted = frame + c
-            assert frame_mean(shifted) == pytest.approx(frame_mean(frame) + c,
-                                                        rel=1e-10, abs=1e-10)
-            for fn in (frame_variance, frame_skewness, frame_kurtosis,
-                       frame_quantile_range):
-                assert fn(shifted) == pytest.approx(fn(frame), rel=1e-10, abs=1e-10)
+            assert feature("mean", shifted) == pytest.approx(
+                feature("mean", frame) + c, rel=1e-10, abs=1e-10)
+            for name in ("variance", "skewness", "kurtosis", "quantile_range"):
+                assert feature(name, shifted) == pytest.approx(
+                    feature(name, frame), rel=1e-10, abs=1e-10), name
             # fixed bin count re-derived on the shifted range
-            assert frame_shannon_entropy(shifted) == pytest.approx(
-                frame_shannon_entropy(frame), rel=1e-10, abs=1e-10)
+            assert feature("shannon_entropy", shifted) == pytest.approx(
+                feature("shannon_entropy", frame), rel=1e-10, abs=1e-10)
 
     def test_scale(self):
         for _ in range(20):
             frame = self.rng.normal(size=31)
             c = self.rng.uniform(0.1, 4.0)
             scaled = c * frame
-            assert frame_variance(scaled) == pytest.approx(
-                c * c * frame_variance(frame), rel=1e-10)
-            assert frame_skewness(scaled) == pytest.approx(
-                frame_skewness(frame), rel=1e-9, abs=1e-10)
-            assert frame_kurtosis(scaled) == pytest.approx(
-                frame_kurtosis(frame), rel=1e-9, abs=1e-10)
-            assert frame_quantile_range(scaled) == pytest.approx(
-                c * frame_quantile_range(frame), rel=1e-10)
-
-
-class TestFrameFeatures:
-    def test_matches_matrix_row_and_names(self):
-        from pcgkit.features import frame_features
-        rng = np.random.default_rng(21)
-        frame = rng.standard_t(3, 31)
-        vec = frame_features(frame)
-        assert vec._fields == FEATURE_NAMES
-        row = feature_matrix(frame[None, :])[0]
-        assert np.allclose(np.array(vec), row, atol=1e-12)
-
-    def test_invariant_bounds(self):
-        from pcgkit.features import frame_features
-        rng = np.random.default_rng(22)
-        for _ in range(100):
-            vec = frame_features(rng.normal(size=int(rng.integers(3, 60))))
-            assert vec.variance >= 0.0
-            assert 0.0 <= vec.zcr < 1.0
-            assert vec.quantile_range >= 0.0
+            assert feature("variance", scaled) == pytest.approx(
+                c * c * feature("variance", frame), rel=1e-10)
+            assert feature("skewness", scaled) == pytest.approx(
+                feature("skewness", frame), rel=1e-9, abs=1e-10)
+            assert feature("kurtosis", scaled) == pytest.approx(
+                feature("kurtosis", frame), rel=1e-9, abs=1e-10)
+            assert feature("quantile_range", scaled) == pytest.approx(
+                c * feature("quantile_range", frame), rel=1e-10)
 
 
 class TestExtractSequence:
@@ -228,6 +209,108 @@ class TestExtractSequence:
             for j, name in enumerate(FEATURE_NAMES):
                 want = LIB_BY_NAME[name](frames[t])
                 assert matrix[t, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_invariant_bounds(self):
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            row = feature_matrix(rng.normal(size=(1, int(rng.integers(3, 60)))))[0]
+            cols = dict(zip(FEATURE_NAMES, row))
+            assert cols["variance"] >= 0.0
+            assert 0.0 <= cols["zcr"] < 1.0
+            assert cols["quantile_range"] >= 0.0
+
+
+def histogram_mode_entropy(row, bins):
+    """Mode and entropy of one row from np.histogram: the test reference."""
+    if row.min() == row.max():
+        return row[0], 0.0
+    counts, edges = np.histogram(row, bins=bins, range=(row.min(), row.max()))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    p = counts[counts > 0] / row.size
+    return centers[np.argmax(counts)], np.sum(p * np.log(p))
+
+
+MODE = FEATURE_NAMES.index("mode")
+ENTROPY = FEATURE_NAMES.index("shannon_entropy")
+
+
+def assert_matches_np_histogram(frames, bins):
+    """Mode bit-equal and entropy within 1e-15 of per-row np.histogram."""
+    matrix = feature_matrix(frames, bins)
+    mode, entropy = matrix[:, MODE], matrix[:, ENTROPY]
+    for t, row in enumerate(frames):
+        want_mode, want_entropy = histogram_mode_entropy(row, bins)
+        assert mode[t] == want_mode, (t, row)
+        assert abs(entropy[t] - want_entropy) <= 1e-15, (t, row)
+
+
+class TestRowHistogram:
+    """The row-wise histogram against np.histogram, one row at a time."""
+
+    @pytest.mark.parametrize("bins", [1, 2, 7, 10, 64])
+    def test_values_on_and_next_to_edges(self, bins):
+        # Values one step of the float grid below an edge are where the
+        # float bin index overshoots and numpy's corrections act.
+        rng = np.random.default_rng(30 + bins)
+        rows = []
+        for _ in range(50):
+            lo, hi = np.sort(rng.normal(scale=rng.uniform(0.01, 100), size=2))
+            edges = np.linspace(lo, hi, bins + 1)  # np.histogram's own edges
+            rows.append(rng.permutation(np.concatenate(
+                [edges, [hi], np.nextafter(edges[1:], -np.inf),
+                 np.nextafter(edges[:-1], np.inf), rng.uniform(lo, hi, 12)])))
+        assert_matches_np_histogram(np.array(rows), bins)
+
+    @pytest.mark.parametrize("bins", [1, 2, 7, 10, 64])
+    def test_random_rows_mixed_with_constant_rows(self, bins):
+        rng = np.random.default_rng(40 + bins)
+        frames = np.concatenate([rng.uniform(-1, 1, (100, 31)),
+                                 rng.standard_t(2, (100, 31)),
+                                 np.round(rng.normal(size=(100, 31)) * 4) / 4])
+        frames[::9] = rng.normal(size=(frames[::9].shape[0], 1))  # constant
+        assert_matches_np_histogram(frames, bins)
+
+    @pytest.mark.parametrize("bins", [1, 2, 7, 10, 64])
+    def test_spans_of_one_and_two_ulp(self, bins):
+        rows = []
+        for lo in (0.3, -2.5, 1e-300, 7e10):
+            one = np.nextafter(lo, np.inf)
+            two = np.nextafter(one, np.inf)
+            rows += [[lo, one, lo, lo, one], [two, lo, one, one, lo]]
+        frames = np.array(rows)
+        matrix = feature_matrix(frames, bins)
+        for t, row in enumerate(frames):
+            try:
+                want_mode, want_entropy = histogram_mode_entropy(row, bins)
+            except ValueError:
+                # np.histogram refuses a span narrower than `bins` steps of
+                # the float grid; the row still gets an in-range mode.
+                assert row.min() <= matrix[t, MODE] <= row.max()
+                assert -math.log(3) - 1e-15 <= matrix[t, ENTROPY] <= 0.0
+                continue
+            assert matrix[t, MODE] == want_mode
+            assert abs(matrix[t, ENTROPY] - want_entropy) <= 1e-15
+
+    def test_hop_one_sized_matrix(self):
+        x = np.random.default_rng(50).standard_t(3, size=5000)
+        frames, _ = frame_matrix(x, WindowSpec(WindowShape.GAUSSIAN, 15), hop=1)
+        assert frames.shape == (4970, 31)
+        assert_matches_np_histogram(frames, DEFAULT_BINS)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf],
+                                     [1e308, -1e308]])
+    def test_non_finite_frames_rejected(self, bad):
+        frames = np.random.default_rng(60).normal(size=(5, 31))
+        frames[3, 7:7 + len(bad)] = bad
+        with pytest.raises(ValueError, match="finite"):
+            feature_matrix(frames)
+
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_bins_below_one_rejected(self, bins):
+        with pytest.raises(ValueError, match="bins"):
+            feature_matrix(np.random.default_rng(61).normal(size=(5, 31)), bins)
 
 
 class TestNormalize:
@@ -263,7 +346,6 @@ class TestNormalize:
     def test_scale_invariance_after_normalization(self):
         # Positive rescaling of the raw signal leaves every normalized
         # column unchanged except the two logarithmic ones.
-        from pcgkit.windows import frame_matrix
         rng = np.random.default_rng(19)
         x = rng.normal(size=400)
         spec = WindowSpec(WindowShape.GAUSSIAN, 15)

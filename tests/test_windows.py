@@ -6,7 +6,6 @@ from pcgkit.windows import (
     WindowShape,
     WindowSpec,
     frame_matrix,
-    frame_signal,
     mainlobe_width,
     make_window,
     peak_sidelobe_db,
@@ -59,10 +58,10 @@ class TestMakeWindow:
 class TestFrameSignal:
     def test_single_frame_boundary(self):
         x = np.arange(5.0)
-        frames = frame_signal(x, WindowSpec(R, 2), hop=1)
-        assert len(frames) == 1
-        assert frames[0].center == 2
-        assert np.array_equal(frames[0].values, x)
+        frames, centers = frame_matrix(x, WindowSpec(R, 2), hop=1)
+        assert frames.shape == (1, 5)
+        assert np.array_equal(centers, [2])
+        assert np.array_equal(frames[0], x)
 
     def test_frame_count_hop_one(self):
         x = np.zeros(5000)
@@ -85,16 +84,17 @@ class TestFrameSignal:
 
     def test_window_too_long(self):
         with pytest.raises(WindowTooLong):
-            frame_signal(np.zeros(10), WindowSpec(R, 5), hop=1)
+            frame_matrix(np.zeros(10), WindowSpec(R, 5), hop=1)
 
     def test_frame_values_match_definition(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=40)
         spec = WindowSpec(G, 4, alpha=3.0)
         w = make_window(spec)
-        for f in frame_signal(x, spec, hop=7):
-            expected = w * x[f.center - 4:f.center + 5]
-            assert np.array_equal(f.values, expected)
+        frames, centers = frame_matrix(x, spec, hop=7)
+        assert np.array_equal(centers, np.arange(4, 36, 7))
+        for row, c in zip(frames, centers):
+            assert np.array_equal(row, w * x[c - 4:c + 5])
 
 
 class TestSpectrum:
