@@ -60,8 +60,6 @@ from .nnet import (
     LstmDirectionParams,
     TrainConfig,
     TrainHistory,
-    backward,
-    cell_step,
     forward,
     init_model,
     load_model,

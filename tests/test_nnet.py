@@ -10,7 +10,6 @@ from pcgkit.nnet import (
     BiLSTMModel,
     LstmDirectionParams,
     TrainConfig,
-    cell_step,
     init_model,
     load_model,
     param_blocks,
@@ -83,12 +82,14 @@ class TestInit:
 
 
 class TestCellStep:
+    """The LSTM step as production runs it: one direction of a batch."""
+
     def test_zero_params_give_zero_state(self):
         p = LstmDirectionParams(np.zeros((12, 10)), np.zeros((12, 3)), np.zeros(12))
-        h, c = cell_step(np.random.default_rng(0).normal(size=10),
-                         np.zeros(3), np.zeros(3), p)
-        assert np.array_equal(h, np.zeros(3))
-        assert np.array_equal(c, np.zeros(3))
+        X = np.random.default_rng(0).normal(size=(2, 4, 10))
+        Hs, cache = nnet._run_direction(p, X, reverse=False)
+        assert np.array_equal(Hs, np.zeros((2, 4, 3)))
+        assert np.array_equal(cache["Cs"], np.zeros((2, 4, 3)))
 
     def test_saturated_forget_gate_carries_cell(self):
         rng = np.random.default_rng(1)
@@ -97,48 +98,54 @@ class TestCellStep:
                                 rng.normal(size=(4 * H, H)) * 0.1,
                                 np.zeros(4 * H))
         p.bias[H:2 * H] = 50.0  # forget gate pinned at 1
-        x = rng.normal(size=D)
-        h_prev = rng.normal(size=H) * 0.1
-        c_prev = rng.normal(size=H)
-        _, c = cell_step(x, h_prev, c_prev, p)
-        z = p.input_weights @ x + p.recurrent_weights @ h_prev
+        X = rng.normal(size=(1, 2, D))
+        Hs, cache = nnet._run_direction(p, X, reverse=False)
+        h_prev, c_prev = Hs[0, 0], cache["Cs"][0, 0]
+        assert np.all(c_prev != 0.0)
+        z = p.input_weights @ X[0, 1] + p.recurrent_weights @ h_prev
         i = 1 / (1 + np.exp(-z[:H]))
         g = np.tanh(z[2 * H:3 * H])
-        assert np.allclose(c, c_prev + i * g, atol=1e-12)
+        assert np.allclose(cache["Cs"][0, 1], c_prev + i * g, atol=1e-12)
+
+    @staticmethod
+    def _scalar_loop(p, xs):
+        """Hidden and cell states of one direction, one scalar at a time."""
+        import math
+        H = p.recurrent_weights.shape[1]
+        h, c = [0.0] * H, [0.0] * H
+        states = []
+        for x in xs:
+            def z(row):
+                return (sum(p.input_weights[row, j] * x[j] for j in range(len(x)))
+                        + sum(p.recurrent_weights[row, j] * h[j] for j in range(H))
+                        + p.bias[row])
+            new_h, new_c = [], []
+            for k in range(H):
+                ik = 1 / (1 + math.exp(-z(k)))
+                fk = 1 / (1 + math.exp(-z(H + k)))
+                gk = math.tanh(z(2 * H + k))
+                ok = 1 / (1 + math.exp(-z(3 * H + k)))
+                new_c.append(fk * c[k] + ik * gk)
+                new_h.append(ok * math.tanh(new_c[k]))
+            h, c = new_h, new_c
+            states.append((h, c))
+        return states
 
     def test_matches_scalar_loop_oracle(self):
+        # T = 2, so the second step starts from a non-zero (h, c); the
+        # backward direction visits the steps in the opposite order.
         rng = np.random.default_rng(2)
         H, D = 4, 6
         p = LstmDirectionParams(rng.normal(size=(4 * H, D)),
                                 rng.normal(size=(4 * H, H)),
                                 rng.normal(size=4 * H))
-        x = rng.normal(size=D)
-        h_prev = rng.normal(size=H)
-        c_prev = rng.normal(size=H)
-        h, c = cell_step(x, h_prev, c_prev, p)
-
-        import math
-        for k in range(H):
-            zi = sum(p.input_weights[k, j] * x[j] for j in range(D)) \
-                + sum(p.recurrent_weights[k, j] * h_prev[j] for j in range(H)) \
-                + p.bias[k]
-            zf = sum(p.input_weights[H + k, j] * x[j] for j in range(D)) \
-                + sum(p.recurrent_weights[H + k, j] * h_prev[j] for j in range(H)) \
-                + p.bias[H + k]
-            zg = sum(p.input_weights[2 * H + k, j] * x[j] for j in range(D)) \
-                + sum(p.recurrent_weights[2 * H + k, j] * h_prev[j] for j in range(H)) \
-                + p.bias[2 * H + k]
-            zo = sum(p.input_weights[3 * H + k, j] * x[j] for j in range(D)) \
-                + sum(p.recurrent_weights[3 * H + k, j] * h_prev[j] for j in range(H)) \
-                + p.bias[3 * H + k]
-            ik = 1 / (1 + math.exp(-zi))
-            fk = 1 / (1 + math.exp(-zf))
-            gk = math.tanh(zg)
-            ok = 1 / (1 + math.exp(-zo))
-            ck = fk * c_prev[k] + ik * gk
-            hk = ok * math.tanh(ck)
-            assert h[k] == pytest.approx(hk, abs=1e-12)
-            assert c[k] == pytest.approx(ck, abs=1e-12)
+        X = rng.normal(size=(1, 2, D))
+        for reverse, order in ((False, [0, 1]), (True, [1, 0])):
+            Hs, cache = nnet._run_direction(p, X, reverse=reverse)
+            states = self._scalar_loop(p, [X[0, t] for t in order])
+            for t, (h, c) in zip(order, states):
+                assert Hs[0, t] == pytest.approx(h, abs=1e-12)
+                assert cache["Cs"][0, t] == pytest.approx(c, abs=1e-12)
 
 
 class TestForward:
@@ -221,9 +228,8 @@ class TestBackward:
         # With an all-zero input sequence, dW = sum_t dz_t x_t^T = 0 for the
         # first layer's input weights while other blocks stay nonzero.
         model = init_model(3, seed=8)
-        seq = make_seq(np.zeros((6, 10)))
-        probs, cache = nnet.forward(model, seq)
-        grads = nnet.backward(model, [(seq, 1)], [cache])
+        _, cache = nnet._forward_batch(model, np.zeros((1, 6, 10)))
+        grads = nnet._backward_batch(model, cache, np.array([1]))
         assert np.all(grads.layers[0].forward.input_weights == 0.0)
         assert np.all(grads.layers[0].backward.input_weights == 0.0)
         # the zero input also silences every hidden state, so only the head
@@ -262,13 +268,16 @@ class TestBackward:
     def test_mean_gradient_linearity(self):
         rng = np.random.default_rng(10)
         model = init_model(3, seed=11)
-        a = make_seq(rng.normal(size=(5, 10)))
-        b = make_seq(rng.normal(size=(5, 10)))
-        _, ca = nnet.forward(model, a)
-        _, cb = nnet.forward(model, b)
-        g_joint = nnet.backward(model, [(a, 0), (b, 1)], [ca, cb])
-        g_a = nnet.backward(model, [(a, 0)], [ca])
-        g_b = nnet.backward(model, [(b, 1)], [cb])
+        a = rng.normal(size=(1, 5, 10))
+        b = rng.normal(size=(1, 5, 10))
+
+        def grads(X, labels):
+            _, cache = nnet._forward_batch(model, X)
+            return nnet._backward_batch(model, cache, np.array(labels))
+
+        g_joint = grads(np.concatenate([a, b]), [0, 1])
+        g_a = grads(a, [0])
+        g_b = grads(b, [1])
         for (_, gj), (_, ga), (_, gb) in zip(param_blocks(g_joint),
                                              param_blocks(g_a),
                                              param_blocks(g_b)):
@@ -324,6 +333,12 @@ class TestSgdm:
                              clip_norm=1.0)
         sgdm_step(model, grads, velocity, config)
         assert model.head_bias[0] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("clip_norm", [-1.0, 0.0, float("nan")])
+    def test_non_positive_clip_norm_rejected(self, clip_norm):
+        # A negative bound would turn descent into ascent; zero freezes it.
+        with pytest.raises(ValueError, match="clip_norm"):
+            TrainConfig(clip_norm=clip_norm)
 
 
 class TestTrain:
