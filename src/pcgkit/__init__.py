@@ -14,6 +14,7 @@ from .errors import (
     InvalidFraction,
     LengthMismatch,
     NoSidelobe,
+    NonFiniteLoss,
     PcgError,
     RateMismatch,
     SingleClassDataset,

@@ -96,7 +96,11 @@ def _load_corpus(corpus_dir: Path) -> list:
         raise FileNotFoundError(f"no such file: {manifest}")
     records = []
     with open(manifest, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for column in ("filename", "label"):
+            if column not in (reader.fieldnames or []):
+                raise PcgError(f"{manifest}: no {column!r} column")
+        for row in reader:
             records.append(read_wav(corpus_dir / row["filename"],
                                     label=Label(row["label"])))
     return records

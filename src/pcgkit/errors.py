@@ -46,6 +46,10 @@ class SingleClassDataset(PcgError):
     """Operation requires examples of both classes."""
 
 
+class NonFiniteLoss(PcgError):
+    """Training loss became NaN or infinite."""
+
+
 class LengthMismatch(PcgError):
     """Paired sequences have different lengths."""
 

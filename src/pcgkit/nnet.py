@@ -9,6 +9,14 @@ optimizer is stochastic gradient descent with momentum:
     v <- momentum * v + g
     theta <- theta - learning_rate * v
 
+Each layer runs both directions in one Python time loop: step s is time s
+forward and time T-1-s backward, so the state is (2, B, H) and the
+recurrent step is one batched matmul with stacked (2, H, 4H) weights.  The
+input projection is one matmul per direction into a (2, T, B, 4H) gate
+buffer in step order, which the loop turns into activations in place and
+BPTT into pre-activation gradients.  One tanh gives all four gates, since
+sigma(x) = 0.5*tanh(x/2) + 0.5.
+
 Everything is plain numpy in double precision, deterministic in the seed.
 """
 
@@ -21,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptySequence, SingleClassDataset
+from .errors import EmptySequence, NonFiniteLoss, SingleClassDataset
 from .features import FeatureSequence
 from .ingest import Label
 
@@ -65,8 +73,9 @@ class TrainConfig:
     momentum_ramp: bool = False  # ramp 0.5 -> momentum over the first 10% of epochs
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not self.learning_rate >= 0:  # NaN fails this too
+            raise ValueError(
+                f"learning_rate must be >= 0, got {self.learning_rate}")
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must be in [0, 1)")
         if self.epochs < 1:
@@ -155,48 +164,48 @@ def init_model(hidden: int, seed: int, input_size: int = 10) -> BiLSTMModel:
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _gate_scale(H: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column scale and offset: gates = scale*tanh(scale*z) + offset.
+
+    That is sigma(z) = 0.5*tanh(z/2) + 0.5 on the sigmoid columns and tanh
+    on the candidate's; halving is exact.
+    """
+    scale = np.full(4 * H, 0.5)
+    scale[2 * H:3 * H] = 1.0
+    return scale, 1.0 - scale
 
 
-def _run_direction(p: LstmDirectionParams, X: np.ndarray,
-                   reverse: bool) -> tuple[np.ndarray, dict]:
-    """Run one direction over a (B, T, D_in) batch; cache all activations."""
-    B, T, _ = X.shape
-    H = p.recurrent_weights.shape[1]
-    XW = X @ p.input_weights.T  # (B, T, 4H), one matmul for all steps
+def _layer_forward(layer: BiLayer, U: np.ndarray) -> dict:
+    """Both directions of one layer over a time-major (T, B, D) input.
 
-    Hs = np.zeros((B, T, H))
-    Cs = np.zeros((B, T, H))
-    I = np.zeros((B, T, H))
-    F = np.zeros((B, T, H))
-    G = np.zeros((B, T, H))
-    O = np.zeros((B, T, H))
-    TC = np.zeros((B, T, H))
-
-    order = range(T - 1, -1, -1) if reverse else range(T)
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    for t in order:
-        z = XW[:, t] + h @ p.recurrent_weights.T + p.bias
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H:2 * H])
-        g = np.tanh(z[:, 2 * H:3 * H])
-        o = _sigmoid(z[:, 3 * H:])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        I[:, t], F[:, t], G[:, t], O[:, t] = i, f, g, o
-        Cs[:, t], TC[:, t], Hs[:, t] = c, tc, h
-
-    cache = {"X": X, "Hs": Hs, "Cs": Cs, "I": I, "F": F, "G": G, "O": O,
-             "TC": TC, "reverse": reverse}
-    return Hs, cache
+    Step s runs time s of the forward direction and time T-1-s of the
+    backward one, so the state is (2, B, H) and every buffer is
+    (2, T, B, ...) in step order.  Z holds the gate activations; C and Hs
+    hold the cell and hidden states, with the zero initial state at index 0.
+    """
+    T, B, _ = U.shape
+    H = layer.forward.recurrent_weights.shape[1]
+    scale, offset = _gate_scale(H)
+    directions = (layer.forward, layer.backward)
+    Z = np.empty((2, T, B, 4 * H))
+    for d, (p, X) in enumerate(zip(directions, (U, U[::-1]))):
+        np.matmul(X, (p.input_weights * scale[:, None]).T, out=Z[d])
+        Z[d] += p.bias * scale
+    W = np.stack([(p.recurrent_weights * scale[:, None]).T for p in directions])
+    C = np.zeros((2, T + 1, B, H))
+    Hs = np.zeros((2, T + 1, B, H))
+    for s in range(T):
+        z = Z[:, s]
+        z += np.matmul(Hs[:, s], W)
+        np.tanh(z, out=z)
+        z *= scale
+        z += offset
+        c, h = C[:, s + 1], Hs[:, s + 1]
+        np.multiply(z[..., :H], z[..., 2 * H:3 * H], out=c)
+        c += z[..., H:2 * H] * C[:, s]
+        np.tanh(c, out=h)
+        h *= z[..., 3 * H:]
+    return {"U": U, "Z": Z, "C": C, "Hs": Hs}
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -209,22 +218,18 @@ def _forward_batch(model: BiLSTMModel, X: np.ndarray) -> tuple[np.ndarray, dict]
     """Probabilities (B, 2) and the full cache for a (B, T, D) batch."""
     if X.ndim != 3 or X.shape[1] < 1:
         raise EmptySequence("input batch must be (B, T>=1, D)")
-    H = model.hidden_size
 
     l1, l2 = model.layers
-    Hf1, cf1 = _run_direction(l1.forward, X, reverse=False)
-    Hb1, cb1 = _run_direction(l1.backward, X, reverse=True)
-    U = np.concatenate([Hf1, Hb1], axis=2)
-
-    Hf2, cf2 = _run_direction(l2.forward, U, reverse=False)
-    Hb2, cb2 = _run_direction(l2.backward, U, reverse=True)
-    # Final state of each direction: forward ends at t = T-1, backward at t = 0.
-    feat = np.concatenate([Hf2[:, -1], Hb2[:, 0]], axis=1)  # (B, 2H)
+    c1 = _layer_forward(l1, X.transpose(1, 0, 2))
+    Hs1 = c1["Hs"][:, 1:]
+    # Layer 2 sees [forward h_t, backward h_t] at each time t.
+    c2 = _layer_forward(l2, np.concatenate([Hs1[0], Hs1[1, ::-1]], axis=2))
+    # Forward ends at t = T-1 and backward at t = 0: both on the last step.
+    feat = np.concatenate(c2["Hs"][:, -1], axis=1)  # (B, 2H)
 
     logits = feat @ model.head_weights.T + model.head_bias
     probs = _softmax(logits)
-    cache = {"cf1": cf1, "cb1": cb1, "cf2": cf2, "cb2": cb2,
-             "feat": feat, "probs": probs, "H": H}
+    cache = {"layers": (c1, c2), "feat": feat, "probs": probs}
     return probs, cache
 
 
@@ -252,61 +257,60 @@ def predict(model: BiLSTMModel, seq: FeatureSequence) -> int:
 # Backward pass (BPTT)
 # ---------------------------------------------------------------------------
 
-def _direction_backward(p: LstmDirectionParams, cache: dict,
-                        dH: np.ndarray) -> tuple[np.ndarray, LstmDirectionParams]:
-    """Backprop one direction; dH holds output gradients at every step."""
-    X, Hs, Cs = cache["X"], cache["Hs"], cache["Cs"]
-    I, F, G, O, TC = cache["I"], cache["F"], cache["G"], cache["O"], cache["TC"]
-    reverse = cache["reverse"]
-    B, T, H = Hs.shape
+def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray,
+                    grads: BiLayer) -> None:
+    """BPTT through both directions of one layer, in reverse step order.
 
-    # States seen as "previous" by step t, zeros at the direction's start.
-    Hprev = np.zeros_like(Hs)
-    Cprev = np.zeros_like(Cs)
-    if reverse:
-        Hprev[:, :-1] = Hs[:, 1:]
-        Cprev[:, :-1] = Cs[:, 1:]
-        order = range(T)  # unwind opposite to the T-1..0 processing order
-    else:
-        Hprev[:, 1:] = Hs[:, :-1]
-        Cprev[:, 1:] = Cs[:, :-1]
-        order = range(T - 1, -1, -1)
-
-    dZ = np.zeros((B, T, 4 * H))
-    dh_carry = np.zeros((B, H))
-    dc_carry = np.zeros((B, H))
-    for t in order:
-        dh = dH[:, t] + dh_carry
-        i, f, g, o, tc = I[:, t], F[:, t], G[:, t], O[:, t], TC[:, t]
-        do = dh * tc
-        dc = dc_carry + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        dg = dc * i
-        df = dc * Cprev[:, t]
+    dHs holds the (2, T, B, H) output gradients in step order.  The gate
+    buffer cache["Z"] is overwritten with the pre-activation gradients dZ,
+    and the weight gradients are written into `grads`.
+    """
+    U, Z, C, Hs = cache["U"], cache["Z"], cache["C"], cache["Hs"]
+    T, B, _ = U.shape
+    H = C.shape[-1]
+    scale, offset = _gate_scale(H)
+    # (1 - a)(a + lo) is a(1 - a) on the sigmoid columns, 1 - a^2 on tanh's.
+    lo = scale - offset
+    W = np.stack([layer.forward.recurrent_weights,
+                  layer.backward.recurrent_weights])  # (2, 4H, H)
+    dh_carry = np.zeros((2, B, H))
+    dc_carry = np.zeros((2, B, H))
+    for s in range(T - 1, -1, -1):
+        z = Z[:, s]
+        i, f, g, o = (z[..., k * H:(k + 1) * H] for k in range(4))
+        dh = dHs[:, s] + dh_carry
+        tc = np.tanh(C[:, s + 1])
+        dc = dh * o
+        dc *= 1.0 - tc * tc
+        dc += dc_carry
+        slope = 1.0 - z
+        slope *= z + lo
+        # Gate slots turn into dZ; each is read before it is overwritten.
         dc_carry = dc * f
-        dz = np.concatenate(
-            [di * i * (1.0 - i), df * f * (1.0 - f),
-             dg * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
-        dZ[:, t] = dz
-        dh_carry = dz @ p.recurrent_weights
+        di = dc * g
+        np.multiply(dc, i, out=g)
+        np.multiply(dc, C[:, s], out=f)
+        np.multiply(dh, tc, out=o)
+        i[...] = di
+        z *= slope
+        dh_carry = np.matmul(z, W)
 
-    flat_dZ = dZ.reshape(B * T, 4 * H)
-    grads = LstmDirectionParams(
-        input_weights=flat_dZ.T @ X.reshape(B * T, -1),
-        recurrent_weights=flat_dZ.T @ Hprev.reshape(B * T, H),
-        bias=dZ.sum(axis=(0, 1)),
-    )
-    dX = dZ @ p.input_weights
-    return dX, grads
+    for d, (grad, X) in enumerate(zip((grads.forward, grads.backward),
+                                      (U, U[::-1]))):
+        dZ = Z[d].reshape(T * B, 4 * H)
+        grad.input_weights[...] = dZ.T @ X.reshape(T * B, -1)
+        grad.recurrent_weights[...] = dZ.T @ Hs[d, :-1].reshape(T * B, H)
+        grad.bias[...] = dZ.sum(axis=0)
 
 
 def _backward_batch(model: BiLSTMModel, cache: dict,
                     labels: np.ndarray) -> BiLSTMModel:
-    """Gradients of the mean cross-entropy over the batch."""
+    """Gradients of the mean cross-entropy over the batch; consumes the cache."""
     probs, feat = cache["probs"], cache["feat"]
     B = probs.shape[0]
-    H = cache["H"]
-    T = cache["cf2"]["Hs"].shape[1]
+    H = model.hidden_size
+    c1, c2 = cache["layers"]
+    T = c2["U"].shape[0]
 
     dlogits = probs.copy()
     dlogits[np.arange(B), labels] -= 1.0
@@ -317,25 +321,16 @@ def _backward_batch(model: BiLSTMModel, cache: dict,
     grads.head_bias[...] = dlogits.sum(axis=0)
 
     dfeat = dlogits @ model.head_weights
-    dHf2 = np.zeros((B, T, H))
-    dHb2 = np.zeros((B, T, H))
-    dHf2[:, -1] = dfeat[:, :H]
-    dHb2[:, 0] = dfeat[:, H:]
+    dHs = np.zeros((2, T, B, H))
+    dHs[:, -1] = dfeat.reshape(B, 2, H).transpose(1, 0, 2)
 
     l1, l2 = model.layers
-    g1, g2 = grads.layers
-    dU_f, gf2 = _direction_backward(l2.forward, cache["cf2"], dHf2)
-    dU_b, gb2 = _direction_backward(l2.backward, cache["cb2"], dHb2)
-    dU = dU_f + dU_b
-
-    _, gf1 = _direction_backward(l1.forward, cache["cf1"], dU[:, :, :H])
-    _, gb1 = _direction_backward(l1.backward, cache["cb1"], dU[:, :, H:])
-
-    for dst, src in ((g1.forward, gf1), (g1.backward, gb1),
-                     (g2.forward, gf2), (g2.backward, gb2)):
-        dst.input_weights[...] = src.input_weights
-        dst.recurrent_weights[...] = src.recurrent_weights
-        dst.bias[...] = src.bias
+    _layer_backward(l2, c2, dHs, grads.layers[1])
+    dZ = c2["Z"]
+    dU = dZ[0] @ l2.forward.input_weights  # (T, B, 2H), time order
+    dU += (dZ[1] @ l2.backward.input_weights)[::-1]
+    _layer_backward(l1, c1, np.stack([dU[..., :H], dU[::-1, :, H:]]),
+                    grads.layers[0])
     return grads
 
 
@@ -440,6 +435,10 @@ def _train_batch(model, velocity, batch_values, batch_labels, config):
         weight = sel.size / B
         for (_, dst), (_, src) in zip(param_blocks(grads), param_blocks(group)):
             dst += weight * src
+    if not np.isfinite(total_loss):
+        raise NonFiniteLoss(
+            f"training loss is {total_loss}: the features hold NaN or Inf, "
+            "or the learning rate is too high")
     sgdm_step(model, grads, velocity, config)
     return total_loss, correct
 

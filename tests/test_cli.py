@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -149,6 +150,22 @@ class TestTrainEvalCommands:
         assert not (tmp_path / "m.bin").exists()
 
 
+    def test_nan_feature_exits_1(self, feature_dir, tmp_path, capsys):
+        features = tmp_path / "features"
+        shutil.copytree(feature_dir, features)
+        path = sorted(features.glob("*.csv"))[0]
+        values = np.loadtxt(path, delimiter=",", ndmin=2)
+        values[1, 2] = np.nan
+        np.savetxt(path, values, delimiter=",")
+        code = main(["train", "--features", str(features), "--hidden", "3",
+                     "--epochs", "2", "--out", str(tmp_path / "m.bin")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training loss is nan")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "m.bin").exists()
+
+
 SMALL_GRID = ["--shapes", "gaussian", "--lengths", "30", "--hidden", "3",
               "--trials", "2", "--hop", "250", "--epochs", "2", "--seed", "3"]
 
@@ -216,6 +233,31 @@ class TestGridCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_nan_learning_rate_exits_1(self, tmp_path, capsys, source):
+        args = ["--lr", "nan"]
+        if source == "config":
+            config_path = tmp_path / "run.json"
+            config_path.write_text('{"lr": NaN}')
+            args = ["--config", str(config_path)]
+        # The corpus does not exist: a learning rate that passed would exit 2.
+        code = main(["grid", "--corpus", str(tmp_path / "missing"), *args,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: learning_rate must be >= 0, got nan\n"
+
+    def test_manifest_without_filename_column_exits_1(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "labels.csv").write_text("file,label\na.wav,healthy\n")
+        code = main(["grid", "--corpus", str(corpus), *SMALL_GRID,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'filename'" in err
+        assert err.count("\n") == 1
 
     def test_removed_thread_pool_flag_is_a_usage_error(self, corpus_dir,
                                                         tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcgkit import nnet
-from pcgkit.errors import EmptySequence, SingleClassDataset
+from pcgkit.errors import EmptySequence, NonFiniteLoss, SingleClassDataset
 from pcgkit.features import FeatureSequence
 from pcgkit.ingest import Label
 from pcgkit.nnet import (
@@ -81,15 +81,24 @@ class TestInit:
         assert np.all(np.abs(W) <= s)
 
 
+def _layer(fw, bw=None):
+    return BiLayer(forward=fw, backward=fw if bw is None else bw)
+
+
 class TestCellStep:
-    """The LSTM step as production runs it: one direction of a batch."""
+    """The LSTM step as production runs it: both directions of one layer.
+
+    `_layer_forward` keeps its buffers in step order: step s is time s of
+    the forward direction and time T-1-s of the backward one, and index 0
+    of the state buffers holds the zero initial state.
+    """
 
     def test_zero_params_give_zero_state(self):
         p = LstmDirectionParams(np.zeros((12, 10)), np.zeros((12, 3)), np.zeros(12))
-        X = np.random.default_rng(0).normal(size=(2, 4, 10))
-        Hs, cache = nnet._run_direction(p, X, reverse=False)
-        assert np.array_equal(Hs, np.zeros((2, 4, 3)))
-        assert np.array_equal(cache["Cs"], np.zeros((2, 4, 3)))
+        U = np.random.default_rng(0).normal(size=(4, 2, 10))  # (T, B, D)
+        cache = nnet._layer_forward(_layer(p), U)
+        assert np.array_equal(cache["Hs"], np.zeros((2, 5, 2, 3)))
+        assert np.array_equal(cache["C"], np.zeros((2, 5, 2, 3)))
 
     def test_saturated_forget_gate_carries_cell(self):
         rng = np.random.default_rng(1)
@@ -98,14 +107,16 @@ class TestCellStep:
                                 rng.normal(size=(4 * H, H)) * 0.1,
                                 np.zeros(4 * H))
         p.bias[H:2 * H] = 50.0  # forget gate pinned at 1
-        X = rng.normal(size=(1, 2, D))
-        Hs, cache = nnet._run_direction(p, X, reverse=False)
-        h_prev, c_prev = Hs[0, 0], cache["Cs"][0, 0]
-        assert np.all(c_prev != 0.0)
-        z = p.input_weights @ X[0, 1] + p.recurrent_weights @ h_prev
-        i = 1 / (1 + np.exp(-z[:H]))
-        g = np.tanh(z[2 * H:3 * H])
-        assert np.allclose(cache["Cs"][0, 1], c_prev + i * g, atol=1e-12)
+        U = rng.normal(size=(2, 1, D))
+        cache = nnet._layer_forward(_layer(p), U)
+        # Step 2 sees time 1 in the forward direction, time 0 in the backward.
+        for d, t in ((0, 1), (1, 0)):
+            h_prev, c_prev = cache["Hs"][d, 1, 0], cache["C"][d, 1, 0]
+            assert np.all(c_prev != 0.0)
+            z = p.input_weights @ U[t, 0] + p.recurrent_weights @ h_prev
+            i = 1 / (1 + np.exp(-z[:H]))
+            g = np.tanh(z[2 * H:3 * H])
+            assert np.allclose(cache["C"][d, 2, 0], c_prev + i * g, atol=1e-12)
 
     @staticmethod
     def _scalar_loop(p, xs):
@@ -133,19 +144,41 @@ class TestCellStep:
 
     def test_matches_scalar_loop_oracle(self):
         # T = 2, so the second step starts from a non-zero (h, c); the
-        # backward direction visits the steps in the opposite order.
+        # backward direction visits the times in the opposite order.
         rng = np.random.default_rng(2)
         H, D = 4, 6
-        p = LstmDirectionParams(rng.normal(size=(4 * H, D)),
-                                rng.normal(size=(4 * H, H)),
-                                rng.normal(size=4 * H))
-        X = rng.normal(size=(1, 2, D))
-        for reverse, order in ((False, [0, 1]), (True, [1, 0])):
-            Hs, cache = nnet._run_direction(p, X, reverse=reverse)
-            states = self._scalar_loop(p, [X[0, t] for t in order])
-            for t, (h, c) in zip(order, states):
-                assert Hs[0, t] == pytest.approx(h, abs=1e-12)
-                assert cache["Cs"][0, t] == pytest.approx(c, abs=1e-12)
+        fw, bw = (LstmDirectionParams(rng.normal(size=(4 * H, D)),
+                                      rng.normal(size=(4 * H, H)),
+                                      rng.normal(size=4 * H)) for _ in range(2))
+        U = rng.normal(size=(2, 1, D))
+        cache = nnet._layer_forward(_layer(fw, bw), U)
+        for d, (p, order) in enumerate(((fw, [0, 1]), (bw, [1, 0]))):
+            states = self._scalar_loop(p, [U[t, 0] for t in order])
+            for s, (h, c) in enumerate(states):
+                assert cache["Hs"][d, s + 1, 0] == pytest.approx(h, abs=1e-12)
+                assert cache["C"][d, s + 1, 0] == pytest.approx(c, abs=1e-12)
+
+    def test_backward_half_is_forward_half_on_reversed_input(self):
+        rng = np.random.default_rng(3)
+        H, D = 5, 7
+        fw, bw = (LstmDirectionParams(rng.normal(size=(4 * H, D)),
+                                      rng.normal(size=(4 * H, H)),
+                                      rng.normal(size=4 * H)) for _ in range(2))
+        U = rng.normal(size=(9, 3, D))
+        ours = nnet._layer_forward(_layer(fw, bw), U)
+        swapped = nnet._layer_forward(_layer(bw, fw), U[::-1])
+        for key in ("Hs", "C", "Z"):
+            assert np.allclose(ours[key][1], swapped[key][0], rtol=0, atol=1e-14)
+            assert np.allclose(ours[key][0], swapped[key][1], rtol=0, atol=1e-14)
+
+    def test_batch_rows_match_single_sequence_forward(self):
+        rng = np.random.default_rng(4)
+        model = init_model(4, seed=5)
+        X = rng.normal(size=(5, 8, 10))
+        probs, _ = nnet._forward_batch(model, X)
+        for b in range(5):
+            single, _ = nnet.forward(model, make_seq(X[b]))
+            assert np.allclose(probs[b], single, rtol=0, atol=1e-14)
 
 
 class TestForward:
@@ -341,7 +374,19 @@ class TestSgdm:
             TrainConfig(clip_norm=clip_norm)
 
 
+    @pytest.mark.parametrize("lr", [-1.0, float("nan")])
+    def test_negative_or_nan_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
+
 class TestTrain:
+    def test_nan_in_sequence_stops_training(self):
+        data = toy_blobs(4)
+        data[0].values[2, 3] = np.nan
+        with pytest.raises(NonFiniteLoss, match="nan"):
+            train(data, 3, TrainConfig(epochs=2, seed=20))
+
     def test_zero_learning_rate_keeps_init(self):
         data = toy_blobs(4)
         config = TrainConfig(learning_rate=0.0, epochs=3, seed=21)
