@@ -7,6 +7,7 @@ CLI (cli) wrapping it all.
 
 from .errors import (
     CorruptHeader,
+    CorruptModel,
     EmptySequence,
     InvalidConfig,
     InvalidCutoff,
@@ -53,7 +54,6 @@ from .ingest import (
     preprocess,
     read_csv_record,
     read_wav,
-    write_csv_record,
     write_wav,
 )
 from .nnet import (
@@ -64,7 +64,6 @@ from .nnet import (
     forward,
     init_model,
     load_model,
-    loss,
     predict,
     save_model,
     sgdm_step,

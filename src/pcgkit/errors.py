@@ -18,6 +18,10 @@ class CorruptHeader(PcgError):
     """Audio container header is malformed or truncated."""
 
 
+class CorruptModel(PcgError):
+    """Model file is malformed, truncated or does not match its layout."""
+
+
 class InvalidCutoff(PcgError):
     """Filter cutoff outside (0, rate/2) or bad tap count."""
 

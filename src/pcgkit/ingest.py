@@ -141,11 +141,6 @@ def read_csv_record(path: str | Path, rate_hz: int,
                        sample_rate_hz=rate_hz, label=label)
 
 
-def write_csv_record(record: AudioRecord, path: str | Path) -> None:
-    """Write samples one per line, full double precision."""
-    np.savetxt(Path(path), record.samples, fmt="%.17g")
-
-
 # ---------------------------------------------------------------------------
 # Filtering and resampling
 # ---------------------------------------------------------------------------

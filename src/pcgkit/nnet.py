@@ -17,19 +17,28 @@ buffer in step order, which the loop turns into activations in place and
 BPTT into pre-activation gradients.  One tanh gives all four gates, since
 sigma(x) = 0.5*tanh(x/2) + 0.5.
 
+A model, its gradients and its velocity each own one float64 vector,
+theta, laid out by `param_layout`; every weight matrix and bias is a view
+of it, so an optimizer step is one vector operation.  A model file's body
+is theta's bytes: load_model checks the descriptor against the layout and
+the body for exactly 8 bytes per parameter.
+
 Everything is plain numpy in double precision, deterministic in the seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptySequence, NonFiniteLoss, SingleClassDataset
+from .errors import (CorruptModel, EmptySequence, NonFiniteLoss,
+                     SingleClassDataset)
 from .features import FeatureSequence
 from .ingest import Label
 
@@ -38,9 +47,23 @@ CLASS_INDEX = {Label.HEALTHY: 0, Label.PATHOLOGICAL: 1}
 # Gate order inside the stacked 4H dimension: input, forget, candidate, output.
 
 
+def param_layout(hidden_size: int, input_size: int) -> list[tuple[str, tuple]]:
+    """(name, shape) of every parameter block, in theta order: the model's
+    views, init_model and the model-file descriptor all follow it."""
+    H = hidden_size
+    layout = []
+    for li, d_in in ((1, input_size), (2, 2 * H)):
+        for dname in ("fw", "bw"):
+            layout += [(f"layer{li}.{dname}.input_weights", (4 * H, d_in)),
+                       (f"layer{li}.{dname}.recurrent_weights", (4 * H, H)),
+                       (f"layer{li}.{dname}.bias", (4 * H,))]
+    return layout + [("head.weights", (NUM_CLASSES, 2 * H)),
+                     ("head.bias", (NUM_CLASSES,))]
+
+
 @dataclass
 class LstmDirectionParams:
-    """Weights for one direction of one layer."""
+    """Weights for one direction of one layer (views of a model's theta)."""
 
     input_weights: np.ndarray      # (4H, D_in)
     recurrent_weights: np.ndarray  # (4H, H)
@@ -53,13 +76,22 @@ class BiLayer:
     backward: LstmDirectionParams
 
 
-@dataclass
 class BiLSTMModel:
-    layers: list[BiLayer]      # exactly 2
-    head_weights: np.ndarray   # (2, 2H)
-    head_bias: np.ndarray      # (2,)
-    hidden_size: int
-    input_size: int
+    """All parameters in one float64 vector, `theta` (zeros by default);
+    `layers`, `head_weights`, `head_bias` and param_blocks are views of it."""
+
+    def __init__(self, hidden_size: int, input_size: int,
+                 theta: np.ndarray | None = None):
+        self.hidden_size, self.input_size = hidden_size, input_size
+        layout = param_layout(hidden_size, input_size)
+        cuts = [0, *itertools.accumulate(math.prod(s) for _, s in layout)]
+        self.theta = np.zeros(cuts[-1]) if theta is None else theta
+        self._blocks = [(name, self.theta[a:b].reshape(shape))
+                        for (name, shape), a, b in zip(layout, cuts, cuts[1:])]
+        v = [block for _, block in self._blocks]
+        d = [LstmDirectionParams(*v[k:k + 3]) for k in range(0, 12, 3)]
+        self.layers = [BiLayer(d[0], d[1]), BiLayer(d[2], d[3])]
+        self.head_weights, self.head_bias = v[12:]
 
 
 @dataclass
@@ -98,35 +130,13 @@ class TrainHistory:
 # ---------------------------------------------------------------------------
 
 def param_blocks(model: BiLSTMModel) -> list[tuple[str, np.ndarray]]:
-    """All trainable arrays with stable names, in a fixed order."""
-    blocks = []
-    for li, layer in enumerate(model.layers, start=1):
-        for dname, d in (("fw", layer.forward), ("bw", layer.backward)):
-            blocks.append((f"layer{li}.{dname}.input_weights", d.input_weights))
-            blocks.append((f"layer{li}.{dname}.recurrent_weights", d.recurrent_weights))
-            blocks.append((f"layer{li}.{dname}.bias", d.bias))
-    blocks.append(("head.weights", model.head_weights))
-    blocks.append(("head.bias", model.head_bias))
-    return blocks
+    """Every block of `model.theta` as (name, view), in layout order."""
+    return list(model._blocks)
 
 
 def zeros_like_model(model: BiLSTMModel) -> BiLSTMModel:
     """A model-shaped container of zeros (for gradients and velocity)."""
-    def z(d: LstmDirectionParams) -> LstmDirectionParams:
-        return LstmDirectionParams(
-            input_weights=np.zeros_like(d.input_weights),
-            recurrent_weights=np.zeros_like(d.recurrent_weights),
-            bias=np.zeros_like(d.bias),
-        )
-
-    return BiLSTMModel(
-        layers=[BiLayer(forward=z(l.forward), backward=z(l.backward))
-                for l in model.layers],
-        head_weights=np.zeros_like(model.head_weights),
-        head_bias=np.zeros_like(model.head_bias),
-        hidden_size=model.hidden_size,
-        input_size=model.input_size,
-    )
+    return BiLSTMModel(model.hidden_size, model.input_size)
 
 
 def init_model(hidden: int, seed: int, input_size: int = 10) -> BiLSTMModel:
@@ -134,30 +144,14 @@ def init_model(hidden: int, seed: int, input_size: int = 10) -> BiLSTMModel:
     if hidden < 1:
         raise ValueError("hidden size must be >= 1")
     rng = np.random.default_rng(seed)
-
-    def glorot(shape):
-        s = np.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-s, s, size=shape)
-
-    def direction(d_in: int) -> LstmDirectionParams:
-        b = np.zeros(4 * hidden)
-        b[hidden:2 * hidden] = 1.0
-        return LstmDirectionParams(
-            input_weights=glorot((4 * hidden, d_in)),
-            recurrent_weights=glorot((4 * hidden, hidden)),
-            bias=b,
-        )
-
-    layers = []
-    for d_in in (input_size, 2 * hidden):
-        layers.append(BiLayer(forward=direction(d_in), backward=direction(d_in)))
-    return BiLSTMModel(
-        layers=layers,
-        head_weights=glorot((NUM_CLASSES, 2 * hidden)),
-        head_bias=np.zeros(NUM_CLASSES),
-        hidden_size=hidden,
-        input_size=input_size,
-    )
+    model = BiLSTMModel(hidden, input_size)
+    for name, block in param_blocks(model):
+        if block.ndim == 2:
+            s = np.sqrt(6.0 / (block.shape[0] + block.shape[1]))
+            block[...] = rng.uniform(-s, s, size=block.shape)
+        elif name != "head.bias":
+            block[hidden:2 * hidden] = 1.0
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +234,6 @@ def forward(model: BiLSTMModel, seq: FeatureSequence) -> tuple[np.ndarray, dict]
         raise EmptySequence(f"sequence {seq.signal_id!r} has no frames")
     probs, cache = _forward_batch(model, values[None, :, :])
     return probs[0], cache
-
-
-def loss(probabilities: np.ndarray, label: int) -> float:
-    """Cross-entropy of the true class: -log p[label]."""
-    return float(-np.log(probabilities[..., label]))
 
 
 def predict(model: BiLSTMModel, seq: FeatureSequence) -> int:
@@ -339,10 +328,7 @@ def _backward_batch(model: BiLSTMModel, cache: dict,
 # ---------------------------------------------------------------------------
 
 def global_grad_norm(grads: BiLSTMModel) -> float:
-    total = 0.0
-    for _, g in param_blocks(grads):
-        total += float(np.sum(g * g))
-    return float(np.sqrt(total))
+    return float(np.linalg.norm(grads.theta))
 
 
 def sgdm_step(model: BiLSTMModel, grads: BiLSTMModel, velocity: BiLSTMModel,
@@ -353,11 +339,10 @@ def sgdm_step(model: BiLSTMModel, grads: BiLSTMModel, velocity: BiLSTMModel,
         norm = global_grad_norm(grads)
         if norm > config.clip_norm:
             scale = config.clip_norm / norm
-    for (_, theta), (_, g), (_, v) in zip(
-            param_blocks(model), param_blocks(grads), param_blocks(velocity)):
-        v *= config.momentum
-        v += scale * g
-        theta -= config.learning_rate * v
+    v = velocity.theta
+    v *= config.momentum
+    v += scale * grads.theta
+    model.theta -= config.learning_rate * v
     return model, velocity
 
 
@@ -432,9 +417,7 @@ def _train_batch(model, velocity, batch_values, batch_labels, config):
         total_loss += float(-np.log(probs[np.arange(sel.size), y]).sum())
         correct += int((probs.argmax(axis=1) == y).sum())
         group = _backward_batch(model, cache, y)
-        weight = sel.size / B
-        for (_, dst), (_, src) in zip(param_blocks(grads), param_blocks(group)):
-            dst += weight * src
+        grads.theta += sel.size / B * group.theta
     if not np.isfinite(total_loss):
         raise NonFiniteLoss(
             f"training loss is {total_loss}: the features hold NaN or Inf, "
@@ -450,42 +433,58 @@ def _train_batch(model, velocity, batch_values, batch_labels, config):
 MODEL_MAGIC = b"HWM1"
 
 
+def _descriptor(hidden_size: int, input_size: int) -> dict:
+    blocks = [[name, list(shape)]
+              for name, shape in param_layout(hidden_size, input_size)]
+    return {"input_size": input_size, "hidden_size": hidden_size,
+            "num_layers": 2, "blocks": blocks, "dtype": "<f8"}
+
+
 def save_model(model: BiLSTMModel, path: str | Path,
                config: TrainConfig | None = None) -> None:
-    """Binary model file: magic, length-prefixed JSON descriptor, then all
-    parameter matrices row-major as little-endian float64 in block order."""
-    blocks = param_blocks(model)
-    descriptor = {
-        "input_size": model.input_size,
-        "hidden_size": model.hidden_size,
-        "num_layers": len(model.layers),
-        "blocks": [[name, list(arr.shape)] for name, arr in blocks],
-        "dtype": "<f8",
-    }
+    """Binary model file: magic, length-prefixed JSON descriptor, then
+    `model.theta` as little-endian float64 (every block row-major, in
+    layout order)."""
+    descriptor = _descriptor(model.hidden_size, model.input_size)
     if config is not None:
         descriptor["train_config"] = asdict(config)
     header = json.dumps(descriptor).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for _, arr in blocks:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    Path(path).write_bytes(MODEL_MAGIC + struct.pack("<I", len(header))
+                           + header + model.theta.astype("<f8").tobytes())
 
 
 def load_model(path: str | Path) -> BiLSTMModel:
+    """Read a model file; anything but a file save_model could have written
+    raises CorruptModel."""
     raw = Path(path).read_bytes()
     if raw[:4] != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a model file (bad magic)")
-    (hlen,) = struct.unpack_from("<I", raw, 4)
-    descriptor = json.loads(raw[8:8 + hlen].decode("utf-8"))
-    model = init_model(descriptor["hidden_size"], seed=0,
-                       input_size=descriptor["input_size"])
-    offset = 8 + hlen
-    by_name = dict(param_blocks(model))
-    for name, shape in descriptor["blocks"]:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        by_name[name][...] = arr.reshape(shape)
-        offset += count * 8
-    return model
+        raise CorruptModel(f"{path}: not a model file (bad magic)")
+    hlen = int.from_bytes(raw[4:8], "little")
+    if len(raw) < 8 or 8 + hlen > len(raw):
+        raise CorruptModel(f"{path}: the header runs past the end of the "
+                           f"{len(raw)}-byte file")
+    try:
+        descriptor = json.loads(raw[8:8 + hlen].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or nesting
+        raise CorruptModel(f"{path}: header is not JSON ({exc})") from None
+    if not isinstance(descriptor, dict):
+        raise CorruptModel(f"{path}: header is not a JSON object")
+    H, D = descriptor.get("hidden_size"), descriptor.get("input_size")
+    if not all(type(n) is int and n > 0 for n in (H, D)):
+        raise CorruptModel(f"{path}: hidden_size {H!r} and input_size {D!r} "
+                           "must be positive ints")
+    for key, want in _descriptor(H, D).items():
+        if key not in descriptor:
+            raise CorruptModel(f"{path}: descriptor has no {key!r}")
+        got = descriptor[key]
+        if got == want:
+            continue
+        if key == "blocks" and isinstance(got, list) and len(got) == len(want):
+            got, want = next((g, w) for g, w in zip(got, want) if g != w)
+        raise CorruptModel(f"{path}: {key} {got!r}, expected {want!r}")
+    body = len(raw) - 8 - hlen
+    size = sum(math.prod(shape) for _, shape in param_layout(H, D))
+    if body != 8 * size:
+        raise CorruptModel(f"{path}: body of {body} bytes, expected {8 * size}")
+    theta = np.frombuffer(raw, dtype="<f8", offset=8 + hlen)
+    return BiLSTMModel(H, D, theta.astype(np.float64))

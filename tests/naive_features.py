@@ -26,14 +26,30 @@ def naive_median(xs):
 
 
 def _naive_histogram(xs, bins):
+    """Counts and bin centres by numpy's documented equal-width rule.
+
+    np.histogram over [min, max]: edges as np.linspace makes them
+    (lo + k * (span / bins), the last one set to max); each value's bin is
+    the float index (x - lo) / span * bins truncated, then corrected three
+    times, in order: the max goes into the last bin, a value below its
+    bin's left edge moves down one bin, and a value at or above its bin's
+    right edge moves up one (the last bin keeps its right edge).
+    """
     lo, hi = min(xs), max(xs)
-    width = (hi - lo) / bins
+    span = hi - lo
+    step = span / bins
+    edges = [k * step + lo for k in range(bins)] + [hi]
     counts = [0] * bins
     for x in xs:
-        idx = bins - 1 if x == hi else int((x - lo) / width)
-        idx = min(max(idx, 0), bins - 1)
+        idx = int((x - lo) / span * bins)
+        if idx == bins:
+            idx -= 1
+        if x < edges[idx]:
+            idx -= 1
+        if x >= edges[idx + 1] and idx != bins - 1:
+            idx += 1
         counts[idx] += 1
-    centers = [lo + (k + 0.5) * width for k in range(bins)]
+    centers = [0.5 * (edges[k] + edges[k + 1]) for k in range(bins)]
     return counts, centers
 
 

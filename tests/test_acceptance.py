@@ -27,7 +27,7 @@ from pcgkit.windows import (
 )
 
 from naive_features import NAIVE_BY_NAME
-from test_features import LIB_BY_NAME, random_frames
+from test_features import LIB_BY_NAME, edge_frames, random_frames
 
 
 def report(number: int, title: str, elapsed: float | None = None) -> None:
@@ -80,7 +80,9 @@ def test_criterion_2_feature_oracle_suite():
     start = time.perf_counter()
 
     rng = np.random.default_rng(2024)
-    for frame in random_frames(1000, rng):
+    frames = random_frames(1000, rng)
+    frames += edge_frames(300, np.random.default_rng(2025))
+    for frame in frames:
         xs = frame.tolist()
         for name in FEATURE_NAMES:
             got = LIB_BY_NAME[name](frame)
@@ -111,7 +113,8 @@ def test_criterion_2_feature_oracle_suite():
 
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
-    report(2, "feature oracle suite (1000 random frames)", elapsed)
+    report(2, "feature oracle suite (1000 random frames, 300 on bin edges)",
+           elapsed)
 
 
 def test_criterion_3_normalization():

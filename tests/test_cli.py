@@ -7,6 +7,7 @@ import pytest
 
 from pcgkit import nnet
 from pcgkit.cli import main
+from test_nnet import MODEL_FILE_MUTATIONS
 
 # The removed thread-pool flag, spelled in two parts so that a search of the
 # tree for leftover uses of it finds none.
@@ -164,6 +165,18 @@ class TestTrainEvalCommands:
         assert err.startswith("error: training loss is nan")
         assert err.count("\n") == 1
         assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("mutation", sorted(MODEL_FILE_MUTATIONS))
+    def test_malformed_model_exits_1(self, feature_dir, tmp_path, capsys,
+                                     mutation):
+        path = tmp_path / "model.bin"
+        nnet.save_model(nnet.init_model(3, seed=0), path)
+        path.write_bytes(MODEL_FILE_MUTATIONS[mutation](path.read_bytes()))
+        code = main(["eval", "--model", str(path),
+                     "--features", str(feature_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 SMALL_GRID = ["--shapes", "gaussian", "--lengths", "30", "--hidden", "3",

@@ -16,7 +16,7 @@ from pcgkit.features import (
 from pcgkit.ingest import Label
 from pcgkit.windows import WindowShape, WindowSpec, frame_matrix
 
-from naive_features import NAIVE_BY_NAME
+from naive_features import NAIVE_BY_NAME, _naive_histogram
 
 
 @functools.lru_cache(maxsize=16)
@@ -48,6 +48,21 @@ def random_frames(count, rng):
             frames.append(rng.uniform(-1, 1, n))
         else:
             frames.append(rng.standard_t(2, n))
+    return frames
+
+
+def edge_frames(count, rng):
+    """Frames whose inner values sit on one of np.histogram's bin edges, or
+    one float step either side of it, at spans from 1e-3 to 1e3."""
+    frames = []
+    for _ in range(count):
+        lo, hi = np.sort(rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=2))
+        edges = np.linspace(lo, hi, DEFAULT_BINS + 1)
+        inner = edges[rng.integers(1, DEFAULT_BINS, size=rng.choice([13, 29, 49]))]
+        step = rng.integers(-1, 2, size=inner.size)
+        inner = np.where(step == 0, inner,
+                         np.nextafter(inner, np.where(step < 0, -np.inf, np.inf)))
+        frames.append(rng.permutation(np.concatenate([[lo, hi], inner])))
     return frames
 
 
@@ -141,6 +156,13 @@ class TestOracleEquivalence:
                 got = LIB_BY_NAME[name](frame)
                 want = NAIVE_BY_NAME[name](xs)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-12), name
+
+    def test_naive_histogram_counts_match_numpy(self):
+        # The oracle's binning is numpy's, checked against numpy itself.
+        rng = np.random.default_rng(103)
+        for frame in edge_frames(200, rng) + random_frames(200, rng):
+            counts, _ = _naive_histogram(frame.tolist(), DEFAULT_BINS)
+            assert counts == np.histogram(frame, DEFAULT_BINS)[0].tolist()
 
     def test_mean_matches_naive_summation(self):
         rng = np.random.default_rng(14)

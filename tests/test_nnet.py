@@ -1,13 +1,17 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from pcgkit import nnet
-from pcgkit.errors import EmptySequence, NonFiniteLoss, SingleClassDataset
+from pcgkit.errors import (CorruptModel, EmptySequence, NonFiniteLoss,
+                           SingleClassDataset)
 from pcgkit.features import FeatureSequence
 from pcgkit.ingest import Label
 from pcgkit.nnet import (
     BiLayer,
-    BiLSTMModel,
     LstmDirectionParams,
     TrainConfig,
     init_model,
@@ -47,6 +51,44 @@ def zero_model(H=3, D=10):
     return model
 
 
+def _rewrite_header(raw, edit):
+    """raw with its JSON header replaced by edit(header), length fixed up."""
+    (hlen,) = struct.unpack_from("<I", raw, 4)
+    header = edit(raw[8:8 + hlen])
+    assert header != raw[8:8 + hlen]
+    return raw[:4] + struct.pack("<I", len(header)) + header + raw[8 + hlen:]
+
+
+def _header_edit(old, new):
+    return lambda raw: _rewrite_header(raw, lambda h: h.replace(old, new))
+
+
+# Ways to break the file that save_model writes for init_model(3, seed=...)
+# with the default input size of 10.
+MODEL_FILE_MUTATIONS = {
+    "trailing_8_bytes": lambda raw: raw + bytes(8),
+    "cut_16_bytes": lambda raw: raw[:-16],
+    "cut_to_6_bytes": lambda raw: raw[:6],
+    "unknown_block_name": _header_edit(b"layer1.fw.bias", b"layer1.fw.gain"),
+    "wrong_block_shape": _header_edit(b"[12, 10]", b"[10, 12]"),
+    "wrong_input_size": _header_edit(b'"input_size": 10', b'"input_size": 11'),
+    "zero_hidden_size": _header_edit(b'"hidden_size": 3', b'"hidden_size": 0'),
+    "bool_hidden_size": _header_edit(b'"hidden_size": 3', b'"hidden_size": true'),
+    "missing_dtype": _header_edit(b', "dtype": "<f8"', b""),
+    "big_endian_dtype": _header_edit(b'"<f8"', b'">f8"'),
+    "header_length_1e9":
+        lambda raw: raw[:4] + struct.pack("<I", 10**9) + raw[8:],
+    "non_json_header": lambda raw: _rewrite_header(raw, lambda h: b"not json"),
+    "non_utf8_header":
+        lambda raw: _rewrite_header(raw, lambda h: b"\xff" + h[1:]),
+    "header_not_object":
+        lambda raw: _rewrite_header(raw, lambda h: b"[" + h + b"]"),
+    "deeply_nested_header": lambda raw: _rewrite_header(
+        raw, lambda h: b"[" * 100_000 + b"]" * 100_000),
+    "bad_magic": lambda raw: b"HWM0" + raw[4:],
+}
+
+
 class TestInit:
     def test_deterministic(self):
         a = init_model(5, seed=42)
@@ -73,6 +115,18 @@ class TestInit:
                 assert np.all(d.bias[4:8] == 1.0)
                 assert np.all(d.bias[:4] == 0.0)
                 assert np.all(d.bias[8:] == 0.0)
+
+    def test_blocks_are_views_of_theta(self):
+        m = init_model(3, seed=0, input_size=4)
+        blocks = param_blocks(m)
+        assert [name for name, _ in blocks] == [
+            name for name, _ in nnet.param_layout(3, 4)]
+        m.layers[1].backward.bias[0] = 42.0
+        m.theta[-1] = 7.0
+        assert m.head_bias[-1] == 7.0
+        assert np.count_nonzero(m.theta == 42.0) == 1
+        assert np.array_equal(
+            np.concatenate([b.ravel() for _, b in blocks]), m.theta)
 
     def test_glorot_bounds(self):
         m = init_model(30, seed=1)
@@ -204,21 +258,21 @@ class TestForward:
         H = 4
         model = init_model(H, seed=6)
 
-        def swap_cols(p):
-            W = p.input_weights
-            return LstmDirectionParams(
-                np.concatenate([W[:, H:], W[:, :H]], axis=1),
-                p.recurrent_weights.copy(), p.bias.copy())
+        def swap_cols(W):
+            return np.concatenate([W[:, H:], W[:, :H]], axis=1)
 
         l1, l2 = model.layers
-        swapped = BiLSTMModel(
-            layers=[BiLayer(forward=l1.backward, backward=l1.forward),
-                    BiLayer(forward=swap_cols(l2.backward),
-                            backward=swap_cols(l2.forward))],
-            head_weights=np.concatenate(
-                [model.head_weights[:, H:], model.head_weights[:, :H]], axis=1),
-            head_bias=model.head_bias.copy(),
-            hidden_size=H, input_size=10)
+        swapped = zeros_like_model(model)
+        s1, s2 = swapped.layers
+        for dst, src in ((s1.forward, l1.backward), (s1.backward, l1.forward),
+                         (s2.forward, l2.backward), (s2.backward, l2.forward)):
+            dst.input_weights[...] = src.input_weights
+            dst.recurrent_weights[...] = src.recurrent_weights
+            dst.bias[...] = src.bias
+        for d in (s2.forward, s2.backward):
+            d.input_weights[...] = swap_cols(d.input_weights)
+        swapped.head_weights[...] = swap_cols(model.head_weights)
+        swapped.head_bias[...] = model.head_bias
 
         values = rng.normal(size=(9, 10))
         p1, _ = nnet.forward(model, make_seq(values))
@@ -232,12 +286,15 @@ class TestForward:
 
 
 class TestLoss:
+    """Cross-entropy of the true class, -log p[label], as training sums it."""
+
     def test_uniform(self):
-        assert nnet.loss(np.array([0.5, 0.5]), 0) == pytest.approx(np.log(2))
-        assert nnet.loss(np.array([0.5, 0.5]), 1) == pytest.approx(np.log(2))
+        p = np.array([0.5, 0.5])
+        assert -np.log(p[0]) == pytest.approx(np.log(2))
+        assert -np.log(p[1]) == pytest.approx(np.log(2))
 
     def test_confident_limit(self):
-        assert nnet.loss(np.array([1e-12, 1.0 - 1e-12]), 1) < 1e-9
+        assert -np.log(np.array([1e-12, 1.0 - 1e-12])[1]) < 1e-9
 
     def test_mean_batch_loss_is_mean_of_losses(self):
         rng = np.random.default_rng(6)
@@ -245,11 +302,9 @@ class TestLoss:
         seqs = [make_seq(rng.normal(size=(5, 10))) for _ in range(4)]
         labels = [0, 1, 1, 0]
         per_example = []
-        caches = []
         for s, y in zip(seqs, labels):
-            probs, cache = nnet.forward(model, s)
-            per_example.append(nnet.loss(probs, y))
-            caches.append(cache)
+            probs, _ = nnet.forward(model, s)
+            per_example.append(float(-np.log(probs[y])))
         X = np.stack([s.values for s in seqs])
         probs, _ = nnet._forward_batch(model, X)
         batch_mean = float(-np.log(probs[np.arange(4), labels]).mean())
@@ -367,6 +422,18 @@ class TestSgdm:
         sgdm_step(model, grads, velocity, config)
         assert model.head_bias[0] == pytest.approx(-1.0)
 
+    def test_grad_norm_matches_blockwise_sum(self):
+        # One reduction over theta sums in another order than block by
+        # block: equal within a few ULP.
+        model = init_model(4, seed=13)
+        X = np.random.default_rng(13).normal(size=(3, 6, 10))
+        _, cache = nnet._forward_batch(model, X)
+        grads = nnet._backward_batch(model, cache, np.array([0, 1, 1]))
+        blockwise = np.sqrt(sum(float(np.sum(g * g))
+                                for _, g in param_blocks(grads)))
+        assert nnet.global_grad_norm(grads) == pytest.approx(
+            blockwise, rel=4 * np.finfo(float).eps, abs=0)
+
     @pytest.mark.parametrize("clip_norm", [-1.0, 0.0, float("nan")])
     def test_non_positive_clip_norm_rejected(self, clip_norm):
         # A negative bound would turn descent into ascent; zero freezes it.
@@ -426,6 +493,28 @@ class TestTrain:
         with pytest.raises(SingleClassDataset):
             train(data, 3, TrainConfig(epochs=1))
 
+    def test_mixed_length_batch_weights_groups_by_size(self):
+        # Lengths (4, 4, 6) run as two groups; the step must use their
+        # gradients weighted by group size: 2/3 for T=4 and 1/3 for T=6.
+        rng = np.random.default_rng(26)
+        model = init_model(3, seed=26)
+        values = [rng.normal(size=(T, 10)) for T in (4, 4, 6)]
+        labels = np.array([0, 1, 1])
+        config = TrainConfig(learning_rate=0.1, momentum=0.0, epochs=1)
+
+        def group_grads(X, y):
+            _, cache = nnet._forward_batch(model, X)
+            return nnet._backward_batch(model, cache, y)
+
+        g4 = group_grads(np.stack(values[:2]), labels[:2])
+        g6 = group_grads(values[2][None], labels[2:])
+        expected = [theta - 0.1 * (2 / 3 * a + 1 / 3 * b)
+                    for (_, theta), (_, a), (_, b) in zip(
+                        param_blocks(model), param_blocks(g4), param_blocks(g6))]
+        nnet._train_batch(model, zeros_like_model(model), values, labels, config)
+        for (name, theta), want in zip(param_blocks(model), expected):
+            assert np.allclose(theta, want, rtol=0, atol=1e-15), name
+
     def test_momentum_ramp_changes_trajectory(self):
         data = toy_blobs(4)
         base = TrainConfig(epochs=30, seed=25)
@@ -470,12 +559,10 @@ class TestModelFile:
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bogus.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptModel, match="bad magic"):
             load_model(path)
 
     def test_header_format(self, tmp_path):
-        import json
-        import struct
         path = tmp_path / "model.bin"
         save_model(init_model(3, seed=31), path)
         raw = path.read_bytes()
@@ -485,3 +572,21 @@ class TestModelFile:
         assert descriptor["hidden_size"] == 3
         total = sum(int(np.prod(shape)) for _, shape in descriptor["blocks"])
         assert len(raw) == 8 + hlen + 8 * total
+
+    def test_format_pinned(self, tmp_path):
+        # Any change to the layout, the descriptor or the order of the
+        # initializer's draws changes these bytes.
+        path = tmp_path / "model.bin"
+        save_model(init_model(2, seed=0, input_size=3), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "18515c5d0b8467f014f20a4b4f6ffc07cc4486dc769a31dae0bc88e4ca886be2")
+        save_model(load_model(path), tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("mutation", sorted(MODEL_FILE_MUTATIONS))
+    def test_malformed_file_raises_corrupt_model(self, tmp_path, mutation):
+        path = tmp_path / "model.bin"
+        save_model(init_model(3, seed=32), path)
+        path.write_bytes(MODEL_FILE_MUTATIONS[mutation](path.read_bytes()))
+        with pytest.raises(CorruptModel):
+            load_model(path)
