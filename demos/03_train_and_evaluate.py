@@ -33,7 +33,7 @@ dataset = extract_dataset(records, spec, hop=25)
 print(f"dataset: {len(dataset)} sequences of shape "
       f"{dataset[0].values.shape}")
 
-train_set, test_set = split(dataset, 0.7, seed=1)
+train_set, test_set = split(dataset, seed=1)
 print(f"split: {len(train_set)} train / {len(test_set)} test (stratified)")
 
 config = TrainConfig(learning_rate=0.01, momentum=0.9, epochs=60, seed=1)

@@ -10,7 +10,6 @@ from .errors import (
     CorruptModel,
     EmptySequence,
     InvalidConfig,
-    InvalidCutoff,
     InvalidFactor,
     InvalidFraction,
     LengthMismatch,

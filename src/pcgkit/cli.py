@@ -158,6 +158,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = nnet.load_model(_require_file(args.model))
     dataset = _load_feature_dir(Path(args.features))
+    for s in dataset:
+        if s.label not in nnet.CLASS_INDEX:
+            raise PcgError(f"sequence {s.signal_id!r} is unlabeled; "
+                           "extract it with --label")
+        if s.values.shape[1] != model.input_size:
+            raise PcgError(f"{args.model}: model takes {model.input_size} "
+                           f"features per frame, sequence {s.signal_id!r} "
+                           f"has {s.values.shape[1]}")
     predictions = [nnet.predict(model, s) for s in dataset]
     labels = [nnet.CLASS_INDEX[s.label] for s in dataset]
     c = evaluate.confusion(predictions, labels)
@@ -380,10 +388,7 @@ def main(argv=None) -> int:
             config = _read_config_file(args.config)
             args = build_parser(config).parse_args(argv)
         return args.func(args)
-    except PcgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (PcgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -22,10 +22,6 @@ class CorruptModel(PcgError):
     """Model file is malformed, truncated or does not match its layout."""
 
 
-class InvalidCutoff(PcgError):
-    """Filter cutoff outside (0, rate/2) or bad tap count."""
-
-
 class RateMismatch(PcgError):
     """Filter was designed for a different sample rate than the record."""
 
@@ -59,7 +55,7 @@ class LengthMismatch(PcgError):
 
 
 class InvalidFraction(PcgError):
-    """Split fraction leaves a train or test side empty."""
+    """The protocol's train fraction leaves a class's train side empty."""
 
 
 class InvalidConfig(PcgError):

@@ -1,8 +1,9 @@
 """Confusion metrics, randomized 70/30 trials, and the experiment grid.
 
-A trial stratified-splits the labeled feature sequences 70/30, trains a
-fresh classifier on the train side, and scores the test side.  The grid
-repeats that over window shape x window length x hidden size, re-extracting
+A trial stratified-splits the labeled feature sequences 70/30
+(PROTOCOL_TRAIN_FRACTION, fixed by the paper's protocol), trains a fresh
+classifier on the train side, and scores the test side.  The grid repeats
+that over window shape x window length x hidden size, re-extracting
 features once per (shape, length) and reporting per-trial and mean
 sensitivity / specificity / accuracy percentages (pathological is the
 positive class).
@@ -36,6 +37,7 @@ PROTOCOL_SHAPES = (WindowShape.RECTANGULAR, WindowShape.TRIANGULAR,
 PROTOCOL_LENGTHS = (15, 30, 50)
 PROTOCOL_HIDDEN_SIZES = (5, 30, 50, 100)
 PROTOCOL_TRIALS = 30
+PROTOCOL_TRAIN_FRACTION = 0.7
 
 
 @dataclass
@@ -110,11 +112,9 @@ def metrics(c: Confusion) -> Metrics:
     return Metrics(sensitivity=sens, specificity=spec, accuracy=accu)
 
 
-def split(dataset: list, train_fraction: float = 0.7,
-          seed: int = 0) -> tuple[list, list]:
-    """Stratified random split; per class, floor(n * fraction) goes to train."""
-    if not (0.0 < train_fraction < 1.0):
-        raise InvalidFraction(f"train_fraction must be in (0, 1), got {train_fraction}")
+def split(dataset: list, seed: int = 0) -> tuple[list, list]:
+    """Stratified random split; per class, floor(n * PROTOCOL_TRAIN_FRACTION)
+    goes to train, and a class with no train item raises InvalidFraction."""
     by_class: dict[Label, list] = {}
     for item in dataset:
         by_class.setdefault(item.label, []).append(item)
@@ -126,11 +126,11 @@ def split(dataset: list, train_fraction: float = 0.7,
     test: list = []
     for label in sorted(by_class, key=lambda l: l.value):
         items = by_class[label]
-        n_train = int(len(items) * train_fraction)
+        n_train = int(len(items) * PROTOCOL_TRAIN_FRACTION)
         if n_train == 0 or n_train == len(items):
             raise InvalidFraction(
-                f"fraction {train_fraction} leaves class {label.value!r} "
-                f"with an empty train or test side")
+                f"fraction {PROTOCOL_TRAIN_FRACTION} leaves class "
+                f"{label.value!r} with an empty train or test side")
         order = rng.permutation(len(items))
         train.extend(items[i] for i in order[:n_train])
         test.extend(items[i] for i in order[n_train:])
@@ -140,7 +140,7 @@ def split(dataset: list, train_fraction: float = 0.7,
 def run_trial(dataset: list[FeatureSequence], hidden: int,
               train_config: nnet.TrainConfig, seed: int) -> TrialResult:
     """One 70/30 split + train + test cycle, deterministic in the seed."""
-    train_set, test_set = split(dataset, 0.7, seed=mix_seed(seed, 0))
+    train_set, test_set = split(dataset, seed=mix_seed(seed, 0))
     config = replace(train_config, seed=mix_seed(seed, 1))
     model, _ = nnet.train(train_set, hidden, config)
 
@@ -219,10 +219,6 @@ def run_grid(records: list[AudioRecord],
 # Result files
 # ---------------------------------------------------------------------------
 
-_SHAPE_ORDER = {WindowShape.RECTANGULAR: 0, WindowShape.TRIANGULAR: 1,
-                WindowShape.GAUSSIAN: 2}
-
-
 def _round2(value: float | None) -> str:
     if value is None:
         return ""
@@ -237,7 +233,8 @@ def emit_results(cells: list[GridCell], out_dir: str | Path) -> dict[str, Path]:
         raise ValueError("no grid cells to write")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ordered = sorted(cells, key=lambda c: (_SHAPE_ORDER[c.shape],
+    shape_order = list(WindowShape)  # declaration order
+    ordered = sorted(cells, key=lambda c: (shape_order.index(c.shape),
                                            c.length_label, c.hidden))
 
     results_path = out_dir / "results.csv"

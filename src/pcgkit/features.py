@@ -12,18 +12,21 @@ Conventions, fixed once and used everywhere:
     (np.histogram with `bins` bins over the frame's [min, max]) applied
     row-wise to the frame matrix, ties resolved toward the lowest bin;
   * logarithms are natural, with 0 * log 0 = 0;
-  * moments are population moments (divisor L+1), and skewness/kurtosis of
-    a constant frame are 0 by guard.
+  * moments are population moments (divisor L+1), the third and fourth
+    taken from products of the deviations, and skewness/kurtosis of a
+    constant frame are 0 by guard.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .errors import PcgError
 from .ingest import Label
 from .windows import WindowShape, WindowSpec
 
@@ -126,15 +129,19 @@ def feature_matrix(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     constant = lo == hi
     mu = frames.mean(axis=1)
     centered = frames - mu[:, None]
-    var = np.mean(centered ** 2, axis=1)
+    c2 = centered * centered
+    var = c2.mean(axis=1)
     var[constant] = 0.0
+    # Third and fourth powers as products, in place: no pow, no new (T, n).
+    m3 = np.multiply(centered, c2, out=centered).mean(axis=1)
+    m4 = np.multiply(c2, c2, out=c2).mean(axis=1)
+    del centered, c2  # freed before the energy temporaries: peak memory
     sigma = np.sqrt(var)
     ok = ~constant & (sigma > 0.0)
     skew = np.zeros_like(mu)
     kurt = np.zeros_like(mu)
-    skew[ok] = np.mean(centered[ok] ** 3, axis=1) / sigma[ok] ** 3
-    kurt[ok] = np.mean(centered[ok] ** 4, axis=1) / sigma[ok] ** 4 - 3.0
-    del centered  # each (T, n) temporary goes once used: peak memory at hop 1
+    skew[ok] = m3[ok] / sigma[ok] ** 3
+    kurt[ok] = m4[ok] / sigma[ok] ** 4 - 3.0
 
     y2 = frames ** 2
     logy2 = np.zeros_like(y2)
@@ -157,11 +164,11 @@ def extract_sequence(frames: np.ndarray,
                      bins: int = DEFAULT_BINS,
                      signal_id: str = "",
                      label: Label = Label.UNLABELED,
-                     window: WindowSpec | None = None,
+                     *,
+                     window: WindowSpec,
                      hop: int = 1) -> FeatureSequence:
-    """Compute the T x 10 feature sequence of a (T, L+1) frame matrix."""
-    if window is None:
-        window = WindowSpec(WindowShape.RECTANGULAR, (frames.shape[1] - 1) // 2)
+    """The T x 10 feature sequence of a (T, L+1) frame matrix cut with
+    `window` at `hop`."""
     return FeatureSequence(
         values=feature_matrix(frames, bins),
         signal_id=signal_id,
@@ -215,21 +222,42 @@ def write_features(seq: FeatureSequence, path: str | Path) -> None:
 
 
 def read_features(path: str | Path) -> FeatureSequence:
-    """Read a feature CSV and its sidecar back into a FeatureSequence."""
+    """Read a feature CSV and its sidecar back into a FeatureSequence.
+
+    Raises PcgError naming the file when the CSV is not a numeric matrix
+    with one column per feature, or the sidecar is not one write_features
+    could have written: a JSON object with every key, an even L, a known
+    shape and label, and columns equal to FEATURE_NAMES.
+    """
     path = Path(path)
-    values = np.loadtxt(path, delimiter=",", ndmin=2)
-    meta = json.loads(_meta_path(path).read_text())
-    window = WindowSpec(
-        shape=WindowShape(meta["window_shape"]),
-        half_length=meta["L"] // 2,
-        alpha=meta["alpha"],
-    )
-    return FeatureSequence(
-        values=values,
-        signal_id=meta["signal_id"],
-        label=Label(meta["label"]),
-        window=window,
-        hop=meta["hop"],
-        bins=meta["bins"],
-        normalized=meta["normalized"],
-    )
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy only warns on no rows
+            values = np.loadtxt(path, delimiter=",", ndmin=2)
+        if values.shape[1] != len(FEATURE_NAMES):
+            raise ValueError(f"{values.shape[1]} columns, not {len(FEATURE_NAMES)}")
+    except (ValueError, UserWarning) as exc:
+        raise PcgError(f"{path}: {exc}") from None
+    meta_path = _meta_path(path)
+    try:
+        meta = json.loads(meta_path.read_text())
+        if not isinstance(meta, dict):
+            raise TypeError("not a JSON object")
+        if meta["columns"] != list(FEATURE_NAMES):
+            raise ValueError(f"columns {meta['columns']!r} are not FEATURE_NAMES")
+        if type(meta["L"]) is not int or meta["L"] % 2:
+            raise ValueError(f"L must be an even int, got {meta['L']!r}")
+        return FeatureSequence(
+            values=values,
+            signal_id=meta["signal_id"],
+            label=Label(meta["label"]),
+            window=WindowSpec(WindowShape(meta["window_shape"]),
+                              meta["L"] // 2, meta["alpha"]),
+            hop=meta["hop"],
+            bins=meta["bins"],
+            normalized=meta["normalized"],
+        )
+    except KeyError as exc:
+        raise PcgError(f"{meta_path}: no {exc} key") from None
+    except (TypeError, ValueError, RecursionError) as exc:  # also bad UTF-8
+        raise PcgError(f"{meta_path}: {exc}") from None

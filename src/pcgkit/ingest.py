@@ -1,9 +1,9 @@
 """Reading and preprocessing of heart-sound recordings.
 
 A recording enters the pipeline as an :class:`AudioRecord`, is low-pass
-filtered at 250 Hz, decimated to 500 Hz, and cut or tiled to a fixed
-10-second length (5000 samples).  All operations are pure functions that
-return new records.
+filtered at CUTOFF_HZ (250 Hz), decimated to TARGET_RATE_HZ (500 Hz), and
+cut or tiled to TARGET_SAMPLES (5000, 10 s): the paper's fixed protocol,
+not parameters.  All operations are pure functions returning new records.
 """
 
 from __future__ import annotations
@@ -15,18 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CorruptHeader,
-    InvalidCutoff,
-    InvalidFactor,
-    RateMismatch,
-    UnsupportedFormat,
-)
+from .errors import CorruptHeader, InvalidFactor, RateMismatch, UnsupportedFormat
 
 TARGET_RATE_HZ = 500
 TARGET_SAMPLES = 5000
-DEFAULT_CUTOFF_HZ = 250.0
-DEFAULT_NUM_TAPS = 101
+CUTOFF_HZ = 250.0
+NUM_TAPS = 101
 
 PCM_FULL_SCALE = 32768.0  # int16 sample / 32768 -> float in [-1, 1)
 
@@ -63,7 +57,6 @@ class FirFilter:
     """Linear-phase FIR low-pass filter (odd, symmetric taps, unit DC gain)."""
 
     taps: np.ndarray
-    cutoff_hz: float
     design_rate_hz: float
 
 
@@ -145,32 +138,22 @@ def read_csv_record(path: str | Path, rate_hz: int,
 # Filtering and resampling
 # ---------------------------------------------------------------------------
 
-def design_lowpass(cutoff_hz: float, rate_hz: float,
-                   num_taps: int = DEFAULT_NUM_TAPS) -> FirFilter:
-    """Design a windowed-sinc FIR low-pass filter.
+def design_lowpass(rate_hz: float) -> FirFilter:
+    """Design the CUTOFF_HZ windowed-sinc FIR low-pass filter at rate_hz.
 
     The ideal sinc response is shaped by a raised-cosine taper and the taps
-    are normalized so their sum (the DC gain) is exactly 1.  num_taps must
-    be odd so the filter has an integer group delay.
+    are normalized so their sum (the DC gain) is exactly 1.  NUM_TAPS is
+    odd, so the filter has an integer group delay.  rate_hz must exceed
+    2 * CUTOFF_HZ, as every rate preprocess designs at does.
     """
-    if not (0 < cutoff_hz < rate_hz / 2):
-        raise InvalidCutoff(
-            f"cutoff {cutoff_hz} Hz outside (0, {rate_hz / 2}) at rate {rate_hz}")
-    if num_taps < 1 or num_taps % 2 == 0:
-        raise InvalidCutoff(f"num_taps must be odd and >= 1, got {num_taps}")
-
-    half = num_taps // 2
-    if half == 0:
-        taps = np.ones(1)
-    else:
-        l = np.arange(-half, half + 1)
-        fc = cutoff_hz / rate_hz
-        ideal = 2.0 * fc * np.sinc(2.0 * fc * l)
-        taper = 0.5 + 0.5 * np.cos(np.pi * l / (half + 1))
-        taps = ideal * taper
-        taps = taps / taps.sum()
-    return FirFilter(taps=taps, cutoff_hz=float(cutoff_hz),
-                     design_rate_hz=float(rate_hz))
+    half = NUM_TAPS // 2
+    l = np.arange(-half, half + 1)
+    fc = CUTOFF_HZ / rate_hz
+    ideal = 2.0 * fc * np.sinc(2.0 * fc * l)
+    taper = 0.5 + 0.5 * np.cos(np.pi * l / (half + 1))
+    taps = ideal * taper
+    taps = taps / taps.sum()
+    return FirFilter(taps=taps, design_rate_hz=float(rate_hz))
 
 
 def apply_filter(record: AudioRecord, fir: FirFilter) -> AudioRecord:
@@ -200,34 +183,27 @@ def decimate(record: AudioRecord, factor: int) -> AudioRecord:
                    sample_rate_hz=record.sample_rate_hz // factor)
 
 
-def fix_length(record: AudioRecord, target_samples: int) -> AudioRecord:
-    """Truncate long records; tile short ones end-to-end, then truncate.
+def fix_length(record: AudioRecord) -> AudioRecord:
+    """Cut long records to TARGET_SAMPLES; tile short ones, then cut.
 
     Tiling preserves the periodic heartbeat statistics that zero padding
     would destroy.
     """
-    if target_samples < 1:
-        raise ValueError(f"target_samples must be positive, got {target_samples}")
-    if record.samples.size == target_samples:
+    if record.samples.size == TARGET_SAMPLES:
         return record
-    return replace(record, samples=np.resize(record.samples, target_samples))
+    return replace(record, samples=np.resize(record.samples, TARGET_SAMPLES))
 
 
-def preprocess(record: AudioRecord,
-               cutoff_hz: float = DEFAULT_CUTOFF_HZ,
-               num_taps: int = DEFAULT_NUM_TAPS,
-               target_rate_hz: int = TARGET_RATE_HZ,
-               target_samples: int = TARGET_SAMPLES) -> AudioRecord:
-    """Full preprocessing chain: low-pass, decimate, fix length.
+def preprocess(record: AudioRecord) -> AudioRecord:
+    """Low-pass, decimate to TARGET_RATE_HZ, fix length to TARGET_SAMPLES.
 
     Records already at the target rate skip the filter/decimate stage.
     """
-    if record.sample_rate_hz != target_rate_hz:
-        if record.sample_rate_hz % target_rate_hz != 0:
+    if record.sample_rate_hz != TARGET_RATE_HZ:
+        if record.sample_rate_hz % TARGET_RATE_HZ != 0:
             raise InvalidFactor(
                 f"rate {record.sample_rate_hz} is not an integer multiple "
-                f"of target {target_rate_hz}")
-        fir = design_lowpass(cutoff_hz, record.sample_rate_hz, num_taps)
-        record = apply_filter(record, fir)
-        record = decimate(record, record.sample_rate_hz // target_rate_hz)
-    return fix_length(record, target_samples)
+                f"of target {TARGET_RATE_HZ}")
+        record = apply_filter(record, design_lowpass(record.sample_rate_hz))
+        record = decimate(record, record.sample_rate_hz // TARGET_RATE_HZ)
+    return fix_length(record)

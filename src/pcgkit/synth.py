@@ -5,7 +5,8 @@ start, a quiet systolic gap, a weaker higher-frequency S2 burst at 35% of
 the cycle, and a quiet diastolic gap.  Pathological records add
 band-limited murmur energy inside the systolic gap, which is exactly the
 cue the feature/classifier pipeline is supposed to pick up.  The output is
-reproducible bit for bit from the seed.
+reproducible bit for bit from the seed.  The signal model is fixed by the
+module constants; SynthConfig holds only what the CLI sets.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ S2_DURATION_S = 0.10
 S2_CYCLE_FRACTION = 0.35
 S1_PEAK = 0.8
 S2_PEAK = 0.5
+HEART_RATE_BPM = (55.0, 95.0)
+S1_BAND_HZ = (10.0, 200.0)
+S2_BAND_HZ = (20.0, 250.0)
 MURMUR_BAND_HZ = (60.0, 240.0)
 TONES_PER_BURST = 8
 
@@ -32,26 +36,19 @@ class SynthConfig:
     seed: int = 0
     duration_s: float = 10.0
     rate_hz: int = 2000
-    heart_rate_bpm: tuple[float, float] = (55.0, 95.0)
     murmur_gain: float = 0.3
-    s1_band_hz: tuple[float, float] = (10.0, 200.0)
-    s2_band_hz: tuple[float, float] = (20.0, 250.0)
     noise_floor: float = 0.01
 
     def __post_init__(self):
-        nyquist = self.rate_hz / 2
-        for name, band in (("s1_band_hz", self.s1_band_hz),
-                           ("s2_band_hz", self.s2_band_hz)):
-            lo, hi = band
-            if not (0 < lo < hi < nyquist):
-                raise InvalidConfig(f"{name}={band} outside (0, {nyquist})")
-        lo_bpm, hi_bpm = self.heart_rate_bpm
-        if not (0 < lo_bpm <= hi_bpm):
-            raise InvalidConfig(f"bad heart rate range {self.heart_rate_bpm}")
-        if self.duration_s < 2 * 60.0 / lo_bpm:
+        top_hz = max(hi for _, hi in (S1_BAND_HZ, S2_BAND_HZ, MURMUR_BAND_HZ))
+        if not top_hz < self.rate_hz / 2:
+            raise InvalidConfig(
+                f"rate {self.rate_hz} Hz puts the {top_hz} Hz band edge "
+                f"at or above Nyquist")
+        if self.duration_s < 2 * 60.0 / HEART_RATE_BPM[0]:
             raise InvalidConfig(
                 f"duration {self.duration_s}s holds fewer than 2 cycles "
-                f"at {lo_bpm} bpm")
+                f"at {HEART_RATE_BPM[0]} bpm")
         if self.murmur_gain < 0 or self.noise_floor < 0:
             raise InvalidConfig("murmur_gain and noise_floor must be >= 0")
 
@@ -103,7 +100,7 @@ def generate_with_intervals(
     n = int(round(config.duration_s * rate))
     samples = np.zeros(n)
 
-    bpm = rng.uniform(*config.heart_rate_bpm)
+    bpm = rng.uniform(*HEART_RATE_BPM)
     cycle = int(round(rate * 60.0 / bpm))
     s1_n = int(round(S1_DURATION_S * rate))
     s2_n = int(round(S2_DURATION_S * rate))
@@ -115,10 +112,8 @@ def generate_with_intervals(
         s1_a, s1_b = pos, pos + s1_n
         s2_a = pos + int(round(S2_CYCLE_FRACTION * cycle))
         s2_b = s2_a + s2_n
-        samples[s1_a:s1_b] += _tone_burst(rng, s1_n, rate,
-                                          config.s1_band_hz, S1_PEAK)
-        samples[s2_a:s2_b] += _tone_burst(rng, s2_n, rate,
-                                          config.s2_band_hz, S2_PEAK)
+        samples[s1_a:s1_b] += _tone_burst(rng, s1_n, rate, S1_BAND_HZ, S1_PEAK)
+        samples[s2_a:s2_b] += _tone_burst(rng, s2_n, rate, S2_BAND_HZ, S2_PEAK)
         if label is Label.PATHOLOGICAL and config.murmur_gain > 0:
             samples[s1_b:s2_a] += _murmur(rng, s2_a - s1_b, rate,
                                           config.murmur_gain)

@@ -27,7 +27,7 @@ from pcgkit.windows import (
 )
 
 from naive_features import NAIVE_BY_NAME
-from test_features import LIB_BY_NAME, edge_frames, random_frames
+from test_features import LIB_BY_NAME, RECT_31, edge_frames, random_frames
 
 
 def report(number: int, title: str, elapsed: float | None = None) -> None:
@@ -120,7 +120,7 @@ def test_criterion_2_feature_oracle_suite():
 def test_criterion_3_normalization():
     rng = np.random.default_rng(3)
     frames = rng.standard_t(3, size=(300, 31))
-    seq = extract_sequence(frames)
+    seq = extract_sequence(frames, window=RECT_31)
     seq.values[:, 2] = 1.25  # force one constant column
     out = normalize_sequence(seq)
 
@@ -186,7 +186,7 @@ def test_criterion_5_training_sanity():
     spec = WindowSpec.from_nominal_length(WindowShape.GAUSSIAN, 30)
     dataset = extract_dataset(records, spec, hop=25)
 
-    train_set, test_set = split(dataset, 0.7, seed=42)
+    train_set, test_set = split(dataset, seed=42)
     model, _ = nnet.train(train_set, 30, nnet.TrainConfig(epochs=100, seed=42))
     predictions = np.array([nnet.predict(model, s) for s in test_set])
     labels = np.array([nnet.CLASS_INDEX[s.label] for s in test_set])

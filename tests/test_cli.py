@@ -47,6 +47,12 @@ class TestSynthCommand:
         for name in first:
             assert (corpus_dir / name).read_bytes() == (again / name).read_bytes()
 
+    def test_rate_below_twice_the_top_band_exits_1(self, tmp_path, capsys):
+        code = main(["synth", "--rate", "400", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rate 400 Hz") and err.count("\n") == 1
+
 
 class TestExtractCommand:
     def test_frame_count_hop_one(self, corpus_dir, tmp_path):
@@ -84,6 +90,54 @@ class TestExtractCommand:
             assert main(["extract", "--input", str(wav), "--hop", "50",
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _meta_edit(edit):
+    """A feature-file mutation that edits the sidecar's JSON object."""
+    def mutate(csv_raw, meta_raw):
+        meta = json.loads(meta_raw)
+        edit(meta)
+        return csv_raw, json.dumps(meta).encode()
+    return mutate
+
+
+def _meta_bytes(edit):
+    return lambda csv_raw, meta_raw: (csv_raw, edit(meta_raw))
+
+
+def _csv_bytes(edit):
+    return lambda csv_raw, meta_raw: (edit(csv_raw), meta_raw)
+
+
+def _drop_last_column(raw):
+    return b"".join(line.rsplit(b",", 1)[0] + b"\n"
+                    for line in raw.splitlines())
+
+
+# Each maps (CSV bytes, sidecar bytes) of a feature file written by
+# `pcgkit extract` to a pair write_features could not have written.
+FEATURE_FILE_MUTATIONS = {
+    "sidecar_missing_key": _meta_edit(lambda m: m.pop("hop")),
+    "sidecar_json_list": _meta_bytes(lambda raw: b"[" + raw + b"]"),
+    "sidecar_not_json": _meta_bytes(lambda raw: b"not json"),
+    "sidecar_not_utf8": _meta_bytes(lambda raw: b"\xff" + raw[1:]),
+    "sidecar_deeply_nested":
+        _meta_bytes(lambda raw: b"[" * 100_000 + b"]" * 100_000),
+    "odd_L": _meta_edit(lambda m: m.update(L=31)),
+    "zero_L": _meta_edit(lambda m: m.update(L=0)),
+    "string_L": _meta_edit(lambda m: m.update(L="30")),
+    "unknown_shape": _meta_edit(lambda m: m.update(window_shape="hann")),
+    "unknown_label": _meta_edit(lambda m: m.update(label="sick")),
+    "string_alpha": _meta_edit(lambda m: m.update(alpha="wide")),
+    "renamed_column": _meta_edit(lambda m: m["columns"].__setitem__(0, "avg")),
+    "missing_column_name": _meta_edit(lambda m: m["columns"].pop()),
+    "csv_extra_column": _csv_bytes(lambda raw: raw.replace(b"\n", b",0\n")),
+    "csv_missing_column": _csv_bytes(_drop_last_column),
+    "csv_ragged_row": _csv_bytes(lambda raw: raw.replace(b"\n", b",0\n", 1)),
+    "csv_not_numeric": _csv_bytes(lambda raw: b"x" + raw),
+    "csv_not_utf8": _csv_bytes(lambda raw: b"\xff" + raw),
+    "csv_empty": _csv_bytes(lambda raw: b""),
+}
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +231,50 @@ class TestTrainEvalCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mutation", sorted(FEATURE_FILE_MUTATIONS))
+    def test_malformed_feature_file_exits_1(self, feature_dir, tmp_path,
+                                            capsys, mutation):
+        features = tmp_path / "features"
+        shutil.copytree(feature_dir, features)
+        path = sorted(features.glob("*.csv"))[0]
+        meta = path.with_suffix(".meta.json")
+        csv_raw, meta_raw = FEATURE_FILE_MUTATIONS[mutation](
+            path.read_bytes(), meta.read_bytes())
+        path.write_bytes(csv_raw)
+        meta.write_bytes(meta_raw)
+        model = tmp_path / "model.bin"
+        nnet.save_model(nnet.init_model(3, seed=0), model)
+        code = main(["eval", "--model", str(model), "--features", str(features)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path.with_suffix('')}.")
+        assert err.count("\n") == 1
+
+    def test_unlabeled_features_exit_1(self, corpus_dir, tmp_path, capsys):
+        wav = sorted(corpus_dir.glob("*.wav"))[0]
+        features = tmp_path / "features"
+        features.mkdir()
+        assert main(["extract", "--input", str(wav), "--hop", "250",
+                     "--out", str(features / "f.csv")]) == 0
+        model = tmp_path / "model.bin"
+        nnet.save_model(nnet.init_model(3, seed=0), model)
+        capsys.readouterr()
+        code = main(["eval", "--model", str(model), "--features", str(features)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sequence {wav.stem!r} is unlabeled")
+        assert err.count("\n") == 1
+
+    def test_model_width_mismatch_exits_1(self, feature_dir, tmp_path, capsys):
+        model = tmp_path / "model.bin"
+        nnet.save_model(nnet.init_model(3, seed=0, input_size=4), model)
+        code = main(["eval", "--model", str(model),
+                     "--features", str(feature_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: model takes 4 features per "
+                              "frame, sequence ") and err.endswith(" has 10\n")
 
 
 SMALL_GRID = ["--shapes", "gaussian", "--lengths", "30", "--hidden", "3",

@@ -115,14 +115,14 @@ def fake_dataset(n_healthy, n_pathological):
 
 class TestSplit:
     def test_balanced_300(self):
-        train, test = split(fake_dataset(150, 150), 0.7, seed=0)
+        train, test = split(fake_dataset(150, 150), seed=0)
         assert len(train) == 210 and len(test) == 90
         for side, count in ((train, 105), (test, 45)):
             assert sum(1 for x in side if x.label is Label.HEALTHY) == count
             assert sum(1 for x in side if x.label is Label.PATHOLOGICAL) == count
 
     def test_floor_on_train_side(self):
-        train, test = split(fake_dataset(10, 9), 0.7, seed=0)
+        train, test = split(fake_dataset(10, 9), seed=0)
         healthy_train = sum(1 for x in train if x.label is Label.HEALTHY)
         path_train = sum(1 for x in train if x.label is Label.PATHOLOGICAL)
         assert healthy_train == 7  # floor(10 * 0.7)
@@ -131,26 +131,22 @@ class TestSplit:
 
     def test_fraction_bounds(self):
         with pytest.raises(InvalidFraction):
-            split(fake_dataset(5, 5), 1.0, seed=0)
-        with pytest.raises(InvalidFraction):
-            split(fake_dataset(5, 5), 0.0, seed=0)
-        with pytest.raises(InvalidFraction):
-            split(fake_dataset(1, 5), 0.5, seed=0)  # healthy train side empty
+            split(fake_dataset(1, 5), seed=0)  # healthy train side empty
 
     def test_deterministic_and_disjoint(self):
         data = fake_dataset(20, 20)
-        t1, s1 = split(data, 0.7, seed=9)
-        t2, s2 = split(data, 0.7, seed=9)
+        t1, s1 = split(data, seed=9)
+        t2, s2 = split(data, seed=9)
         assert [x.key for x in t1] == [x.key for x in t2]
         assert [x.key for x in s1] == [x.key for x in s2]
         assert set(x.key for x in t1).isdisjoint(x.key for x in s1)
         assert len(t1) + len(s1) == 40
-        t3, _ = split(data, 0.7, seed=10)
+        t3, _ = split(data, seed=10)
         assert [x.key for x in t3] != [x.key for x in t1]
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataset):
-            split([FakeItem(Label.HEALTHY, "h")] * 4, 0.7, seed=0)
+            split([FakeItem(Label.HEALTHY, "h")] * 4, seed=0)
 
 
 class TestRunTrial:

@@ -18,6 +18,10 @@ from pcgkit.windows import WindowShape, WindowSpec, frame_matrix
 
 from naive_features import NAIVE_BY_NAME, _naive_histogram
 
+# The windows that cut 15- and 31-sample frames.
+RECT_15 = WindowSpec(WindowShape.RECTANGULAR, 7)
+RECT_31 = WindowSpec(WindowShape.RECTANGULAR, 15)
+
 
 @functools.lru_cache(maxsize=16)
 def _feature_row(frame_bytes, bins):
@@ -209,12 +213,12 @@ class TestShiftScaleBehavior:
 
 class TestExtractSequence:
     def test_single_frame_shape(self):
-        seq = extract_sequence(np.ones((1, 15)))
+        seq = extract_sequence(np.ones((1, 15)), window=RECT_15)
         assert seq.values.shape == (1, 10)
 
     def test_constant_signal_columns(self):
         frames = np.full((8, 15), 0.7)
-        seq = extract_sequence(frames)
+        seq = extract_sequence(frames, window=RECT_15)
         cols = dict(zip(FEATURE_NAMES, seq.values.T))
         assert np.allclose(cols["mean"], 0.7, atol=1e-15)
         assert np.all(cols["variance"] == 0.0)
@@ -337,20 +341,20 @@ class TestInputErrors:
 
 class TestNormalize:
     def test_example_column(self):
-        seq = extract_sequence(np.ones((3, 15)))
+        seq = extract_sequence(np.ones((3, 15)), window=RECT_15)
         seq.values[:, 0] = [1.0, 2.0, 3.0]
         out = normalize_sequence(seq)
         root = math.sqrt(3 / 2)
         assert out.values[:, 0] == pytest.approx([-root, 0.0, root])
 
     def test_constant_columns_become_zero(self):
-        seq = extract_sequence(np.full((5, 15), 0.3))
+        seq = extract_sequence(np.full((5, 15), 0.3), window=RECT_15)
         out = normalize_sequence(seq)
         assert np.all(out.values[:, 3] == 0.0)  # variance column was constant
 
     def test_column_statistics(self):
         rng = np.random.default_rng(17)
-        seq = extract_sequence(rng.normal(size=(200, 31)))
+        seq = extract_sequence(rng.normal(size=(200, 31)), window=RECT_31)
         out = normalize_sequence(seq)
         for j in range(10):
             col = out.values[:, j]
@@ -360,7 +364,7 @@ class TestNormalize:
 
     def test_idempotent(self):
         rng = np.random.default_rng(18)
-        seq = extract_sequence(rng.normal(size=(50, 15)))
+        seq = extract_sequence(rng.normal(size=(50, 15)), window=RECT_15)
         once = normalize_sequence(seq)
         twice = normalize_sequence(once)
         assert np.allclose(twice.values, once.values, atol=1e-9)
@@ -374,8 +378,8 @@ class TestNormalize:
         for c in (0.5, 3.0):
             f1, _ = frame_matrix(x, spec, hop=5)
             f2, _ = frame_matrix(c * x, spec, hop=5)
-            n1 = normalize_sequence(extract_sequence(f1))
-            n2 = normalize_sequence(extract_sequence(f2))
+            n1 = normalize_sequence(extract_sequence(f1, window=spec))
+            n2 = normalize_sequence(extract_sequence(f2, window=spec))
             for j, name in enumerate(FEATURE_NAMES):
                 if name in ("shannon_energy", "shannon_entropy"):
                     continue
@@ -383,7 +387,7 @@ class TestNormalize:
                                    atol=1e-9), name
 
     def test_too_short_rejected(self):
-        seq = extract_sequence(np.ones((1, 15)))
+        seq = extract_sequence(np.ones((1, 15)), window=RECT_15)
         with pytest.raises(ValueError):
             normalize_sequence(seq)
 

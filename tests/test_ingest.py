@@ -5,7 +5,6 @@ import pytest
 
 from pcgkit.errors import (
     CorruptHeader,
-    InvalidCutoff,
     InvalidFactor,
     RateMismatch,
     UnsupportedFormat,
@@ -101,40 +100,26 @@ def test_csv_record_roundtrip(tmp_path):
 
 
 class TestDesignLowpass:
-    def test_degenerate_single_tap(self):
-        fir = design_lowpass(500, 2000, num_taps=1)
-        assert np.array_equal(fir.taps, [1.0])
-
     def test_unit_dc_gain(self):
-        fir = design_lowpass(250, 2000, 101)
+        fir = design_lowpass(2000)
         assert abs(fir.taps.sum() - 1.0) < 1e-6
 
     def test_taps_symmetric(self):
-        fir = design_lowpass(250, 2000, 101)
+        fir = design_lowpass(2000)
         assert np.array_equal(fir.taps, fir.taps[::-1])
         assert fir.taps.size % 2 == 1
 
     def test_stopband_attenuation_at_500hz(self):
         # Independent oracle: evaluate the DFT of the taps directly.
-        fir = design_lowpass(250, 2000, 101)
+        fir = design_lowpass(2000)
         n = np.arange(fir.taps.size)
         mag = abs(np.sum(fir.taps * np.exp(-2j * np.pi * 500 / 2000 * n)))
         assert 20 * np.log10(mag) < -40.0
 
-    @pytest.mark.parametrize("cutoff,rate", [(0, 2000), (-5, 2000),
-                                             (1000, 2000), (1500, 2000)])
-    def test_invalid_cutoff(self, cutoff, rate):
-        with pytest.raises(InvalidCutoff):
-            design_lowpass(cutoff, rate)
-
-    def test_even_taps_rejected(self):
-        with pytest.raises(InvalidCutoff):
-            design_lowpass(250, 2000, num_taps=100)
-
 
 class TestApplyFilter:
     def setup_method(self):
-        self.fir = design_lowpass(250, 2000, 101)
+        self.fir = design_lowpass(2000)
 
     def test_zero_in_zero_out(self):
         rec = AudioRecord("z", np.zeros(1000), 2000)
@@ -208,17 +193,17 @@ class TestDecimate:
 class TestFixLength:
     def test_identity(self):
         rec = AudioRecord("f", np.arange(5000.0), 500)
-        assert fix_length(rec, 5000) is rec
+        assert fix_length(rec) is rec
 
     def test_truncate(self):
         rec = AudioRecord("f", np.arange(12000.0), 500)
-        out = fix_length(rec, 5000)
+        out = fix_length(rec)
         assert np.array_equal(out.samples, np.arange(5000.0))
 
     def test_tile_then_truncate(self):
         base = np.arange(3000.0)
         rec = AudioRecord("f", base, 500)
-        out = fix_length(rec, 5000)
+        out = fix_length(rec)
         assert np.array_equal(out.samples[:3000], base)
         assert np.array_equal(out.samples[3000:], base[:2000])
 

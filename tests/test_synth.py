@@ -122,8 +122,9 @@ def test_class_separability_knob():
 
 class TestConfigValidation:
     def test_band_outside_nyquist(self):
-        with pytest.raises(InvalidConfig):
-            SynthConfig(s2_band_hz=(20.0, 1200.0))
+        for rate in (400, 500):  # the S2 band reaches 250 Hz
+            with pytest.raises(InvalidConfig):
+                SynthConfig(rate_hz=rate)
 
     def test_duration_too_short(self):
         with pytest.raises(InvalidConfig):
