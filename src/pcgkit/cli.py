@@ -94,16 +94,20 @@ def _load_corpus(corpus_dir: Path) -> list:
     manifest = corpus_dir / "labels.csv"
     if not manifest.is_file():
         raise FileNotFoundError(f"no such file: {manifest}")
-    records = []
-    with open(manifest, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in ("filename", "label"):
-            if column not in (reader.fieldnames or []):
-                raise PcgError(f"{manifest}: no {column!r} column")
-        for row in reader:
-            records.append(read_wav(corpus_dir / row["filename"],
-                                    label=Label(row["label"])))
-    return records
+    entries = []
+    try:
+        with open(manifest, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for column in ("filename", "label"):
+                if column not in (reader.fieldnames or []):
+                    raise ValueError(f"no {column!r} column")
+            for row in reader:
+                if None in (row["filename"], row["label"]):
+                    raise ValueError(f"line {reader.line_num} is missing a field")
+                entries.append((row["filename"], Label(row["label"])))
+    except (ValueError, csv.Error) as exc:  # also bad UTF-8 and unknown labels
+        raise PcgError(f"{manifest}: {exc}") from None
+    return [read_wav(corpus_dir / name, label=label) for name, label in entries]
 
 
 def cmd_extract(args) -> int:

@@ -7,7 +7,9 @@ feature sequence (one row per frame) which is z-scored per column before
 classification.
 
 Conventions, fixed once and used everywhere:
-  * quantiles interpolate linearly at position (count - 1) * q;
+  * min, max and the quartiles come from one sort of the frame matrix's
+    rows; the quartiles follow np.quantile's default ("linear") rule to
+    the bit, interpolating at position (count - 1) * q;
   * mode and entropy share one histogram rule: numpy's equal-width rule
     (np.histogram with `bins` bins over the frame's [min, max]) applied
     row-wise to the frame matrix, ties resolved toward the lowest bin;
@@ -20,6 +22,7 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -109,6 +112,42 @@ def _mode_entropy_columns(frames: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return mode, entropy
 
 
+def _quartile_columns(frames: np.ndarray,
+                      ranked: np.ndarray) -> list[np.ndarray]:
+    """Median, q25 and q75 of every row, equal to the bit to
+    np.quantile(frames, [0.5, 0.25, 0.75], axis=1), read from `ranked`,
+    the rows of `frames` sorted.
+
+    numpy's "linear" rule: virtual index v = (n - 1) q, neighbours
+    floor(v) and floor(v) + 1 (both the last value, with t = v + 1, when v
+    is past the last index: n = 1), weight t = v - floor, and the lerp
+    a + (b - a) t, or b - (b - a)(1 - t) when t >= 0.5.  That second branch
+    can hand on the sign of a zero b, and sort and np.partition may place
+    -0.0 and 0.0 differently; those rows are re-ranked by the np.partition
+    call np.quantile makes.
+    """
+    n = ranked.shape[1]
+    picks = []
+    for q in (0.5, 0.25, 0.75):
+        v = (n - 1) * q
+        below, above = (math.floor(v), math.floor(v) + 1) if v < n - 1 else (-1, -1)
+        picks.append((below, above, v - below))
+    zero_b = np.zeros(len(ranked), dtype=bool)
+    for _, above, t in picks:
+        if t >= 0.5:
+            zero_b |= ranked[:, above] == 0.0
+    if zero_b.any():
+        kth = np.unique([0, -1, *(k for below, above, _ in picks
+                                  for k in (below, above))])
+        ranked[zero_b] = np.partition(frames[zero_b], kth, axis=1)
+    out = []
+    for below, above, t in picks:
+        a, b = ranked[:, below], ranked[:, above]
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
+
+
 def feature_matrix(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     """Feature rows for a (T, L+1) frame matrix, columns in FEATURE_NAMES order."""
     frames = np.asarray(frames, dtype=np.float64)
@@ -116,13 +155,15 @@ def feature_matrix(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
         raise ValueError("need a non-empty (num_frames, frame_length) matrix")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    lo = frames.min(axis=1)
-    hi = frames.max(axis=1)
+    ranked = np.sort(frames, axis=1)
+    lo = ranked[:, 0].copy()
+    hi = ranked[:, -1].copy()
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(hi - lo).all()  # False for NaN or Inf samples too
     if not finite:
         raise ValueError("frames must be finite, with a finite max - min")
-    # The histogram runs before the (T, n) temporaries below exist.
+    median, q25, q75 = _quartile_columns(frames, ranked)
+    del ranked  # freed before the histogram temporaries: peak memory
     mode, entropy = _mode_entropy_columns(frames, lo, hi, bins)
     n = frames.shape[1]
 
@@ -143,18 +184,16 @@ def feature_matrix(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     skew[ok] = m3[ok] / sigma[ok] ** 3
     kurt[ok] = m4[ok] / sigma[ok] ** 4 - 3.0
 
-    y2 = frames ** 2
-    logy2 = np.zeros_like(y2)
-    nz = y2 > 0.0
-    logy2[nz] = np.log(y2[nz])
-    energy = (y2 * logy2).sum(axis=1)
-    del y2, logy2, nz
+    y2 = frames * frames
+    y2logy2 = np.log(y2, out=np.zeros_like(y2), where=y2 > 0.0)
+    y2logy2 *= y2
+    energy = y2logy2.sum(axis=1)
+    del y2, y2logy2
 
-    signs = np.where(frames >= 0.0, 1.0, -1.0)
-    zcr = np.abs(np.diff(signs, axis=1)).sum(axis=1) / (2 * (n - 1) + 1)
-    del signs
-
-    median, q25, q75 = np.quantile(frames, [0.5, 0.25, 0.75], axis=1)
+    # zcr is sum |diff(sign)| / (2L + 1), sign = +-1: 2 per sign change.
+    positive = frames >= 0.0
+    changes = np.count_nonzero(positive[:, 1:] != positive[:, :-1], axis=1)
+    zcr = 2.0 * changes / (2 * (n - 1) + 1)
 
     return np.column_stack(
         [mu, median, mode, var, skew, kurt, energy, entropy, zcr, q75 - q25])
@@ -224,10 +263,12 @@ def write_features(seq: FeatureSequence, path: str | Path) -> None:
 def read_features(path: str | Path) -> FeatureSequence:
     """Read a feature CSV and its sidecar back into a FeatureSequence.
 
-    Raises PcgError naming the file when the CSV is not a numeric matrix
-    with one column per feature, or the sidecar is not one write_features
-    could have written: a JSON object with every key, an even L, a known
-    shape and label, and columns equal to FEATURE_NAMES.
+    Raises PcgError naming the file when the CSV is not a finite numeric
+    matrix with one column per feature, or the sidecar is not one
+    write_features could have written: a JSON object with every key, an
+    even L, a known shape and label, a positive int hop and bins, a finite
+    positive alpha, a bool normalized, a string signal_id, and columns
+    equal to FEATURE_NAMES.
     """
     path = Path(path)
     try:
@@ -236,6 +277,8 @@ def read_features(path: str | Path) -> FeatureSequence:
             values = np.loadtxt(path, delimiter=",", ndmin=2)
         if values.shape[1] != len(FEATURE_NAMES):
             raise ValueError(f"{values.shape[1]} columns, not {len(FEATURE_NAMES)}")
+        if not np.isfinite(values).all():
+            raise ValueError("holds NaN or infinite values")
     except (ValueError, UserWarning) as exc:
         raise PcgError(f"{path}: {exc}") from None
     meta_path = _meta_path(path)
@@ -247,6 +290,16 @@ def read_features(path: str | Path) -> FeatureSequence:
             raise ValueError(f"columns {meta['columns']!r} are not FEATURE_NAMES")
         if type(meta["L"]) is not int or meta["L"] % 2:
             raise ValueError(f"L must be an even int, got {meta['L']!r}")
+        for key in ("hop", "bins"):
+            if type(meta[key]) is not int or meta[key] < 1:
+                raise ValueError(f"{key} must be a positive int, got {meta[key]!r}")
+        if type(meta["alpha"]) not in (int, float):
+            raise ValueError(f"alpha must be a number, got {meta['alpha']!r}")
+        if type(meta["normalized"]) is not bool:
+            raise ValueError(f"normalized must be true or false, "
+                             f"got {meta['normalized']!r}")
+        if type(meta["signal_id"]) is not str:
+            raise ValueError(f"signal_id must be a string, got {meta['signal_id']!r}")
         return FeatureSequence(
             values=values,
             signal_id=meta["signal_id"],

@@ -69,7 +69,8 @@ def read_wav(path: str | Path, label: Label = Label.UNLABELED) -> AudioRecord:
 
     Integer samples are mapped to reals by dividing by 32768.  Raises
     UnsupportedFormat for multi-channel, non-PCM or non-16-bit data and
-    CorruptHeader for malformed containers.
+    CorruptHeader for malformed containers: a zero sample rate, or a data
+    chunk that is missing, truncated, empty or of odd byte count.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -103,6 +104,11 @@ def read_wav(path: str | Path, label: Label = Label.UNLABELED) -> AudioRecord:
         raise UnsupportedFormat(f"{path}: {channels} channels, expected mono")
     if bits != 16:
         raise UnsupportedFormat(f"{path}: {bits}-bit samples, expected 16")
+    if rate == 0:
+        raise CorruptHeader(f"{path}: sample rate is 0")
+    if not data or len(data) % 2:
+        raise CorruptHeader(f"{path}: data chunk of {len(data)} bytes does "
+                            "not hold whole 16-bit samples")
 
     ints = np.frombuffer(data, dtype="<i2")
     return AudioRecord(

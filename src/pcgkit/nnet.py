@@ -455,7 +455,7 @@ def save_model(model: BiLSTMModel, path: str | Path,
 
 def load_model(path: str | Path) -> BiLSTMModel:
     """Read a model file; anything but a file save_model could have written
-    raises CorruptModel."""
+    from finite parameters raises CorruptModel."""
     raw = Path(path).read_bytes()
     if raw[:4] != MODEL_MAGIC:
         raise CorruptModel(f"{path}: not a model file (bad magic)")
@@ -487,4 +487,6 @@ def load_model(path: str | Path) -> BiLSTMModel:
     if body != 8 * size:
         raise CorruptModel(f"{path}: body of {body} bytes, expected {8 * size}")
     theta = np.frombuffer(raw, dtype="<f8", offset=8 + hlen)
+    if not np.isfinite(theta).all():
+        raise CorruptModel(f"{path}: parameters hold NaN or infinite values")
     return BiLSTMModel(H, D, theta.astype(np.float64))

@@ -10,6 +10,7 @@ shape.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,8 @@ class WindowSpec:
 
     half_length is L/2, so the full window has 2*half_length + 1 points.
     alpha is only meaningful for the Gaussian shape; larger alpha narrows
-    the window in time.
+    the window in time.  It must be finite and positive for every shape,
+    so every spec a feature file records reads back.
     """
 
     shape: WindowShape
@@ -43,8 +45,8 @@ class WindowSpec:
     def __post_init__(self):
         if self.half_length < 1:
             raise ValueError(f"half_length must be >= 1, got {self.half_length}")
-        if self.shape is WindowShape.GAUSSIAN and self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
     @property
     def L(self) -> int:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from pcgkit import nnet
 from pcgkit.cli import main
+from test_ingest import wav_mutations
 from test_nnet import MODEL_FILE_MUTATIONS
 
 # The removed thread-pool flag, spelled in two parts so that a search of the
@@ -83,6 +85,25 @@ class TestExtractCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "f.csv").exists()
 
+    def test_fuzzed_wav_exits_cleanly(self, corpus_dir, tmp_path, capsys):
+        wav = tmp_path / "w.wav"
+        out = tmp_path / "f.csv"
+        codes = set()
+        for raw in wav_mutations(sorted(corpus_dir.glob("*.wav"))[0].read_bytes(),
+                                 200, seed=80):
+            wav.write_bytes(raw)
+            code = main(["extract", "--input", str(wav), "--hop", "250",
+                         "--out", str(out)])
+            captured = capsys.readouterr()
+            codes.add(code)
+            assert code in (0, 1, 2)
+            if code:
+                assert captured.err.startswith("error: ")
+                assert captured.err.count("\n") == 1
+            if code == 1:  # a bad file, or a rate preprocess cannot decimate
+                assert str(wav) in captured.err or "rate" in captured.err
+        assert {0, 1} <= codes
+
     def test_repeated_run_is_byte_identical(self, corpus_dir, tmp_path):
         wav = sorted(corpus_dir.glob("*.wav"))[0]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -137,6 +158,22 @@ FEATURE_FILE_MUTATIONS = {
     "csv_not_numeric": _csv_bytes(lambda raw: b"x" + raw),
     "csv_not_utf8": _csv_bytes(lambda raw: b"\xff" + raw),
     "csv_empty": _csv_bytes(lambda raw: b""),
+    "csv_nan": _csv_bytes(lambda raw: b"nan" + raw[raw.index(b","):]),
+    "csv_infinite": _csv_bytes(lambda raw: b"-inf" + raw[raw.index(b","):]),
+    "string_hop": _meta_edit(lambda m: m.update(hop="x")),
+    "zero_hop": _meta_edit(lambda m: m.update(hop=0)),
+    "bool_hop": _meta_edit(lambda m: m.update(hop=True)),
+    "negative_bins": _meta_edit(lambda m: m.update(bins=-3)),
+    "float_bins": _meta_edit(lambda m: m.update(bins=10.0)),
+    "string_normalized": _meta_edit(lambda m: m.update(normalized="yes")),
+    "int_normalized": _meta_edit(lambda m: m.update(normalized=1)),
+    "int_signal_id": _meta_edit(lambda m: m.update(signal_id=7)),
+    "null_signal_id": _meta_edit(lambda m: m.update(signal_id=None)),
+    "zero_alpha": _meta_edit(lambda m: m.update(alpha=0)),
+    "negative_alpha": _meta_edit(lambda m: m.update(alpha=-2.5)),
+    "nan_alpha": _meta_edit(lambda m: m.update(alpha=math.nan)),
+    "infinite_alpha": _meta_edit(lambda m: m.update(alpha=math.inf)),
+    "bool_alpha": _meta_edit(lambda m: m.update(alpha=True)),
 }
 
 
@@ -216,7 +253,8 @@ class TestTrainEvalCommands:
                      "--epochs", "2", "--out", str(tmp_path / "m.bin")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: training loss is nan")
+        # Refused when read, before any training step.
+        assert err.startswith(f"error: {path}: holds NaN")
         assert err.count("\n") == 1
         assert not (tmp_path / "m.bin").exists()
 
@@ -369,6 +407,38 @@ class TestGridCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'filename'" in err
         assert err.count("\n") == 1
+
+    def test_fuzzed_manifest_exits_cleanly(self, corpus_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        manifest = corpus / "labels.csv"
+        raw = manifest.read_bytes()
+        rng = np.random.default_rng(81)
+        codes = set()
+        for i in range(200):
+            b = bytearray(raw)
+            if i % 3 == 0:  # one to three bytes set at random
+                for pos in rng.choice(len(b), size=rng.integers(1, 4), replace=False):
+                    b[pos] = rng.integers(256)
+            elif i % 3 == 1:  # a cut at a random length
+                del b[rng.integers(len(b)):]
+            else:  # one to three random bytes inserted: odd lengths too
+                for _ in range(rng.integers(1, 4)):
+                    b.insert(rng.integers(len(b) + 1), rng.integers(256))
+            manifest.write_bytes(bytes(b))
+            code = main(["grid", "--corpus", str(corpus), "--shapes", "rectangular",
+                         "--lengths", "30", "--hidden", "2", "--trials", "1",
+                         "--epochs", "1", "--hop", "250",
+                         "--out-dir", str(tmp_path / "out")])
+            captured = capsys.readouterr()
+            codes.add(code)
+            assert code in (0, 1, 2)
+            if code:
+                assert captured.err.startswith("error: ")
+                assert captured.err.count("\n") == 1
+            if code == 1:  # a bad manifest, or a class left with no train side
+                assert str(manifest) in captured.err or "class" in captured.err
+        assert {1, 2} <= codes
 
     def test_removed_thread_pool_flag_is_a_usage_error(self, corpus_dir,
                                                         tmp_path):

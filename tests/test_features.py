@@ -1,11 +1,13 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pcgkit.features import (
     DEFAULT_BINS,
+    _quartile_columns,
     FEATURE_NAMES,
     extract_sequence,
     feature_matrix,
@@ -256,8 +258,12 @@ def histogram_mode_entropy(row, bins):
     return centers[np.argmax(counts)], np.sum(p * np.log(p))
 
 
+MEDIAN = FEATURE_NAMES.index("median")
 MODE = FEATURE_NAMES.index("mode")
+ENERGY = FEATURE_NAMES.index("shannon_energy")
 ENTROPY = FEATURE_NAMES.index("shannon_entropy")
+ZCR = FEATURE_NAMES.index("zcr")
+QUANTILE_RANGE = FEATURE_NAMES.index("quantile_range")
 
 
 def assert_matches_np_histogram(frames, bins):
@@ -337,6 +343,64 @@ class TestInputErrors:
     def test_bins_below_one_rejected(self, bins):
         with pytest.raises(ValueError, match="bins"):
             feature_matrix(np.random.default_rng(61).normal(size=(5, 31)), bins)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def sign_and_tie_frames(n, rng):
+    """(160, n) frames: normal draws, tie-heavy rounded draws (which hold
+    -0.0 where a negative draw rounds to zero), rows of mixed -0.0 and 0.0,
+    and rows mixing signed zeros, +-1 and the smallest subnormals."""
+    return np.concatenate([
+        rng.standard_normal((40, n)),
+        np.round(rng.standard_normal((40, n)), 1),
+        rng.choice([-0.0, 0.0], size=(40, n)),
+        rng.choice([-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324], size=(40, n)),
+    ])
+
+
+class TestSortedRowStatistics:
+    """Quartiles from sorted rows, zero crossings from sign booleans and the
+    energy's masked log, each against the formula it replaced, to the bit."""
+
+    def test_quartiles_match_np_quantile(self):
+        rng = np.random.default_rng(90)
+        for n in range(1, 65):
+            frames = sign_and_tie_frames(n, rng)
+            want = np.quantile(frames, [0.5, 0.25, 0.75], axis=1)
+            got = _quartile_columns(frames, np.sort(frames, axis=1))
+            for q, w, g in zip((0.5, 0.25, 0.75), want, got):
+                assert np.array_equal(bits(g), bits(w)), (n, q)
+            matrix = feature_matrix(frames)
+            assert np.array_equal(bits(matrix[:, MEDIAN]), bits(want[0])), n
+            assert np.array_equal(bits(matrix[:, QUANTILE_RANGE]),
+                                  bits(want[2] - want[1])), n
+
+    def test_zcr_and_energy_match_sign_and_masked_log_formulas(self):
+        rng = np.random.default_rng(91)
+        for n in range(1, 65):
+            frames = sign_and_tie_frames(n, rng)
+            signs = np.where(frames >= 0.0, 1.0, -1.0)
+            zcr = np.abs(np.diff(signs, axis=1)).sum(axis=1) / (2 * (n - 1) + 1)
+            y2 = frames ** 2
+            logy2 = np.zeros_like(y2)
+            nz = y2 > 0.0
+            logy2[nz] = np.log(y2[nz])
+            energy = (y2 * logy2).sum(axis=1)
+            matrix = feature_matrix(frames)
+            assert np.array_equal(bits(matrix[:, ZCR]), bits(zcr)), n
+            assert np.array_equal(bits(matrix[:, ENERGY]), bits(energy)), n
+
+    def test_both_infinities_raise_before_any_warning(self):
+        # The median sits between -inf and +inf: interpolating it would warn.
+        frames = np.random.default_rng(92).normal(size=(5, 31))
+        frames[2] = np.where(np.arange(31) % 2, np.inf, -np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                feature_matrix(frames)
 
 
 class TestNormalize:

@@ -6,6 +6,7 @@ import pytest
 from pcgkit.errors import (
     CorruptHeader,
     InvalidFactor,
+    PcgError,
     RateMismatch,
     UnsupportedFormat,
 )
@@ -31,6 +32,30 @@ def make_wav_bytes(ints, rate=2000, channels=1, bits=16, audio_format=1):
         rate * channels * bits // 8, channels * bits // 8, bits)
     header += b"data" + struct.pack("<I", len(payload))
     return header + payload
+
+
+def wav_mutations(raw, count, seed):
+    """`count` seeded mutations of the bytes of a WAV file write_wav wrote,
+    taking turns: one to three header bytes set at random, a cut at a
+    random length, an odd data-chunk size, and a file cut to an odd length
+    whose data-chunk size says so."""
+    rng = np.random.default_rng(seed)
+    mutants = []
+    for i in range(count):
+        b = bytearray(raw)
+        kind = i % 4
+        if kind == 0:
+            for pos in rng.choice(44, size=rng.integers(1, 4), replace=False):
+                b[pos] = rng.integers(256)
+        elif kind == 1:
+            del b[rng.integers(len(b)):]
+        elif kind == 2:
+            b[40:44] = struct.pack("<I", 2 * rng.integers((len(b) - 44) // 2) + 1)
+        else:
+            del b[45 + 2 * rng.integers((len(b) - 45) // 2):]
+            b[40:44] = struct.pack("<I", len(b) - 44)
+        mutants.append(bytes(b))
+    return mutants
 
 
 class TestReadWav:
@@ -89,6 +114,33 @@ class TestReadWav:
         path.write_bytes(raw[:44 - 8])  # cut before the data chunk header
         with pytest.raises(CorruptHeader):
             read_wav(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw[:40] + struct.pack("<I", 5) + raw[44:49],  # odd size
+        lambda raw: raw[:40] + struct.pack("<I", 0),  # no samples
+        lambda raw: raw[:24] + struct.pack("<I", 0) + raw[28:],  # rate 0
+    ], ids=["odd_data_size", "empty_data", "zero_rate"])
+    def test_unreadable_data_is_a_corrupt_header(self, tmp_path, edit):
+        path = tmp_path / "w.wav"
+        path.write_bytes(edit(make_wav_bytes([1, 2, 3, 4])))
+        with pytest.raises(CorruptHeader, match=str(path)):
+            read_wav(path)
+
+    def test_fuzzed_files_read_or_raise_pcg_error(self, tmp_path):
+        path = tmp_path / "w.wav"
+        rng = np.random.default_rng(70)
+        write_wav(AudioRecord("w", rng.uniform(-1, 1, 600), 2000), path)
+        read = 0
+        for raw in wav_mutations(path.read_bytes(), 240, seed=71):
+            path.write_bytes(raw)
+            try:
+                rec = read_wav(path)
+            except PcgError as exc:
+                assert str(path) in str(exc)
+                continue
+            assert rec.samples.size > 0 and rec.sample_rate_hz > 0
+            read += 1
+        assert 0 < read < 240  # both outcomes are exercised
 
 
 def test_csv_record_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -86,6 +87,8 @@ MODEL_FILE_MUTATIONS = {
     "deeply_nested_header": lambda raw: _rewrite_header(
         raw, lambda h: b"[" * 100_000 + b"]" * 100_000),
     "bad_magic": lambda raw: b"HWM0" + raw[4:],
+    "nan_parameter": lambda raw: raw[:-8] + struct.pack("<d", math.nan),
+    "inf_parameter": lambda raw: raw[:-8] + struct.pack("<d", -math.inf),
 }
 
 
