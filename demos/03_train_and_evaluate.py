@@ -17,7 +17,7 @@ from pcgkit import (
     confusion,
     generate_dataset,
     metrics,
-    predict,
+    predict_batch,
     preprocess,
     split,
     train,
@@ -41,7 +41,7 @@ model, history = train(train_set, hidden=30, config=config)
 print(f"loss: {history.losses[0]:.4f} -> {history.losses[-1]:.4f}; "
       f"train accuracy {history.accuracies[-1]:.2%}")
 
-predictions = [predict(model, s) for s in test_set]
+predictions = predict_batch(model, test_set)
 labels = [CLASS_INDEX[s.label] for s in test_set]
 m = metrics(confusion(predictions, labels))
 print(f"test sensitivity {m.sensitivity:.1f}%  "

@@ -63,7 +63,7 @@ from .nnet import (
     forward,
     init_model,
     load_model,
-    predict,
+    predict_batch,
     save_model,
     sgdm_step,
     train,

@@ -90,7 +90,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _preprocess(record, path: Path):
+    """`preprocess`, naming the recording's file when it is refused."""
+    try:
+        return preprocess(record)
+    except PcgError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _load_corpus(corpus_dir: Path) -> list:
+    """The preprocessed recordings listed in the corpus's labels.csv."""
     manifest = corpus_dir / "labels.csv"
     if not manifest.is_file():
         raise FileNotFoundError(f"no such file: {manifest}")
@@ -107,7 +116,11 @@ def _load_corpus(corpus_dir: Path) -> list:
                 entries.append((row["filename"], Label(row["label"])))
     except (ValueError, csv.Error) as exc:  # also bad UTF-8 and unknown labels
         raise PcgError(f"{manifest}: {exc}") from None
-    return [read_wav(corpus_dir / name, label=label) for name, label in entries]
+    records = []
+    for name, label in entries:
+        path = corpus_dir / name
+        records.append(_preprocess(read_wav(path, label=label), path))
+    return records
 
 
 def cmd_extract(args) -> int:
@@ -118,7 +131,7 @@ def cmd_extract(args) -> int:
         record = read_csv_record(path, rate_hz=args.rate)
     if args.label:
         record.label = Label(args.label)
-    record = preprocess(record)
+    record = _preprocess(record, path)
 
     spec = WindowSpec.from_nominal_length(
         WindowShape(args.shape), args.length, args.alpha)
@@ -170,7 +183,7 @@ def cmd_eval(args) -> int:
             raise PcgError(f"{args.model}: model takes {model.input_size} "
                            f"features per frame, sequence {s.signal_id!r} "
                            f"has {s.values.shape[1]}")
-    predictions = [nnet.predict(model, s) for s in dataset]
+    predictions = nnet.predict_batch(model, dataset)
     labels = [nnet.CLASS_INDEX[s.label] for s in dataset]
     c = evaluate.confusion(predictions, labels)
     m = evaluate.metrics(c)
@@ -237,7 +250,7 @@ def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
 
 def cmd_grid(args) -> int:
     config = _train_config_from_args(args)
-    records = [preprocess(r) for r in _load_corpus(Path(args.corpus))]
+    records = _load_corpus(Path(args.corpus))
     cells = evaluate.run_grid(
         records,
         shapes=_parse_shapes(args.shapes),

@@ -144,7 +144,7 @@ def run_trial(dataset: list[FeatureSequence], hidden: int,
     config = replace(train_config, seed=mix_seed(seed, 1))
     model, _ = nnet.train(train_set, hidden, config)
 
-    predictions = np.array([nnet.predict(model, s) for s in test_set])
+    predictions = nnet.predict_batch(model, test_set)
     labels = np.array([nnet.CLASS_INDEX[s.label] for s in test_set])
     c = confusion(predictions, labels)
     return TrialResult(confusion=c, metrics=metrics(c),

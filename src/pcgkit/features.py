@@ -148,6 +148,21 @@ def _quartile_columns(frames: np.ndarray,
     return out
 
 
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float
+
+
+def _central_moments(frames: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mean and second, third and fourth central moments of each row."""
+    mu = frames.mean(axis=1)
+    centered = frames - mu[:, None]
+    c2 = centered * centered
+    var = c2.mean(axis=1)
+    # Third and fourth powers as products, in place: no pow, no new (T, n).
+    m3 = np.multiply(centered, c2, out=centered).mean(axis=1)
+    m4 = np.multiply(c2, c2, out=c2).mean(axis=1)
+    return mu, var, m3, m4
+
+
 def feature_matrix(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     """Feature rows for a (T, L+1) frame matrix, columns in FEATURE_NAMES order."""
     frames = np.asarray(frames, dtype=np.float64)
@@ -168,16 +183,19 @@ def feature_matrix(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     n = frames.shape[1]
 
     constant = lo == hi
-    mu = frames.mean(axis=1)
-    centered = frames - mu[:, None]
-    c2 = centered * centered
-    var = c2.mean(axis=1)
+    mu, var, m3, m4 = _central_moments(frames)
     var[constant] = 0.0
-    # Third and fourth powers as products, in place: no pow, no new (T, n).
-    m3 = np.multiply(centered, c2, out=centered).mean(axis=1)
-    m4 = np.multiply(c2, c2, out=c2).mean(axis=1)
-    del centered, c2  # freed before the energy temporaries: peak memory
     sigma = np.sqrt(var)
+    # Where m4 leaves the normal range (amplitudes near 1e-77 and below, or
+    # 1e77 and above), sigma ** 3 and ** 4 can under- or overflow too; those
+    # rows take the moments of the row divided by its max |x|, as skewness
+    # and kurtosis are scale-free.
+    rescale = ~constant & ~((m4 >= _TINY) & (m4 < np.inf))
+    if rescale.any():
+        peak = np.maximum(np.abs(lo[rescale]), np.abs(hi[rescale]))
+        _, var_r, m3[rescale], m4[rescale] = _central_moments(
+            frames[rescale] / peak[:, None])
+        sigma[rescale] = np.sqrt(var_r)
     ok = ~constant & (sigma > 0.0)
     skew = np.zeros_like(mu)
     kurt = np.zeros_like(mu)

@@ -17,6 +17,10 @@ buffer in step order, which the loop turns into activations in place and
 BPTT into pre-activation gradients.  One tanh gives all four gates, since
 sigma(x) = 0.5*tanh(x/2) + 0.5.
 
+Training and prediction both run each group of equal-length sequences as
+one batch: `predict_batch` scores a list of sequences with one forward
+pass per distinct length; `forward` is the single-sequence reference.
+
 A model, its gradients and its velocity each own one float64 vector,
 theta, laid out by `param_layout`; every weight matrix and bias is a view
 of it, so an optimizer step is one vector operation.  A model file's body
@@ -158,14 +162,16 @@ def init_model(hidden: int, seed: int, input_size: int = 10) -> BiLSTMModel:
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def _gate_scale(H: int) -> tuple[np.ndarray, np.ndarray]:
+def _gate_scale(H: int, B: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-column scale and offset: gates = scale*tanh(scale*z) + offset.
 
     That is sigma(z) = 0.5*tanh(z/2) + 0.5 on the sigmoid columns and tanh
-    on the candidate's; halving is exact.
+    on the candidate's; halving is exact.  Both come in the (2, B, 4H)
+    shape of one step's gates: a broadcast operand costs the step loops
+    about twice as much per op.
     """
-    scale = np.full(4 * H, 0.5)
-    scale[2 * H:3 * H] = 1.0
+    scale = np.full((2, B, 4 * H), 0.5)
+    scale[..., 2 * H:3 * H] = 1.0
     return scale, 1.0 - scale
 
 
@@ -179,13 +185,14 @@ def _layer_forward(layer: BiLayer, U: np.ndarray) -> dict:
     """
     T, B, _ = U.shape
     H = layer.forward.recurrent_weights.shape[1]
-    scale, offset = _gate_scale(H)
+    scale, offset = _gate_scale(H, B)
+    col = scale[0, 0]  # the per-column scale, folded into the weights
     directions = (layer.forward, layer.backward)
     Z = np.empty((2, T, B, 4 * H))
     for d, (p, X) in enumerate(zip(directions, (U, U[::-1]))):
-        np.matmul(X, (p.input_weights * scale[:, None]).T, out=Z[d])
-        Z[d] += p.bias * scale
-    W = np.stack([(p.recurrent_weights * scale[:, None]).T for p in directions])
+        np.matmul(X, (p.input_weights * col[:, None]).T, out=Z[d])
+        Z[d] += p.bias * col
+    W = np.stack([(p.recurrent_weights * col[:, None]).T for p in directions])
     C = np.zeros((2, T + 1, B, H))
     Hs = np.zeros((2, T + 1, B, H))
     for s in range(T):
@@ -227,19 +234,38 @@ def _forward_batch(model: BiLSTMModel, X: np.ndarray) -> tuple[np.ndarray, dict]
     return probs, cache
 
 
-def forward(model: BiLSTMModel, seq: FeatureSequence) -> tuple[np.ndarray, dict]:
-    """Class probabilities for one (preferably normalized) feature sequence."""
+def _values(seq: FeatureSequence) -> np.ndarray:
+    """A sequence's (T >= 1, D) values as float64."""
     values = np.asarray(seq.values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 1:
         raise EmptySequence(f"sequence {seq.signal_id!r} has no frames")
-    probs, cache = _forward_batch(model, values[None, :, :])
+    return values
+
+
+def _length_groups(values: list[np.ndarray]):
+    """(indices, stacked (B, T, D) batch) for each distinct length T."""
+    lengths = np.array([v.shape[0] for v in values])
+    for T in np.unique(lengths):
+        sel = np.nonzero(lengths == T)[0]
+        yield sel, np.stack([values[j] for j in sel])
+
+
+def forward(model: BiLSTMModel, seq: FeatureSequence) -> tuple[np.ndarray, dict]:
+    """Class probabilities for one (preferably normalized) feature sequence."""
+    probs, cache = _forward_batch(model, _values(seq)[None, :, :])
     return probs[0], cache
 
 
-def predict(model: BiLSTMModel, seq: FeatureSequence) -> int:
-    """Most probable class index; exact ties resolve to class 0 (healthy)."""
-    probs, _ = forward(model, seq)
-    return int(np.argmax(probs))
+def predict_batch(model: BiLSTMModel,
+                  seqs: list[FeatureSequence]) -> np.ndarray:
+    """Most probable class index of each sequence, in input order; exact
+    ties resolve to class 0 (healthy).  Sequences of equal length run as
+    one batch."""
+    predictions = np.zeros(len(seqs), dtype=np.int64)
+    for sel, X in _length_groups([_values(s) for s in seqs]):
+        probs, _ = _forward_batch(model, X)
+        predictions[sel] = probs.argmax(axis=1)
+    return predictions
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +283,7 @@ def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray,
     U, Z, C, Hs = cache["U"], cache["Z"], cache["C"], cache["Hs"]
     T, B, _ = U.shape
     H = C.shape[-1]
-    scale, offset = _gate_scale(H)
+    scale, offset = _gate_scale(H, B)
     # (1 - a)(a + lo) is a(1 - a) on the sigmoid columns, 1 - a^2 on tanh's.
     lo = scale - offset
     W = np.stack([layer.forward.recurrent_weights,
@@ -405,13 +431,10 @@ def _train_batch(model, velocity, batch_values, batch_labels, config):
     # Sequences of equal length run as one stacked batch; mixed lengths are
     # grouped so the gradient still averages over the whole mini-batch.
     B = len(batch_values)
-    lengths = np.array([v.shape[0] for v in batch_values])
     grads = zeros_like_model(model)
     total_loss = 0.0
     correct = 0
-    for T in np.unique(lengths):
-        sel = np.nonzero(lengths == T)[0]
-        X = np.stack([batch_values[j] for j in sel])
+    for sel, X in _length_groups(batch_values):
         y = batch_labels[sel]
         probs, cache = _forward_batch(model, X)
         total_loss += float(-np.log(probs[np.arange(sel.size), y]).sum())

@@ -188,7 +188,7 @@ def test_criterion_5_training_sanity():
 
     train_set, test_set = split(dataset, seed=42)
     model, _ = nnet.train(train_set, 30, nnet.TrainConfig(epochs=100, seed=42))
-    predictions = np.array([nnet.predict(model, s) for s in test_set])
+    predictions = nnet.predict_batch(model, test_set)
     labels = np.array([nnet.CLASS_INDEX[s.label] for s in test_set])
     accuracy = 100.0 * float(np.mean(predictions == labels))
 

@@ -8,12 +8,20 @@ import pytest
 
 from pcgkit import nnet
 from pcgkit.cli import main
+from pcgkit.ingest import AudioRecord, write_wav
 from test_ingest import wav_mutations
 from test_nnet import MODEL_FILE_MUTATIONS
 
 # The removed thread-pool flag, spelled in two parts so that a search of the
 # tree for leftover uses of it finds none.
 REMOVED_FLAG = "jo" "bs"
+
+
+def write_1250_hz_wav(path):
+    """A valid WAV whose rate preprocess cannot decimate to 500 Hz."""
+    samples = 0.1 * np.sin(np.linspace(0.0, 60.0, 3000))
+    write_wav(AudioRecord(id=path.stem, samples=samples, sample_rate_hz=1250),
+              path)
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +109,19 @@ class TestExtractCommand:
                 assert captured.err.startswith("error: ")
                 assert captured.err.count("\n") == 1
             if code == 1:  # a bad file, or a rate preprocess cannot decimate
-                assert str(wav) in captured.err or "rate" in captured.err
+                assert str(wav) in captured.err
         assert {0, 1} <= codes
+
+    def test_undecimable_rate_names_the_file(self, tmp_path, capsys):
+        wav = tmp_path / "odd_rate.wav"
+        write_1250_hz_wav(wav)
+        code = main(["extract", "--input", str(wav),
+                     "--out", str(tmp_path / "f.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(wav) in err and "rate 1250" in err
+        assert not (tmp_path / "f.csv").exists()
 
     def test_repeated_run_is_byte_identical(self, corpus_dir, tmp_path):
         wav = sorted(corpus_dir.glob("*.wav"))[0]
@@ -439,6 +458,20 @@ class TestGridCommand:
             if code == 1:  # a bad manifest, or a class left with no train side
                 assert str(manifest) in captured.err or "class" in captured.err
         assert {1, 2} <= codes
+
+    def test_undecimable_rate_names_the_file(self, corpus_dir, tmp_path,
+                                             capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        write_1250_hz_wav(corpus / "odd_rate.wav")
+        with open(corpus / "labels.csv", "a", newline="") as fh:
+            csv.writer(fh).writerow(["odd_rate.wav", "healthy"])
+        code = main(["grid", "--corpus", str(corpus), *SMALL_GRID,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "odd_rate.wav" in err and "rate 1250" in err
 
     def test_removed_thread_pool_flag_is_a_usage_error(self, corpus_dir,
                                                         tmp_path):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from pcgkit.evaluate import (
     Confusion,
     confusion,
     emit_results,
+    extract_dataset,
     metrics,
     run_grid,
     run_trial,
@@ -16,9 +18,10 @@ from pcgkit.evaluate import (
 )
 from pcgkit.features import FeatureSequence
 from pcgkit.ingest import AudioRecord, Label
+from pcgkit.rng import mix_seed
 from pcgkit.windows import WindowShape, WindowSpec
 
-from test_nnet import toy_blobs
+from test_nnet import forward_argmax, toy_blobs
 
 
 class TestConfusion:
@@ -168,6 +171,18 @@ class TestRunTrial:
         r = run_trial(self.data, 3, self.config, seed=7)
         again = metrics(confusion(r.predictions, r.labels))
         assert again == r.metrics
+
+    def test_predictions_match_per_sequence_forward(self):
+        # run_trial scores its test side in one batch; retraining with the
+        # trial's own seeds rebuilds its model for the per-sequence check.
+        spec = WindowSpec.from_nominal_length(WindowShape.GAUSSIAN, 30)
+        data = extract_dataset(tiny_corpus(6, seed=4), spec, hop=25)
+        r = run_trial(data, 4, self.config, seed=8)
+        train_set, test_set = split(data, seed=mix_seed(8, 0))
+        model, _ = nnet.train(train_set, 4,
+                              replace(self.config, seed=mix_seed(8, 1)))
+        assert r.predictions.dtype == np.int64
+        assert r.predictions.tolist() == forward_argmax(model, test_set)
 
 
 def tiny_corpus(n_per_class=4, seed=0):

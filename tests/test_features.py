@@ -212,6 +212,19 @@ class TestShiftScaleBehavior:
             assert feature("quantile_range", scaled) == pytest.approx(
                 c * feature("quantile_range", frame), rel=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+    def test_tiny_amplitudes(self, scale):
+        # The fourth central moment of these rows underflows, and sigma ** 3
+        # with it; skewness and kurtosis must still be the unscaled rows'.
+        frames = np.random.default_rng(16).standard_normal((3, 31))
+        got = feature_matrix(frames * scale)
+        assert np.isfinite(got).all()
+        for row, unscaled in zip(got, frames):
+            for name in ("skewness", "kurtosis"):
+                want = NAIVE_BY_NAME[name](unscaled.tolist())
+                assert row[FEATURE_NAMES.index(name)] == pytest.approx(
+                    want, rel=1e-10, abs=1e-12), name
+
 
 class TestExtractSequence:
     def test_single_frame_shape(self):

@@ -527,24 +527,79 @@ class TestTrain:
         assert h_base.losses != h_ramp.losses
 
 
+def forward_argmax(model, seqs):
+    """The per-sequence reference for predict_batch."""
+    return [int(np.argmax(nnet.forward(model, s)[0])) for s in seqs]
+
+
 class TestPredict:
     def test_argmax(self):
         data = toy_blobs(8, seed=1)
         model, _ = train(data, 3, TrainConfig(epochs=30, seed=26))
-        for seq in data:
-            probs, _ = nnet.forward(model, seq)
-            assert nnet.predict(model, seq) == int(np.argmax(probs))
+        got = nnet.predict_batch(model, data)
+        assert got.dtype == np.int64
+        assert got.tolist() == forward_argmax(model, data)
+
+    def test_mixed_lengths_keep_input_order(self):
+        # Shuffled lengths: grouping by length must put each prediction
+        # back at its sequence's place in the input.
+        data = [s for T in (2, 5, 9) for s in toy_blobs(4, T=T, seed=T)]
+        model, _ = train(data, 3, TrainConfig(epochs=20, seed=31))
+        np.random.default_rng(31).shuffle(data)
+        want = forward_argmax(model, data)
+        assert set(want) == {0, 1}
+        assert nnet.predict_batch(model, data).tolist() == want
 
     def test_tie_resolves_to_class_zero(self):
-        seq = make_seq(np.random.default_rng(27).normal(size=(5, 10)))
-        assert nnet.predict(zero_model(), seq) == 0
+        rng = np.random.default_rng(27)
+        seqs = [make_seq(rng.normal(size=(T, 10))) for T in (5, 5, 3)]
+        assert nnet.predict_batch(zero_model(), seqs).tolist() == [0, 0, 0]
 
     def test_logit_shift_invariance(self):
         model = init_model(3, seed=28)
-        seq = make_seq(np.random.default_rng(29).normal(size=(6, 10)))
-        base = nnet.predict(model, seq)
+        rng = np.random.default_rng(29)
+        seqs = [make_seq(rng.normal(size=(T, 10))) for T in (6, 6, 4, 6)]
+        base = nnet.predict_batch(model, seqs)
         model.head_bias += 7.5  # shared offset on both logits
-        assert nnet.predict(model, seq) == base
+        assert np.array_equal(nnet.predict_batch(model, seqs), base)
+
+    def test_empty_list(self):
+        got = nnet.predict_batch(init_model(3, seed=30), [])
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    def test_sequence_without_frames_is_named(self):
+        seqs = [make_seq(np.ones((3, 10))), make_seq(np.empty((0, 10)), sid="e")]
+        with pytest.raises(EmptySequence, match="'e'"):
+            nnet.predict_batch(init_model(3, seed=30), seqs)
+
+
+class TestPinnedBits:
+    """Probabilities and gradients pinned bit for bit, so that a change
+    meant to keep every output bit (a faster step loop, say) is checked to.
+    The pins come from numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another
+    BLAS may round its matmuls differently."""
+
+    PROBS = [
+        "0x1.f8526a5ef2968p-2", "0x1.d7a0da5dcaa88p-2", "0x1.fe14a55585612p-2",
+        "0x1.ff48dd3594012p-2", "0x1.118494ba805aep-1", "0x1.f07fbca4f4befp-2",
+        "0x1.04a9002474a23p-1", "0x1.ffb9a26418a36p-2", "0x1.faced624900afp-2",
+        "0x1.fb47a0028b7f5p-2", "0x1.f14cf69ba2e5ep-2", "0x1.ffce80338b7f6p-2",
+        "0x1.0bc728c6ea2c9p-1", "0x1.e8f83b221a736p-2", "0x1.08c02b68a9beep-1",
+        "0x1.f4f0b003e2d16p-2"]
+    # sha256 of the 1302 gradient values as little-endian float64.
+    GRADS = "f5408ac12018963a8eb7b13fcd49547fe7a241aaf2a047d79b1a61069d121dbc"
+
+    def test_batch_of_16_at_hidden_5(self):
+        rng = np.random.default_rng(40)
+        model = init_model(5, seed=40)
+        X = rng.normal(size=(16, 6, 10))
+        y = rng.integers(0, 2, size=16)
+        probs, cache = nnet._forward_batch(model, X)
+        grads = nnet._backward_batch(model, cache, y)
+        assert [float.hex(float(p)) for p in probs[:, 1]] == self.PROBS
+        theta = grads.theta.astype("<f8")
+        assert theta.size == 1302
+        assert hashlib.sha256(theta.tobytes()).hexdigest() == self.GRADS
 
 
 class TestModelFile:
