@@ -2,9 +2,9 @@
 From raw recording to normalized feature sequence
 ==================================================
 
-Generates one synthetic heart-sound record, runs the full preprocessing
-chain (250 Hz low-pass, decimate to 500 Hz, fix to 5000 samples), frames
-it with a Gaussian window, and extracts the ten per-frame statistics.
+Generates one synthetic heart-sound record, preprocesses it (250 Hz
+low-pass, resampling to 500 Hz, length fixed to 5000 samples), frames it
+with a Gaussian window, and extracts the ten per-frame statistics.
 """
 
 import numpy as np

@@ -16,7 +16,6 @@ from .errors import (
     NoSidelobe,
     NonFiniteLoss,
     PcgError,
-    RateMismatch,
     SingleClassDataset,
     UnsupportedFormat,
     WindowTooLong,
@@ -44,12 +43,7 @@ from .features import (
 )
 from .ingest import (
     AudioRecord,
-    FirFilter,
     Label,
-    apply_filter,
-    decimate,
-    design_lowpass,
-    fix_length,
     preprocess,
     read_csv_record,
     read_wav,
@@ -60,7 +54,6 @@ from .nnet import (
     LstmDirectionParams,
     TrainConfig,
     TrainHistory,
-    forward,
     init_model,
     load_model,
     predict_batch,

@@ -16,13 +16,7 @@ from pathlib import Path
 
 from . import evaluate, nnet, synth
 from .errors import PcgError
-from .features import (
-    DEFAULT_BINS,
-    extract_sequence,
-    normalize_sequence,
-    read_features,
-    write_features,
-)
+from .features import DEFAULT_BINS, read_features, write_features
 from .ingest import (
     Label,
     preprocess,
@@ -35,7 +29,6 @@ from .windows import (
     DEFAULT_NFFT,
     WindowShape,
     WindowSpec,
-    frame_matrix,
     mainlobe_width,
     make_window,
     peak_sidelobe_db,
@@ -135,10 +128,8 @@ def cmd_extract(args) -> int:
 
     spec = WindowSpec.from_nominal_length(
         WindowShape(args.shape), args.length, args.alpha)
-    frames, _ = frame_matrix(record.samples, spec, args.hop)
-    seq = extract_sequence(frames, bins=args.bins, signal_id=record.id,
-                           label=record.label, window=spec, hop=args.hop)
-    seq = normalize_sequence(seq)
+    seq = evaluate.extract_dataset([record], spec, hop=args.hop,
+                                   bins=args.bins)[0]
     write_features(seq, args.out)
     print(f"wrote {seq.num_frames} x {seq.values.shape[1]} features to {args.out}")
     return 0

@@ -22,12 +22,8 @@ class CorruptModel(PcgError):
     """Model file is malformed, truncated or does not match its layout."""
 
 
-class RateMismatch(PcgError):
-    """Filter was designed for a different sample rate than the record."""
-
-
 class InvalidFactor(PcgError):
-    """Decimation factor is not a usable positive integer."""
+    """Sample rate is not an integer multiple of the 500 Hz target rate."""
 
 
 class WindowTooLong(PcgError):

@@ -163,8 +163,15 @@ def _central_moments(frames: np.ndarray) -> tuple[np.ndarray, ...]:
     return mu, var, m3, m4
 
 
+# Large amplitudes overflow products and sums (m4 from about 1e77): m3 and
+# m4 are then redone from rescaled rows, and any other overflow is refused.
+@np.errstate(over="ignore", invalid="ignore")
 def feature_matrix(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
-    """Feature rows for a (T, L+1) frame matrix, columns in FEATURE_NAMES order."""
+    """Feature rows for a (T, L+1) frame matrix, columns in FEATURE_NAMES order.
+
+    Raises ValueError for non-finite frames, and when a feature overflows
+    float64.
+    """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] < 1:
         raise ValueError("need a non-empty (num_frames, frame_length) matrix")
@@ -173,9 +180,7 @@ def feature_matrix(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     ranked = np.sort(frames, axis=1)
     lo = ranked[:, 0].copy()
     hi = ranked[:, -1].copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(hi - lo).all()  # False for NaN or Inf samples too
-    if not finite:
+    if not np.isfinite(hi - lo).all():  # False for NaN or Inf samples too
         raise ValueError("frames must be finite, with a finite max - min")
     median, q25, q75 = _quartile_columns(frames, ranked)
     del ranked  # freed before the histogram temporaries: peak memory
@@ -213,8 +218,12 @@ def feature_matrix(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     changes = np.count_nonzero(positive[:, 1:] != positive[:, :-1], axis=1)
     zcr = 2.0 * changes / (2 * (n - 1) + 1)
 
-    return np.column_stack(
+    out = np.column_stack(
         [mu, median, mode, var, skew, kurt, energy, entropy, zcr, q75 - q25])
+    if not np.isfinite(out).all():
+        raise ValueError("features overflow float64: the frames' amplitude "
+                         "is too large")
+    return out
 
 
 def extract_sequence(frames: np.ndarray,
@@ -240,12 +249,19 @@ def normalize_sequence(seq: FeatureSequence) -> FeatureSequence:
     """Z-score each column over the sequence's own frames.
 
     Columns with zero spread become all zeros.  Applying this twice gives
-    the same result as applying it once.
+    the same result as applying it once.  A column whose mean or spread is
+    not finite (NaN or Inf values, or a float64 overflow) raises ValueError.
     """
     if seq.num_frames < 2:
         raise ValueError("normalization needs at least 2 frames")
-    mu = seq.values.mean(axis=0)
-    sigma = seq.values.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = seq.values.mean(axis=0)
+        sigma = seq.values.std(axis=0)
+    bad = ~(np.isfinite(mu) & np.isfinite(sigma))
+    if bad.any():
+        raise ValueError(f"sequence {seq.signal_id!r}: column {bad.argmax()} "
+                         "has a mean or spread that is not finite (NaN or Inf "
+                         "values, or a float64 overflow)")
     out = np.zeros_like(seq.values)
     ok = sigma > 0.0
     out[:, ok] = (seq.values[:, ok] - mu[ok]) / sigma[ok]

@@ -1,9 +1,10 @@
 """Reading and preprocessing of heart-sound recordings.
 
-A recording enters the pipeline as an :class:`AudioRecord`, is low-pass
-filtered at CUTOFF_HZ (250 Hz), decimated to TARGET_RATE_HZ (500 Hz), and
-cut or tiled to TARGET_SAMPLES (5000, 10 s): the paper's fixed protocol,
-not parameters.  All operations are pure functions returning new records.
+A recording enters the pipeline as an :class:`AudioRecord`.  `preprocess`,
+the one preprocessing step, low-pass filters it at CUTOFF_HZ (250 Hz),
+keeps one sample in rate / TARGET_RATE_HZ (500 Hz) and cuts or tiles it to
+TARGET_SAMPLES (5000, 10 s): the paper's fixed protocol, not parameters.
+It returns a new record.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptHeader, InvalidFactor, RateMismatch, UnsupportedFormat
+from .errors import CorruptHeader, InvalidFactor, UnsupportedFormat
 
 TARGET_RATE_HZ = 500
 TARGET_SAMPLES = 5000
@@ -50,14 +51,6 @@ class AudioRecord:
     @property
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate_hz
-
-
-@dataclass(frozen=True)
-class FirFilter:
-    """Linear-phase FIR low-pass filter (odd, symmetric taps, unit DC gain)."""
-
-    taps: np.ndarray
-    design_rate_hz: float
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +134,16 @@ def read_csv_record(path: str | Path, rate_hz: int,
 
 
 # ---------------------------------------------------------------------------
-# Filtering and resampling
+# Preprocessing
 # ---------------------------------------------------------------------------
 
-def design_lowpass(rate_hz: float) -> FirFilter:
-    """Design the CUTOFF_HZ windowed-sinc FIR low-pass filter at rate_hz.
+def _lowpass_taps(rate_hz: int) -> np.ndarray:
+    """NUM_TAPS taps of the CUTOFF_HZ windowed-sinc low-pass at rate_hz.
 
     The ideal sinc response is shaped by a raised-cosine taper and the taps
     are normalized so their sum (the DC gain) is exactly 1.  NUM_TAPS is
-    odd, so the filter has an integer group delay.  rate_hz must exceed
-    2 * CUTOFF_HZ, as every rate preprocess designs at does.
+    odd and the taps are symmetric, so the filter has linear phase and an
+    integer group delay.
     """
     half = NUM_TAPS // 2
     l = np.arange(-half, half + 1)
@@ -158,58 +151,26 @@ def design_lowpass(rate_hz: float) -> FirFilter:
     ideal = 2.0 * fc * np.sinc(2.0 * fc * l)
     taper = 0.5 + 0.5 * np.cos(np.pi * l / (half + 1))
     taps = ideal * taper
-    taps = taps / taps.sum()
-    return FirFilter(taps=taps, design_rate_hz=float(rate_hz))
-
-
-def apply_filter(record: AudioRecord, fir: FirFilter) -> AudioRecord:
-    """Convolve and compensate group delay; output has the input's length."""
-    if fir.design_rate_hz != record.sample_rate_hz:
-        raise RateMismatch(
-            f"filter designed at {fir.design_rate_hz} Hz, "
-            f"record sampled at {record.sample_rate_hz} Hz")
-    full = np.convolve(record.samples, fir.taps)
-    delay = (fir.taps.size - 1) // 2
-    out = full[delay:delay + record.samples.size]
-    return replace(record, samples=out)
-
-
-def decimate(record: AudioRecord, factor: int) -> AudioRecord:
-    """Keep every factor-th sample starting at index 0; rate drops by factor.
-
-    The record must already be band-limited below the new Nyquist rate.
-    """
-    if factor < 1 or int(factor) != factor:
-        raise InvalidFactor(f"decimation factor must be a positive integer, got {factor}")
-    factor = int(factor)
-    if record.sample_rate_hz % factor != 0:
-        raise InvalidFactor(
-            f"factor {factor} does not divide rate {record.sample_rate_hz}")
-    return replace(record, samples=record.samples[::factor],
-                   sample_rate_hz=record.sample_rate_hz // factor)
-
-
-def fix_length(record: AudioRecord) -> AudioRecord:
-    """Cut long records to TARGET_SAMPLES; tile short ones, then cut.
-
-    Tiling preserves the periodic heartbeat statistics that zero padding
-    would destroy.
-    """
-    if record.samples.size == TARGET_SAMPLES:
-        return record
-    return replace(record, samples=np.resize(record.samples, TARGET_SAMPLES))
+    return taps / taps.sum()
 
 
 def preprocess(record: AudioRecord) -> AudioRecord:
-    """Low-pass, decimate to TARGET_RATE_HZ, fix length to TARGET_SAMPLES.
+    """The record low-passed, at TARGET_RATE_HZ and TARGET_SAMPLES long.
 
-    Records already at the target rate skip the filter/decimate stage.
+    Above the target rate, the delay-compensated filter output keeps every
+    (rate // TARGET_RATE_HZ)-th sample from index 0; a rate that is not a
+    multiple of TARGET_RATE_HZ raises InvalidFactor.  The result is cut to
+    TARGET_SAMPLES, or tiled and then cut: tiling preserves the periodic
+    heartbeat statistics that zero padding would destroy.
     """
-    if record.sample_rate_hz != TARGET_RATE_HZ:
-        if record.sample_rate_hz % TARGET_RATE_HZ != 0:
+    samples, rate = record.samples, record.sample_rate_hz
+    if rate != TARGET_RATE_HZ:
+        if rate % TARGET_RATE_HZ != 0:
             raise InvalidFactor(
-                f"rate {record.sample_rate_hz} is not an integer multiple "
+                f"rate {rate} is not an integer multiple "
                 f"of target {TARGET_RATE_HZ}")
-        record = apply_filter(record, design_lowpass(record.sample_rate_hz))
-        record = decimate(record, record.sample_rate_hz // TARGET_RATE_HZ)
-    return fix_length(record)
+        delay = NUM_TAPS // 2
+        filtered = np.convolve(samples, _lowpass_taps(rate))
+        samples = filtered[delay:delay + samples.size][::rate // TARGET_RATE_HZ]
+    return replace(record, samples=np.resize(samples, TARGET_SAMPLES),
+                   sample_rate_hz=TARGET_RATE_HZ)

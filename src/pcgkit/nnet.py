@@ -19,7 +19,7 @@ sigma(x) = 0.5*tanh(x/2) + 0.5.
 
 Training and prediction both run each group of equal-length sequences as
 one batch: `predict_batch` scores a list of sequences with one forward
-pass per distinct length; `forward` is the single-sequence reference.
+pass per distinct length.
 
 A model, its gradients and its velocity each own one float64 vector,
 theta, laid out by `param_layout`; every weight matrix and bias is a view
@@ -81,8 +81,11 @@ class BiLayer:
 
 
 class BiLSTMModel:
-    """All parameters in one float64 vector, `theta` (zeros by default);
-    `layers`, `head_weights`, `head_bias` and param_blocks are views of it."""
+    """All parameters in one float64 vector, `theta` (zeros by default).
+
+    `blocks` lists every block as (name, view of theta) in layout order;
+    `layers`, `head_weights` and `head_bias` are the same views by role.
+    """
 
     def __init__(self, hidden_size: int, input_size: int,
                  theta: np.ndarray | None = None):
@@ -90,9 +93,9 @@ class BiLSTMModel:
         layout = param_layout(hidden_size, input_size)
         cuts = [0, *itertools.accumulate(math.prod(s) for _, s in layout)]
         self.theta = np.zeros(cuts[-1]) if theta is None else theta
-        self._blocks = [(name, self.theta[a:b].reshape(shape))
-                        for (name, shape), a, b in zip(layout, cuts, cuts[1:])]
-        v = [block for _, block in self._blocks]
+        self.blocks = [(name, self.theta[a:b].reshape(shape))
+                       for (name, shape), a, b in zip(layout, cuts, cuts[1:])]
+        v = [block for _, block in self.blocks]
         d = [LstmDirectionParams(*v[k:k + 3]) for k in range(0, 12, 3)]
         self.layers = [BiLayer(d[0], d[1]), BiLayer(d[2], d[3])]
         self.head_weights, self.head_bias = v[12:]
@@ -133,11 +136,6 @@ class TrainHistory:
 # Parameter bookkeeping
 # ---------------------------------------------------------------------------
 
-def param_blocks(model: BiLSTMModel) -> list[tuple[str, np.ndarray]]:
-    """Every block of `model.theta` as (name, view), in layout order."""
-    return list(model._blocks)
-
-
 def zeros_like_model(model: BiLSTMModel) -> BiLSTMModel:
     """A model-shaped container of zeros (for gradients and velocity)."""
     return BiLSTMModel(model.hidden_size, model.input_size)
@@ -149,7 +147,7 @@ def init_model(hidden: int, seed: int, input_size: int = 10) -> BiLSTMModel:
         raise ValueError("hidden size must be >= 1")
     rng = np.random.default_rng(seed)
     model = BiLSTMModel(hidden, input_size)
-    for name, block in param_blocks(model):
+    for name, block in model.blocks:
         if block.ndim == 2:
             s = np.sqrt(6.0 / (block.shape[0] + block.shape[1]))
             block[...] = rng.uniform(-s, s, size=block.shape)
@@ -248,12 +246,6 @@ def _length_groups(values: list[np.ndarray]):
     for T in np.unique(lengths):
         sel = np.nonzero(lengths == T)[0]
         yield sel, np.stack([values[j] for j in sel])
-
-
-def forward(model: BiLSTMModel, seq: FeatureSequence) -> tuple[np.ndarray, dict]:
-    """Class probabilities for one (preferably normalized) feature sequence."""
-    probs, cache = _forward_batch(model, _values(seq)[None, :, :])
-    return probs[0], cache
 
 
 def predict_batch(model: BiLSTMModel,
@@ -395,7 +387,7 @@ def train(dataset: list[FeatureSequence], hidden: int,
     if len(dataset) < 2:
         raise SingleClassDataset("need at least 2 examples")
     labels = _label_indices(dataset)
-    values = [np.asarray(s.values, dtype=np.float64) for s in dataset]
+    values = [_values(s) for s in dataset]
 
     model = init_model(hidden, seed=config.seed, input_size=values[0].shape[1])
     velocity = zeros_like_model(model)

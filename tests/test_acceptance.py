@@ -154,8 +154,7 @@ def test_criterion_4_gradient_check():
 
     eps = 1e-5
     worst = 0.0
-    for (name, theta), (_, g) in zip(nnet.param_blocks(model),
-                                     nnet.param_blocks(grads)):
+    for (name, theta), (_, g) in zip(model.blocks, grads.blocks):
         flat = theta.reshape(-1)
         numeric = np.zeros_like(flat)
         for k in range(flat.size):

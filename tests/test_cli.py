@@ -18,7 +18,7 @@ REMOVED_FLAG = "jo" "bs"
 
 
 def write_1250_hz_wav(path):
-    """A valid WAV whose rate preprocess cannot decimate to 500 Hz."""
+    """A valid WAV whose rate is not a multiple of preprocess's 500 Hz."""
     samples = 0.1 * np.sin(np.linspace(0.0, 60.0, 3000))
     write_wav(AudioRecord(id=path.stem, samples=samples, sample_rate_hz=1250),
               path)
@@ -108,7 +108,7 @@ class TestExtractCommand:
             if code:
                 assert captured.err.startswith("error: ")
                 assert captured.err.count("\n") == 1
-            if code == 1:  # a bad file, or a rate preprocess cannot decimate
+            if code == 1:  # a bad file, or a rate preprocess refuses
                 assert str(wav) in captured.err
         assert {0, 1} <= codes
 
@@ -122,6 +122,21 @@ class TestExtractCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(wav) in err and "rate 1250" in err
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("amplitude", [1e150, 1e160])
+    def test_overflowing_features_exit_1(self, tmp_path, capsys, amplitude):
+        # 1e150 overflows the variance column's spread, 1e160 the frames'
+        # variance itself: an error, not a warning and a zeroed column.
+        samples = np.random.default_rng(5).standard_normal(20000) * amplitude
+        csv_in, out = tmp_path / "x.csv", tmp_path / "f.csv"
+        np.savetxt(csv_in, samples, fmt="%.17g")
+        code = main(["extract", "--input", str(csv_in), "--rate", "2000",
+                     "--hop", "25", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow" in err
+        assert not out.exists()
 
     def test_repeated_run_is_byte_identical(self, corpus_dir, tmp_path):
         wav = sorted(corpus_dir.glob("*.wav"))[0]

@@ -226,6 +226,28 @@ class TestShiftScaleBehavior:
                     want, rel=1e-10, abs=1e-12), name
 
 
+    @pytest.mark.parametrize("scale", [1e80, 1e100, 1e140])
+    def test_large_amplitudes(self, scale):
+        # m4 overflows from about 1e77 and is redone from rescaled rows,
+        # without a warning; every feature stays finite.
+        frames = np.random.default_rng(16).standard_normal((3, 31))
+        got = feature_matrix(frames * scale)
+        assert np.isfinite(got).all()
+        for row, unscaled in zip(got, frames):
+            for name in ("skewness", "kurtosis"):
+                want = NAIVE_BY_NAME[name](unscaled.tolist())
+                assert row[FEATURE_NAMES.index(name)] == pytest.approx(
+                    want, rel=1e-10, abs=1e-12), name
+
+    @pytest.mark.parametrize("frames", [
+        np.random.default_rng(17).standard_normal((3, 31)) * 1e160,
+        np.full((3, 31), 1.5e308) - np.arange(31) * 1e306,  # the mean's sum
+    ])
+    def test_overflowing_features_rejected(self, frames):
+        with pytest.raises(ValueError, match="overflow"):
+            feature_matrix(frames)
+
+
 class TestExtractSequence:
     def test_single_frame_shape(self):
         seq = extract_sequence(np.ones((1, 15)), window=RECT_15)
@@ -462,6 +484,20 @@ class TestNormalize:
                     continue
                 assert np.allclose(n1.values[:, j], n2.values[:, j],
                                    atol=1e-9), name
+
+    def test_overflowing_column_rejected(self):
+        # At 1e80 the variance column is near 1e160: its spread overflows.
+        frames = np.random.default_rng(21).normal(size=(20, 15)) * 1e80
+        seq = extract_sequence(frames, signal_id="big", window=RECT_15)
+        with pytest.raises(ValueError, match="'big': column 3 .* overflow"):
+            normalize_sequence(seq)
+
+    def test_non_finite_values_rejected(self):
+        seq = extract_sequence(np.random.default_rng(22).normal(size=(5, 15)),
+                               window=RECT_15)
+        seq.values[2, 0] = np.nan
+        with pytest.raises(ValueError, match="column 0"):
+            normalize_sequence(seq)
 
     def test_too_short_rejected(self):
         seq = extract_sequence(np.ones((1, 15)), window=RECT_15)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -7,16 +8,11 @@ from pcgkit.errors import (
     CorruptHeader,
     InvalidFactor,
     PcgError,
-    RateMismatch,
     UnsupportedFormat,
 )
 from pcgkit.ingest import (
     AudioRecord,
     Label,
-    apply_filter,
-    decimate,
-    design_lowpass,
-    fix_length,
     preprocess,
     read_csv_record,
     read_wav,
@@ -151,113 +147,126 @@ def test_csv_record_roundtrip(tmp_path):
     assert back.sample_rate_hz == 500
 
 
+def preprocessed(samples, rate=2000):
+    """preprocess's output samples for a record of `samples` at `rate`."""
+    out = preprocess(AudioRecord("p", samples, rate))
+    assert out.sample_rate_hz == 500 and out.samples.size == 5000
+    return out.samples
+
+
+# Records of 10 s keep 5000 filtered samples, so no tiling seam; the
+# filter's edge transients reach 50 input samples (25 output samples at
+# 1000 Hz) in from each end.
+INTERIOR = slice(30, -30)
+
+
 class TestDesignLowpass:
+    """The low-pass filter preprocess designs at each record's own rate."""
+
     def test_unit_dc_gain(self):
-        fir = design_lowpass(2000)
-        assert abs(fir.taps.sum() - 1.0) < 1e-6
+        for rate in (1000, 2000, 4000, 44000):
+            out = preprocessed(np.full(10 * rate, 0.3), rate)
+            assert np.allclose(out[INTERIOR], 0.3, rtol=0, atol=1e-12), rate
 
     def test_taps_symmetric(self):
-        fir = design_lowpass(2000)
-        assert np.array_equal(fir.taps, fir.taps[::-1])
-        assert fir.taps.size % 2 == 1
+        # Symmetric taps and a compensated delay give linear phase: the
+        # reversed record comes out reversed.  19997 = 4 * 4999 + 1 samples
+        # keep the same samples in the reversed decimation.
+        x = np.random.default_rng(1).normal(size=19997)
+        assert np.allclose(preprocessed(x[::-1]), preprocessed(x)[::-1],
+                           rtol=0, atol=1e-12)
 
     def test_stopband_attenuation_at_500hz(self):
-        # Independent oracle: evaluate the DFT of the taps directly.
-        fir = design_lowpass(2000)
-        n = np.arange(fir.taps.size)
-        mag = abs(np.sum(fir.taps * np.exp(-2j * np.pi * 500 / 2000 * n)))
-        assert 20 * np.log10(mag) < -40.0
+        # Decimation to 500 Hz aliases a 500 Hz cosine to DC: only the
+        # filter's stop band keeps it out of the output.
+        t = np.arange(20000) / 2000
+        out = preprocessed(np.cos(2 * np.pi * 500 * t))
+        assert 20 * np.log10(np.abs(out[INTERIOR]).max()) < -40.0
 
 
 class TestApplyFilter:
-    def setup_method(self):
-        self.fir = design_lowpass(2000)
+    """preprocess's filter stage, seen through its output."""
 
     def test_zero_in_zero_out(self):
-        rec = AudioRecord("z", np.zeros(1000), 2000)
-        out = apply_filter(rec, self.fir)
-        assert np.all(out.samples == 0.0)
-        assert out.samples.size == 1000
+        assert np.all(preprocessed(np.zeros(1000)) == 0.0)
 
     def test_constant_passes_at_unit_gain(self):
-        rec = AudioRecord("c", np.full(1000, 0.3), 2000)
-        out = apply_filter(rec, self.fir)
-        interior = out.samples[50:-50]  # outside the edge transients
-        assert np.allclose(interior, 0.3, atol=1e-9)
+        out = preprocessed(np.full(20000, -1.7))
+        assert np.allclose(out[INTERIOR], -1.7, rtol=0, atol=1e-9)
 
     def test_400hz_tone_attenuated(self):
-        t = np.arange(4000) / 2000
-        rec = AudioRecord("t", 0.5 * np.sin(2 * np.pi * 400 * t), 2000)
-        out = apply_filter(rec, self.fir)
-        steady = slice(100, -100)
-        rms_in = np.sqrt(np.mean(rec.samples[steady] ** 2))
-        rms_out = np.sqrt(np.mean(out.samples[steady] ** 2))
+        t = np.arange(20000) / 2000
+        x = 0.5 * np.sin(2 * np.pi * 400 * t)
+        rms_in = np.sqrt(np.mean(x ** 2))
+        rms_out = np.sqrt(np.mean(preprocessed(x)[INTERIOR] ** 2))
         assert rms_out <= 0.01 * rms_in
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=300)
-        y = rng.normal(size=300)
+        x = rng.normal(size=3000)
+        y = rng.normal(size=3000)
         a, b = 0.7, -1.3
-        fx = apply_filter(AudioRecord("x", x, 2000), self.fir).samples
-        fy = apply_filter(AudioRecord("y", y, 2000), self.fir).samples
-        fxy = apply_filter(AudioRecord("xy", a * x + b * y, 2000), self.fir).samples
-        assert np.allclose(fxy, a * fx + b * fy, atol=1e-12)
-
-    def test_rate_mismatch(self):
-        rec = AudioRecord("r", np.zeros(100), 500)
-        with pytest.raises(RateMismatch):
-            apply_filter(rec, self.fir)
+        assert np.allclose(preprocessed(a * x + b * y),
+                           a * preprocessed(x) + b * preprocessed(y),
+                           rtol=0, atol=1e-12)
 
 
 class TestDecimate:
+    """preprocess's decimation stage, seen through its output."""
+
     def test_factor_one_is_identity(self):
-        rec = AudioRecord("d", np.arange(8.0), 2000)
-        out = decimate(rec, 1)
-        assert np.array_equal(out.samples, rec.samples)
-        assert out.sample_rate_hz == 2000
+        x = np.random.default_rng(2).normal(size=5000)
+        assert np.array_equal(preprocessed(x, 500), x)
 
     def test_2000_to_500(self):
-        rec = AudioRecord("d", np.zeros(8000), 2000)
-        out = decimate(rec, 4)
-        assert out.sample_rate_hz == 500
-        assert out.samples.size == 2000
+        # 8000 samples at 2000 Hz keep 2000, which are tiled to 5000.
+        out = preprocessed(np.random.default_rng(3).normal(size=8000))
+        assert np.array_equal(out[2000:4000], out[:2000])
+        assert np.array_equal(out[4000:], out[:1000])
+        assert not np.array_equal(out[1:2001], out[:2000])
 
     def test_keeps_every_other_sample(self):
-        rec = AudioRecord("d", np.arange(8.0), 2000)
-        out = decimate(rec, 2)
-        assert np.array_equal(out.samples, [0, 2, 4, 6])
+        # A 5 Hz tone at 1000 Hz is in the pass band: the output is the
+        # tone at 500 Hz from index 0.  One input sample of lag would move
+        # it by 0.03.
+        x = np.sin(2 * np.pi * 5 * np.arange(10000) / 1000)
+        out = preprocessed(x, 1000)
+        assert np.allclose(out[INTERIOR], x[::2][INTERIOR], rtol=0, atol=1e-3)
 
     def test_invalid_factor(self):
-        rec = AudioRecord("d", np.arange(8.0), 2000)
-        with pytest.raises(InvalidFactor):
-            decimate(rec, 0)
-
-    def test_composition(self):
-        rng = np.random.default_rng(2)
-        rec = AudioRecord("d", rng.normal(size=2400), 2400)
-        once = decimate(rec, 6)
-        twice = decimate(decimate(rec, 2), 3)
-        assert np.array_equal(once.samples, twice.samples)
-        assert once.sample_rate_hz == twice.sample_rate_hz == 400
+        for rate in (250, 750, 1234, 44100):
+            with pytest.raises(InvalidFactor, match=f"rate {rate} is not"):
+                preprocess(AudioRecord("d", np.zeros(8000), rate))
 
 
 class TestFixLength:
-    def test_identity(self):
-        rec = AudioRecord("f", np.arange(5000.0), 500)
-        assert fix_length(rec) is rec
+    """preprocess's length stage: cut to 5000 samples, or tile and cut."""
 
     def test_truncate(self):
-        rec = AudioRecord("f", np.arange(12000.0), 500)
-        out = fix_length(rec)
-        assert np.array_equal(out.samples, np.arange(5000.0))
+        assert np.array_equal(preprocessed(np.arange(12000.0), 500),
+                              np.arange(5000.0))
 
     def test_tile_then_truncate(self):
         base = np.arange(3000.0)
-        rec = AudioRecord("f", base, 500)
-        out = fix_length(rec)
-        assert np.array_equal(out.samples[:3000], base)
-        assert np.array_equal(out.samples[3000:], base[:2000])
+        out = preprocessed(base, 500)
+        assert np.array_equal(out[:3000], base)
+        assert np.array_equal(out[3000:], base[:2000])
+
+
+@pytest.mark.parametrize("rate, n, digest", [
+    (2000, 21000,
+     "09927ddb711eba31a54e27beca741d14ec61c5bddc13aaf86a8058ce29eef00d"),
+    (4000, 30001,
+     "e101abbe7159336bfffb87fdf3ee2a78424d9217819ba2a13ac7da4f5afb8574"),
+    (500, 1234,
+     "dccea8177a48009f171a4757d1c28e061198fc30d45a292fcee3ca7fbbf5b2de"),
+])
+def test_preprocess_output_is_pinned(rate, n, digest):
+    # Digests of the output bytes when preprocess was five public steps:
+    # the filter design, the delay slice, the decimation and the tiling
+    # are fixed to the bit.
+    out = preprocessed(np.random.default_rng(n).normal(size=n), rate)
+    assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == digest
 
 
 def test_full_preprocess_shape_invariant():

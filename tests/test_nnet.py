@@ -17,7 +17,6 @@ from pcgkit.nnet import (
     TrainConfig,
     init_model,
     load_model,
-    param_blocks,
     save_model,
     sgdm_step,
     train,
@@ -45,9 +44,14 @@ def toy_blobs(n_per_class=8, T=5, D=10, seed=0, gap=2.0):
     return data
 
 
+def probs_of(model, seq):
+    """Class probabilities of one sequence: a forward pass at B = 1."""
+    return nnet._forward_batch(model, seq.values[None])[0][0]
+
+
 def zero_model(H=3, D=10):
     model = init_model(H, seed=0, input_size=D)
-    for _, arr in param_blocks(model):
+    for _, arr in model.blocks:
         arr[...] = 0.0
     return model
 
@@ -96,7 +100,7 @@ class TestInit:
     def test_deterministic(self):
         a = init_model(5, seed=42)
         b = init_model(5, seed=42)
-        for (_, x), (_, y) in zip(param_blocks(a), param_blocks(b)):
+        for (_, x), (_, y) in zip(a.blocks, b.blocks):
             assert np.array_equal(x, y)
         c = init_model(5, seed=43)
         assert not np.array_equal(a.layers[0].forward.input_weights,
@@ -121,15 +125,14 @@ class TestInit:
 
     def test_blocks_are_views_of_theta(self):
         m = init_model(3, seed=0, input_size=4)
-        blocks = param_blocks(m)
-        assert [name for name, _ in blocks] == [
+        assert [name for name, _ in m.blocks] == [
             name for name, _ in nnet.param_layout(3, 4)]
         m.layers[1].backward.bias[0] = 42.0
         m.theta[-1] = 7.0
         assert m.head_bias[-1] == 7.0
         assert np.count_nonzero(m.theta == 42.0) == 1
         assert np.array_equal(
-            np.concatenate([b.ravel() for _, b in blocks]), m.theta)
+            np.concatenate([b.ravel() for _, b in m.blocks]), m.theta)
 
     def test_glorot_bounds(self):
         m = init_model(30, seed=1)
@@ -234,14 +237,14 @@ class TestCellStep:
         X = rng.normal(size=(5, 8, 10))
         probs, _ = nnet._forward_batch(model, X)
         for b in range(5):
-            single, _ = nnet.forward(model, make_seq(X[b]))
+            single = probs_of(model, make_seq(X[b]))
             assert np.allclose(probs[b], single, rtol=0, atol=1e-14)
 
 
 class TestForward:
     def test_zero_model_is_uninformative(self):
         seq = make_seq(np.random.default_rng(3).normal(size=(6, 10)))
-        probs, _ = nnet.forward(zero_model(), seq)
+        probs = probs_of(zero_model(), seq)
         assert np.allclose(probs, [0.5, 0.5], atol=1e-15)
 
     def test_probabilities_form_a_distribution(self):
@@ -249,7 +252,7 @@ class TestForward:
         model = init_model(4, seed=5)
         for _ in range(10):
             seq = make_seq(rng.normal(size=(rng.integers(1, 12), 10)))
-            probs, _ = nnet.forward(model, seq)
+            probs = probs_of(model, seq)
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs > 0.0)
 
@@ -278,14 +281,13 @@ class TestForward:
         swapped.head_bias[...] = model.head_bias
 
         values = rng.normal(size=(9, 10))
-        p1, _ = nnet.forward(model, make_seq(values))
-        p2, _ = nnet.forward(swapped, make_seq(values[::-1]))
+        p1 = probs_of(model, make_seq(values))
+        p2 = probs_of(swapped, make_seq(values[::-1]))
         assert np.allclose(p1, p2, atol=1e-14)
 
     def test_empty_sequence_rejected(self):
-        seq = make_seq(np.zeros((0, 10)))
         with pytest.raises(EmptySequence):
-            nnet.forward(init_model(3, seed=0), seq)
+            nnet._forward_batch(init_model(3, seed=0), np.zeros((1, 0, 10)))
 
 
 class TestLoss:
@@ -306,7 +308,7 @@ class TestLoss:
         labels = [0, 1, 1, 0]
         per_example = []
         for s, y in zip(seqs, labels):
-            probs, _ = nnet.forward(model, s)
+            probs = probs_of(model, s)
             per_example.append(float(-np.log(probs[y])))
         X = np.stack([s.values for s in seqs])
         probs, _ = nnet._forward_batch(model, X)
@@ -340,7 +342,7 @@ class TestBackward:
             return float(-np.log(p[np.arange(2), labels]).mean())
 
         eps = 1e-6
-        for (name, theta), (_, g) in zip(param_blocks(model), param_blocks(grads)):
+        for (name, theta), (_, g) in zip(model.blocks, grads.blocks):
             flat = theta.reshape(-1)
             num = np.zeros_like(flat)
             for k in range(flat.size):
@@ -369,9 +371,8 @@ class TestBackward:
         g_joint = grads(np.concatenate([a, b]), [0, 1])
         g_a = grads(a, [0])
         g_b = grads(b, [1])
-        for (_, gj), (_, ga), (_, gb) in zip(param_blocks(g_joint),
-                                             param_blocks(g_a),
-                                             param_blocks(g_b)):
+        for (_, gj), (_, ga), (_, gb) in zip(g_joint.blocks, g_a.blocks,
+                                             g_b.blocks):
             assert np.allclose(gj, 0.5 * (ga + gb), atol=1e-14)
 
 
@@ -383,14 +384,14 @@ class TestSgdm:
 
     def test_zero_momentum_is_plain_sgd(self):
         model = init_model(2, seed=12)
-        before = {n: a.copy() for n, a in param_blocks(model)}
+        before = {n: a.copy() for n, a in model.blocks}
         grads = zeros_like_model(model)
-        for _, g in param_blocks(grads):
+        for _, g in grads.blocks:
             g[...] = 1.0
         velocity = zeros_like_model(model)
         config = TrainConfig(learning_rate=0.05, momentum=0.0, epochs=1)
         sgdm_step(model, grads, velocity, config)
-        for name, arr in param_blocks(model):
+        for name, arr in model.blocks:
             assert np.allclose(arr, before[name] - 0.05, atol=1e-15)
 
     def test_two_step_momentum_accumulation(self):
@@ -433,7 +434,7 @@ class TestSgdm:
         _, cache = nnet._forward_batch(model, X)
         grads = nnet._backward_batch(model, cache, np.array([0, 1, 1]))
         blockwise = np.sqrt(sum(float(np.sum(g * g))
-                                for _, g in param_blocks(grads)))
+                                for _, g in grads.blocks))
         assert nnet.global_grad_norm(grads) == pytest.approx(
             blockwise, rel=4 * np.finfo(float).eps, abs=0)
 
@@ -462,7 +463,7 @@ class TestTrain:
         config = TrainConfig(learning_rate=0.0, epochs=3, seed=21)
         model, _ = train(data, 3, config)
         fresh = init_model(3, seed=21, input_size=10)
-        for (_, a), (_, b) in zip(param_blocks(model), param_blocks(fresh)):
+        for (_, a), (_, b) in zip(model.blocks, fresh.blocks):
             assert np.array_equal(a, b)
 
     def test_separable_blobs_reach_full_accuracy(self):
@@ -479,7 +480,7 @@ class TestTrain:
         m2, h2 = train(data, 3, config)
         assert h1.losses == h2.losses
         assert h1.accuracies == h2.accuracies
-        for (_, a), (_, b) in zip(param_blocks(m1), param_blocks(m2)):
+        for (_, a), (_, b) in zip(m1.blocks, m2.blocks):
             assert np.array_equal(a, b)
 
     def test_full_batch_small_lr_loss_non_increasing(self):
@@ -494,6 +495,11 @@ class TestTrain:
         data = [make_seq(np.random.default_rng(i).normal(size=(4, 10)),
                          label=Label.HEALTHY, sid=str(i)) for i in range(4)]
         with pytest.raises(SingleClassDataset):
+            train(data, 3, TrainConfig(epochs=1))
+
+    def test_empty_sequence_named(self):
+        data = toy_blobs(2) + [make_seq(np.zeros((0, 10)), sid="void")]
+        with pytest.raises(EmptySequence, match="sequence 'void' has no frames"):
             train(data, 3, TrainConfig(epochs=1))
 
     def test_mixed_length_batch_weights_groups_by_size(self):
@@ -513,9 +519,9 @@ class TestTrain:
         g6 = group_grads(values[2][None], labels[2:])
         expected = [theta - 0.1 * (2 / 3 * a + 1 / 3 * b)
                     for (_, theta), (_, a), (_, b) in zip(
-                        param_blocks(model), param_blocks(g4), param_blocks(g6))]
+                        model.blocks, g4.blocks, g6.blocks)]
         nnet._train_batch(model, zeros_like_model(model), values, labels, config)
-        for (name, theta), want in zip(param_blocks(model), expected):
+        for (name, theta), want in zip(model.blocks, expected):
             assert np.allclose(theta, want, rtol=0, atol=1e-15), name
 
     def test_momentum_ramp_changes_trajectory(self):
@@ -529,7 +535,7 @@ class TestTrain:
 
 def forward_argmax(model, seqs):
     """The per-sequence reference for predict_batch."""
-    return [int(np.argmax(nnet.forward(model, s)[0])) for s in seqs]
+    return [int(np.argmax(probs_of(model, s))) for s in seqs]
 
 
 class TestPredict:
@@ -610,7 +616,7 @@ class TestModelFile:
         save_model(model, path, config=config)
         back = load_model(path)
         assert back.hidden_size == 5 and back.input_size == 10
-        for (na, a), (nb, b) in zip(param_blocks(model), param_blocks(back)):
+        for (na, a), (nb, b) in zip(model.blocks, back.blocks):
             assert na == nb
             assert np.array_equal(a, b)
 
