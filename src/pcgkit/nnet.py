@@ -21,6 +21,12 @@ Training and prediction both run each group of equal-length sequences as
 one batch: `predict_batch` scores a list of sequences with one forward
 pass per distinct length.
 
+BPTT recomputes nothing and frees each buffer after its last reader, so a
+batch of B sequences of length T peaks at its forward cache,
+8*(16TBH + 8(T+1)BH + 2TBH) bytes: per layer the (2, T, B, 4H) gates and
+the (2, T+1, B, H) cell and hidden states, plus layer 2's (T, B, 2H)
+input.  Prediction keeps one length group's cache at a time.
+
 A model, its gradients and its velocity each own one float64 vector,
 theta, laid out by `param_layout`; every weight matrix and bias is a view
 of it, so an optimizer step is one vector operation.  A model file's body
@@ -35,6 +41,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -117,10 +124,15 @@ class TrainConfig:
                 f"learning_rate must be >= 0, got {self.learning_rate}")
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must be in [0, 1)")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)  # rejects floats, NaN included
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r}") from None
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(
                 f"clip_norm must be > 0 or None, got {self.clip_norm}")
@@ -255,7 +267,8 @@ def predict_batch(model: BiLSTMModel,
     one batch."""
     predictions = np.zeros(len(seqs), dtype=np.int64)
     for sel, X in _length_groups([_values(s) for s in seqs]):
-        probs, _ = _forward_batch(model, X)
+        # Keep only the probabilities: the cache goes before the next group.
+        probs = _forward_batch(model, X)[0]
         predictions[sel] = probs.argmax(axis=1)
     return predictions
 
@@ -265,14 +278,19 @@ def predict_batch(model: BiLSTMModel,
 # ---------------------------------------------------------------------------
 
 def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray,
-                    grads: BiLayer) -> None:
+                    dh_carry: np.ndarray, grads: BiLayer) -> None:
     """BPTT through both directions of one layer, in reverse step order.
 
-    dHs holds the (2, T, B, H) output gradients in step order.  The gate
+    dHs holds the (2, T, B, H) output gradients in step order, and dh_carry
+    the (2, B, H) gradient that reaches the last step's hidden state from
+    outside dHs; the loop carries it back through the recurrence.  The gate
     buffer cache["Z"] is overwritten with the pre-activation gradients dZ,
-    and the weight gradients are written into `grads`.
+    and the weight gradients are written into `grads`.  The cell states are
+    popped from the cache and freed after the time loop, their last reader,
+    before the weight GEMMs copy the reversed input.
     """
-    U, Z, C, Hs = cache["U"], cache["Z"], cache["C"], cache["Hs"]
+    U, Z, Hs = cache["U"], cache["Z"], cache["Hs"]
+    C = cache.pop("C")
     T, B, _ = U.shape
     H = C.shape[-1]
     scale, offset = _gate_scale(H, B)
@@ -280,7 +298,6 @@ def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray,
     lo = scale - offset
     W = np.stack([layer.forward.recurrent_weights,
                   layer.backward.recurrent_weights])  # (2, 4H, H)
-    dh_carry = np.zeros((2, B, H))
     dc_carry = np.zeros((2, B, H))
     for s in range(T - 1, -1, -1):
         z = Z[:, s]
@@ -301,6 +318,7 @@ def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray,
         i[...] = di
         z *= slope
         dh_carry = np.matmul(z, W)
+    del C
 
     for d, (grad, X) in enumerate(zip((grads.forward, grads.backward),
                                       (U, U[::-1]))):
@@ -312,11 +330,24 @@ def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray,
 
 def _backward_batch(model: BiLSTMModel, cache: dict,
                     labels: np.ndarray) -> BiLSTMModel:
-    """Gradients of the mean cross-entropy over the batch; consumes the cache."""
+    """Gradients of the mean cross-entropy over the batch.
+
+    Consumes the cache: its layers are popped, so afterwards it holds only
+    "probs" and "feat", and a second call raises ValueError.  Layer 2's
+    outputs reach the loss only through feat, on its last step, so the
+    head's gradient seeds layer 2's carry and its output gradients are a
+    zero-stride view.  Each buffer is released after its last reader:
+    layer 2's cell states inside its backward, its input and hidden states
+    once its weight gradients are formed, and its dZ once it has become
+    layer 1's output gradient.  Layer 1's backward thus runs with only its
+    own cache alive, and a batch peaks at its forward cache.
+    """
+    if "layers" not in cache:
+        raise ValueError("cache already consumed by _backward_batch")
+    c1, c2 = cache.pop("layers")
     probs, feat = cache["probs"], cache["feat"]
     B = probs.shape[0]
     H = model.hidden_size
-    c1, c2 = cache["layers"]
     T = c2["U"].shape[0]
 
     dlogits = probs.copy()
@@ -327,17 +358,19 @@ def _backward_batch(model: BiLSTMModel, cache: dict,
     grads.head_weights[...] = dlogits.T @ feat
     grads.head_bias[...] = dlogits.sum(axis=0)
 
-    dfeat = dlogits @ model.head_weights
-    dHs = np.zeros((2, T, B, H))
-    dHs[:, -1] = dfeat.reshape(B, 2, H).transpose(1, 0, 2)
+    dfeat = dlogits @ model.head_weights  # (B, 2H): [forward, backward]
 
     l1, l2 = model.layers
-    _layer_backward(l2, c2, dHs, grads.layers[1])
+    zeros = np.broadcast_to(np.zeros((2, 1, B, H)), (2, T, B, H))
+    _layer_backward(l2, c2, zeros, dfeat.reshape(B, 2, H).transpose(1, 0, 2),
+                    grads.layers[1])
     dZ = c2["Z"]
+    del c2
     dU = dZ[0] @ l2.forward.input_weights  # (T, B, 2H), time order
     dU += (dZ[1] @ l2.backward.input_weights)[::-1]
+    del dZ
     _layer_backward(l1, c1, np.stack([dU[..., :H], dU[::-1, :, H:]]),
-                    grads.layers[0])
+                    np.zeros((2, B, H)), grads.layers[0])
     return grads
 
 

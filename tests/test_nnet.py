@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,25 @@ def zero_model(H=3, D=10):
     for _, arr in model.blocks:
         arr[...] = 0.0
     return model
+
+
+def forward_cache_bytes(H, B, T):
+    """Bytes of a batch's forward cache: per layer, the (2, T, B, 4H) gates
+    and the (2, T+1, B, H) cell and hidden states; plus layer 2's
+    (T, B, 2H) input."""
+    return 8 * (16 * T * B * H + 8 * (T + 1) * B * H + 2 * T * B * H)
+
+
+def traced_peak(call):
+    """tracemalloc peak, in bytes, of call()'s second run: the first run
+    takes numpy's lazy imports (np.unique pulls in numpy.ma) out of it."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _rewrite_header(raw, edit):
@@ -375,6 +395,36 @@ class TestBackward:
                                              g_b.blocks):
             assert np.allclose(gj, 0.5 * (ga + gb), atol=1e-14)
 
+    def test_consumed_cache_rejected(self):
+        # BPTT overwrites the gates with dZ and frees the states, so a second
+        # pass over the same cache could only give wrong gradients.
+        model = init_model(3, seed=12)
+        labels = np.array([0, 1])
+        _, cache = nnet._forward_batch(model, np.ones((2, 4, 10)))
+        nnet._backward_batch(model, cache, labels)
+        assert set(cache) == {"probs", "feat"}
+        with pytest.raises(ValueError,
+                           match="cache already consumed by _backward_batch"):
+            nnet._backward_batch(model, cache, labels)
+
+    @pytest.mark.parametrize("lengths", [(199,) * 16,
+                                         (199,) * 12 + (150,) * 4])
+    def test_training_batch_peaks_at_its_forward_cache(self, lengths):
+        # Each buffer is freed after its last reader, so one step holds no
+        # more than the largest length group's forward cache, plus small
+        # per-step buffers and the input.
+        rng = np.random.default_rng(13)
+        model = init_model(30, seed=13)
+        values = [rng.normal(size=(T, 10)) for T in lengths]
+        labels = np.arange(len(lengths)) % 2
+        velocity = zeros_like_model(model)
+        config = TrainConfig(epochs=1)
+        peak = traced_peak(lambda: nnet._train_batch(
+            model, velocity, values, labels, config))
+        cache = max(forward_cache_bytes(30, lengths.count(T), T)
+                    for T in set(lengths))
+        assert peak <= 1.10 * cache
+
 
 class TestSgdm:
     def _scalar_model(self, value=0.0):
@@ -449,6 +499,17 @@ class TestSgdm:
     def test_negative_or_nan_learning_rate_rejected(self, lr):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("name, value", [("epochs", float("nan")),
+                                             ("batch_size", 2.5)])
+    def test_non_integer_count_rejected(self, name, value):
+        # Either would otherwise fail later, inside train's range().
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TrainConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = TrainConfig(epochs=np.int64(2), batch_size=np.int32(3))
+        assert (config.epochs, config.batch_size) == (2, 3)
 
 
 class TestTrain:
@@ -578,6 +639,13 @@ class TestPredict:
         with pytest.raises(EmptySequence, match="'e'"):
             nnet.predict_batch(init_model(3, seed=30), seqs)
 
+    def test_length_groups_do_not_hold_two_caches(self):
+        rng = np.random.default_rng(32)
+        model = init_model(30, seed=32)
+        seqs = [make_seq(rng.normal(size=(T, 10))) for T in (199, 150) * 8]
+        peak = traced_peak(lambda: nnet.predict_batch(model, seqs))
+        assert peak <= 1.10 * forward_cache_bytes(30, 8, 199)
+
 
 class TestPinnedBits:
     """Probabilities and gradients pinned bit for bit, so that a change
@@ -606,6 +674,41 @@ class TestPinnedBits:
         theta = grads.theta.astype("<f8")
         assert theta.size == 1302
         assert hashlib.sha256(theta.tobytes()).hexdigest() == self.GRADS
+
+    # sha256 of the _backward_batch gradients as little-endian float64, on
+    # init_model(H, seed=H) and a batch drawn from default_rng([H, B, T]).
+    BPTT_GRADS = {
+        (5, 3, 7):
+            "0224e6653bb587f07ed3d51974dfbc50b6425a2dda14fefe765094fe7be0ed2e",
+        (30, 16, 199):
+            "94c602b4915978a3d8d9ed8e8dece84dac2f1445bfeda5547f0a8d78721aaf92",
+        (100, 4, 33):
+            "097675d64da8586abdce896f5c63be43de7d7bdc847d6e911249670e25bf160c",
+    }
+    # sha256 of a 5-epoch H = 30 train's theta followed by its losses.
+    TRAIN = "3c3ab248d0a61b8a7f98f108677f66c2eaab0aebbca522f98a2815d7a2ab2a33"
+
+    @pytest.mark.parametrize("H, B, T", list(BPTT_GRADS))
+    def test_bptt_gradients(self, H, B, T):
+        rng = np.random.default_rng([H, B, T])
+        model = init_model(H, seed=H)
+        X = rng.normal(size=(B, T, 10))
+        y = rng.integers(0, 2, size=B)
+        _, cache = nnet._forward_batch(model, X)
+        grads = nnet._backward_batch(model, cache, y)
+        theta = grads.theta.astype("<f8")
+        assert hashlib.sha256(theta.tobytes()).hexdigest() == (
+            self.BPTT_GRADS[H, B, T])
+
+    def test_trained_theta_and_losses(self):
+        rng = np.random.default_rng(44)
+        data = [make_seq(rng.normal(size=(9, 10)) + (0.5 if k % 2 else -0.5),
+                         label=(Label.HEALTHY, Label.PATHOLOGICAL)[k % 2],
+                         sid=str(k)) for k in range(12)]
+        model, history = train(data, 30, TrainConfig(epochs=5, batch_size=4,
+                                                     seed=45))
+        bits = np.concatenate([model.theta, history.losses]).astype("<f8")
+        assert hashlib.sha256(bits.tobytes()).hexdigest() == self.TRAIN
 
 
 class TestModelFile:
