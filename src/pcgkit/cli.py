@@ -142,15 +142,15 @@ def _load_feature_dir(features_dir: Path) -> list:
     return [read_features(p) for p in paths]
 
 
-def _train_config_from_args(args) -> nnet.TrainConfig:
+def _train_config_from_args(args, seed: int = 0) -> nnet.TrainConfig:
     return nnet.TrainConfig(
         learning_rate=args.lr, momentum=args.momentum, epochs=args.epochs,
-        batch_size=args.batch_size, seed=args.seed, clip_norm=args.clip_norm,
+        batch_size=args.batch_size, seed=seed, clip_norm=args.clip_norm,
         momentum_ramp=args.momentum_ramp)
 
 
 def cmd_train(args) -> int:
-    config = _train_config_from_args(args)
+    config = _train_config_from_args(args, seed=args.seed)
     dataset = _load_feature_dir(Path(args.features))
     model, history = nnet.train(dataset, args.hidden, config)
     nnet.save_model(model, args.out, config=config)
@@ -240,6 +240,7 @@ def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
 
 
 def cmd_grid(args) -> int:
+    # Seed left at 0: run_trial derives each trial's from --seed (any int).
     config = _train_config_from_args(args)
     records = _load_corpus(Path(args.corpus))
     cells = evaluate.run_grid(

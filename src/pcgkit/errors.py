@@ -47,7 +47,7 @@ class NonFiniteLoss(PcgError):
 
 
 class LengthMismatch(PcgError):
-    """Paired sequences have different lengths."""
+    """Paired sequences differ in length, or a batch mixes feature configs."""
 
 
 class InvalidFraction(PcgError):

@@ -17,15 +17,15 @@ buffer in step order, which the loop turns into activations in place and
 BPTT into pre-activation gradients.  One tanh gives all four gates, since
 sigma(x) = 0.5*tanh(x/2) + 0.5.
 
-Training and prediction both run each group of equal-length sequences as
-one batch: `predict_batch` scores a list of sequences with one forward
-pass per distinct length.
+Training and prediction take sequences of one feature config and one
+shape, as one (window, hop) gives every 10 s recording one length: a
+mini-batch is one (B, T, D) array, and `predict_batch` one forward pass.
 
 BPTT recomputes nothing and frees each buffer after its last reader, so a
 batch of B sequences of length T peaks at its forward cache,
 8*(16TBH + 8(T+1)BH + 2TBH) bytes: per layer the (2, T, B, 4H) gates and
 the (2, T+1, B, H) cell and hidden states, plus layer 2's (T, B, 2H)
-input.  Prediction keeps one length group's cache at a time.
+input.  Prediction on B sequences peaks at the same bound.
 
 A model, its gradients and its velocity each own one float64 vector,
 theta, laid out by `param_layout`; every weight matrix and bias is a view
@@ -48,8 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (CorruptModel, EmptySequence, NonFiniteLoss,
-                     SingleClassDataset)
+from .errors import (CorruptModel, EmptySequence, LengthMismatch,
+                     NonFiniteLoss, SingleClassDataset)
 from .features import FeatureSequence
 from .ingest import Label
 
@@ -124,15 +124,15 @@ class TrainConfig:
                 f"learning_rate must be >= 0, got {self.learning_rate}")
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must be in [0, 1)")
-        for name in ("epochs", "batch_size"):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
             try:
                 operator.index(value)  # rejects floats, NaN included
             except TypeError:
                 raise ValueError(
                     f"{name} must be an integer, got {value!r}") from None
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(
                 f"clip_norm must be > 0 or None, got {self.clip_norm}")
@@ -244,33 +244,36 @@ def _forward_batch(model: BiLSTMModel, X: np.ndarray) -> tuple[np.ndarray, dict]
     return probs, cache
 
 
-def _values(seq: FeatureSequence) -> np.ndarray:
-    """A sequence's (T >= 1, D) values as float64."""
-    values = np.asarray(seq.values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] < 1:
-        raise EmptySequence(f"sequence {seq.signal_id!r} has no frames")
-    return values
-
-
-def _length_groups(values: list[np.ndarray]):
-    """(indices, stacked (B, T, D) batch) for each distinct length T."""
-    lengths = np.array([v.shape[0] for v in values])
-    for T in np.unique(lengths):
-        sel = np.nonzero(lengths == T)[0]
-        yield sel, np.stack([values[j] for j in sel])
+def _stack(seqs: list[FeatureSequence]) -> np.ndarray:
+    """The (B, T, D) float64 batch of a non-empty list of sequences; the
+    first that has no frames, or differs from seqs[0] in feature config or
+    shape, is refused by name."""
+    first, values = seqs[0], []
+    for k, seq in enumerate(seqs):
+        v = np.asarray(seq.values, dtype=np.float64)
+        if v.ndim != 2 or v.shape[0] < 1:
+            raise EmptySequence(f"sequence {seq.signal_id!r} has no frames")
+        values.append(v)
+        fields = [(f, getattr(seq, f), getattr(first, f))
+                  for f in ("window", "hop", "bins", "normalized")]
+        fields.append(("values shape", v.shape, values[0].shape))
+        for name, got, want in fields:
+            if got != want:
+                raise LengthMismatch(
+                    f"sequence {k} ({seq.signal_id!r}) has {name} {got}, "
+                    f"sequence 0 ({first.signal_id!r}) has {want}: "
+                    "a batch takes one feature config and one shape")
+    return np.stack(values)
 
 
 def predict_batch(model: BiLSTMModel,
                   seqs: list[FeatureSequence]) -> np.ndarray:
     """Most probable class index of each sequence, in input order; exact
-    ties resolve to class 0 (healthy).  Sequences of equal length run as
-    one batch."""
-    predictions = np.zeros(len(seqs), dtype=np.int64)
-    for sel, X in _length_groups([_values(s) for s in seqs]):
-        # Keep only the probabilities: the cache goes before the next group.
-        probs = _forward_batch(model, X)[0]
-        predictions[sel] = probs.argmax(axis=1)
-    return predictions
+    ties resolve to class 0 (healthy).  The sequences run as one batch, so
+    they must share one feature config and one shape (see `_stack`)."""
+    if not seqs:
+        return np.zeros(0, dtype=np.int64)
+    return _forward_batch(model, _stack(seqs))[0].argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +423,9 @@ def train(dataset: list[FeatureSequence], hidden: int,
     if len(dataset) < 2:
         raise SingleClassDataset("need at least 2 examples")
     labels = _label_indices(dataset)
-    values = [_values(s) for s in dataset]
+    X = _stack(dataset)
 
-    model = init_model(hidden, seed=config.seed, input_size=values[0].shape[1])
+    model = init_model(hidden, seed=config.seed, input_size=X.shape[2])
     velocity = zeros_like_model(model)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     ramp_epochs = max(1, config.epochs // 10)
@@ -442,8 +445,7 @@ def train(dataset: list[FeatureSequence], hidden: int,
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
             total_loss_b, correct_b = _train_batch(
-                model, velocity, [values[j] for j in idx], labels[idx],
-                epoch_config)
+                model, velocity, X[idx], labels[idx], epoch_config)
             total_loss += total_loss_b
             correct += correct_b
         history.losses.append(total_loss / n)
@@ -451,26 +453,17 @@ def train(dataset: list[FeatureSequence], hidden: int,
     return model, history
 
 
-def _train_batch(model, velocity, batch_values, batch_labels, config):
-    """One optimizer step on a mini-batch; returns (summed loss, # correct)."""
-    # Sequences of equal length run as one stacked batch; mixed lengths are
-    # grouped so the gradient still averages over the whole mini-batch.
-    B = len(batch_values)
-    grads = zeros_like_model(model)
-    total_loss = 0.0
-    correct = 0
-    for sel, X in _length_groups(batch_values):
-        y = batch_labels[sel]
-        probs, cache = _forward_batch(model, X)
-        total_loss += float(-np.log(probs[np.arange(sel.size), y]).sum())
-        correct += int((probs.argmax(axis=1) == y).sum())
-        group = _backward_batch(model, cache, y)
-        grads.theta += sel.size / B * group.theta
+def _train_batch(model, velocity, X, labels, config):
+    """One optimizer step on a (B, T, D) mini-batch; returns (summed loss,
+    # correct)."""
+    probs, cache = _forward_batch(model, X)
+    total_loss = float(-np.log(probs[np.arange(len(labels)), labels]).sum())
+    correct = int((probs.argmax(axis=1) == labels).sum())
     if not np.isfinite(total_loss):
         raise NonFiniteLoss(
             f"training loss is {total_loss}: the features hold NaN or Inf, "
             "or the learning rate is too high")
-    sgdm_step(model, grads, velocity, config)
+    sgdm_step(model, _backward_batch(model, cache, labels), velocity, config)
     return total_loss, correct
 
 

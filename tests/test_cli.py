@@ -224,6 +224,29 @@ def feature_dir(corpus_dir, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def mixed_feature_dir(corpus_dir, tmp_path_factory):
+    """One healthy and one pathological record, each at hop 25 and hop 50."""
+    out = tmp_path_factory.mktemp("mixed_features")
+    with open(corpus_dir / "labels.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in (rows[0], rows[-1]):
+        stem = row["filename"].removesuffix(".wav")
+        for hop in ("25", "50"):
+            assert main(["extract", "--input", str(corpus_dir / row["filename"]),
+                         "--label", row["label"], "--length", "30",
+                         "--hop", hop,
+                         "--out", str(out / f"{stem}_hop{hop}.csv")]) == 0
+    return out
+
+
+def assert_mixed_hops_refused(err, features):
+    first = sorted(features.glob("*.csv"))[0].stem.removesuffix("_hop25")
+    assert err == (f"error: sequence 1 ({first!r}) has hop 50, sequence 0 "
+                   f"({first!r}) has 25: a batch takes one feature config "
+                   "and one shape\n")
+
+
 class TestTrainEvalCommands:
     def test_train_then_eval_reproducible(self, feature_dir, tmp_path, capsys):
         model_path = tmp_path / "model.bin"
@@ -275,6 +298,35 @@ class TestTrainEvalCommands:
         assert err.startswith("error:") and "clip_norm" in err
         assert not (tmp_path / "m.bin").exists()
 
+
+    def test_negative_seed_exits_1(self, feature_dir, tmp_path, capsys):
+        code = main(["train", "--features", str(feature_dir), "--seed", "-1",
+                     "--out", str(tmp_path / "m.bin")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_train_on_mixed_feature_configs_exits_1(self, mixed_feature_dir,
+                                                    tmp_path, capsys):
+        capsys.readouterr()
+        code = main(["train", "--features", str(mixed_feature_dir),
+                     "--hidden", "3", "--epochs", "1",
+                     "--out", str(tmp_path / "m.bin")])
+        assert code == 1
+        assert_mixed_hops_refused(capsys.readouterr().err, mixed_feature_dir)
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_eval_on_mixed_feature_configs_exits_1(self, mixed_feature_dir,
+                                                   tmp_path, capsys):
+        model = tmp_path / "model.bin"
+        nnet.save_model(nnet.init_model(3, seed=0), model)
+        capsys.readouterr()
+        code = main(["eval", "--model", str(model),
+                     "--features", str(mixed_feature_dir)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert_mixed_hops_refused(captured.err, mixed_feature_dir)
+        assert captured.out == ""
 
     def test_nan_feature_exits_1(self, feature_dir, tmp_path, capsys):
         features = tmp_path / "features"
@@ -365,6 +417,13 @@ class TestGridCommand:
         with open(out / "results.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2  # one cell, two trials
+
+    def test_negative_seed_runs(self, corpus_dir, tmp_path):
+        # Trial seeds derive from --seed by mix_seed, which takes any
+        # integer; only `train` feeds --seed to numpy directly.
+        code = main(["grid", "--corpus", str(corpus_dir), *SMALL_GRID,
+                     "--seed", "-1", "--out-dir", str(tmp_path / "grid")])
+        assert code == 0
 
     def test_config_file_merges_with_flag_priority(self, corpus_dir, tmp_path):
         config_path = tmp_path / "run.json"

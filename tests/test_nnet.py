@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from pcgkit import nnet
-from pcgkit.errors import (CorruptModel, EmptySequence, NonFiniteLoss,
-                           SingleClassDataset)
+from pcgkit.errors import (CorruptModel, EmptySequence, LengthMismatch,
+                           NonFiniteLoss, SingleClassDataset)
 from pcgkit.features import FeatureSequence
 from pcgkit.ingest import Label
 from pcgkit.nnet import (
@@ -66,7 +66,7 @@ def forward_cache_bytes(H, B, T):
 
 def traced_peak(call):
     """tracemalloc peak, in bytes, of call()'s second run: the first run
-    takes numpy's lazy imports (np.unique pulls in numpy.ma) out of it."""
+    takes numpy's one-time allocations (lazy imports, caches) out of it."""
     call()
     tracemalloc.start()
     try:
@@ -407,12 +407,11 @@ class TestBackward:
                            match="cache already consumed by _backward_batch"):
             nnet._backward_batch(model, cache, labels)
 
-    @pytest.mark.parametrize("lengths", [(199,) * 16,
-                                         (199,) * 12 + (150,) * 4])
+    @pytest.mark.parametrize("lengths", [(199,) * 16])
     def test_training_batch_peaks_at_its_forward_cache(self, lengths):
         # Each buffer is freed after its last reader, so one step holds no
-        # more than the largest length group's forward cache, plus small
-        # per-step buffers and the input.
+        # more than the batch's forward cache, plus small per-step buffers
+        # and the input (its copy out of the training set included).
         rng = np.random.default_rng(13)
         model = init_model(30, seed=13)
         values = [rng.normal(size=(T, 10)) for T in lengths]
@@ -420,10 +419,8 @@ class TestBackward:
         velocity = zeros_like_model(model)
         config = TrainConfig(epochs=1)
         peak = traced_peak(lambda: nnet._train_batch(
-            model, velocity, values, labels, config))
-        cache = max(forward_cache_bytes(30, lengths.count(T), T)
-                    for T in set(lengths))
-        assert peak <= 1.10 * cache
+            model, velocity, np.stack(values), labels, config))
+        assert peak <= 1.10 * forward_cache_bytes(30, len(lengths), lengths[0])
 
 
 class TestSgdm:
@@ -501,11 +498,17 @@ class TestSgdm:
             TrainConfig(learning_rate=lr)
 
     @pytest.mark.parametrize("name, value", [("epochs", float("nan")),
-                                             ("batch_size", 2.5)])
+                                             ("batch_size", 2.5),
+                                             ("seed", 2.5)])
     def test_non_integer_count_rejected(self, name, value):
-        # Either would otherwise fail later, inside train's range().
+        # Each would otherwise fail later, inside train's range() or numpy's
+        # seeding.
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             TrainConfig(**{name: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1)
 
     def test_numpy_integer_counts_accepted(self):
         config = TrainConfig(epochs=np.int64(2), batch_size=np.int32(3))
@@ -563,27 +566,34 @@ class TestTrain:
         with pytest.raises(EmptySequence, match="sequence 'void' has no frames"):
             train(data, 3, TrainConfig(epochs=1))
 
-    def test_mixed_length_batch_weights_groups_by_size(self):
-        # Lengths (4, 4, 6) run as two groups; the step must use their
-        # gradients weighted by group size: 2/3 for T=4 and 1/3 for T=6.
+    def test_mixed_lengths_refused(self):
+        # One (window, hop) gives one length, so mixed lengths mean mixed
+        # feature sets: the first sequence that differs is named.
         rng = np.random.default_rng(26)
-        model = init_model(3, seed=26)
-        values = [rng.normal(size=(T, 10)) for T in (4, 4, 6)]
-        labels = np.array([0, 1, 1])
-        config = TrainConfig(learning_rate=0.1, momentum=0.0, epochs=1)
+        data = [make_seq(rng.normal(size=(T, 10)), label=label, sid=sid)
+                for T, label, sid in ((4, Label.HEALTHY, "a"),
+                                      (4, Label.PATHOLOGICAL, "b"),
+                                      (6, Label.PATHOLOGICAL, "c"))]
+        with pytest.raises(LengthMismatch,
+                           match=r"^sequence 2 \('c'\) has values shape "
+                                 r"\(6, 10\), sequence 0 \('a'\) has \(4, 10\)"):
+            train(data, 3, TrainConfig(epochs=1))
 
-        def group_grads(X, y):
-            _, cache = nnet._forward_batch(model, X)
-            return nnet._backward_batch(model, cache, y)
-
-        g4 = group_grads(np.stack(values[:2]), labels[:2])
-        g6 = group_grads(values[2][None], labels[2:])
-        expected = [theta - 0.1 * (2 / 3 * a + 1 / 3 * b)
-                    for (_, theta), (_, a), (_, b) in zip(
-                        model.blocks, g4.blocks, g6.blocks)]
-        nnet._train_batch(model, zeros_like_model(model), values, labels, config)
-        for (name, theta), want in zip(model.blocks, expected):
-            assert np.allclose(theta, want, rtol=0, atol=1e-15), name
+    @pytest.mark.parametrize("field, value", [
+        ("window", WindowSpec(WindowShape.GAUSSIAN, 7)),
+        ("hop", 2),
+        ("bins", 11),
+        ("normalized", False)])
+    def test_mixed_feature_config_refused(self, field, value):
+        # Same shape, different provenance: still two feature sets.
+        data = toy_blobs(4)
+        setattr(data[5], field, value)
+        with pytest.raises(LengthMismatch,
+                           match=rf"^sequence 5 \('pathological1'\) has "
+                                 rf"{field} "):
+            train(data, 3, TrainConfig(epochs=1))
+        with pytest.raises(LengthMismatch, match=r"^sequence 5 "):
+            nnet.predict_batch(init_model(3, seed=0), data)
 
     def test_momentum_ramp_changes_trajectory(self):
         data = toy_blobs(4)
@@ -607,10 +617,10 @@ class TestPredict:
         assert got.dtype == np.int64
         assert got.tolist() == forward_argmax(model, data)
 
-    def test_mixed_lengths_keep_input_order(self):
-        # Shuffled lengths: grouping by length must put each prediction
-        # back at its sequence's place in the input.
-        data = [s for T in (2, 5, 9) for s in toy_blobs(4, T=T, seed=T)]
+    def test_shuffled_input_keeps_input_order(self):
+        # Shuffled classes: each prediction must stay at its sequence's
+        # place in the input.
+        data = toy_blobs(6, T=5, seed=5)
         model, _ = train(data, 3, TrainConfig(epochs=20, seed=31))
         np.random.default_rng(31).shuffle(data)
         want = forward_argmax(model, data)
@@ -619,13 +629,13 @@ class TestPredict:
 
     def test_tie_resolves_to_class_zero(self):
         rng = np.random.default_rng(27)
-        seqs = [make_seq(rng.normal(size=(T, 10))) for T in (5, 5, 3)]
+        seqs = [make_seq(rng.normal(size=(5, 10))) for _ in range(3)]
         assert nnet.predict_batch(zero_model(), seqs).tolist() == [0, 0, 0]
 
     def test_logit_shift_invariance(self):
         model = init_model(3, seed=28)
         rng = np.random.default_rng(29)
-        seqs = [make_seq(rng.normal(size=(T, 10))) for T in (6, 6, 4, 6)]
+        seqs = [make_seq(rng.normal(size=(6, 10))) for _ in range(4)]
         base = nnet.predict_batch(model, seqs)
         model.head_bias += 7.5  # shared offset on both logits
         assert np.array_equal(nnet.predict_batch(model, seqs), base)
@@ -639,12 +649,19 @@ class TestPredict:
         with pytest.raises(EmptySequence, match="'e'"):
             nnet.predict_batch(init_model(3, seed=30), seqs)
 
-    def test_length_groups_do_not_hold_two_caches(self):
+    def test_mixed_lengths_refused(self):
+        seqs = [make_seq(np.ones((T, 10)), sid=sid)
+                for T, sid in ((5, "a"), (5, "b"), (3, "c"))]
+        with pytest.raises(LengthMismatch,
+                           match=r"^sequence 2 \('c'\) has values shape"):
+            nnet.predict_batch(init_model(3, seed=30), seqs)
+
+    def test_peaks_at_its_forward_cache(self):
         rng = np.random.default_rng(32)
         model = init_model(30, seed=32)
-        seqs = [make_seq(rng.normal(size=(T, 10))) for T in (199, 150) * 8]
+        seqs = [make_seq(rng.normal(size=(199, 10))) for _ in range(16)]
         peak = traced_peak(lambda: nnet.predict_batch(model, seqs))
-        assert peak <= 1.10 * forward_cache_bytes(30, 8, 199)
+        assert peak <= 1.10 * forward_cache_bytes(30, 16, 199)
 
 
 class TestPinnedBits:
