@@ -51,7 +51,6 @@ from .ingest import (
 )
 from .nnet import (
     BiLSTMModel,
-    LstmDirectionParams,
     TrainConfig,
     TrainHistory,
     init_model,

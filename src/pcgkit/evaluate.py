@@ -89,19 +89,9 @@ def confusion(predictions, labels) -> Confusion:
             f"{len(predictions)} predictions vs {len(labels)} labels")
     if not predictions:
         raise LengthMismatch("need at least one prediction")
-    c = Confusion()
-    for p, y in zip(predictions, labels):
-        if y == 1:
-            if p == 1:
-                c.tp += 1
-            else:
-                c.fn += 1
-        else:
-            if p == 1:
-                c.fp += 1
-            else:
-                c.tn += 1
-    return c
+    p, y = np.asarray(predictions) == 1, np.asarray(labels) == 1
+    return Confusion(tp=int(np.sum(p & y)), tn=int(np.sum(~p & ~y)),
+                     fp=int(np.sum(p & ~y)), fn=int(np.sum(~p & y)))
 
 
 def metrics(c: Confusion) -> Metrics:

@@ -11,11 +11,11 @@ optimizer is stochastic gradient descent with momentum:
 
 Each layer runs both directions in one Python time loop: step s is time s
 forward and time T-1-s backward, so the state is (2, B, H) and the
-recurrent step is one batched matmul with stacked (2, H, 4H) weights.  The
-input projection is one matmul per direction into a (2, T, B, 4H) gate
-buffer in step order, which the loop turns into activations in place and
-BPTT into pre-activation gradients.  One tanh gives all four gates, since
-sigma(x) = 0.5*tanh(x/2) + 0.5.
+recurrent step is one batched matmul over the layer's (2, 4H, H)
+recurrent weights.  The input projection is one matmul per direction into
+a (2, T, B, 4H) gate buffer in step order, which the loop turns into
+activations in place and BPTT into pre-activation gradients.  One tanh
+gives all four gates, since sigma(x) = 0.5*tanh(x/2) + 0.5.
 
 Training and prediction take sequences of one feature config and one
 shape, as one (window, hop) gives every 10 s recording one length: a
@@ -29,9 +29,11 @@ input.  Prediction on B sequences peaks at the same bound.
 
 A model, its gradients and its velocity each own one float64 vector,
 theta, laid out by `param_layout`; every weight matrix and bias is a view
-of it, so an optimizer step is one vector operation.  A model file's body
-is theta's bytes: load_model checks the descriptor against the layout and
-the body for exactly 8 bytes per parameter.
+of it, so an optimizer step is one vector operation.  A layer's input
+weights, recurrent weights and bias are (2, ...) views of theta, index 0
+forward and 1 backward: the direction axis of every compute buffer.  A
+model file's body is theta's bytes: load_model checks the descriptor
+against the layout and the body for exactly 8 bytes per parameter.
 
 Everything is plain numpy in double precision, deterministic in the seed.
 """
@@ -73,25 +75,22 @@ def param_layout(hidden_size: int, input_size: int) -> list[tuple[str, tuple]]:
 
 
 @dataclass
-class LstmDirectionParams:
-    """Weights for one direction of one layer (views of a model's theta)."""
-
-    input_weights: np.ndarray      # (4H, D_in)
-    recurrent_weights: np.ndarray  # (4H, H)
-    bias: np.ndarray               # (4H,)
-
-
-@dataclass
 class BiLayer:
-    forward: LstmDirectionParams
-    backward: LstmDirectionParams
+    """One layer's weights, both directions on axis 0: index 0 is forward,
+    1 backward."""
+
+    input_weights: np.ndarray      # (2, 4H, D_in)
+    recurrent_weights: np.ndarray  # (2, 4H, H)
+    bias: np.ndarray               # (2, 4H)
 
 
 class BiLSTMModel:
     """All parameters in one float64 vector, `theta` (zeros by default).
 
     `blocks` lists every block as (name, view of theta) in layout order;
-    `layers`, `head_weights` and `head_bias` are the same views by role.
+    `layers`, `head_weights` and `head_bias` view the same memory by role.
+    A layer's fw and bw blocks are two equal runs of theta, so each of its
+    roles is one strided (2, ...) view across both.
     """
 
     def __init__(self, hidden_size: int, input_size: int,
@@ -103,9 +102,24 @@ class BiLSTMModel:
         self.blocks = [(name, self.theta[a:b].reshape(shape))
                        for (name, shape), a, b in zip(layout, cuts, cuts[1:])]
         v = [block for _, block in self.blocks]
-        d = [LstmDirectionParams(*v[k:k + 3]) for k in range(0, 12, 3)]
-        self.layers = [BiLayer(d[0], d[1]), BiLayer(d[2], d[3])]
+        self.layers = []
+        for k in (0, 6):  # a layer's six blocks: fw Wx, Wh, b, then bw's
+            a = cuts[k]
+            run = self.theta[a:cuts[k + 6]].reshape(2, -1)  # rows fw, bw
+            self.layers.append(BiLayer(*(
+                run[:, cuts[j] - a:cuts[j + 1] - a].reshape(2, *v[j].shape)
+                for j in range(k, k + 3))))
         self.head_weights, self.head_bias = v[12:]
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """ValueError, naming the value, unless it is an integer >= least."""
+    try:
+        operator.index(value)  # rejects floats, NaN included, and strings
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass
@@ -125,14 +139,7 @@ class TrainConfig:
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must be in [0, 1)")
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            try:
-                operator.index(value)  # rejects floats, NaN included
-            except TypeError:
-                raise ValueError(
-                    f"{name} must be an integer, got {value!r}") from None
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value!r}")
+            _check_count(name, getattr(self, name), least)
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(
                 f"clip_norm must be > 0 or None, got {self.clip_norm}")
@@ -155,8 +162,7 @@ def zeros_like_model(model: BiLSTMModel) -> BiLSTMModel:
 
 def init_model(hidden: int, seed: int, input_size: int = 10) -> BiLSTMModel:
     """Glorot-uniform weights, zero biases except forget-gate bias = 1."""
-    if hidden < 1:
-        raise ValueError("hidden size must be >= 1")
+    _check_count("hidden size", hidden, 1)
     rng = np.random.default_rng(seed)
     model = BiLSTMModel(hidden, input_size)
     for name, block in model.blocks:
@@ -194,15 +200,14 @@ def _layer_forward(layer: BiLayer, U: np.ndarray) -> dict:
     hold the cell and hidden states, with the zero initial state at index 0.
     """
     T, B, _ = U.shape
-    H = layer.forward.recurrent_weights.shape[1]
+    H = layer.recurrent_weights.shape[2]
     scale, offset = _gate_scale(H, B)
     col = scale[0, 0]  # the per-column scale, folded into the weights
-    directions = (layer.forward, layer.backward)
     Z = np.empty((2, T, B, 4 * H))
-    for d, (p, X) in enumerate(zip(directions, (U, U[::-1]))):
-        np.matmul(X, (p.input_weights * col[:, None]).T, out=Z[d])
-        Z[d] += p.bias * col
-    W = np.stack([(p.recurrent_weights * col[:, None]).T for p in directions])
+    for d, X in enumerate((U, U[::-1])):
+        np.matmul(X, (layer.input_weights[d] * col[:, None]).T, out=Z[d])
+        Z[d] += layer.bias[d] * col
+    W = (layer.recurrent_weights * col[:, None]).transpose(0, 2, 1)
     C = np.zeros((2, T + 1, B, H))
     Hs = np.zeros((2, T + 1, B, H))
     for s in range(T):
@@ -299,8 +304,7 @@ def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray,
     scale, offset = _gate_scale(H, B)
     # (1 - a)(a + lo) is a(1 - a) on the sigmoid columns, 1 - a^2 on tanh's.
     lo = scale - offset
-    W = np.stack([layer.forward.recurrent_weights,
-                  layer.backward.recurrent_weights])  # (2, 4H, H)
+    W = layer.recurrent_weights
     dc_carry = np.zeros((2, B, H))
     for s in range(T - 1, -1, -1):
         z = Z[:, s]
@@ -323,12 +327,11 @@ def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray,
         dh_carry = np.matmul(z, W)
     del C
 
-    for d, (grad, X) in enumerate(zip((grads.forward, grads.backward),
-                                      (U, U[::-1]))):
+    for d, X in enumerate((U, U[::-1])):
         dZ = Z[d].reshape(T * B, 4 * H)
-        grad.input_weights[...] = dZ.T @ X.reshape(T * B, -1)
-        grad.recurrent_weights[...] = dZ.T @ Hs[d, :-1].reshape(T * B, H)
-        grad.bias[...] = dZ.sum(axis=0)
+        grads.input_weights[d] = dZ.T @ X.reshape(T * B, -1)
+        grads.recurrent_weights[d] = dZ.T @ Hs[d, :-1].reshape(T * B, H)
+        grads.bias[d] = dZ.sum(axis=0)
 
 
 def _backward_batch(model: BiLSTMModel, cache: dict,
@@ -369,8 +372,8 @@ def _backward_batch(model: BiLSTMModel, cache: dict,
                     grads.layers[1])
     dZ = c2["Z"]
     del c2
-    dU = dZ[0] @ l2.forward.input_weights  # (T, B, 2H), time order
-    dU += (dZ[1] @ l2.backward.input_weights)[::-1]
+    dU = dZ[0] @ l2.input_weights[0]  # (T, B, 2H), time order
+    dU += (dZ[1] @ l2.input_weights[1])[::-1]
     del dZ
     _layer_backward(l1, c1, np.stack([dU[..., :H], dU[::-1, :, H:]]),
                     np.zeros((2, B, H)), grads.layers[0])
@@ -386,7 +389,7 @@ def global_grad_norm(grads: BiLSTMModel) -> float:
 
 
 def sgdm_step(model: BiLSTMModel, grads: BiLSTMModel, velocity: BiLSTMModel,
-              config: TrainConfig) -> tuple[BiLSTMModel, BiLSTMModel]:
+              config: TrainConfig) -> None:
     """v <- momentum*v + g; theta <- theta - lr*v.  Updates in place."""
     scale = 1.0
     if config.clip_norm is not None:
@@ -397,7 +400,6 @@ def sgdm_step(model: BiLSTMModel, grads: BiLSTMModel, velocity: BiLSTMModel,
     v *= config.momentum
     v += scale * grads.theta
     model.theta -= config.learning_rate * v
-    return model, velocity
 
 
 # ---------------------------------------------------------------------------

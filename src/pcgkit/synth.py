@@ -53,17 +53,24 @@ class SynthConfig:
             raise InvalidConfig("murmur_gain and noise_floor must be >= 0")
 
 
+def _tones(rng: np.random.Generator, t: np.ndarray, lo: float,
+           hi: float) -> np.ndarray:
+    """Sum at times t of TONES_PER_BURST sinusoids: frequencies uniform in
+    [lo, hi), then phases, then amplitudes in [0.5, 1), in that draw order."""
+    freqs = rng.uniform(lo, hi, TONES_PER_BURST)
+    phases = rng.uniform(0.0, 2.0 * np.pi, TONES_PER_BURST)
+    amps = rng.uniform(0.5, 1.0, TONES_PER_BURST)
+    return (amps[:, None] * np.sin(2.0 * np.pi * freqs[:, None] * t
+                                   + phases[:, None])).sum(axis=0)
+
+
 def _tone_burst(rng: np.random.Generator, num: int, rate: int,
                 band: tuple[float, float], peak: float) -> np.ndarray:
     """Gaussian-enveloped sum of random tones confined inside the band."""
     t = np.arange(num) / rate
     lo, hi = band
     margin = 0.1 * (hi - lo)
-    freqs = rng.uniform(lo + margin, hi - margin, TONES_PER_BURST)
-    phases = rng.uniform(0.0, 2.0 * np.pi, TONES_PER_BURST)
-    amps = rng.uniform(0.5, 1.0, TONES_PER_BURST)
-    sig = (amps[:, None] * np.sin(2.0 * np.pi * freqs[:, None] * t
-                                  + phases[:, None])).sum(axis=0)
+    sig = _tones(rng, t, lo + margin, hi - margin)
     center = 0.5 * num / rate
     sigma = (num / rate) / 6.0
     sig *= np.exp(-0.5 * ((t - center) / sigma) ** 2)
@@ -73,13 +80,7 @@ def _tone_burst(rng: np.random.Generator, num: int, rate: int,
 def _murmur(rng: np.random.Generator, num: int, rate: int,
             rms: float) -> np.ndarray:
     """Band-limited murmur noise with the requested RMS, tapered at the ends."""
-    t = np.arange(num) / rate
-    lo, hi = MURMUR_BAND_HZ
-    freqs = rng.uniform(lo, hi, TONES_PER_BURST)
-    phases = rng.uniform(0.0, 2.0 * np.pi, TONES_PER_BURST)
-    amps = rng.uniform(0.5, 1.0, TONES_PER_BURST)
-    sig = (amps[:, None] * np.sin(2.0 * np.pi * freqs[:, None] * t
-                                  + phases[:, None])).sum(axis=0)
+    sig = _tones(rng, np.arange(num) / rate, *MURMUR_BAND_HZ)
     ramp = max(1, num // 10)
     taper = np.ones(num)
     edge = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)

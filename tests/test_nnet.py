@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -14,7 +15,6 @@ from pcgkit.features import FeatureSequence
 from pcgkit.ingest import Label
 from pcgkit.nnet import (
     BiLayer,
-    LstmDirectionParams,
     TrainConfig,
     init_model,
     load_model,
@@ -123,46 +123,78 @@ class TestInit:
         for (_, x), (_, y) in zip(a.blocks, b.blocks):
             assert np.array_equal(x, y)
         c = init_model(5, seed=43)
-        assert not np.array_equal(a.layers[0].forward.input_weights,
-                                  c.layers[0].forward.input_weights)
+        assert not np.array_equal(a.layers[0].input_weights[0],
+                                  c.layers[0].input_weights[0])
 
     def test_shapes_for_hidden_5(self):
         m = init_model(5, seed=0)
-        assert m.layers[0].forward.input_weights.shape == (20, 10)
+        assert m.layers[0].input_weights.shape == (2, 20, 10)
+        assert m.layers[0].bias.shape == (2, 20)
         # layer 2 consumes the 2H-wide concatenation of layer 1
-        assert m.layers[1].forward.input_weights.shape == (20, 10)
-        assert m.layers[1].backward.recurrent_weights.shape == (20, 5)
+        assert m.layers[1].input_weights.shape == (2, 20, 10)
+        assert m.layers[1].recurrent_weights.shape == (2, 20, 5)
         assert m.head_weights.shape == (2, 10)
         assert m.head_bias.shape == (2,)
 
     def test_forget_gate_bias_is_one(self):
         m = init_model(4, seed=0)
         for layer in m.layers:
-            for d in (layer.forward, layer.backward):
-                assert np.all(d.bias[4:8] == 1.0)
-                assert np.all(d.bias[:4] == 0.0)
-                assert np.all(d.bias[8:] == 0.0)
+            for bias in layer.bias:  # forward, then backward
+                assert np.all(bias[4:8] == 1.0)
+                assert np.all(bias[:4] == 0.0)
+                assert np.all(bias[8:] == 0.0)
 
     def test_blocks_are_views_of_theta(self):
         m = init_model(3, seed=0, input_size=4)
         assert [name for name, _ in m.blocks] == [
             name for name, _ in nnet.param_layout(3, 4)]
-        m.layers[1].backward.bias[0] = 42.0
+        m.layers[1].bias[1, 0] = 42.0
         m.theta[-1] = 7.0
         assert m.head_bias[-1] == 7.0
         assert np.count_nonzero(m.theta == 42.0) == 1
         assert np.array_equal(
             np.concatenate([b.ravel() for _, b in m.blocks]), m.theta)
+        # Each direction of each role writes through to its named block
+        # and nowhere else.
+        blocks = dict(m.blocks)
+        tag = 100.0
+        for k, layer in enumerate(m.layers, start=1):
+            for role in ("input_weights", "recurrent_weights", "bias"):
+                for d, dname in enumerate(("fw", "bw")):
+                    view = getattr(layer, role)[d]
+                    assert np.shares_memory(view, m.theta)
+                    tag += 1.0
+                    view[...] = tag
+                    assert np.all(blocks[f"layer{k}.{dname}.{role}"] == tag)
+                    assert np.count_nonzero(m.theta == tag) == view.size
+
+    @pytest.mark.parametrize("hidden, message", [
+        (2.5, "hidden size must be an integer, got 2.5"),
+        ("3", "hidden size must be an integer, got '3'"),
+        (0, "hidden size must be >= 1, got 0")])
+    def test_bad_hidden_size_rejected(self, hidden, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            init_model(hidden, seed=0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(toy_blobs(2), hidden, TrainConfig(epochs=1))
 
     def test_glorot_bounds(self):
         m = init_model(30, seed=1)
-        W = m.layers[0].forward.input_weights
+        W = m.layers[0].input_weights[0]
         s = np.sqrt(6.0 / (W.shape[0] + W.shape[1]))
         assert np.all(np.abs(W) <= s)
 
 
 def _layer(fw, bw=None):
-    return BiLayer(forward=fw, backward=fw if bw is None else bw)
+    """A BiLayer from per-direction (Wx, Wh, b) triples."""
+    bw = fw if bw is None else bw
+    return BiLayer(*(np.stack(pair) for pair in zip(fw, bw)))
+
+
+def _random_layer(rng, H, D):
+    """Normal draws: the forward direction's Wx, Wh, b, then the backward's."""
+    return _layer(*((rng.normal(size=(4 * H, D)), rng.normal(size=(4 * H, H)),
+                      rng.normal(size=4 * H)) for _ in range(2)))
 
 
 class TestCellStep:
@@ -174,42 +206,45 @@ class TestCellStep:
     """
 
     def test_zero_params_give_zero_state(self):
-        p = LstmDirectionParams(np.zeros((12, 10)), np.zeros((12, 3)), np.zeros(12))
+        layer = BiLayer(np.zeros((2, 12, 10)), np.zeros((2, 12, 3)),
+                        np.zeros((2, 12)))
         U = np.random.default_rng(0).normal(size=(4, 2, 10))  # (T, B, D)
-        cache = nnet._layer_forward(_layer(p), U)
+        cache = nnet._layer_forward(layer, U)
         assert np.array_equal(cache["Hs"], np.zeros((2, 5, 2, 3)))
         assert np.array_equal(cache["C"], np.zeros((2, 5, 2, 3)))
 
     def test_saturated_forget_gate_carries_cell(self):
         rng = np.random.default_rng(1)
         H, D = 3, 4
-        p = LstmDirectionParams(rng.normal(size=(4 * H, D)) * 0.1,
-                                rng.normal(size=(4 * H, H)) * 0.1,
-                                np.zeros(4 * H))
-        p.bias[H:2 * H] = 50.0  # forget gate pinned at 1
+        Wx = rng.normal(size=(4 * H, D)) * 0.1
+        Wh = rng.normal(size=(4 * H, H)) * 0.1
+        b = np.zeros(4 * H)
+        b[H:2 * H] = 50.0  # forget gate pinned at 1
         U = rng.normal(size=(2, 1, D))
-        cache = nnet._layer_forward(_layer(p), U)
+        cache = nnet._layer_forward(_layer((Wx, Wh, b)), U)
         # Step 2 sees time 1 in the forward direction, time 0 in the backward.
         for d, t in ((0, 1), (1, 0)):
             h_prev, c_prev = cache["Hs"][d, 1, 0], cache["C"][d, 1, 0]
             assert np.all(c_prev != 0.0)
-            z = p.input_weights @ U[t, 0] + p.recurrent_weights @ h_prev
+            z = Wx @ U[t, 0] + Wh @ h_prev
             i = 1 / (1 + np.exp(-z[:H]))
             g = np.tanh(z[2 * H:3 * H])
             assert np.allclose(cache["C"][d, 2, 0], c_prev + i * g, atol=1e-12)
 
     @staticmethod
-    def _scalar_loop(p, xs):
-        """Hidden and cell states of one direction, one scalar at a time."""
+    def _scalar_loop(layer, d, xs):
+        """Hidden and cell states of direction d, one scalar at a time."""
         import math
-        H = p.recurrent_weights.shape[1]
+        Wx, Wh, b = (layer.input_weights[d], layer.recurrent_weights[d],
+                     layer.bias[d])
+        H = Wh.shape[1]
         h, c = [0.0] * H, [0.0] * H
         states = []
         for x in xs:
             def z(row):
-                return (sum(p.input_weights[row, j] * x[j] for j in range(len(x)))
-                        + sum(p.recurrent_weights[row, j] * h[j] for j in range(H))
-                        + p.bias[row])
+                return (sum(Wx[row, j] * x[j] for j in range(len(x)))
+                        + sum(Wh[row, j] * h[j] for j in range(H))
+                        + b[row])
             new_h, new_c = [], []
             for k in range(H):
                 ik = 1 / (1 + math.exp(-z(k)))
@@ -227,13 +262,11 @@ class TestCellStep:
         # backward direction visits the times in the opposite order.
         rng = np.random.default_rng(2)
         H, D = 4, 6
-        fw, bw = (LstmDirectionParams(rng.normal(size=(4 * H, D)),
-                                      rng.normal(size=(4 * H, H)),
-                                      rng.normal(size=4 * H)) for _ in range(2))
+        layer = _random_layer(rng, H, D)
         U = rng.normal(size=(2, 1, D))
-        cache = nnet._layer_forward(_layer(fw, bw), U)
-        for d, (p, order) in enumerate(((fw, [0, 1]), (bw, [1, 0]))):
-            states = self._scalar_loop(p, [U[t, 0] for t in order])
+        cache = nnet._layer_forward(layer, U)
+        for d, order in enumerate(([0, 1], [1, 0])):
+            states = self._scalar_loop(layer, d, [U[t, 0] for t in order])
             for s, (h, c) in enumerate(states):
                 assert cache["Hs"][d, s + 1, 0] == pytest.approx(h, abs=1e-12)
                 assert cache["C"][d, s + 1, 0] == pytest.approx(c, abs=1e-12)
@@ -241,12 +274,12 @@ class TestCellStep:
     def test_backward_half_is_forward_half_on_reversed_input(self):
         rng = np.random.default_rng(3)
         H, D = 5, 7
-        fw, bw = (LstmDirectionParams(rng.normal(size=(4 * H, D)),
-                                      rng.normal(size=(4 * H, H)),
-                                      rng.normal(size=4 * H)) for _ in range(2))
+        layer = _random_layer(rng, H, D)
         U = rng.normal(size=(9, 3, D))
-        ours = nnet._layer_forward(_layer(fw, bw), U)
-        swapped = nnet._layer_forward(_layer(bw, fw), U[::-1])
+        ours = nnet._layer_forward(layer, U)
+        flipped = BiLayer(layer.input_weights[::-1],
+                          layer.recurrent_weights[::-1], layer.bias[::-1])
+        swapped = nnet._layer_forward(flipped, U[::-1])
         for key in ("Hs", "C", "Z"):
             assert np.allclose(ours[key][1], swapped[key][0], rtol=0, atol=1e-14)
             assert np.allclose(ours[key][0], swapped[key][1], rtol=0, atol=1e-14)
@@ -285,18 +318,14 @@ class TestForward:
         model = init_model(H, seed=6)
 
         def swap_cols(W):
-            return np.concatenate([W[:, H:], W[:, :H]], axis=1)
+            return np.concatenate([W[..., H:], W[..., :H]], axis=-1)
 
-        l1, l2 = model.layers
         swapped = zeros_like_model(model)
-        s1, s2 = swapped.layers
-        for dst, src in ((s1.forward, l1.backward), (s1.backward, l1.forward),
-                         (s2.forward, l2.backward), (s2.backward, l2.forward)):
-            dst.input_weights[...] = src.input_weights
-            dst.recurrent_weights[...] = src.recurrent_weights
-            dst.bias[...] = src.bias
-        for d in (s2.forward, s2.backward):
-            d.input_weights[...] = swap_cols(d.input_weights)
+        for dst, src in zip(swapped.layers, model.layers):
+            for role in ("input_weights", "recurrent_weights", "bias"):
+                getattr(dst, role)[...] = getattr(src, role)[::-1]
+        s2 = swapped.layers[1]
+        s2.input_weights[...] = swap_cols(s2.input_weights)
         swapped.head_weights[...] = swap_cols(model.head_weights)
         swapped.head_bias[...] = model.head_bias
 
@@ -343,8 +372,8 @@ class TestBackward:
         model = init_model(3, seed=8)
         _, cache = nnet._forward_batch(model, np.zeros((1, 6, 10)))
         grads = nnet._backward_batch(model, cache, np.array([1]))
-        assert np.all(grads.layers[0].forward.input_weights == 0.0)
-        assert np.all(grads.layers[0].backward.input_weights == 0.0)
+        assert grads.layers[0].input_weights.shape == (2, 12, 10)
+        assert np.all(grads.layers[0].input_weights == 0.0)
         # the zero input also silences every hidden state, so only the head
         # bias sees a gradient
         assert np.any(grads.head_bias != 0.0)
@@ -437,7 +466,7 @@ class TestSgdm:
             g[...] = 1.0
         velocity = zeros_like_model(model)
         config = TrainConfig(learning_rate=0.05, momentum=0.0, epochs=1)
-        sgdm_step(model, grads, velocity, config)
+        assert sgdm_step(model, grads, velocity, config) is None
         for name, arr in model.blocks:
             assert np.allclose(arr, before[name] - 0.05, atol=1e-15)
 
