@@ -7,23 +7,18 @@ Gaussian window, one stratified 70/30 split, 60 epochs of SGD with
 momentum, then sensitivity / specificity / accuracy on the held-out side.
 """
 
-import numpy as np
-
 from pcgkit import (
     SynthConfig,
     TrainConfig,
     WindowShape,
     WindowSpec,
-    confusion,
     generate_dataset,
-    metrics,
-    predict_batch,
     preprocess,
+    score,
     split,
     train,
 )
 from pcgkit.evaluate import extract_dataset
-from pcgkit.nnet import CLASS_INDEX
 
 records = [preprocess(r) for r in
            generate_dataset(20, 20, base_seed=7,
@@ -41,9 +36,7 @@ model, history = train(train_set, hidden=30, config=config)
 print(f"loss: {history.losses[0]:.4f} -> {history.losses[-1]:.4f}; "
       f"train accuracy {history.accuracies[-1]:.2%}")
 
-predictions = predict_batch(model, test_set)
-labels = [CLASS_INDEX[s.label] for s in test_set]
-m = metrics(confusion(predictions, labels))
+m = score(model, test_set).metrics
 print(f"test sensitivity {m.sensitivity:.1f}%  "
       f"specificity {m.specificity:.1f}%  accuracy {m.accuracy:.1f}%")
 

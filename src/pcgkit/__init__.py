@@ -31,6 +31,7 @@ from .evaluate import (
     metrics,
     run_grid,
     run_trial,
+    score,
     split,
 )
 from .features import (

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import evaluate, nnet, synth
@@ -106,8 +107,11 @@ def _load_corpus(corpus_dir: Path) -> list:
             for row in reader:
                 if None in (row["filename"], row["label"]):
                     raise ValueError(f"line {reader.line_num} is missing a field")
+                if row["label"] not in ("healthy", "pathological"):
+                    raise ValueError(f"line {reader.line_num} has label "
+                                     f"{row['label']!r}, not healthy or pathological")
                 entries.append((row["filename"], Label(row["label"])))
-    except (ValueError, csv.Error) as exc:  # also bad UTF-8 and unknown labels
+    except (ValueError, csv.Error) as exc:  # also bad UTF-8
         raise PcgError(f"{manifest}: {exc}") from None
     records = []
     for name, label in entries:
@@ -165,25 +169,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = nnet.load_model(_require_file(args.model))
-    dataset = _load_feature_dir(Path(args.features))
-    for s in dataset:
-        if s.label not in nnet.CLASS_INDEX:
-            raise PcgError(f"sequence {s.signal_id!r} is unlabeled; "
-                           "extract it with --label")
-        if s.values.shape[1] != model.input_size:
-            raise PcgError(f"{args.model}: model takes {model.input_size} "
-                           f"features per frame, sequence {s.signal_id!r} "
-                           f"has {s.values.shape[1]}")
-    predictions = nnet.predict_batch(model, dataset)
-    labels = [nnet.CLASS_INDEX[s.label] for s in dataset]
-    c = evaluate.confusion(predictions, labels)
-    m = evaluate.metrics(c)
-    payload = {
-        "tp": c.tp, "tn": c.tn, "fp": c.fp, "fn": c.fn,
-        "sensitivity": m.sensitivity, "specificity": m.specificity,
-        "accuracy": m.accuracy,
-    }
-    text = json.dumps(payload, indent=2)
+    result = evaluate.score(model, _load_feature_dir(Path(args.features)))
+    text = json.dumps({**asdict(result.confusion), **asdict(result.metrics)},
+                      indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)

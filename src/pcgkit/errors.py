@@ -35,7 +35,7 @@ class NoSidelobe(PcgError):
 
 
 class EmptySequence(PcgError):
-    """Classifier input has no time steps."""
+    """Classifier input has no time steps or no feature columns."""
 
 
 class SingleClassDataset(PcgError):
@@ -47,7 +47,8 @@ class NonFiniteLoss(PcgError):
 
 
 class LengthMismatch(PcgError):
-    """Paired sequences differ in length, or a batch mixes feature configs."""
+    """Paired sequences differ in length, a batch mixes feature configs, or
+    the features' width is not the model's input size."""
 
 
 class InvalidFraction(PcgError):

@@ -127,18 +127,23 @@ def split(dataset: list, seed: int = 0) -> tuple[list, list]:
     return train, test
 
 
+def score(model: nnet.BiLSTMModel, seqs: list[FeatureSequence]) -> TrialResult:
+    """Predictions, labels, confusion and metrics of a model on labeled
+    sequences; one class alone is fine (its other ratio is None)."""
+    labels = nnet.class_indices(seqs)
+    predictions = nnet.predict_batch(model, seqs)
+    c = confusion(predictions, labels)
+    return TrialResult(confusion=c, metrics=metrics(c),
+                       predictions=predictions, labels=labels)
+
+
 def run_trial(dataset: list[FeatureSequence], hidden: int,
               train_config: nnet.TrainConfig, seed: int) -> TrialResult:
     """One 70/30 split + train + test cycle, deterministic in the seed."""
     train_set, test_set = split(dataset, seed=mix_seed(seed, 0))
     config = replace(train_config, seed=mix_seed(seed, 1))
     model, _ = nnet.train(train_set, hidden, config)
-
-    predictions = nnet.predict_batch(model, test_set)
-    labels = np.array([nnet.CLASS_INDEX[s.label] for s in test_set])
-    c = confusion(predictions, labels)
-    return TrialResult(confusion=c, metrics=metrics(c),
-                       predictions=predictions, labels=labels)
+    return score(model, test_set)
 
 
 def _mean_metrics(trials: list[Metrics]) -> Metrics:

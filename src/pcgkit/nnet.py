@@ -163,6 +163,7 @@ def zeros_like_model(model: BiLSTMModel) -> BiLSTMModel:
 def init_model(hidden: int, seed: int, input_size: int = 10) -> BiLSTMModel:
     """Glorot-uniform weights, zero biases except forget-gate bias = 1."""
     _check_count("hidden size", hidden, 1)
+    _check_count("input size", input_size, 1)
     rng = np.random.default_rng(seed)
     model = BiLSTMModel(hidden, input_size)
     for name, block in model.blocks:
@@ -232,9 +233,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def _forward_batch(model: BiLSTMModel, X: np.ndarray) -> tuple[np.ndarray, dict]:
     """Probabilities (B, 2) and the full cache for a (B, T, D) batch."""
-    if X.ndim != 3 or X.shape[1] < 1:
-        raise EmptySequence("input batch must be (B, T>=1, D)")
-
     l1, l2 = model.layers
     c1 = _layer_forward(l1, X.transpose(1, 0, 2))
     Hs1 = c1["Hs"][:, 1:]
@@ -251,13 +249,16 @@ def _forward_batch(model: BiLSTMModel, X: np.ndarray) -> tuple[np.ndarray, dict]
 
 def _stack(seqs: list[FeatureSequence]) -> np.ndarray:
     """The (B, T, D) float64 batch of a non-empty list of sequences; the
-    first that has no frames, or differs from seqs[0] in feature config or
-    shape, is refused by name."""
+    first that has no frames or no feature columns, or differs from seqs[0]
+    in feature config or shape, is refused by name."""
     first, values = seqs[0], []
     for k, seq in enumerate(seqs):
         v = np.asarray(seq.values, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] < 1:
             raise EmptySequence(f"sequence {seq.signal_id!r} has no frames")
+        if v.shape[1] < 1:
+            raise EmptySequence(
+                f"sequence {seq.signal_id!r} has no feature columns")
         values.append(v)
         fields = [(f, getattr(seq, f), getattr(first, f))
                   for f in ("window", "hop", "bins", "normalized")]
@@ -275,10 +276,16 @@ def predict_batch(model: BiLSTMModel,
                   seqs: list[FeatureSequence]) -> np.ndarray:
     """Most probable class index of each sequence, in input order; exact
     ties resolve to class 0 (healthy).  The sequences run as one batch, so
-    they must share one feature config and one shape (see `_stack`)."""
+    they must share one feature config and one shape (see `_stack`), and
+    their width must be the model's `input_size`."""
     if not seqs:
         return np.zeros(0, dtype=np.int64)
-    return _forward_batch(model, _stack(seqs))[0].argmax(axis=1)
+    X = _stack(seqs)
+    if X.shape[2] != model.input_size:
+        raise LengthMismatch(
+            f"model takes {model.input_size} features per frame, sequence 0 "
+            f"({seqs[0].signal_id!r}) has {X.shape[2]}")
+    return _forward_batch(model, X)[0].argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -406,25 +413,21 @@ def sgdm_step(model: BiLSTMModel, grads: BiLSTMModel, velocity: BiLSTMModel,
 # Training loop
 # ---------------------------------------------------------------------------
 
-def _label_indices(dataset: list[FeatureSequence]) -> np.ndarray:
-    labels = []
-    for seq in dataset:
+def class_indices(seqs: list[FeatureSequence]) -> np.ndarray:
+    """The int64 class index (`CLASS_INDEX`) of each sequence's label; the
+    first unlabeled sequence is refused by name."""
+    for seq in seqs:
         if seq.label not in CLASS_INDEX:
-            raise SingleClassDataset(
-                f"sequence {seq.signal_id!r} is unlabeled")
-        labels.append(CLASS_INDEX[seq.label])
-    arr = np.array(labels)
-    if len(set(arr.tolist())) < 2:
-        raise SingleClassDataset("training data must contain both classes")
-    return arr
+            raise SingleClassDataset(f"sequence {seq.signal_id!r} is unlabeled")
+    return np.array([CLASS_INDEX[seq.label] for seq in seqs], dtype=np.int64)
 
 
 def train(dataset: list[FeatureSequence], hidden: int,
           config: TrainConfig) -> tuple[BiLSTMModel, TrainHistory]:
     """Train a fresh model; fully deterministic in (dataset order, seed)."""
-    if len(dataset) < 2:
-        raise SingleClassDataset("need at least 2 examples")
-    labels = _label_indices(dataset)
+    labels = class_indices(dataset)
+    if len(set(labels.tolist())) < 2:
+        raise SingleClassDataset("training data must contain both classes")
     X = _stack(dataset)
 
     model = init_model(hidden, seed=config.seed, input_size=X.shape[2])

@@ -396,9 +396,27 @@ class TestTrainEvalCommands:
         code = main(["eval", "--model", str(model),
                      "--features", str(feature_dir)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {model}: model takes 4 features per "
-                              "frame, sequence ") and err.endswith(" has 10\n")
+        first = sorted(feature_dir.glob("*.csv"))[0].stem
+        assert capsys.readouterr().err == (
+            f"error: model takes 4 features per frame, sequence 0 ({first!r}) "
+            "has 10\n")
+
+    def test_eval_on_one_class_exits_0(self, feature_dir, tmp_path, capsys):
+        # Scoring needs no second class, unlike training.
+        features = tmp_path / "features"
+        features.mkdir()
+        for path in feature_dir.glob("healthy_*"):
+            shutil.copy(path, features)
+        model = tmp_path / "model.bin"
+        nnet.save_model(nnet.init_model(3, seed=0), model)
+        capsys.readouterr()
+        code = main(["eval", "--model", str(model), "--features", str(features)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert '"sensitivity": null' in out
+        payload = json.loads(out)
+        assert payload["tp"] == payload["fn"] == 0
+        assert payload["tn"] + payload["fp"] == 5
 
 
 SMALL_GRID = ["--shapes", "gaussian", "--lengths", "30", "--hidden", "3",
@@ -500,6 +518,21 @@ class TestGridCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'filename'" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("label", ["unlabeled", "Healthy", ""])
+    def test_manifest_label_outside_the_two_classes_exits_1(self, tmp_path,
+                                                           capsys, label):
+        # Refused before any WAV is read: the listed files do not exist.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        manifest = corpus / "labels.csv"
+        manifest.write_text(f"filename,label\na.wav,healthy\nb.wav,{label}\n")
+        code = main(["grid", "--corpus", str(corpus), *SMALL_GRID,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line 3 has label {label!r}, not healthy or "
+            "pathological\n")
 
     def test_fuzzed_manifest_exits_cleanly(self, corpus_dir, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -14,6 +14,7 @@ from pcgkit.evaluate import (
     metrics,
     run_grid,
     run_trial,
+    score,
     split,
 )
 from pcgkit.features import FeatureSequence
@@ -183,6 +184,18 @@ class TestRunTrial:
                               replace(self.config, seed=mix_seed(8, 1)))
         assert r.predictions.dtype == np.int64
         assert r.predictions.tolist() == forward_argmax(model, test_set)
+
+
+class TestScore:
+    def test_healthy_only_has_no_sensitivity(self):
+        # One class alone is scored: only train needs both.
+        healthy = toy_blobs(4, seed=9)[:4]
+        r = score(nnet.init_model(3, seed=9), healthy)
+        assert r.labels.dtype == np.int64 and r.labels.tolist() == [0] * 4
+        assert r.confusion.tp == r.confusion.fn == 0
+        assert r.confusion.total == 4
+        assert r.metrics.sensitivity is None
+        assert r.metrics.specificity is not None
 
 
 def tiny_corpus(n_per_class=4, seed=0):

@@ -178,6 +178,13 @@ class TestInit:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             train(toy_blobs(2), hidden, TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("input_size, message", [
+        (2.5, "input size must be an integer, got 2.5"),
+        (0, "input size must be >= 1, got 0")])
+    def test_bad_input_size_rejected(self, input_size, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            init_model(3, seed=0, input_size=input_size)
+
     def test_glorot_bounds(self):
         m = init_model(30, seed=1)
         W = m.layers[0].input_weights[0]
@@ -333,10 +340,6 @@ class TestForward:
         p1 = probs_of(model, make_seq(values))
         p2 = probs_of(swapped, make_seq(values[::-1]))
         assert np.allclose(p1, p2, atol=1e-14)
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(EmptySequence):
-            nnet._forward_batch(init_model(3, seed=0), np.zeros((1, 0, 10)))
 
 
 class TestLoss:
@@ -595,6 +598,26 @@ class TestTrain:
         with pytest.raises(EmptySequence, match="sequence 'void' has no frames"):
             train(data, 3, TrainConfig(epochs=1))
 
+    def test_sequence_without_feature_columns_named(self):
+        # Width 0 would train a model that sees no input, its loss at ln 2.
+        data = [make_seq(np.zeros((5, 0)), label=label, sid=f"z{i}")
+                for i, label in enumerate([Label.HEALTHY, Label.PATHOLOGICAL] * 2)]
+        with pytest.raises(EmptySequence,
+                           match="^sequence 'z0' has no feature columns$"):
+            train(data, 3, TrainConfig(epochs=1))
+
+    def test_unlabeled_sequence_named(self):
+        data = toy_blobs(2) + [make_seq(np.ones((5, 10)), label=Label.UNLABELED,
+                                        sid="u")]
+        with pytest.raises(SingleClassDataset,
+                           match="^sequence 'u' is unlabeled$"):
+            train(data, 3, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_sequences_refused(self, n):
+        with pytest.raises(SingleClassDataset, match="both classes"):
+            train(toy_blobs(1)[:n], 3, TrainConfig(epochs=1))
+
     def test_mixed_lengths_refused(self):
         # One (window, hop) gives one length, so mixed lengths mean mixed
         # feature sets: the first sequence that differs is named.
@@ -677,6 +700,13 @@ class TestPredict:
         seqs = [make_seq(np.ones((3, 10))), make_seq(np.empty((0, 10)), sid="e")]
         with pytest.raises(EmptySequence, match="'e'"):
             nnet.predict_batch(init_model(3, seed=30), seqs)
+
+    def test_model_width_mismatch_refused(self):
+        seqs = [make_seq(np.ones((5, 10)), sid=sid) for sid in ("w", "x")]
+        with pytest.raises(LengthMismatch,
+                           match=r"^model takes 4 features per frame, "
+                                 r"sequence 0 \('w'\) has 10$"):
+            nnet.predict_batch(init_model(3, seed=30, input_size=4), seqs)
 
     def test_mixed_lengths_refused(self):
         seqs = [make_seq(np.ones((T, 10)), sid=sid)
