@@ -16,9 +16,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import evaluate, nnet, synth
-from .errors import PcgError
+from .errors import PcgError, json_object
 from .features import DEFAULT_BINS, read_features, write_features
 from .ingest import (
+    CLASS_INDEX,
     Label,
     preprocess,
     read_csv_record,
@@ -61,13 +62,13 @@ def _write_effective_config(out_dir: Path, config: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = synth.SynthConfig(
         duration_s=args.duration, rate_hz=args.rate,
         murmur_gain=args.murmur_gain, noise_floor=args.noise_floor)
     records = synth.generate_dataset(args.healthy, args.pathological,
                                      base_seed=args.seed, config=config)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "labels.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["filename", "label"])
@@ -97,6 +98,7 @@ def _load_corpus(corpus_dir: Path) -> list:
     manifest = corpus_dir / "labels.csv"
     if not manifest.is_file():
         raise FileNotFoundError(f"no such file: {manifest}")
+    classes = {label.value: label for label in CLASS_INDEX}
     entries = []
     try:
         with open(manifest, newline="", encoding="utf-8") as fh:
@@ -107,10 +109,10 @@ def _load_corpus(corpus_dir: Path) -> list:
             for row in reader:
                 if None in (row["filename"], row["label"]):
                     raise ValueError(f"line {reader.line_num} is missing a field")
-                if row["label"] not in ("healthy", "pathological"):
+                if row["label"] not in classes:
                     raise ValueError(f"line {reader.line_num} has label "
-                                     f"{row['label']!r}, not healthy or pathological")
-                entries.append((row["filename"], Label(row["label"])))
+                                     f"{row['label']!r}, not {' or '.join(classes)}")
+                entries.append((row["filename"], classes[row["label"]]))
     except (ValueError, csv.Error) as exc:  # also bad UTF-8
         raise PcgError(f"{manifest}: {exc}") from None
     records = []
@@ -134,6 +136,7 @@ def cmd_extract(args) -> int:
         WindowShape(args.shape), args.length, args.alpha)
     seq = evaluate.extract_dataset([record], spec, hop=args.hop,
                                    bins=args.bins)[0]
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_features(seq, args.out)
     print(f"wrote {seq.num_frames} x {seq.values.shape[1]} features to {args.out}")
     return 0
@@ -180,12 +183,11 @@ def cmd_eval(args) -> int:
 
 def _read_config_file(path: str) -> dict:
     """The grid settings of a --config file, without its version/command."""
-    config = json.loads(_require_file(path).read_text())
-    if not isinstance(config, dict):
-        raise PcgError(f"{path}: config must be a JSON object")
+    config = json_object(_require_file(path).read_bytes(), path)
     version = config.pop("version", CONFIG_VERSION)
     if type(version) is not int or version != CONFIG_VERSION:
-        raise PcgError(f"unsupported config version {json.dumps(version)}")
+        raise PcgError(
+            f"{path}: unsupported config version {json.dumps(version)}")
     if config.pop("command", "grid") != "grid":
         raise PcgError(f"{path}: not a grid config")
     return config
@@ -254,20 +256,20 @@ def cmd_grid(args) -> int:
 
 
 def cmd_window_info(args) -> int:
-    writer = csv.writer(sys.stdout)
+    # Every row is made before the first is written: a bad spec or nfft
+    # is refused with no output.
     if args.coeffs:
-        writer.writerow(["shape", "L", "alpha", "l", "w"])
+        rows = [["shape", "L", "alpha", "l", "w"]]
     else:
-        writer.writerow(["shape", "L", "alpha", "mainlobe_width", "sidelobe_db"])
-    for name in args.shapes:
-        shape = WindowShape(name.lower())
+        rows = [["shape", "L", "alpha", "mainlobe_width", "sidelobe_db"]]
+    for shape in _parse_shapes(args.shapes):
         for length in args.lengths:
-            spec = WindowSpec.from_nominal_length(shape, int(length), args.alpha)
+            spec = WindowSpec.from_nominal_length(shape, length, args.alpha)
             w = make_window(spec)
             alpha = spec.alpha if shape is WindowShape.GAUSSIAN else ""
             if args.coeffs:
                 for l, val in zip(range(-spec.half_length, spec.half_length + 1), w):
-                    writer.writerow([shape.value, spec.L, alpha, l, f"{val:.12g}"])
+                    rows.append([shape.value, spec.L, alpha, l, f"{val:.12g}"])
                 continue
             spectrum = window_spectrum(w, args.nfft)
             width = mainlobe_width(spectrum)
@@ -275,7 +277,8 @@ def cmd_window_info(args) -> int:
                 sidelobe = f"{peak_sidelobe_db(spectrum):.4f}"
             except PcgError:
                 sidelobe = "none"
-            writer.writerow([shape.value, spec.L, alpha, f"{width:.8f}", sidelobe])
+            rows.append([shape.value, spec.L, alpha, f"{width:.8f}", sidelobe])
+    csv.writer(sys.stdout).writerows(rows)
     return 0
 
 

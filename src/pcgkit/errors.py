@@ -2,8 +2,13 @@
 
 Everything raised on bad inputs or violated contracts derives from
 :class:`PcgError`, so callers (and the CLI) can distinguish domain errors
-from genuine bugs or I/O failures.
+from genuine bugs or I/O failures.  :func:`json_object` is the one reader
+of JSON from outside the program (model headers, feature sidecars, run
+configs): whatever it cannot read as an object it refuses with one of
+these errors, naming the file.
 """
+
+import json
 
 
 class PcgError(Exception):
@@ -57,3 +62,18 @@ class InvalidFraction(PcgError):
 
 class InvalidConfig(PcgError):
     """Synthesis or run configuration violates its invariants."""
+
+
+def json_object(raw: bytes, where, error: type[PcgError] = PcgError) -> dict:
+    """The JSON object that `raw` holds as UTF-8.
+
+    Raises `error`, naming `where`, on bad UTF-8, bad JSON, nesting too
+    deep for the parser, or a JSON value that is not an object.
+    """
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or nesting
+        raise error(f"{where}: not JSON ({exc})") from None
+    if not isinstance(value, dict):
+        raise error(f"{where}: not a JSON object")
+    return value

@@ -26,7 +26,7 @@ from .features import (
     extract_sequence,
     normalize_sequence,
 )
-from .ingest import AudioRecord, Label
+from .ingest import CLASS_INDEX, AudioRecord, Label
 from .rng import mix_seed
 from .windows import DEFAULT_ALPHA, WindowShape, WindowSpec, frame_matrix
 
@@ -89,7 +89,9 @@ def confusion(predictions, labels) -> Confusion:
             f"{len(predictions)} predictions vs {len(labels)} labels")
     if not predictions:
         raise LengthMismatch("need at least one prediction")
-    p, y = np.asarray(predictions) == 1, np.asarray(labels) == 1
+    positive = CLASS_INDEX[Label.PATHOLOGICAL]
+    p = np.asarray(predictions) == positive
+    y = np.asarray(labels) == positive
     return Confusion(tp=int(np.sum(p & y)), tn=int(np.sum(~p & ~y)),
                      fp=int(np.sum(p & ~y)), fn=int(np.sum(~p & y)))
 
@@ -103,19 +105,19 @@ def metrics(c: Confusion) -> Metrics:
 
 
 def split(dataset: list, seed: int = 0) -> tuple[list, list]:
-    """Stratified random split; per class, floor(n * PROTOCOL_TRAIN_FRACTION)
-    goes to train, and a class with no train item raises InvalidFraction."""
-    by_class: dict[Label, list] = {}
-    for item in dataset:
-        by_class.setdefault(item.label, []).append(item)
-    if len(by_class) < 2:
+    """Stratified random split of labeled sequences, class by class in
+    CLASS_INDEX order; per class, floor(n * PROTOCOL_TRAIN_FRACTION) goes to
+    train, and a class with no train item raises InvalidFraction.  An
+    unlabeled sequence raises SingleClassDataset (see `nnet.class_indices`)."""
+    indices = nnet.class_indices(dataset).tolist()
+    if len(set(indices)) < 2:
         raise SingleClassDataset("split needs examples of both classes")
 
     rng = np.random.default_rng(seed)
     train: list = []
     test: list = []
-    for label in sorted(by_class, key=lambda l: l.value):
-        items = by_class[label]
+    for label, index in CLASS_INDEX.items():
+        items = [item for item, k in zip(dataset, indices) if k == index]
         n_train = int(len(items) * PROTOCOL_TRAIN_FRACTION)
         if n_train == 0 or n_train == len(items):
             raise InvalidFraction(
@@ -220,6 +222,14 @@ def _round2(value: float | None) -> str:
     return str(Decimal(repr(value)).quantize(Decimal("0.01"), ROUND_HALF_UP))
 
 
+def _write_csv(path: Path, header: list, rows) -> Path:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def emit_results(cells: list[GridCell], out_dir: str | Path) -> dict[str, Path]:
     """Write results.csv (per trial), summary.csv (per cell), figure5.csv
     (per shape x length, averaged over hidden sizes).  Values are rounded
@@ -232,41 +242,32 @@ def emit_results(cells: list[GridCell], out_dir: str | Path) -> dict[str, Path]:
     ordered = sorted(cells, key=lambda c: (shape_order.index(c.shape),
                                            c.length_label, c.hidden))
 
-    results_path = out_dir / "results.csv"
-    with open(results_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["shape", "length_label", "L", "alpha", "hidden",
-                         "trial", "sens", "spec", "accu"])
-        for cell in ordered:
-            for t, m in enumerate(cell.trials):
-                writer.writerow([cell.shape.value, cell.length_label, cell.L,
-                                 cell.alpha, cell.hidden, t,
-                                 _round2(m.sensitivity), _round2(m.specificity),
-                                 _round2(m.accuracy)])
+    def rounded(m: Metrics) -> list[str]:
+        return [_round2(m.sensitivity), _round2(m.specificity),
+                _round2(m.accuracy)]
 
-    summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["shape", "length_label", "L", "alpha", "hidden",
-                         "trials", "sens", "spec", "accu"])
-        for cell in ordered:
-            writer.writerow([cell.shape.value, cell.length_label, cell.L,
-                             cell.alpha, cell.hidden, len(cell.trials),
-                             _round2(cell.mean.sensitivity),
-                             _round2(cell.mean.specificity),
-                             _round2(cell.mean.accuracy)])
-
-    figure5_path = out_dir / "figure5.csv"
-    with open(figure5_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["shape", "length_label", "sens", "spec", "accu"])
-        seen: dict[tuple, list[Metrics]] = {}
-        for cell in ordered:
-            seen.setdefault((cell.shape, cell.length_label), []).append(cell.mean)
-        for (shape, length), means in seen.items():
-            m = _mean_metrics(means)
-            writer.writerow([shape.value, length, _round2(m.sensitivity),
-                             _round2(m.specificity), _round2(m.accuracy)])
-
-    return {"results": results_path, "summary": summary_path,
-            "figure5": figure5_path}
+    by_figure_cell: dict[tuple, list[Metrics]] = {}
+    for cell in ordered:
+        by_figure_cell.setdefault((cell.shape, cell.length_label),
+                                  []).append(cell.mean)
+    return {
+        "results": _write_csv(
+            out_dir / "results.csv",
+            ["shape", "length_label", "L", "alpha", "hidden", "trial",
+             "sens", "spec", "accu"],
+            ([cell.shape.value, cell.length_label, cell.L, cell.alpha,
+              cell.hidden, t, *rounded(m)]
+             for cell in ordered for t, m in enumerate(cell.trials))),
+        "summary": _write_csv(
+            out_dir / "summary.csv",
+            ["shape", "length_label", "L", "alpha", "hidden", "trials",
+             "sens", "spec", "accu"],
+            ([cell.shape.value, cell.length_label, cell.L, cell.alpha,
+              cell.hidden, len(cell.trials), *rounded(cell.mean)]
+             for cell in ordered)),
+        "figure5": _write_csv(
+            out_dir / "figure5.csv",
+            ["shape", "length_label", "sens", "spec", "accu"],
+            ([shape.value, length, *rounded(_mean_metrics(means))]
+             for (shape, length), means in by_figure_cell.items())),
+    }

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PcgError
+from .errors import PcgError, json_object
 from .ingest import Label
 from .windows import WindowShape, WindowSpec
 
@@ -64,6 +64,14 @@ class FeatureSequence:
     @property
     def num_frames(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def config(self) -> dict:
+        """The extraction config, keyed and ordered as in the sidecar: two
+        sequences with equal configs were made the same way."""
+        return {"window_shape": self.window.shape.value, "L": self.window.L,
+                "alpha": self.window.alpha, "hop": self.hop, "bins": self.bins,
+                "normalized": self.normalized}
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +288,8 @@ def write_features(seq: FeatureSequence, path: str | Path) -> None:
     """Write the feature matrix as CSV and its config as a .meta.json sidecar."""
     path = Path(path)
     np.savetxt(path, seq.values, fmt="%.17g", delimiter=",")
-    meta = {
-        "signal_id": seq.signal_id,
-        "label": seq.label.value,
-        "window_shape": seq.window.shape.value,
-        "L": seq.window.L,
-        "alpha": seq.window.alpha,
-        "hop": seq.hop,
-        "bins": seq.bins,
-        "normalized": seq.normalized,
-        "columns": list(FEATURE_NAMES),
-    }
+    meta = {"signal_id": seq.signal_id, "label": seq.label.value,
+            **seq.config, "columns": list(FEATURE_NAMES)}
     _meta_path(path).write_text(json.dumps(meta, indent=2) + "\n")
 
 
@@ -316,10 +315,8 @@ def read_features(path: str | Path) -> FeatureSequence:
     except (ValueError, UserWarning) as exc:
         raise PcgError(f"{path}: {exc}") from None
     meta_path = _meta_path(path)
+    meta = json_object(meta_path.read_bytes(), meta_path)
     try:
-        meta = json.loads(meta_path.read_text())
-        if not isinstance(meta, dict):
-            raise TypeError("not a JSON object")
         if meta["columns"] != list(FEATURE_NAMES):
             raise ValueError(f"columns {meta['columns']!r} are not FEATURE_NAMES")
         if type(meta["L"]) is not int or meta["L"] % 2:
@@ -346,5 +343,5 @@ def read_features(path: str | Path) -> FeatureSequence:
         )
     except KeyError as exc:
         raise PcgError(f"{meta_path}: no {exc} key") from None
-    except (TypeError, ValueError, RecursionError) as exc:  # also bad UTF-8
+    except ValueError as exc:
         raise PcgError(f"{meta_path}: {exc}") from None

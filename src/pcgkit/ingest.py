@@ -32,6 +32,11 @@ class Label(enum.Enum):
     UNLABELED = "unlabeled"
 
 
+# The two classes a classifier tells apart, by class index; class 1 is the
+# positive class of every confusion tally.  UNLABELED is not a class.
+CLASS_INDEX = {Label.HEALTHY: 0, Label.PATHOLOGICAL: 1}
+
+
 @dataclass
 class AudioRecord:
     """A labeled sampled waveform; amplitudes are dimensionless reals."""

@@ -51,12 +51,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (CorruptModel, EmptySequence, LengthMismatch,
-                     NonFiniteLoss, SingleClassDataset)
+                     NonFiniteLoss, SingleClassDataset, json_object)
 from .features import FeatureSequence
-from .ingest import Label
+from .ingest import CLASS_INDEX
 
-NUM_CLASSES = 2
-CLASS_INDEX = {Label.HEALTHY: 0, Label.PATHOLOGICAL: 1}
+NUM_CLASSES = len(CLASS_INDEX)
 # Gate order inside the stacked 4H dimension: input, forget, candidate, output.
 
 
@@ -136,6 +135,9 @@ class TrainConfig:
         if not self.learning_rate >= 0:  # NaN fails this too
             raise ValueError(
                 f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(
+                f"learning_rate must be finite, got {self.learning_rate}")
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must be in [0, 1)")
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
@@ -250,7 +252,8 @@ def _forward_batch(model: BiLSTMModel, X: np.ndarray) -> tuple[np.ndarray, dict]
 def _stack(seqs: list[FeatureSequence]) -> np.ndarray:
     """The (B, T, D) float64 batch of a non-empty list of sequences; the
     first that has no frames or no feature columns, or differs from seqs[0]
-    in feature config or shape, is refused by name."""
+    in a key of its feature `config` or in shape, is refused by name, with
+    the first key that differs."""
     first, values = seqs[0], []
     for k, seq in enumerate(seqs):
         v = np.asarray(seq.values, dtype=np.float64)
@@ -260,14 +263,14 @@ def _stack(seqs: list[FeatureSequence]) -> np.ndarray:
             raise EmptySequence(
                 f"sequence {seq.signal_id!r} has no feature columns")
         values.append(v)
-        fields = [(f, getattr(seq, f), getattr(first, f))
-                  for f in ("window", "hop", "bins", "normalized")]
-        fields.append(("values shape", v.shape, values[0].shape))
-        for name, got, want in fields:
-            if got != want:
+        got = {**seq.config, "values shape": v.shape}
+        if k == 0:
+            want = got
+        for name, value in got.items():
+            if value != want[name]:
                 raise LengthMismatch(
-                    f"sequence {k} ({seq.signal_id!r}) has {name} {got}, "
-                    f"sequence 0 ({first.signal_id!r}) has {want}: "
+                    f"sequence {k} ({seq.signal_id!r}) has {name} {value}, "
+                    f"sequence 0 ({first.signal_id!r}) has {want[name]}: "
                     "a batch takes one feature config and one shape")
     return np.stack(values)
 
@@ -455,6 +458,11 @@ def train(dataset: list[FeatureSequence], hidden: int,
             correct += correct_b
         history.losses.append(total_loss / n)
         history.accuracies.append(correct / n)
+    # Each step's loss is checked before the step: the last step's result
+    # is checked here.
+    if not np.isfinite(model.theta).all():
+        raise NonFiniteLoss("the parameters hold NaN or Inf after the last "
+                            "step: the learning rate is too high")
     return model, history
 
 
@@ -509,12 +517,7 @@ def load_model(path: str | Path) -> BiLSTMModel:
     if len(raw) < 8 or 8 + hlen > len(raw):
         raise CorruptModel(f"{path}: the header runs past the end of the "
                            f"{len(raw)}-byte file")
-    try:
-        descriptor = json.loads(raw[8:8 + hlen].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or nesting
-        raise CorruptModel(f"{path}: header is not JSON ({exc})") from None
-    if not isinstance(descriptor, dict):
-        raise CorruptModel(f"{path}: header is not a JSON object")
+    descriptor = json_object(raw[8:8 + hlen], f"{path}: header", CorruptModel)
     H, D = descriptor.get("hidden_size"), descriptor.get("input_size")
     if not all(type(n) is int and n > 0 for n in (H, D)):
         raise CorruptModel(f"{path}: hidden_size {H!r} and input_size {D!r} "

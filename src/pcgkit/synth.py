@@ -11,12 +11,13 @@ module constants; SynthConfig holds only what the CLI sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidConfig
-from .ingest import AudioRecord, Label
+from .ingest import CLASS_INDEX, AudioRecord, Label
 from .rng import mix_seed
 
 S1_DURATION_S = 0.12
@@ -40,6 +41,10 @@ class SynthConfig:
     noise_floor: float = 0.01
 
     def __post_init__(self):
+        for name in ("duration_s", "murmur_gain", "noise_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(
+                    f"{name} must be finite, got {getattr(self, name)}")
         top_hz = max(hi for _, hi in (S1_BAND_HZ, S2_BAND_HZ, MURMUR_BAND_HZ))
         if not top_hz < self.rate_hz / 2:
             raise InvalidConfig(
@@ -94,8 +99,9 @@ def generate_with_intervals(
         config: SynthConfig,
         label: Label) -> tuple[AudioRecord, dict[str, list[tuple[int, int]]]]:
     """Generate one record plus the sample intervals of its cycle parts."""
-    if label not in (Label.HEALTHY, Label.PATHOLOGICAL):
-        raise InvalidConfig("label must be HEALTHY or PATHOLOGICAL")
+    if label not in CLASS_INDEX:
+        raise InvalidConfig(
+            f"label must be {' or '.join(l.name for l in CLASS_INDEX)}")
     rng = np.random.default_rng(config.seed)
     rate = config.rate_hz
     n = int(round(config.duration_s * rate))

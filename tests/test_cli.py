@@ -10,7 +10,7 @@ from pcgkit import nnet
 from pcgkit.cli import main
 from pcgkit.ingest import AudioRecord, write_wav
 from test_ingest import wav_mutations
-from test_nnet import MODEL_FILE_MUTATIONS
+from test_nnet import MODEL_FILE_MUTATIONS, _rewrite_header
 
 # The removed thread-pool flag, spelled in two parts so that a search of the
 # tree for leftover uses of it finds none.
@@ -62,6 +62,21 @@ class TestSynthCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: rate 400 Hz") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--duration", "inf"), ("--duration", "nan"),
+        ("--noise-floor", "inf"), ("--murmur-gain", "nan")])
+    def test_non_finite_number_exits_1_before_output(self, tmp_path, capsys,
+                                                     flag, value):
+        out = tmp_path / "corpus"
+        code = main(["synth", "--healthy", "1", "--pathological", "1",
+                     flag, value, "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestExtractCommand:
@@ -480,8 +495,9 @@ class TestGridCommand:
         ({"shapes": "gaussian"}, "config key 'shapes' must be a non-empty list"),
         ({REMOVED_FLAG: 2}, f"unknown config key '{REMOVED_FLAG}'"),
         ({REMOVED_FLAG: "2"}, f"unknown config key '{REMOVED_FLAG}'"),
+        ({"version": 2}, "run.json: unsupported config version 2"),
     ], ids=["trials-string", "trials-bool", "epochs-float", "shapes-string",
-            "removed-flag-int", "removed-flag-string"])
+            "removed-flag-int", "removed-flag-string", "version-2"])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, config, message):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))
@@ -507,6 +523,20 @@ class TestGridCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "error: learning_rate must be >= 0, got nan\n"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_infinite_learning_rate_exits_1(self, tmp_path, capsys, source):
+        args = ["--lr", "inf"]
+        if source == "config":
+            config_path = tmp_path / "run.json"
+            config_path.write_text('{"lr": Infinity}')
+            args = ["--config", str(config_path)]
+        # The corpus does not exist: a learning rate that passed would exit 2.
+        code = main(["grid", "--corpus", str(tmp_path / "missing"), *args,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: learning_rate must be finite, got inf\n"
 
     def test_manifest_without_filename_column_exits_1(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -594,6 +624,43 @@ class TestGridCommand:
         assert "labels.csv" in capsys.readouterr().err
 
 
+# The same malformed JSON, fed to each file pcgkit reads JSON from.
+BAD_JSON = {
+    "not_utf8": b'{"trials": 1}\xff',
+    "trailing_comma": b'{"trials": 1,}',
+    "deeply_nested": b"[" * 100_000 + b"]" * 100_000,
+    "json_list": b'[{"trials": 1}]',
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_JSON))
+@pytest.mark.parametrize("target", ["config", "sidecar", "model_header"])
+def test_bad_json_exits_1_naming_the_file(feature_dir, tmp_path, capsys,
+                                          target, bad):
+    features = tmp_path / "features"
+    shutil.copytree(feature_dir, features)
+    model = tmp_path / "model.bin"
+    nnet.save_model(nnet.init_model(3, seed=0), model)
+    argv = ["eval", "--model", str(model), "--features", str(features)]
+    if target == "config":
+        path = tmp_path / "run.json"
+        path.write_bytes(BAD_JSON[bad])
+        # The corpus does not exist: a config that passed would exit 2.
+        argv = ["grid", "--corpus", str(tmp_path / "missing"),
+                "--config", str(path), "--out-dir", str(tmp_path / "out")]
+    elif target == "sidecar":
+        path = sorted(features.glob("*.meta.json"))[0]
+        path.write_bytes(BAD_JSON[bad])
+    else:
+        path = model
+        path.write_bytes(_rewrite_header(path.read_bytes(),
+                                         lambda header: BAD_JSON[bad]))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 class TestWindowInfoCommand:
     def test_csv_columns(self, capsys):
         assert main(["window-info", "--lengths", "15", "30"]) == 0
@@ -612,6 +679,16 @@ class TestWindowInfoCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "shape,L,alpha,l,w"
         assert len(out) == 1 + 15  # L=14, 15 coefficients
+
+    @pytest.mark.parametrize("argv", [
+        ["--lengths", "15", "1"], ["--shapes", "rectangular", "hann"],
+        ["--lengths", "15", "--nfft", "0"]], ids=["length", "shape", "nfft"])
+    def test_bad_spec_exits_1_before_output(self, capsys, argv):
+        assert main(["window-info", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

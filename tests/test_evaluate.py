@@ -22,7 +22,7 @@ from pcgkit.ingest import AudioRecord, Label
 from pcgkit.rng import mix_seed
 from pcgkit.windows import WindowShape, WindowSpec
 
-from test_nnet import forward_argmax, toy_blobs
+from test_nnet import forward_argmax, make_seq, toy_blobs
 
 
 class TestConfusion:
@@ -151,6 +151,18 @@ class TestSplit:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataset):
             split([FakeItem(Label.HEALTHY, "h")] * 4, seed=0)
+
+
+    def test_unlabeled_sequence_refused_by_name(self):
+        # Unlabeled is no third class: one is too few for a train side,
+        # and five would put three in it.
+        for n in (1, 5):
+            data = toy_blobs(5) + [
+                make_seq(np.zeros((5, 10)), label=Label.UNLABELED, sid=f"u{i}")
+                for i in range(n)]
+            with pytest.raises(SingleClassDataset,
+                               match=r"^sequence 'u0' is unlabeled$"):
+                split(data, seed=0)
 
 
 class TestRunTrial:

@@ -529,6 +529,11 @@ class TestSgdm:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
 
+    def test_infinite_learning_rate_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^learning_rate must be finite, got inf$"):
+            TrainConfig(learning_rate=float("inf"))
+
     @pytest.mark.parametrize("name, value", [("epochs", float("nan")),
                                              ("batch_size", 2.5),
                                              ("seed", 2.5)])
@@ -553,6 +558,20 @@ class TestTrain:
         data[0].values[2, 3] = np.nan
         with pytest.raises(NonFiniteLoss, match="nan"):
             train(data, 3, TrainConfig(epochs=2, seed=20))
+
+    def test_non_finite_parameters_after_last_step_refused(self, monkeypatch):
+        # The loss is checked before each step, so no loss sees the last
+        # step's result.  No learning rate TrainConfig accepts was seen to
+        # overflow theta, so a step that leaves an Inf stands in for one.
+        real_step = nnet.sgdm_step
+
+        def overflowing_step(model, grads, velocity, config):
+            real_step(model, grads, velocity, config)
+            model.theta[-1] = np.inf
+
+        monkeypatch.setattr(nnet, "sgdm_step", overflowing_step)
+        with pytest.raises(NonFiniteLoss, match="after the last step"):
+            train(toy_blobs(4), 3, TrainConfig(epochs=1, batch_size=16))
 
     def test_zero_learning_rate_keeps_init(self):
         data = toy_blobs(4)
@@ -640,9 +659,10 @@ class TestTrain:
         # Same shape, different provenance: still two feature sets.
         data = toy_blobs(4)
         setattr(data[5], field, value)
+        key = "window_shape" if field == "window" else field  # sidecar key
         with pytest.raises(LengthMismatch,
                            match=rf"^sequence 5 \('pathological1'\) has "
-                                 rf"{field} "):
+                                 rf"{key} "):
             train(data, 3, TrainConfig(epochs=1))
         with pytest.raises(LengthMismatch, match=r"^sequence 5 "):
             nnet.predict_batch(init_model(3, seed=0), data)

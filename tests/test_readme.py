@@ -1,16 +1,18 @@
-"""Every `pcgkit` command in README's CLI quick start parses.
+"""README's CLI quick start: every `pcgkit` command parses, and all but
+the grid run.
 
-The commands are only parsed, never run, so a flag the README shows that
-the parser no longer takes fails here, as a demo's deleted import does in
-test_demos.py.
+A flag the README shows that the parser no longer takes fails here, as a
+demo's deleted import does in test_demos.py.  The grid, which runs the
+protocol's axes, is only parsed.
 """
 
+import collections
 import shlex
 from pathlib import Path
 
 import pytest
 
-from pcgkit.cli import build_parser
+from pcgkit.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,17 +26,35 @@ def quick_start_commands():
             if line.startswith("pcgkit ")]
 
 
+def command_ids(commands):
+    """Each command's subcommand; a repeat gets its ordinal ("extract-2")."""
+    seen = collections.Counter()
+    ids = []
+    for argv in commands:
+        seen[argv[1]] += 1
+        ids.append(argv[1] if seen[argv[1]] == 1 else f"{argv[1]}-{seen[argv[1]]}")
+    return ids
+
+
 COMMANDS = quick_start_commands()
 
 
 def test_every_subcommand_is_shown():
-    assert sorted(argv[1] for argv in COMMANDS) == [
+    assert sorted({argv[1] for argv in COMMANDS}) == [
         "eval", "extract", "grid", "synth", "train", "window-info"]
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[1])
+@pytest.mark.parametrize("argv", COMMANDS, ids=command_ids(COMMANDS))
 def test_quick_start_command_parses(argv):
     try:
         build_parser().parse_args(argv[1:])
     except SystemExit:
         pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def test_quick_start_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in COMMANDS:
+        if argv[1] != "grid":
+            assert main(argv[1:]) == 0, shlex.join(argv)
+            assert capsys.readouterr().err == ""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,14 @@ class TestConfigValidation:
     def test_duration_too_short(self):
         with pytest.raises(InvalidConfig):
             SynthConfig(duration_s=1.0)
+
+    @pytest.mark.parametrize("name", ["duration_s", "murmur_gain",
+                                      "noise_floor"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_number_rejected(self, name, value):
+        # NaN is below nothing, so the range checks alone let it through.
+        with pytest.raises(InvalidConfig, match=f"^{name} must be finite"):
+            SynthConfig(**{name: value})
 
     def test_negative_gain(self):
         with pytest.raises(InvalidConfig):
