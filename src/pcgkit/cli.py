@@ -51,6 +51,16 @@ def _require_file(path: str) -> Path:
     return p
 
 
+def _check_output_file(path: str) -> None:
+    """Refuse an output file that could not be written, before any work:
+    its directory must exist and the path must not be a directory."""
+    p = Path(path)
+    if not p.parent.is_dir():
+        raise FileNotFoundError(f"cannot write {p}: no directory {p.parent}")
+    if p.is_dir():
+        raise IsADirectoryError(f"cannot write {p}: it is a directory")
+
+
 def _write_effective_config(out_dir: Path, config: dict) -> None:
     config = {"version": CONFIG_VERSION, **config}
     (out_dir / "effective_config.json").write_text(
@@ -158,6 +168,9 @@ def _train_config_from_args(args, seed: int = 0) -> nnet.TrainConfig:
 
 def cmd_train(args) -> int:
     config = _train_config_from_args(args, seed=args.seed)
+    for path in (args.out, args.history):
+        if path:
+            _check_output_file(path)
     dataset = _load_feature_dir(Path(args.features))
     model, history = nnet.train(dataset, args.hidden, config)
     nnet.save_model(model, args.out, config=config)

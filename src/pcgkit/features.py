@@ -4,7 +4,8 @@ Ten features are computed inside each windowed frame: mean, median, mode,
 variance, skewness, kurtosis, Shannon energy, Shannon entropy,
 zero-crossing rate, and interquartile range.  A signal becomes a T x 10
 feature sequence (one row per frame) which is z-scored per column before
-classification.
+classification.  feature_matrix works through the frame matrix in fixed
+blocks of rows, so its memory beyond the T x 10 result does not grow with T.
 
 Conventions, fixed once and used everywhere:
   * min, max and the quartiles come from one sort of the frame matrix's
@@ -87,6 +88,8 @@ def _mode_entropy_columns(frames: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     each row's counts equal np.histogram(row, bins, range=(lo, hi)).  A row
     whose span is under `bins` steps of the float grid, which np.histogram
     refuses, is binned by the same rule and gets a mode inside [lo, hi].
+    Beyond the edges and counts, it holds one float, one int and one bool
+    array of the frames' shape.
     """
     T, n = frames.shape
     constant = lo == hi
@@ -95,21 +98,29 @@ def _mode_entropy_columns(frames: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     # row to its denormal-step formula as soon as one row needs it.
     edges = np.arange(bins + 1.0) * (span / bins)[:, None]
     edges += lo[:, None]
-    edges[:, -1] = hi
+    # The last edge is read only by the move-up test below, as the upper
+    # edge of the last bin, out of which numpy moves no value; no finite
+    # value reaches +inf either.  It is set to hi for the mode.
+    edges[:, -1] = np.inf
+    flat_edges = edges.ravel()
 
-    # Scaled in place to keep one (T, n) float temporary.
     scaled = frames - lo[:, None]
     scaled /= span[:, None]
     scaled *= bins
     idx = scaled.astype(np.intp)
-    idx[idx == bins] -= 1
-    idx[frames < np.take_along_axis(edges, idx, axis=1)] -= 1
-    idx[(frames >= np.take_along_axis(edges, idx + 1, axis=1))
-        & (idx != bins - 1)] += 1
+    np.minimum(idx, bins - 1, out=idx)  # idx <= bins: numpy's idx == bins step
+    # idx becomes the flat position of each value's lower edge in `edges`;
+    # `scaled` takes the edges looked up ("clip" writes `out` unbuffered).
+    idx += np.arange(0, T * (bins + 1), bins + 1)[:, None]
+    step = np.empty(idx.shape, dtype=bool)
+    np.take(flat_edges, idx, out=scaled, mode="clip")
+    idx -= np.less(frames, scaled, out=step)
+    np.take(flat_edges[1:], idx, out=scaled, mode="clip")
+    idx += np.greater_equal(frames, scaled, out=step)
+    edges[:, -1] = hi
 
-    idx += np.arange(T)[:, None] * bins
-    counts = np.bincount(idx.ravel(), minlength=T * bins).reshape(T, bins)
-
+    counts = np.bincount(idx.ravel(), minlength=T * (bins + 1))
+    counts = counts.reshape(T, bins + 1)[:, :bins]
     rows = np.arange(T)
     best = counts.argmax(axis=1)  # lowest bin wins ties
     mode = 0.5 * (edges[rows, best] + edges[rows, best + 1])
@@ -171,6 +182,13 @@ def _central_moments(frames: np.ndarray) -> tuple[np.ndarray, ...]:
     return mu, var, m3, m4
 
 
+# Rows per block of feature_matrix.  At L = 30 each float temporary of a
+# block is about 254 KB, so the few alive at once stay in a core's L2 cache,
+# and every block reuses the heap memory the one before it freed instead of
+# mapping fresh pages for temporaries as large as the whole frame matrix.
+_BLOCK_ROWS = 1024
+
+
 # Large amplitudes overflow products and sums (m4 from about 1e77): m3 and
 # m4 are then redone from rescaled rows, and any other overflow is refused.
 @np.errstate(over="ignore", invalid="ignore")
@@ -185,6 +203,18 @@ def feature_matrix(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
         raise ValueError("need a non-empty (num_frames, frame_length) matrix")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
+    out = np.empty((frames.shape[0], len(FEATURE_NAMES)))
+    for start in range(0, frames.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        _feature_rows(frames[block], bins, out[block])
+    if not np.isfinite(out).all():
+        raise ValueError("features overflow float64: the frames' amplitude "
+                         "is too large")
+    return out
+
+
+def _feature_rows(frames: np.ndarray, bins: int, out: np.ndarray) -> None:
+    """Write the feature rows of `frames` into `out`, one row each."""
     ranked = np.sort(frames, axis=1)
     lo = ranked[:, 0].copy()
     hi = ranked[:, -1].copy()
@@ -226,12 +256,8 @@ def feature_matrix(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     changes = np.count_nonzero(positive[:, 1:] != positive[:, :-1], axis=1)
     zcr = 2.0 * changes / (2 * (n - 1) + 1)
 
-    out = np.column_stack(
-        [mu, median, mode, var, skew, kurt, energy, entropy, zcr, q75 - q25])
-    if not np.isfinite(out).all():
-        raise ValueError("features overflow float64: the frames' amplitude "
-                         "is too large")
-    return out
+    np.stack([mu, median, mode, var, skew, kurt, energy, entropy, zcr,
+              q75 - q25], axis=1, out=out)
 
 
 def extract_sequence(frames: np.ndarray,

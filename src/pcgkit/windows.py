@@ -117,9 +117,8 @@ def frame_matrix(samples: np.ndarray, spec: WindowSpec,
     """
     samples = np.asarray(samples, dtype=np.float64)
     centers = frame_centers(samples.size, spec, hop)
-    offsets = np.arange(-spec.half_length, spec.half_length + 1)
-    frames = samples[centers[:, None] + offsets[None, :]] * make_window(spec)
-    return frames, centers
+    segments = np.lib.stride_tricks.sliding_window_view(samples, spec.length)
+    return segments[::hop] * make_window(spec), centers
 
 
 # ---------------------------------------------------------------------------

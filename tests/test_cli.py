@@ -321,6 +321,25 @@ class TestTrainEvalCommands:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "m.bin").exists()
 
+    @pytest.mark.parametrize("out,history", [
+        ("m.bin", "nodir/h.json"),  # no directory for the history
+        ("m.bin", "m.txt/h.json"),  # a file where its directory should be
+        ("m.bin", "."),             # a directory as the history file
+        ("nodir/m.bin", "h.json"),
+        (".", "h.json"),
+    ])
+    def test_unwritable_output_exits_2_writing_nothing(
+            self, feature_dir, tmp_path, capsys, monkeypatch, out, history):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.txt").write_text("")
+        code = main(["train", "--features", str(feature_dir), "--hidden", "3",
+                     "--epochs", "1", "--out", out, "--history", history])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]
+
     def test_train_on_mixed_feature_configs_exits_1(self, mixed_feature_dir,
                                                     tmp_path, capsys):
         capsys.readouterr()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pcgkit.features import (
+    _BLOCK_ROWS,
     DEFAULT_BINS,
     _quartile_columns,
     FEATURE_NAMES,
@@ -19,6 +20,7 @@ from pcgkit.ingest import Label
 from pcgkit.windows import WindowShape, WindowSpec, frame_matrix
 
 from naive_features import NAIVE_BY_NAME, _naive_histogram
+from test_nnet import traced_peak
 
 # The windows that cut 15- and 31-sample frames.
 RECT_15 = WindowSpec(WindowShape.RECTANGULAR, 7)
@@ -382,6 +384,74 @@ class TestInputErrors:
 
 def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def boundary_rows(rng):
+    """31-sample rows that take feature_matrix's special paths: constant,
+    1e-160 and 1e140 scales (moments from rescaled rows), values on and one
+    float step beside bin edges, and spans of one and two float steps."""
+    rows = [np.full(31, 0.7), np.full(31, -3e-200),
+            rng.standard_normal(31) * 1e-160, rng.standard_normal(31) * 1e140]
+    for scale in (1e-3, 1.0, 1e3):
+        lo, hi = np.sort(rng.normal(scale=scale, size=2))
+        edges = np.linspace(lo, hi, DEFAULT_BINS + 1)
+        inner = np.concatenate([edges[1:-1], np.nextafter(edges[1:-1], -np.inf),
+                                np.nextafter(edges[1:-1], np.inf), [hi, lo]])
+        rows.append(rng.permutation(np.concatenate([[lo, hi], inner])))
+    for lo in (0.3, -2.5):
+        one = np.nextafter(lo, np.inf)
+        two = np.nextafter(one, np.inf)
+        rows += [rng.choice([lo, one], 31), rng.choice([lo, one, two], 31)]
+    return rows
+
+
+class TestBlocks:
+    """feature_matrix computes _BLOCK_ROWS rows at a time: every row, on
+    either side of a block boundary too, gets the bits of a one-row call,
+    and errors read the same from every block."""
+
+    T = 2 * _BLOCK_ROWS + 300  # two full blocks and a partial one
+
+    def frames(self, seed):
+        rng = np.random.default_rng(seed)
+        frames = rng.standard_t(3, size=(self.T, 31))
+        special = boundary_rows(rng)
+        for first in (_BLOCK_ROWS, 2 * _BLOCK_ROWS):  # a block's first row
+            frames[first - len(special):first + len(special)] = special * 2
+        frames[-len(special):] = special
+        return frames
+
+    @pytest.mark.parametrize("bins", [1, 10, 64])
+    def test_rows_equal_one_row_calls(self, bins):
+        frames = self.frames(70 + bins)
+        matrix = feature_matrix(frames, bins)
+        assert matrix.shape == (self.T, 10)
+        for t, row in enumerate(frames):
+            assert np.array_equal(bits(matrix[t]),
+                                  bits(feature_matrix(row[None], bins)[0])), t
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.nan, "frames must be finite"),
+        (1e160, "features overflow float64"),
+    ])
+    def test_errors_read_the_same_in_the_last_block(self, bad, message):
+        errors = []
+        for t in (0, self.T - 1):
+            frames = self.frames(80)
+            frames[t] = np.random.default_rng(81).standard_normal(31) * bad
+            with pytest.raises(ValueError, match=message) as info:
+                feature_matrix(frames)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_memory_beyond_the_output_does_not_grow_with_frames(self):
+        x = np.random.default_rng(82).standard_t(3, size=5000)
+        frames, _ = frame_matrix(x, WindowSpec(WindowShape.GAUSSIAN, 15), hop=1)
+        doubled = np.concatenate([frames, frames])
+        peak = traced_peak(lambda: feature_matrix(frames))
+        peak_doubled = traced_peak(lambda: feature_matrix(doubled))
+        extra_output = (len(doubled) - len(frames)) * len(FEATURE_NAMES) * 8
+        assert peak_doubled - peak <= 1.5 * extra_output
 
 
 def sign_and_tie_frames(n, rng):

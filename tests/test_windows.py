@@ -12,6 +12,8 @@ from pcgkit.windows import (
     window_spectrum,
 )
 
+from test_nnet import traced_peak
+
 R, T, G = WindowShape.RECTANGULAR, WindowShape.TRIANGULAR, WindowShape.GAUSSIAN
 
 
@@ -95,6 +97,13 @@ class TestFrameSignal:
         assert np.array_equal(centers, np.arange(4, 36, 7))
         for row, c in zip(frames, centers):
             assert np.array_equal(row, w * x[c - 4:c + 5])
+
+    def test_hop_one_memory_is_the_output(self):
+        x = np.random.default_rng(6).normal(size=5000)
+        spec = WindowSpec(G, 15)
+        frames, _ = frame_matrix(x, spec, hop=1)
+        peak = traced_peak(lambda: frame_matrix(x, spec, hop=1))
+        assert peak <= 1.25 * frames.nbytes
 
 
 class TestSpectrum:
