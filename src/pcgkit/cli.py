@@ -61,6 +61,15 @@ def _check_output_file(path: str) -> None:
         raise IsADirectoryError(f"cannot write {p}: it is a directory")
 
 
+def _check_output_dir(path: str) -> None:
+    """Refuse an output directory that could not be made, before any work:
+    the path, or else its nearest existing ancestor, must be a directory."""
+    p = Path(path)
+    q = next((q for q in (p, *p.parents) if q.exists()), p)
+    if not q.is_dir():
+        raise NotADirectoryError(f"cannot write {p}: {q} is not a directory")
+
+
 def _write_effective_config(out_dir: Path, config: dict) -> None:
     config = {"version": CONFIG_VERSION, **config}
     (out_dir / "effective_config.json").write_text(
@@ -162,8 +171,7 @@ def _load_feature_dir(features_dir: Path) -> list:
 def _train_config_from_args(args, seed: int = 0) -> nnet.TrainConfig:
     return nnet.TrainConfig(
         learning_rate=args.lr, momentum=args.momentum, epochs=args.epochs,
-        batch_size=args.batch_size, seed=seed, clip_norm=args.clip_norm,
-        momentum_ramp=args.momentum_ramp)
+        batch_size=args.batch_size, seed=seed)
 
 
 def cmd_train(args) -> int:
@@ -184,6 +192,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_output_file(args.out)
     model = nnet.load_model(_require_file(args.model))
     result = evaluate.score(model, _load_feature_dir(Path(args.features)))
     text = json.dumps({**asdict(result.confusion), **asdict(result.metrics)},
@@ -226,14 +236,12 @@ def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
             raise PcgError(f"unknown config key {key!r}")
         flag = flags[key]
         types, expected = _JSON_TYPES[flag.type]
-        if flag.nargs == 0:  # an on/off switch
-            ok, expected = isinstance(value, bool), "true or false"
-        elif flag.nargs == "+":
+        if flag.nargs == "+":
             ok = (isinstance(value, list) and value
                   and all(_fits(v, types) for v in value))
             expected = f"a non-empty list, each {expected}"
         else:
-            ok = _fits(value, types) or (value is None and flag.default is None)
+            ok = _fits(value, types)
         if not ok:
             raise PcgError(f"config key {key!r} must be {expected}, "
                            f"got {json.dumps(value)}")
@@ -245,6 +253,7 @@ def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
 def cmd_grid(args) -> int:
     # Seed left at 0: run_trial derives each trial's from --seed (any int).
     config = _train_config_from_args(args)
+    _check_output_dir(args.out_dir)
     records = _load_corpus(Path(args.corpus))
     cells = evaluate.run_grid(
         records,
@@ -306,9 +315,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=d.learning_rate)
     p.add_argument("--momentum", type=float, default=d.momentum)
     p.add_argument("--batch-size", type=int, default=d.batch_size)
-    p.add_argument("--clip-norm", type=float, default=d.clip_norm)
-    p.add_argument("--momentum-ramp", action="store_true",
-                   default=d.momentum_ramp)
 
 
 def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:

@@ -187,17 +187,22 @@ def run_grid(records: list[AudioRecord],
     Features are extracted once per (shape, length); only the split and
     training randomness vary across trials.  Per-trial seeds derive from
     base_seed and the cell/trial indices alone, so each trial's result does
-    not depend on which trials ran before it.
+    not depend on which trials ran before it.  Every window spec and hidden
+    size is checked before the first extraction.
     """
     if not (shapes and lengths and hidden_sizes and trials >= 1):
         raise ValueError("grid axes must be non-empty and trials >= 1")
+    specs = [[WindowSpec.from_nominal_length(shape, length, alpha)
+              for length in lengths] for shape in shapes]
+    for hidden in hidden_sizes:
+        nnet.check_hidden_size(hidden)
     if train_config is None:
         train_config = nnet.TrainConfig()
 
     cells = []
     for si, shape in enumerate(shapes):
         for li, length in enumerate(lengths):
-            spec = WindowSpec.from_nominal_length(shape, length, alpha)
+            spec = specs[si][li]
             dataset = extract_dataset(records, spec, hop=hop, bins=bins)
             for hi, hidden in enumerate(hidden_sizes):
                 trial_metrics = [

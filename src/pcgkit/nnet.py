@@ -45,7 +45,7 @@ import json
 import math
 import operator
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -128,8 +128,6 @@ class TrainConfig:
     epochs: int = 500
     batch_size: int = 16
     seed: int = 0
-    clip_norm: float | None = None
-    momentum_ramp: bool = False  # ramp 0.5 -> momentum over the first 10% of epochs
 
     def __post_init__(self):
         if not self.learning_rate >= 0:  # NaN fails this too
@@ -142,9 +140,6 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             _check_count(name, getattr(self, name), least)
-        if self.clip_norm is not None and not self.clip_norm > 0:
-            raise ValueError(
-                f"clip_norm must be > 0 or None, got {self.clip_norm}")
 
 
 @dataclass
@@ -162,9 +157,14 @@ def zeros_like_model(model: BiLSTMModel) -> BiLSTMModel:
     return BiLSTMModel(model.hidden_size, model.input_size)
 
 
+def check_hidden_size(hidden) -> None:
+    """ValueError unless `hidden` is an integer >= 1."""
+    _check_count("hidden size", hidden, 1)
+
+
 def init_model(hidden: int, seed: int, input_size: int = 10) -> BiLSTMModel:
     """Glorot-uniform weights, zero biases except forget-gate bias = 1."""
-    _check_count("hidden size", hidden, 1)
+    check_hidden_size(hidden)
     _check_count("input size", input_size, 1)
     rng = np.random.default_rng(seed)
     model = BiLSTMModel(hidden, input_size)
@@ -394,21 +394,12 @@ def _backward_batch(model: BiLSTMModel, cache: dict,
 # Optimization
 # ---------------------------------------------------------------------------
 
-def global_grad_norm(grads: BiLSTMModel) -> float:
-    return float(np.linalg.norm(grads.theta))
-
-
 def sgdm_step(model: BiLSTMModel, grads: BiLSTMModel, velocity: BiLSTMModel,
               config: TrainConfig) -> None:
     """v <- momentum*v + g; theta <- theta - lr*v.  Updates in place."""
-    scale = 1.0
-    if config.clip_norm is not None:
-        norm = global_grad_norm(grads)
-        if norm > config.clip_norm:
-            scale = config.clip_norm / norm
     v = velocity.theta
     v *= config.momentum
-    v += scale * grads.theta
+    v += grads.theta
     model.theta -= config.learning_rate * v
 
 
@@ -436,24 +427,17 @@ def train(dataset: list[FeatureSequence], hidden: int,
     model = init_model(hidden, seed=config.seed, input_size=X.shape[2])
     velocity = zeros_like_model(model)
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    ramp_epochs = max(1, config.epochs // 10)
 
     history = TrainHistory()
     n = len(dataset)
-    for epoch in range(config.epochs):
-        momentum = config.momentum
-        if config.momentum_ramp:
-            frac = min(1.0, epoch / ramp_epochs)
-            momentum = 0.5 + frac * (config.momentum - 0.5)
-        epoch_config = replace(config, momentum=momentum)
-
+    for _ in range(config.epochs):
         perm = shuffle_rng.permutation(n)
         total_loss = 0.0
         correct = 0
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
             total_loss_b, correct_b = _train_batch(
-                model, velocity, X[idx], labels[idx], epoch_config)
+                model, velocity, X[idx], labels[idx], config)
             total_loss += total_loss_b
             correct += correct_b
         history.losses.append(total_loss / n)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import shutil
@@ -6,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from pcgkit import nnet
+from pcgkit import cli, evaluate, nnet
 from pcgkit.cli import main
 from pcgkit.ingest import AudioRecord, write_wav
 from test_ingest import wav_mutations
@@ -305,14 +306,19 @@ class TestTrainEvalCommands:
                                 "specificity", "accuracy"}
         capsys.readouterr()
 
-    def test_non_positive_clip_norm_exits_1(self, feature_dir, tmp_path, capsys):
-        code = main(["train", "--features", str(feature_dir),
-                     "--clip-norm", "-1", "--out", str(tmp_path / "m.bin")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "clip_norm" in err
-        assert not (tmp_path / "m.bin").exists()
-
+    def test_eval_unwritable_out_exits_2_before_reading(
+            self, feature_dir, tmp_path, capsys, monkeypatch):
+        model = tmp_path / "model.bin"
+        nnet.save_model(nnet.init_model(3, seed=0), model)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(nnet, "load_model", None)  # a call would fail
+        code = main(["eval", "--model", str(model),
+                     "--features", str(feature_dir), "--out", "nodir/m.json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
 
     def test_negative_seed_exits_1(self, feature_dir, tmp_path, capsys):
         code = main(["train", "--features", str(feature_dir), "--seed", "-1",
@@ -514,9 +520,13 @@ class TestGridCommand:
         ({"shapes": "gaussian"}, "config key 'shapes' must be a non-empty list"),
         ({REMOVED_FLAG: 2}, f"unknown config key '{REMOVED_FLAG}'"),
         ({REMOVED_FLAG: "2"}, f"unknown config key '{REMOVED_FLAG}'"),
+        ({"clip_norm": 1.0}, "unknown config key 'clip_norm'"),
+        ({"clip_norm": None}, "unknown config key 'clip_norm'"),
+        ({"momentum_ramp": True}, "unknown config key 'momentum_ramp'"),
         ({"version": 2}, "run.json: unsupported config version 2"),
     ], ids=["trials-string", "trials-bool", "epochs-float", "shapes-string",
-            "removed-flag-int", "removed-flag-string", "version-2"])
+            "removed-flag-int", "removed-flag-string", "clip-norm",
+            "clip-norm-null", "momentum-ramp", "version-2"])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, config, message):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))
@@ -636,6 +646,22 @@ class TestGridCommand:
                   f"--{REMOVED_FLAG}", "2", "--out-dir", str(tmp_path / "out")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("out_dir", ["f.txt", "f.txt/sub"])
+    def test_out_dir_under_a_file_exits_2_before_any_work(
+            self, corpus_dir, tmp_path, capsys, monkeypatch, out_dir):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.txt").write_text("")
+        monkeypatch.setattr(cli, "_load_corpus", None)  # a call would fail
+        monkeypatch.setattr(evaluate, "run_grid", None)
+        code = main(["grid", "--corpus", str(corpus_dir), *SMALL_GRID,
+                     "--out-dir", out_dir])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: cannot write {out_dir}: f.txt is not "
+                                "a directory\n")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
+
     def test_missing_corpus_exits_2(self, tmp_path, capsys):
         code = main(["grid", "--corpus", str(tmp_path / "missing"),
                      "--out-dir", str(tmp_path / "out")])
@@ -721,3 +747,53 @@ class TestWindowInfoCommand:
         args = build_parser().parse_args(["grid", "--corpus", "c",
                                           "--out-dir", "x"])
         assert args.seed == 0
+
+
+@pytest.mark.parametrize("argv", [["train", "--features", "f", "--out", "m",
+                                   "--clip-norm", "1"],
+                                  ["grid", "--corpus", "c", "--out-dir", "o",
+                                   "--momentum-ramp"]],
+                         ids=["clip-norm", "momentum-ramp"])
+def test_removed_training_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def _subparser(command):
+    """One pcgkit command's parser (argparse has no public accessor)."""
+    return next(a.choices for a in cli.build_parser()._actions
+                if isinstance(a.choices, dict))[command]
+
+
+# The flags of train and grid that are not training flags, and the
+# required ones among them with a value each.
+OTHER_FLAGS = {
+    "train": ({"features", "hidden", "seed", "out", "history"},
+              ["--features", "f", "--out", "m"]),
+    "grid": ({"corpus", "config", "shapes", "lengths", "hidden", "trials",
+              "seed", "hop", "alpha", "bins", "out_dir"},
+             ["--corpus", "c", "--out-dir", "o"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OTHER_FLAGS))
+def test_training_flags_are_train_config_fields(command):
+    # One table of defaults: a knob added to TrainConfig or to one command
+    # alone, a default of its own, or a flag not passed on all fail here.
+    defaults = nnet.TrainConfig()
+    dests = {f.name: "lr" if f.name == "learning_rate" else f.name
+             for f in dataclasses.fields(defaults) if f.name != "seed"}
+    others, required = OTHER_FLAGS[command]
+    flags = {a.dest: a for a in _subparser(command)._actions
+             if a.dest != "help"}
+    assert set(flags) - others == set(dests.values())
+    argv, changed = [command, *required], {}
+    for name, dest in dests.items():
+        default = getattr(defaults, name)
+        assert flags[dest].default == default
+        changed[name] = default + 1 if type(default) is int else default / 2
+        argv += ["--" + dest.replace("_", "-"), str(changed[name])]
+    args = cli.build_parser().parse_args(argv)
+    assert cli._train_config_from_args(args, seed=5) == dataclasses.replace(
+        defaults, seed=5, **changed)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pcgkit import nnet
+from pcgkit import evaluate, nnet
 from pcgkit.errors import InvalidFraction, LengthMismatch, SingleClassDataset
 from pcgkit.evaluate import (
     Confusion,
@@ -255,6 +255,22 @@ class TestRunGrid:
         b = run_grid(records, **kwargs)
         assert len(a) == len(b) == 1
         assert a[0].trials == b[0].trials
+
+    @pytest.mark.parametrize("lengths, hidden_sizes, message", [
+        ([30], [5, 0], "hidden size must be >= 1, got 0"),
+        ([30, 1], [5], "nominal length must be >= 2, got 1"),
+    ], ids=["hidden", "length"])
+    def test_bad_axis_refused_before_any_work(self, monkeypatch, lengths,
+                                              hidden_sizes, message):
+        calls = []
+        for name in ("extract_dataset", "run_trial"):
+            monkeypatch.setattr(evaluate, name,
+                                lambda *args, name=name, **kw: calls.append(name))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_grid(tiny_corpus(), shapes=[WindowShape.GAUSSIAN],
+                     lengths=lengths, hidden_sizes=hidden_sizes, trials=1,
+                     hop=400, train_config=FAST_TRAIN)
+        assert calls == []
 
 
 class TestEmitResults:
