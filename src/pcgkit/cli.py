@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import evaluate, nnet, synth
 from .errors import PcgError, json_object
-from .features import DEFAULT_BINS, read_features, write_features
+from .features import read_features, write_features
 from .ingest import (
     CLASS_INDEX,
     Label,
@@ -61,7 +61,7 @@ def _check_output_file(path: str) -> None:
         raise IsADirectoryError(f"cannot write {p}: it is a directory")
 
 
-def _check_output_dir(path: str) -> None:
+def _check_output_dir(path: str | Path) -> None:
     """Refuse an output directory that could not be made, before any work:
     the path, or else its nearest existing ancestor, must be a directory."""
     p = Path(path)
@@ -84,6 +84,7 @@ def cmd_synth(args) -> int:
     config = synth.SynthConfig(
         duration_s=args.duration, rate_hz=args.rate,
         murmur_gain=args.murmur_gain, noise_floor=args.noise_floor)
+    _check_output_dir(args.out_dir)
     records = synth.generate_dataset(args.healthy, args.pathological,
                                      base_seed=args.seed, config=config)
     out_dir = Path(args.out_dir)
@@ -142,6 +143,10 @@ def _load_corpus(corpus_dir: Path) -> list:
 
 
 def cmd_extract(args) -> int:
+    out = Path(args.out)
+    _check_output_dir(out.parent)
+    if out.is_dir():
+        raise IsADirectoryError(f"cannot write {out}: it is a directory")
     path = _require_file(args.input)
     if path.suffix.lower() == ".wav":
         record = read_wav(path)
@@ -151,12 +156,10 @@ def cmd_extract(args) -> int:
         record.label = Label(args.label)
     record = _preprocess(record, path)
 
-    spec = WindowSpec.from_nominal_length(
-        WindowShape(args.shape), args.length, args.alpha)
-    seq = evaluate.extract_dataset([record], spec, hop=args.hop,
-                                   bins=args.bins)[0]
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    write_features(seq, args.out)
+    spec = WindowSpec.from_nominal_length(WindowShape(args.shape), args.length)
+    seq = evaluate.extract_dataset([record], spec, hop=args.hop)[0]
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_features(seq, out)
     print(f"wrote {seq.num_frames} x {seq.values.shape[1]} features to {args.out}")
     return 0
 
@@ -263,8 +266,6 @@ def cmd_grid(args) -> int:
         trials=args.trials,
         base_seed=args.seed,
         hop=args.hop,
-        alpha=args.alpha,
-        bins=args.bins,
         train_config=config,
     )
     out_dir = Path(args.out_dir)
@@ -344,9 +345,7 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--shape", choices=[s.value for s in WindowShape],
                    default="gaussian")
     p.add_argument("--length", type=int, default=30, help="nominal window length")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--hop", type=int, default=1)
-    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--out", required=True, help="output feature CSV path")
     p.set_defaults(func=cmd_extract)
 
@@ -379,8 +378,6 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=evaluate.PROTOCOL_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hop", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     _add_train_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_grid, **_config_defaults(p, grid_config or {}))

@@ -20,15 +20,10 @@ import numpy as np
 
 from . import nnet
 from .errors import InvalidFraction, LengthMismatch, SingleClassDataset
-from .features import (
-    DEFAULT_BINS,
-    FeatureSequence,
-    extract_sequence,
-    normalize_sequence,
-)
+from .features import FeatureSequence, extract_sequence, normalize_sequence
 from .ingest import CLASS_INDEX, AudioRecord, Label
 from .rng import mix_seed
-from .windows import DEFAULT_ALPHA, WindowShape, WindowSpec, frame_matrix
+from .windows import WindowShape, WindowSpec, frame_centers, frame_matrix
 
 # The paper's protocol: every window shape at three nominal lengths, four
 # hidden sizes, and 30 random 70/30 trials per cell.
@@ -119,10 +114,10 @@ def split(dataset: list, seed: int = 0) -> tuple[list, list]:
     for label, index in CLASS_INDEX.items():
         items = [item for item, k in zip(dataset, indices) if k == index]
         n_train = int(len(items) * PROTOCOL_TRAIN_FRACTION)
-        if n_train == 0 or n_train == len(items):
+        if n_train == 0:
             raise InvalidFraction(
                 f"fraction {PROTOCOL_TRAIN_FRACTION} leaves class "
-                f"{label.value!r} with an empty train or test side")
+                f"{label.value!r} with an empty train side")
         order = rng.permutation(len(items))
         train.extend(items[i] for i in order[:n_train])
         test.extend(items[i] for i in order[n_train:])
@@ -160,13 +155,13 @@ def _mean_metrics(trials: list[Metrics]) -> Metrics:
     )
 
 
-def extract_dataset(records: list[AudioRecord], spec: WindowSpec, hop: int = 1,
-                    bins: int = DEFAULT_BINS) -> list[FeatureSequence]:
+def extract_dataset(records: list[AudioRecord], spec: WindowSpec,
+                    hop: int = 1) -> list[FeatureSequence]:
     """Frame + extract + normalize every record under one window config."""
     out = []
     for rec in records:
         frames, _ = frame_matrix(rec.samples, spec, hop)
-        seq = extract_sequence(frames, bins=bins, signal_id=rec.id,
+        seq = extract_sequence(frames, signal_id=rec.id,
                                label=rec.label, window=spec, hop=hop)
         out.append(normalize_sequence(seq))
     return out
@@ -179,8 +174,6 @@ def run_grid(records: list[AudioRecord],
              trials: int = PROTOCOL_TRIALS,
              base_seed: int = 0,
              hop: int = 1,
-             alpha: float = DEFAULT_ALPHA,
-             bins: int = DEFAULT_BINS,
              train_config: nnet.TrainConfig | None = None) -> list[GridCell]:
     """Full experiment grid over shape x length x hidden size.
 
@@ -188,14 +181,20 @@ def run_grid(records: list[AudioRecord],
     training randomness vary across trials.  Per-trial seeds derive from
     base_seed and the cell/trial indices alone, so each trial's result does
     not depend on which trials ran before it.  Every window spec and hidden
-    size is checked before the first extraction.
+    size, and the fit of every window in the shortest record, is checked
+    before the first extraction.
     """
     if not (shapes and lengths and hidden_sizes and trials >= 1):
         raise ValueError("grid axes must be non-empty and trials >= 1")
-    specs = [[WindowSpec.from_nominal_length(shape, length, alpha)
+    specs = [[WindowSpec.from_nominal_length(shape, length)
               for length in lengths] for shape in shapes]
     for hidden in hidden_sizes:
         nnet.check_hidden_size(hidden)
+    if records:
+        shortest = min(rec.samples.size for rec in records)
+        for row in specs:
+            for spec in row:
+                frame_centers(shortest, spec, hop)
     if train_config is None:
         train_config = nnet.TrainConfig()
 
@@ -203,7 +202,7 @@ def run_grid(records: list[AudioRecord],
     for si, shape in enumerate(shapes):
         for li, length in enumerate(lengths):
             spec = specs[si][li]
-            dataset = extract_dataset(records, spec, hop=hop, bins=bins)
+            dataset = extract_dataset(records, spec, hop=hop)
             for hi, hidden in enumerate(hidden_sizes):
                 trial_metrics = [
                     run_trial(dataset, hidden, train_config,

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import shutil
@@ -7,9 +8,10 @@ import shutil
 import numpy as np
 import pytest
 
-from pcgkit import cli, evaluate, nnet
+from pcgkit import cli, evaluate, nnet, synth
 from pcgkit.cli import main
 from pcgkit.ingest import AudioRecord, write_wav
+from pcgkit.windows import WindowSpec
 from test_ingest import wav_mutations
 from test_nnet import MODEL_FILE_MUTATIONS, _rewrite_header
 
@@ -79,6 +81,20 @@ class TestSynthCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("out_dir", ["f.txt", "f.txt/sub"])
+    def test_out_dir_under_a_file_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, out_dir):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.txt").write_text("")
+        monkeypatch.setattr(synth, "generate_dataset", None)  # a call would fail
+        code = main(["synth", "--out-dir", out_dir])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: cannot write {out_dir}: f.txt is not "
+                                "a directory\n")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
+
 
 class TestExtractCommand:
     def test_frame_count_hop_one(self, corpus_dir, tmp_path):
@@ -99,15 +115,22 @@ class TestExtractCommand:
         assert code == 2
         assert "nope.wav" in capsys.readouterr().err
 
-    def test_bins_below_one_exits_1(self, corpus_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("out, message", [
+        ("f.txt/x.csv", "cannot write f.txt: f.txt is not a directory"),
+        ("f.txt/sub/x.csv", "cannot write f.txt/sub: f.txt is not a directory"),
+        (".", "cannot write .: it is a directory"),
+    ], ids=["under-file", "deep-under-file", "directory"])
+    def test_unwritable_out_exits_2_before_reading(
+            self, corpus_dir, tmp_path, capsys, monkeypatch, out, message):
         wav = sorted(corpus_dir.glob("*.wav"))[0]
-        code = main(["extract", "--input", str(wav), "--hop", "50",
-                     "--bins", "0", "--out", str(tmp_path / "f.csv")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "bins" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "f.csv").exists()
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.txt").write_text("")
+        monkeypatch.setattr(cli, "read_wav", None)  # a call would fail
+        code = main(["extract", "--input", str(wav), "--out", out])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
 
     def test_fuzzed_wav_exits_cleanly(self, corpus_dir, tmp_path, capsys):
         wav = tmp_path / "w.wav"
@@ -523,10 +546,12 @@ class TestGridCommand:
         ({"clip_norm": 1.0}, "unknown config key 'clip_norm'"),
         ({"clip_norm": None}, "unknown config key 'clip_norm'"),
         ({"momentum_ramp": True}, "unknown config key 'momentum_ramp'"),
+        ({"alpha": 2.5}, "unknown config key 'alpha'"),
+        ({"bins": 10}, "unknown config key 'bins'"),
         ({"version": 2}, "run.json: unsupported config version 2"),
     ], ids=["trials-string", "trials-bool", "epochs-float", "shapes-string",
             "removed-flag-int", "removed-flag-string", "clip-norm",
-            "clip-norm-null", "momentum-ramp", "version-2"])
+            "clip-norm-null", "momentum-ramp", "alpha", "bins", "version-2"])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, config, message):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))
@@ -752,8 +777,13 @@ class TestWindowInfoCommand:
 @pytest.mark.parametrize("argv", [["train", "--features", "f", "--out", "m",
                                    "--clip-norm", "1"],
                                   ["grid", "--corpus", "c", "--out-dir", "o",
-                                   "--momentum-ramp"]],
-                         ids=["clip-norm", "momentum-ramp"])
+                                   "--momentum-ramp"],
+                                  ["grid", "--corpus", "c", "--out-dir", "o",
+                                   "--alpha", "3"],
+                                  ["extract", "--input", "i", "--out", "o",
+                                   "--bins", "5"]],
+                         ids=["clip-norm", "momentum-ramp", "grid-alpha",
+                              "extract-bins"])
 def test_removed_training_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -766,13 +796,19 @@ def _subparser(command):
                 if isinstance(a.choices, dict))[command]
 
 
+# TrainConfig's fields as train's and grid's flags: all but seed, with --lr
+# for learning_rate.
+TRAINING_FLAGS = {f.name: "lr" if f.name == "learning_rate" else f.name
+                  for f in dataclasses.fields(nnet.TrainConfig)
+                  if f.name != "seed"}
+
 # The flags of train and grid that are not training flags, and the
 # required ones among them with a value each.
 OTHER_FLAGS = {
     "train": ({"features", "hidden", "seed", "out", "history"},
               ["--features", "f", "--out", "m"]),
     "grid": ({"corpus", "config", "shapes", "lengths", "hidden", "trials",
-              "seed", "hop", "alpha", "bins", "out_dir"},
+              "seed", "hop", "out_dir"},
              ["--corpus", "c", "--out-dir", "o"]),
 }
 
@@ -782,14 +818,12 @@ def test_training_flags_are_train_config_fields(command):
     # One table of defaults: a knob added to TrainConfig or to one command
     # alone, a default of its own, or a flag not passed on all fail here.
     defaults = nnet.TrainConfig()
-    dests = {f.name: "lr" if f.name == "learning_rate" else f.name
-             for f in dataclasses.fields(defaults) if f.name != "seed"}
     others, required = OTHER_FLAGS[command]
     flags = {a.dest: a for a in _subparser(command)._actions
              if a.dest != "help"}
-    assert set(flags) - others == set(dests.values())
+    assert set(flags) - others == set(TRAINING_FLAGS.values())
     argv, changed = [command, *required], {}
-    for name, dest in dests.items():
+    for name, dest in TRAINING_FLAGS.items():
         default = getattr(defaults, name)
         assert flags[dest].default == default
         changed[name] = default + 1 if type(default) is int else default / 2
@@ -797,3 +831,33 @@ def test_training_flags_are_train_config_fields(command):
     args = cli.build_parser().parse_args(argv)
     assert cli._train_config_from_args(args, seed=5) == dataclasses.replace(
         defaults, seed=5, **changed)
+
+
+# The library functions whose parameters grid's and extract's remaining flags
+# set, the parameters no flag sets (alpha: extract uses DEFAULT_ALPHA), and
+# the flags that set none.
+SETTING_FLAGS = {
+    "grid": ((evaluate.run_grid,), {"records", "train_config"},
+             {"corpus", "config", "out_dir", *TRAINING_FLAGS.values()}),
+    "extract": ((WindowSpec.from_nominal_length, evaluate.extract_dataset),
+                {"alpha", "records", "spec"}, {"input", "rate", "label", "out"}),
+}
+PARAMETER_OF_FLAG = {"hidden": "hidden_sizes", "seed": "base_seed",
+                     "length": "nominal"}
+
+
+@pytest.mark.parametrize("command", sorted(SETTING_FLAGS))
+def test_setting_flags_are_library_parameters(command):
+    # One table of defaults: a knob added to the library or to the command
+    # alone, or a default of the command's own, fails here.
+    functions, unset, others = SETTING_FLAGS[command]
+    params = {name: p for f in functions
+              for name, p in inspect.signature(f).parameters.items()
+              if name not in unset}
+    flags = {PARAMETER_OF_FLAG.get(a.dest, a.dest): a
+             for a in _subparser(command)._actions
+             if a.dest not in ("help", *others)}
+    assert set(flags) == set(params)
+    for name, param in params.items():
+        if param.default is not inspect.Parameter.empty:
+            assert flags[name].default == param.default, name

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from pcgkit import evaluate, nnet
-from pcgkit.errors import InvalidFraction, LengthMismatch, SingleClassDataset
+from pcgkit.errors import (
+    InvalidFraction,
+    LengthMismatch,
+    SingleClassDataset,
+    WindowTooLong,
+)
 from pcgkit.evaluate import (
     Confusion,
     confusion,
@@ -134,8 +139,9 @@ class TestSplit:
         assert len(test) == 3 + 3
 
     def test_fraction_bounds(self):
-        with pytest.raises(InvalidFraction):
-            split(fake_dataset(1, 5), seed=0)  # healthy train side empty
+        with pytest.raises(InvalidFraction, match="'healthy' with an empty "
+                                                  "train side$"):
+            split(fake_dataset(1, 5), seed=0)
 
     def test_deterministic_and_disjoint(self):
         data = fake_dataset(20, 20)
@@ -256,21 +262,30 @@ class TestRunGrid:
         assert len(a) == len(b) == 1
         assert a[0].trials == b[0].trials
 
-    @pytest.mark.parametrize("lengths, hidden_sizes, message", [
-        ([30], [5, 0], "hidden size must be >= 1, got 0"),
-        ([30, 1], [5], "nominal length must be >= 2, got 1"),
-    ], ids=["hidden", "length"])
+    @pytest.mark.parametrize("lengths, hidden_sizes, error, message", [
+        ([30], [5, 0], ValueError, "hidden size must be >= 1, got 0"),
+        ([30, 1], [5], ValueError, "nominal length must be >= 2, got 1"),
+        ([30, 1200], [5], WindowTooLong,
+         "window length 1201 exceeds signal length 1000"),
+    ], ids=["hidden", "length", "window-fit"])
     def test_bad_axis_refused_before_any_work(self, monkeypatch, lengths,
-                                              hidden_sizes, message):
+                                              hidden_sizes, error, message):
         calls = []
         for name in ("extract_dataset", "run_trial"):
             monkeypatch.setattr(evaluate, name,
                                 lambda *args, name=name, **kw: calls.append(name))
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            run_grid(tiny_corpus(), shapes=[WindowShape.GAUSSIAN],
+        records = tiny_corpus()  # 1250 samples each; the shortest sets the fit
+        records[-1] = replace(records[-1], samples=records[-1].samples[:1000])
+        with pytest.raises(error, match=f"^{message}$"):
+            run_grid(records, shapes=[WindowShape.GAUSSIAN],
                      lengths=lengths, hidden_sizes=hidden_sizes, trials=1,
                      hop=400, train_config=FAST_TRAIN)
         assert calls == []
+
+    def test_no_records_refused_by_split(self):
+        with pytest.raises(SingleClassDataset):
+            run_grid([], shapes=[WindowShape.GAUSSIAN], lengths=[30],
+                     hidden_sizes=[3], trials=1, train_config=FAST_TRAIN)
 
 
 class TestEmitResults:
