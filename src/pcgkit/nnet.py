@@ -19,13 +19,18 @@ gives all four gates, since sigma(x) = 0.5*tanh(x/2) + 0.5.
 
 Training and prediction take sequences of one feature config and one
 shape, as one (window, hop) gives every 10 s recording one length: a
-mini-batch is one (B, T, D) array, and `predict_batch` one forward pass.
+mini-batch is one (B, T, D) array, and `predict_batch` runs forward passes
+over chunks of `TrainConfig().batch_size` rows.
 
 BPTT recomputes nothing and frees each buffer after its last reader, so a
 batch of B sequences of length T peaks at its forward cache,
-8*(16TBH + 8(T+1)BH + 2TBH) bytes: per layer the (2, T, B, 4H) gates and
-the (2, T+1, B, H) cell and hidden states, plus layer 2's (T, B, 2H)
-input.  Prediction on B sequences peaks at the same bound.
+8*(16TBH + 8(T+1)BH) bytes: per layer the (2, T, B, 4H) gates and the
+(2, T+1, B, H) cell and hidden states.  Layer 2's (T, B, 2H) input is not
+cached: the forward pass frees it after layer 2's input projection, and
+the backward pass rebuilds it from layer 1's hidden states, one direction
+at a time.  At T = 4970 and B = 16 that is 437 MiB at H = 30 and
+1.42 GiB at H = 100.  Prediction peaks at the same bound for one chunk,
+however many sequences it is given.
 
 A model, its gradients and its velocity each own one float64 vector,
 theta, laid out by `param_layout`; every weight matrix and bias is a view
@@ -194,22 +199,27 @@ def _gate_scale(H: int, B: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, 1.0 - scale
 
 
-def _layer_forward(layer: BiLayer, U: np.ndarray) -> dict:
+def _layer_forward(layer: BiLayer, make_input, T: int, B: int) -> dict:
     """Both directions of one layer over a time-major (T, B, D) input.
 
     Step s runs time s of the forward direction and time T-1-s of the
     backward one, so the state is (2, B, H) and every buffer is
     (2, T, B, ...) in step order.  Z holds the gate activations; C and Hs
     hold the cell and hidden states, with the zero initial state at index 0.
+    make_input() returns the input.  It is called once the gate buffer is
+    allocated, and the cache keeps no input, so an input built on demand
+    lives only for the input projection and the states can reuse its
+    memory.
     """
-    T, B, _ = U.shape
     H = layer.recurrent_weights.shape[2]
     scale, offset = _gate_scale(H, B)
     col = scale[0, 0]  # the per-column scale, folded into the weights
     Z = np.empty((2, T, B, 4 * H))
+    U = make_input()
     for d, X in enumerate((U, U[::-1])):
         np.matmul(X, (layer.input_weights[d] * col[:, None]).T, out=Z[d])
         Z[d] += layer.bias[d] * col
+    del U, X
     W = (layer.recurrent_weights * col[:, None]).transpose(0, 2, 1)
     C = np.zeros((2, T + 1, B, H))
     Hs = np.zeros((2, T + 1, B, H))
@@ -224,7 +234,7 @@ def _layer_forward(layer: BiLayer, U: np.ndarray) -> dict:
         c += z[..., H:2 * H] * C[:, s]
         np.tanh(c, out=h)
         h *= z[..., 3 * H:]
-    return {"U": U, "Z": Z, "C": C, "Hs": Hs}
+    return {"Z": Z, "C": C, "Hs": Hs}
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -233,19 +243,30 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _layer2_input(Hs1: np.ndarray, d: int) -> np.ndarray:
+    """Layer 2's (T, B, 2H) input in direction d's step order, built from
+    layer 1's (2, T, B, H) step-order hidden states: [forward h_t,
+    backward h_t] at each time t, in time order for d = 0 and reversed for
+    d = 1."""
+    step = 1 - 2 * d
+    return np.concatenate([Hs1[0, ::step], Hs1[1, ::-step]], axis=2)
+
+
 def _forward_batch(model: BiLSTMModel, X: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Probabilities (B, 2) and the full cache for a (B, T, D) batch."""
+    """Probabilities (B, 2) and the full cache for a (B, T, D) batch.  The
+    cache keeps X, layer 1's input, but not layer 2's, which lives only for
+    layer 2's input projection."""
     l1, l2 = model.layers
-    c1 = _layer_forward(l1, X.transpose(1, 0, 2))
+    B, T, _ = X.shape
+    c1 = _layer_forward(l1, lambda: X.transpose(1, 0, 2), T, B)
     Hs1 = c1["Hs"][:, 1:]
-    # Layer 2 sees [forward h_t, backward h_t] at each time t.
-    c2 = _layer_forward(l2, np.concatenate([Hs1[0], Hs1[1, ::-1]], axis=2))
+    c2 = _layer_forward(l2, lambda: _layer2_input(Hs1, 0), T, B)
     # Forward ends at t = T-1 and backward at t = 0: both on the last step.
     feat = np.concatenate(c2["Hs"][:, -1], axis=1)  # (B, 2H)
 
     logits = feat @ model.head_weights.T + model.head_bias
     probs = _softmax(logits)
-    cache = {"layers": (c1, c2), "feat": feat, "probs": probs}
+    cache = {"layers": (c1, c2), "X": X, "feat": feat, "probs": probs}
     return probs, cache
 
 
@@ -278,9 +299,11 @@ def _stack(seqs: list[FeatureSequence]) -> np.ndarray:
 def predict_batch(model: BiLSTMModel,
                   seqs: list[FeatureSequence]) -> np.ndarray:
     """Most probable class index of each sequence, in input order; exact
-    ties resolve to class 0 (healthy).  The sequences run as one batch, so
-    they must share one feature config and one shape (see `_stack`), and
-    their width must be the model's `input_size`."""
+    ties resolve to class 0 (healthy).  The sequences are stacked as one
+    batch, so they must share one feature config and one shape (see
+    `_stack`), and their width must be the model's `input_size`.  They
+    run in chunks of `TrainConfig().batch_size` rows, so prediction peaks
+    at one training batch's forward cache however long the list is."""
     if not seqs:
         return np.zeros(0, dtype=np.int64)
     X = _stack(seqs)
@@ -288,7 +311,9 @@ def predict_batch(model: BiLSTMModel,
         raise LengthMismatch(
             f"model takes {model.input_size} features per frame, sequence 0 "
             f"({seqs[0].signal_id!r}) has {X.shape[2]}")
-    return _forward_batch(model, X)[0].argmax(axis=1)
+    n = TrainConfig().batch_size
+    return np.concatenate([_forward_batch(model, X[k:k + n])[0].argmax(axis=1)
+                           for k in range(0, len(X), n)])
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +321,23 @@ def predict_batch(model: BiLSTMModel,
 # ---------------------------------------------------------------------------
 
 def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray,
-                    dh_carry: np.ndarray, grads: BiLayer) -> None:
+                    dh_carry: np.ndarray, grads: BiLayer, input_of) -> None:
     """BPTT through both directions of one layer, in reverse step order.
 
     dHs holds the (2, T, B, H) output gradients in step order, and dh_carry
     the (2, B, H) gradient that reaches the last step's hidden state from
     outside dHs; the loop carries it back through the recurrence.  The gate
     buffer cache["Z"] is overwritten with the pre-activation gradients dZ,
-    and the weight gradients are written into `grads`.  The cell states are
-    popped from the cache and freed after the time loop, their last reader,
-    before the weight GEMMs copy the reversed input.
+    and the weight gradients are written into `grads`.  input_of(d) gives
+    the layer's (T, B, D) input in direction d's step order; it is called
+    once per direction and each result freed before the next call, so an
+    input built on demand is alive one direction at a time.  The cell
+    states are popped from the cache and freed after the time loop, their
+    last reader, before the first input is taken.
     """
-    U, Z, Hs = cache["U"], cache["Z"], cache["Hs"]
+    Z, Hs = cache["Z"], cache["Hs"]
     C = cache.pop("C")
-    T, B, _ = U.shape
+    T, B = Z.shape[1:3]
     H = C.shape[-1]
     scale, offset = _gate_scale(H, B)
     # (1 - a)(a + lo) is a(1 - a) on the sigmoid columns, 1 - a^2 on tanh's.
@@ -337,9 +365,9 @@ def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray,
         dh_carry = np.matmul(z, W)
     del C
 
-    for d, X in enumerate((U, U[::-1])):
+    for d in (0, 1):
         dZ = Z[d].reshape(T * B, 4 * H)
-        grads.input_weights[d] = dZ.T @ X.reshape(T * B, -1)
+        grads.input_weights[d] = dZ.T @ input_of(d).reshape(T * B, -1)
         grads.recurrent_weights[d] = dZ.T @ Hs[d, :-1].reshape(T * B, H)
         grads.bias[d] = dZ.sum(axis=0)
 
@@ -352,19 +380,21 @@ def _backward_batch(model: BiLSTMModel, cache: dict,
     "probs" and "feat", and a second call raises ValueError.  Layer 2's
     outputs reach the loss only through feat, on its last step, so the
     head's gradient seeds layer 2's carry and its output gradients are a
-    zero-stride view.  Each buffer is released after its last reader:
-    layer 2's cell states inside its backward, its input and hidden states
-    once its weight gradients are formed, and its dZ once it has become
-    layer 1's output gradient.  Layer 1's backward thus runs with only its
-    own cache alive, and a batch peaks at its forward cache.
+    zero-stride view.  Layer 2's weight gradients rebuild its input from
+    layer 1's hidden states, one direction at a time.  Each buffer is
+    released after its last reader: layer 2's cell states inside its
+    backward, its hidden states once its weight gradients are formed, its
+    dZ once it has become dU, layer 1's output gradient, and dU once it is
+    stacked in layer 1's step order.  Layer 1's backward thus runs with
+    only its own cache alive, and a batch peaks at its forward cache.
     """
     if "layers" not in cache:
         raise ValueError("cache already consumed by _backward_batch")
     c1, c2 = cache.pop("layers")
+    X = cache.pop("X")
     probs, feat = cache["probs"], cache["feat"]
-    B = probs.shape[0]
+    B, T, _ = X.shape
     H = model.hidden_size
-    T = c2["U"].shape[0]
 
     dlogits = probs.copy()
     dlogits[np.arange(B), labels] -= 1.0
@@ -378,15 +408,19 @@ def _backward_batch(model: BiLSTMModel, cache: dict,
 
     l1, l2 = model.layers
     zeros = np.broadcast_to(np.zeros((2, 1, B, H)), (2, T, B, H))
+    Hs1 = c1["Hs"][:, 1:]
     _layer_backward(l2, c2, zeros, dfeat.reshape(B, 2, H).transpose(1, 0, 2),
-                    grads.layers[1])
+                    grads.layers[1], lambda d: _layer2_input(Hs1, d))
     dZ = c2["Z"]
     del c2
     dU = dZ[0] @ l2.input_weights[0]  # (T, B, 2H), time order
     dU += (dZ[1] @ l2.input_weights[1])[::-1]
     del dZ
-    _layer_backward(l1, c1, np.stack([dU[..., :H], dU[::-1, :, H:]]),
-                    np.zeros((2, B, H)), grads.layers[0])
+    dHs1 = np.stack([dU[..., :H], dU[::-1, :, H:]])
+    del dU
+    U1 = X.transpose(1, 0, 2)
+    _layer_backward(l1, c1, dHs1, np.zeros((2, B, H)), grads.layers[0],
+                    lambda d: U1[::1 - 2 * d])
     return grads
 
 

@@ -50,6 +50,11 @@ def probs_of(model, seq):
     return nnet._forward_batch(model, seq.values[None])[0][0]
 
 
+def layer_forward(layer, U):
+    """`_layer_forward` over a time-major (T, B, D) array."""
+    return nnet._layer_forward(layer, lambda: U, *U.shape[:2])
+
+
 def zero_model(H=3, D=10):
     model = init_model(H, seed=0, input_size=D)
     for _, arr in model.blocks:
@@ -59,9 +64,8 @@ def zero_model(H=3, D=10):
 
 def forward_cache_bytes(H, B, T):
     """Bytes of a batch's forward cache: per layer, the (2, T, B, 4H) gates
-    and the (2, T+1, B, H) cell and hidden states; plus layer 2's
-    (T, B, 2H) input."""
-    return 8 * (16 * T * B * H + 8 * (T + 1) * B * H + 2 * T * B * H)
+    and the (2, T+1, B, H) cell and hidden states."""
+    return 8 * (16 * T * B * H + 8 * (T + 1) * B * H)
 
 
 def traced_peak(call):
@@ -216,7 +220,7 @@ class TestCellStep:
         layer = BiLayer(np.zeros((2, 12, 10)), np.zeros((2, 12, 3)),
                         np.zeros((2, 12)))
         U = np.random.default_rng(0).normal(size=(4, 2, 10))  # (T, B, D)
-        cache = nnet._layer_forward(layer, U)
+        cache = layer_forward(layer, U)
         assert np.array_equal(cache["Hs"], np.zeros((2, 5, 2, 3)))
         assert np.array_equal(cache["C"], np.zeros((2, 5, 2, 3)))
 
@@ -228,7 +232,7 @@ class TestCellStep:
         b = np.zeros(4 * H)
         b[H:2 * H] = 50.0  # forget gate pinned at 1
         U = rng.normal(size=(2, 1, D))
-        cache = nnet._layer_forward(_layer((Wx, Wh, b)), U)
+        cache = layer_forward(_layer((Wx, Wh, b)), U)
         # Step 2 sees time 1 in the forward direction, time 0 in the backward.
         for d, t in ((0, 1), (1, 0)):
             h_prev, c_prev = cache["Hs"][d, 1, 0], cache["C"][d, 1, 0]
@@ -271,7 +275,7 @@ class TestCellStep:
         H, D = 4, 6
         layer = _random_layer(rng, H, D)
         U = rng.normal(size=(2, 1, D))
-        cache = nnet._layer_forward(layer, U)
+        cache = layer_forward(layer, U)
         for d, order in enumerate(([0, 1], [1, 0])):
             states = self._scalar_loop(layer, d, [U[t, 0] for t in order])
             for s, (h, c) in enumerate(states):
@@ -283,10 +287,10 @@ class TestCellStep:
         H, D = 5, 7
         layer = _random_layer(rng, H, D)
         U = rng.normal(size=(9, 3, D))
-        ours = nnet._layer_forward(layer, U)
+        ours = layer_forward(layer, U)
         flipped = BiLayer(layer.input_weights[::-1],
                           layer.recurrent_weights[::-1], layer.bias[::-1])
-        swapped = nnet._layer_forward(flipped, U[::-1])
+        swapped = layer_forward(flipped, U[::-1])
         for key in ("Hs", "C", "Z"):
             assert np.allclose(ours[key][1], swapped[key][0], rtol=0, atol=1e-14)
             assert np.allclose(ours[key][0], swapped[key][1], rtol=0, atol=1e-14)
@@ -704,6 +708,25 @@ class TestPredict:
         seqs = [make_seq(rng.normal(size=(199, 10))) for _ in range(16)]
         peak = traced_peak(lambda: nnet.predict_batch(model, seqs))
         assert peak <= 1.10 * forward_cache_bytes(30, 16, 199)
+
+    def test_long_list_runs_in_training_batch_chunks(self):
+        # 64 sequences peak at one 16-sequence batch's cache, not four, and
+        # each chunk predicts as it would alone.
+        rng = np.random.default_rng(33)
+        model = init_model(30, seed=33)
+        seqs = [make_seq(rng.normal(size=(199, 10)), sid=str(k))
+                for k in range(64)]
+        n = TrainConfig().batch_size
+        assert n == 16
+        want = np.concatenate([nnet.predict_batch(model, seqs[k:k + n])
+                               for k in range(0, 64, n)])
+        assert set(want.tolist()) == {0, 1}
+        assert nnet.predict_batch(model, seqs).tolist() == want.tolist()
+        # So does one 64-row forward pass.
+        probs, _ = nnet._forward_batch(model, np.stack([s.values for s in seqs]))
+        assert probs.argmax(axis=1).tolist() == want.tolist()
+        peak = traced_peak(lambda: nnet.predict_batch(model, seqs))
+        assert peak <= 1.10 * forward_cache_bytes(30, n, 199)
 
 
 class TestPinnedBits:
