@@ -119,7 +119,9 @@ def _load_corpus(corpus_dir: Path) -> list:
     if not manifest.is_file():
         raise FileNotFoundError(f"no such file: {manifest}")
     classes = {label.value: label for label in CLASS_INDEX}
-    entries = []
+    # path -> (line, label); a file listed twice could land on both sides
+    # of a split, so it is refused.
+    entries = {}
     try:
         with open(manifest, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -132,14 +134,16 @@ def _load_corpus(corpus_dir: Path) -> list:
                 if row["label"] not in classes:
                     raise ValueError(f"line {reader.line_num} has label "
                                      f"{row['label']!r}, not {' or '.join(classes)}")
-                entries.append((row["filename"], classes[row["label"]]))
+                path = corpus_dir / row["filename"]
+                if path in entries:
+                    raise ValueError(f"line {reader.line_num} lists "
+                                     f"{row['filename']!r} again, first on "
+                                     f"line {entries[path][0]}")
+                entries[path] = (reader.line_num, classes[row["label"]])
     except (ValueError, csv.Error) as exc:  # also bad UTF-8
         raise PcgError(f"{manifest}: {exc}") from None
-    records = []
-    for name, label in entries:
-        path = corpus_dir / name
-        records.append(_preprocess(read_wav(path, label=label), path))
-    return records
+    return [_preprocess(read_wav(path, label=label), path)
+            for path, (_, label) in entries.items()]
 
 
 def cmd_extract(args) -> int:

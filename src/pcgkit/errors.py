@@ -5,10 +5,12 @@ Everything raised on bad inputs or violated contracts derives from
 from genuine bugs or I/O failures.  :func:`json_object` is the one reader
 of JSON from outside the program (model headers, feature sidecars, run
 configs): whatever it cannot read as an object it refuses with one of
-these errors, naming the file.
+these errors, naming the file.  :func:`check_count` is the one check of
+every count the library takes: an integer, not a bool, at least a floor.
 """
 
 import json
+import operator
 
 
 class PcgError(Exception):
@@ -62,6 +64,18 @@ class InvalidFraction(PcgError):
 
 class InvalidConfig(PcgError):
     """Synthesis or run configuration violates its invariants."""
+
+
+def check_count(name: str, value, least: int) -> None:
+    """ValueError, naming the value, unless it is an integer >= least."""
+    try:
+        if isinstance(value, bool):  # an int to Python, not a count
+            raise TypeError
+        operator.index(value)  # refuses floats, NaN included, and strings
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 def json_object(raw: bytes, where, error: type[PcgError] = PcgError) -> dict:

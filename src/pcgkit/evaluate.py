@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nnet
-from .errors import InvalidFraction, LengthMismatch, SingleClassDataset
+from .errors import (InvalidFraction, LengthMismatch, SingleClassDataset,
+                     check_count)
 from .features import FeatureSequence, extract_sequence, normalize_sequence
 from .ingest import CLASS_INDEX, AudioRecord, Label
 from .rng import mix_seed
@@ -182,14 +183,20 @@ def run_grid(records: list[AudioRecord],
     base_seed and the cell/trial indices alone, so each trial's result does
     not depend on which trials ran before it.  Every window spec and hidden
     size, and the fit of every window in the shortest record, is checked
-    before the first extraction.
+    before the first extraction, and so is a value repeated on an axis.
     """
-    if not (shapes and lengths and hidden_sizes and trials >= 1):
-        raise ValueError("grid axes must be non-empty and trials >= 1")
+    if not (shapes and lengths and hidden_sizes):
+        raise ValueError("grid axes must be non-empty")
+    check_count("trials", trials, 1)
     specs = [[WindowSpec.from_nominal_length(shape, length)
               for length in lengths] for shape in shapes]
     for hidden in hidden_sizes:
-        nnet.check_hidden_size(hidden)
+        check_count("hidden size", hidden, 1)
+    for axis, values in (("shape", [s.value for s in shapes]),
+                         ("length", lengths), ("hidden size", hidden_sizes)):
+        repeat = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeat is not None:
+            raise ValueError(f"grid repeats {axis} {repeat}")
     if records:
         shortest = min(rec.samples.size for rec in records)
         for row in specs:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PcgError, json_object
+from .errors import PcgError, check_count, json_object
 from .ingest import Label
 from .windows import WindowShape, WindowSpec
 
@@ -201,8 +201,7 @@ def feature_matrix(frames: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] < 1:
         raise ValueError("need a non-empty (num_frames, frame_length) matrix")
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    check_count("bins", bins, 1)
     out = np.empty((frames.shape[0], len(FEATURE_NAMES)))
     for start in range(0, frames.shape[0], _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
@@ -348,8 +347,7 @@ def read_features(path: str | Path) -> FeatureSequence:
         if type(meta["L"]) is not int or meta["L"] % 2:
             raise ValueError(f"L must be an even int, got {meta['L']!r}")
         for key in ("hop", "bins"):
-            if type(meta[key]) is not int or meta[key] < 1:
-                raise ValueError(f"{key} must be a positive int, got {meta[key]!r}")
+            check_count(key, meta[key], 1)
         if type(meta["alpha"]) not in (int, float):
             raise ValueError(f"alpha must be a number, got {meta['alpha']!r}")
         if type(meta["normalized"]) is not bool:

@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -56,8 +55,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (CorruptModel, EmptySequence, LengthMismatch,
-                     NonFiniteLoss, SingleClassDataset, json_object)
-from .features import FeatureSequence
+                     NonFiniteLoss, SingleClassDataset, check_count,
+                     json_object)
+from .features import FEATURE_NAMES, FeatureSequence
 from .ingest import CLASS_INDEX
 
 NUM_CLASSES = len(CLASS_INDEX)
@@ -116,16 +116,6 @@ class BiLSTMModel:
         self.head_weights, self.head_bias = v[12:]
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """ValueError, naming the value, unless it is an integer >= least."""
-    try:
-        operator.index(value)  # rejects floats, NaN included, and strings
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
-
-
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.01
@@ -144,7 +134,7 @@ class TrainConfig:
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must be in [0, 1)")
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            _check_count(name, getattr(self, name), least)
+            check_count(name, getattr(self, name), least)
 
 
 @dataclass
@@ -162,15 +152,11 @@ def zeros_like_model(model: BiLSTMModel) -> BiLSTMModel:
     return BiLSTMModel(model.hidden_size, model.input_size)
 
 
-def check_hidden_size(hidden) -> None:
-    """ValueError unless `hidden` is an integer >= 1."""
-    _check_count("hidden size", hidden, 1)
-
-
-def init_model(hidden: int, seed: int, input_size: int = 10) -> BiLSTMModel:
+def init_model(hidden: int, seed: int,
+               input_size: int = len(FEATURE_NAMES)) -> BiLSTMModel:
     """Glorot-uniform weights, zero biases except forget-gate bias = 1."""
-    check_hidden_size(hidden)
-    _check_count("input size", input_size, 1)
+    check_count("hidden size", hidden, 1)
+    check_count("input size", input_size, 1)
     rng = np.random.default_rng(seed)
     model = BiLSTMModel(hidden, input_size)
     for name, block in model.blocks:
@@ -537,9 +523,11 @@ def load_model(path: str | Path) -> BiLSTMModel:
                            f"{len(raw)}-byte file")
     descriptor = json_object(raw[8:8 + hlen], f"{path}: header", CorruptModel)
     H, D = descriptor.get("hidden_size"), descriptor.get("input_size")
-    if not all(type(n) is int and n > 0 for n in (H, D)):
-        raise CorruptModel(f"{path}: hidden_size {H!r} and input_size {D!r} "
-                           "must be positive ints")
+    try:
+        check_count("hidden_size", H, 1)
+        check_count("input_size", D, 1)
+    except ValueError as exc:
+        raise CorruptModel(f"{path}: {exc}") from None
     for key, want in _descriptor(H, D).items():
         if key not in descriptor:
             raise CorruptModel(f"{path}: descriptor has no {key!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_count
 from .ingest import CLASS_INDEX, AudioRecord, Label
 from .rng import mix_seed
 
@@ -145,8 +145,8 @@ def generate(config: SynthConfig, label: Label) -> AudioRecord:
 def generate_dataset(n_healthy: int, n_pathological: int, base_seed: int = 0,
                      config: SynthConfig = SynthConfig()) -> list[AudioRecord]:
     """A balanced-or-not labeled corpus with per-record derived seeds."""
-    if n_healthy < 1 or n_pathological < 1:
-        raise InvalidConfig("need at least one record per class")
+    check_count("n_healthy", n_healthy, 1)
+    check_count("n_pathological", n_pathological, 1)
     records = []
     for i in range(n_healthy):
         cfg = replace(config, seed=mix_seed(base_seed, 0, i))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSidelobe, WindowTooLong
+from .errors import NoSidelobe, WindowTooLong, check_count
 
 DEFAULT_ALPHA = 2.5
 DEFAULT_NFFT = 4096
@@ -43,8 +43,7 @@ class WindowSpec:
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
-        if self.half_length < 1:
-            raise ValueError(f"half_length must be >= 1, got {self.half_length}")
+        check_count("half_length", self.half_length, 1)
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
@@ -65,8 +64,7 @@ class WindowSpec:
         taken as L itself (full length label+1).  Either way the window
         stays symmetric with an odd point count.
         """
-        if nominal < 2:
-            raise ValueError(f"nominal length must be >= 2, got {nominal}")
+        check_count("nominal length", nominal, 2)
         L = nominal - 1 if nominal % 2 else nominal
         return cls(shape=shape, half_length=L // 2, alpha=alpha)
 
@@ -96,8 +94,7 @@ def make_window(spec: WindowSpec) -> np.ndarray:
 
 def frame_centers(n_samples: int, spec: WindowSpec, hop: int) -> np.ndarray:
     """Valid frame centers: L/2, L/2+hop, ... while the window fits."""
-    if hop < 1:
-        raise ValueError(f"hop must be >= 1, got {hop}")
+    check_count("hop", hop, 1)
     if spec.length > n_samples:
         raise WindowTooLong(
             f"window length {spec.length} exceeds signal length {n_samples}")

@@ -618,6 +618,22 @@ class TestGridCommand:
             f"error: {manifest}: line 3 has label {label!r}, not healthy or "
             "pathological\n")
 
+    @pytest.mark.parametrize("again", ["a.wav", "./a.wav"])
+    def test_manifest_listing_a_file_twice_exits_1(self, tmp_path, capsys,
+                                                   again):
+        # Refused before any WAV is read: the listed files do not exist.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        manifest = corpus / "labels.csv"
+        manifest.write_text("filename,label\na.wav,healthy\n"
+                            f"b.wav,pathological\n{again},pathological\n")
+        code = main(["grid", "--corpus", str(corpus), *SMALL_GRID,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line 4 lists {again!r} again, first on "
+            "line 2\n")
+
     def test_fuzzed_manifest_exits_cleanly(self, corpus_dir, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(corpus_dir, corpus)

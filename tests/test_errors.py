@@ -1,0 +1,42 @@
+"""The one count rule, `errors.check_count`, and the library's counts that
+go through it."""
+
+import re
+
+import numpy as np
+import pytest
+
+from pcgkit.errors import check_count
+from pcgkit.features import feature_matrix
+from pcgkit.synth import generate_dataset
+from pcgkit.windows import WindowShape, WindowSpec, frame_matrix
+
+G = WindowShape.GAUSSIAN
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3), np.int32(1)])
+    def test_integers_at_least_the_floor_pass(self, value):
+        check_count("n", value, 1)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), "3", None,
+                                       True, False, np.float64(2.0)])
+    def test_non_integers_refused(self, value):
+        message = f"n must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_count("n", value, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WindowSpec(G, 7.5), "half_length must be an integer, got 7.5"),
+    (lambda: WindowSpec.from_nominal_length(G, 30.0),
+     "nominal length must be an integer, got 30.0"),
+    (lambda: frame_matrix(np.ones(100), WindowSpec(G, 5), hop=2.5),
+     "hop must be an integer, got 2.5"),
+    (lambda: feature_matrix(np.ones((3, 11)), bins=2.5),
+     "bins must be an integer, got 2.5"),
+    (lambda: generate_dataset(1.5, 1), "n_healthy must be an integer, got 1.5"),
+], ids=["half_length", "nominal", "hop", "bins", "records"])
+def test_non_integer_count_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

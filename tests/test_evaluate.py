@@ -262,25 +262,41 @@ class TestRunGrid:
         assert len(a) == len(b) == 1
         assert a[0].trials == b[0].trials
 
-    @pytest.mark.parametrize("lengths, hidden_sizes, error, message", [
-        ([30], [5, 0], ValueError, "hidden size must be >= 1, got 0"),
-        ([30, 1], [5], ValueError, "nominal length must be >= 2, got 1"),
-        ([30, 1200], [5], WindowTooLong,
+    @pytest.mark.parametrize("axes, error, message", [
+        (dict(hidden_sizes=[5, 0]), ValueError,
+         "hidden size must be >= 1, got 0"),
+        (dict(lengths=[30, 1]), ValueError,
+         "nominal length must be >= 2, got 1"),
+        (dict(lengths=[30, 1200]), WindowTooLong,
          "window length 1201 exceeds signal length 1000"),
-    ], ids=["hidden", "length", "window-fit"])
-    def test_bad_axis_refused_before_any_work(self, monkeypatch, lengths,
-                                              hidden_sizes, error, message):
+        (dict(trials=1.5), ValueError, "trials must be an integer, got 1.5"),
+        (dict(hop=2.5), ValueError, "hop must be an integer, got 2.5"),
+        (dict(shapes=[WindowShape.GAUSSIAN, WindowShape.RECTANGULAR,
+                      WindowShape.GAUSSIAN]), ValueError,
+         "grid repeats shape gaussian"),
+        (dict(lengths=[30, 15, 30]), ValueError, "grid repeats length 30"),
+        (dict(hidden_sizes=[2, 2]), ValueError, "grid repeats hidden size 2"),
+    ], ids=["hidden", "length", "window-fit", "trials", "hop",
+            "repeated-shape", "repeated-length", "repeated-hidden"])
+    def test_bad_axis_refused_before_any_work(self, monkeypatch, axes, error,
+                                              message):
         calls = []
         for name in ("extract_dataset", "run_trial"):
             monkeypatch.setattr(evaluate, name,
                                 lambda *args, name=name, **kw: calls.append(name))
         records = tiny_corpus()  # 1250 samples each; the shortest sets the fit
         records[-1] = replace(records[-1], samples=records[-1].samples[:1000])
+        grid = dict(shapes=[WindowShape.GAUSSIAN], lengths=[30],
+                    hidden_sizes=[5], trials=1, hop=400)
         with pytest.raises(error, match=f"^{message}$"):
-            run_grid(records, shapes=[WindowShape.GAUSSIAN],
-                     lengths=lengths, hidden_sizes=hidden_sizes, trials=1,
-                     hop=400, train_config=FAST_TRAIN)
+            run_grid(records, **{**grid, **axes}, train_config=FAST_TRAIN)
         assert calls == []
+
+    def test_labels_with_one_L_are_not_repeats(self):
+        cells = run_grid(tiny_corpus(), shapes=[WindowShape.GAUSSIAN],
+                         lengths=[30, 31], hidden_sizes=[3], trials=1,
+                         hop=400, train_config=FAST_TRAIN)
+        assert [(c.length_label, c.L) for c in cells] == [(30, 30), (31, 30)]
 
     def test_no_records_refused_by_split(self):
         with pytest.raises(SingleClassDataset):

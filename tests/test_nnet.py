@@ -175,6 +175,7 @@ class TestInit:
     @pytest.mark.parametrize("hidden, message", [
         (2.5, "hidden size must be an integer, got 2.5"),
         ("3", "hidden size must be an integer, got '3'"),
+        (True, "hidden size must be an integer, got True"),
         (0, "hidden size must be >= 1, got 0")])
     def test_bad_hidden_size_rejected(self, hidden, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -184,6 +185,7 @@ class TestInit:
 
     @pytest.mark.parametrize("input_size, message", [
         (2.5, "input size must be an integer, got 2.5"),
+        (True, "input size must be an integer, got True"),
         (0, "input size must be >= 1, got 0")])
     def test_bad_input_size_rejected(self, input_size, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -510,11 +512,14 @@ class TestSgdm:
             TrainConfig(learning_rate=float("inf"))
 
     @pytest.mark.parametrize("name, value", [("epochs", float("nan")),
+                                             ("epochs", True),
                                              ("batch_size", 2.5),
-                                             ("seed", 2.5)])
+                                             ("batch_size", True),
+                                             ("seed", 2.5),
+                                             ("seed", False)])
     def test_non_integer_count_rejected(self, name, value):
         # Each would otherwise fail later, inside train's range() or numpy's
-        # seeding.
+        # seeding, or (a bool) run as 0 or 1.
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             TrainConfig(**{name: value})
 
