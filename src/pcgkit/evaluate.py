@@ -12,6 +12,7 @@ positive class).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -175,7 +176,7 @@ def run_grid(records: list[AudioRecord],
              trials: int = PROTOCOL_TRIALS,
              base_seed: int = 0,
              hop: int = 1,
-             train_config: nnet.TrainConfig | None = None) -> list[GridCell]:
+             train_config: nnet.TrainConfig = nnet.TrainConfig()) -> list[GridCell]:
     """Full experiment grid over shape x length x hidden size.
 
     Features are extracted once per (shape, length); only the split and
@@ -188,6 +189,7 @@ def run_grid(records: list[AudioRecord],
     if not (shapes and lengths and hidden_sizes):
         raise ValueError("grid axes must be non-empty")
     check_count("trials", trials, 1)
+    check_count("base_seed", base_seed, -math.inf)
     specs = [[WindowSpec.from_nominal_length(shape, length)
               for length in lengths] for shape in shapes]
     for hidden in hidden_sizes:
@@ -202,8 +204,6 @@ def run_grid(records: list[AudioRecord],
         for row in specs:
             for spec in row:
                 frame_centers(shortest, spec, hop)
-    if train_config is None:
-        train_config = nnet.TrainConfig()
 
     cells = []
     for si, shape in enumerate(shapes):

@@ -22,8 +22,10 @@ shape, as one (window, hop) gives every 10 s recording one length: a
 mini-batch is one (B, T, D) array, and `predict_batch` runs forward passes
 over chunks of `TrainConfig().batch_size` rows.
 
-BPTT recomputes nothing and frees each buffer after its last reader, so a
-batch of B sequences of length T peaks at its forward cache,
+One optimizer step is `_batch_grads` (a mini-batch's forward pass, loss
+and BPTT; its caches never leave it), then `sgdm_step`.  BPTT recomputes
+nothing and frees each buffer after its last reader, so a batch of B
+sequences of length T peaks at its forward cache,
 8*(16TBH + 8(T+1)BH) bytes: per layer the (2, T, B, 4H) gates and the
 (2, T+1, B, H) cell and hidden states.  Layer 2's (T, B, 2H) input is not
 cached: the forward pass frees it after layer 2's input projection, and
@@ -147,11 +149,6 @@ class TrainHistory:
 # Parameter bookkeeping
 # ---------------------------------------------------------------------------
 
-def zeros_like_model(model: BiLSTMModel) -> BiLSTMModel:
-    """A model-shaped container of zeros (for gradients and velocity)."""
-    return BiLSTMModel(model.hidden_size, model.input_size)
-
-
 def init_model(hidden: int, seed: int,
                input_size: int = len(FEATURE_NAMES)) -> BiLSTMModel:
     """Glorot-uniform weights, zero biases except forget-gate bias = 1."""
@@ -238,10 +235,10 @@ def _layer2_input(Hs1: np.ndarray, d: int) -> np.ndarray:
     return np.concatenate([Hs1[0, ::step], Hs1[1, ::-step]], axis=2)
 
 
-def _forward_batch(model: BiLSTMModel, X: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Probabilities (B, 2) and the full cache for a (B, T, D) batch.  The
-    cache keeps X, layer 1's input, but not layer 2's, which lives only for
-    layer 2's input projection."""
+def _forward_batch(model: BiLSTMModel, X: np.ndarray) -> tuple:
+    """Probabilities (B, 2), the head's (B, 2H) input feat and the two
+    layers' caches for a (B, T, D) batch.  No cache keeps a layer's input:
+    layer 1's is X, and layer 2's lives only for its input projection."""
     l1, l2 = model.layers
     B, T, _ = X.shape
     c1 = _layer_forward(l1, lambda: X.transpose(1, 0, 2), T, B)
@@ -251,9 +248,7 @@ def _forward_batch(model: BiLSTMModel, X: np.ndarray) -> tuple[np.ndarray, dict]
     feat = np.concatenate(c2["Hs"][:, -1], axis=1)  # (B, 2H)
 
     logits = feat @ model.head_weights.T + model.head_bias
-    probs = _softmax(logits)
-    cache = {"layers": (c1, c2), "X": X, "feat": feat, "probs": probs}
-    return probs, cache
+    return _softmax(logits), feat, c1, c2
 
 
 def _stack(seqs: list[FeatureSequence]) -> np.ndarray:
@@ -358,35 +353,37 @@ def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray,
         grads.bias[d] = dZ.sum(axis=0)
 
 
-def _backward_batch(model: BiLSTMModel, cache: dict,
-                    labels: np.ndarray) -> BiLSTMModel:
-    """Gradients of the mean cross-entropy over the batch.
+def _batch_grads(model: BiLSTMModel, X: np.ndarray,
+                 labels: np.ndarray) -> tuple[float, int, BiLSTMModel]:
+    """Summed cross-entropy, number correct and the gradients of the mean
+    cross-entropy of a (B, T, D) batch; a non-finite loss raises
+    NonFiniteLoss before BPTT.
 
-    Consumes the cache: its layers are popped, so afterwards it holds only
-    "probs" and "feat", and a second call raises ValueError.  Layer 2's
-    outputs reach the loss only through feat, on its last step, so the
-    head's gradient seeds layer 2's carry and its output gradients are a
-    zero-stride view.  Layer 2's weight gradients rebuild its input from
-    layer 1's hidden states, one direction at a time.  Each buffer is
+    Layer 2's outputs reach the loss only through feat, on its last step,
+    so the head's gradient seeds layer 2's carry and its output gradients
+    are a zero-stride view.  Layer 2's weight gradients rebuild its input
+    from layer 1's hidden states, one direction at a time.  Each buffer is
     released after its last reader: layer 2's cell states inside its
     backward, its hidden states once its weight gradients are formed, its
     dZ once it has become dU, layer 1's output gradient, and dU once it is
     stacked in layer 1's step order.  Layer 1's backward thus runs with
     only its own cache alive, and a batch peaks at its forward cache.
     """
-    if "layers" not in cache:
-        raise ValueError("cache already consumed by _backward_batch")
-    c1, c2 = cache.pop("layers")
-    X = cache.pop("X")
-    probs, feat = cache["probs"], cache["feat"]
+    probs, feat, c1, c2 = _forward_batch(model, X)
     B, T, _ = X.shape
     H = model.hidden_size
+    total_loss = float(-np.log(probs[np.arange(B), labels]).sum())
+    correct = int((probs.argmax(axis=1) == labels).sum())
+    if not np.isfinite(total_loss):
+        raise NonFiniteLoss(
+            f"training loss is {total_loss}: the features hold NaN or Inf, "
+            "or the learning rate is too high")
 
     dlogits = probs.copy()
     dlogits[np.arange(B), labels] -= 1.0
     dlogits /= B
 
-    grads = zeros_like_model(model)
+    grads = BiLSTMModel(H, model.input_size)
     grads.head_weights[...] = dlogits.T @ feat
     grads.head_bias[...] = dlogits.sum(axis=0)
 
@@ -407,7 +404,7 @@ def _backward_batch(model: BiLSTMModel, cache: dict,
     U1 = X.transpose(1, 0, 2)
     _layer_backward(l1, c1, dHs1, np.zeros((2, B, H)), grads.layers[0],
                     lambda d: U1[::1 - 2 * d])
-    return grads
+    return total_loss, correct, grads
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +442,7 @@ def train(dataset: list[FeatureSequence], hidden: int,
     X = _stack(dataset)
 
     model = init_model(hidden, seed=config.seed, input_size=X.shape[2])
-    velocity = zeros_like_model(model)
+    velocity = BiLSTMModel(model.hidden_size, model.input_size)
     shuffle_rng = np.random.default_rng([config.seed, 1])
 
     history = TrainHistory()
@@ -456,9 +453,10 @@ def train(dataset: list[FeatureSequence], hidden: int,
         correct = 0
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            total_loss_b, correct_b = _train_batch(
-                model, velocity, X[idx], labels[idx], config)
-            total_loss += total_loss_b
+            loss_b, correct_b, grads = _batch_grads(model, X[idx], labels[idx])
+            sgdm_step(model, grads, velocity, config)
+            del grads  # not alive in the next batch's forward pass
+            total_loss += loss_b
             correct += correct_b
         history.losses.append(total_loss / n)
         history.accuracies.append(correct / n)
@@ -468,20 +466,6 @@ def train(dataset: list[FeatureSequence], hidden: int,
         raise NonFiniteLoss("the parameters hold NaN or Inf after the last "
                             "step: the learning rate is too high")
     return model, history
-
-
-def _train_batch(model, velocity, X, labels, config):
-    """One optimizer step on a (B, T, D) mini-batch; returns (summed loss,
-    # correct)."""
-    probs, cache = _forward_batch(model, X)
-    total_loss = float(-np.log(probs[np.arange(len(labels)), labels]).sum())
-    correct = int((probs.argmax(axis=1) == labels).sum())
-    if not np.isfinite(total_loss):
-        raise NonFiniteLoss(
-            f"training loss is {total_loss}: the features hold NaN or Inf, "
-            "or the learning rate is too high")
-    sgdm_step(model, _backward_batch(model, cache, labels), velocity, config)
-    return total_loss, correct
 
 
 # ---------------------------------------------------------------------------

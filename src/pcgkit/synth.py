@@ -41,6 +41,8 @@ class SynthConfig:
     noise_floor: float = 0.01
 
     def __post_init__(self):
+        check_count("seed", self.seed, 0)
+        check_count("rate_hz", self.rate_hz, 1)
         for name in ("duration_s", "murmur_gain", "noise_floor"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(
@@ -144,7 +146,9 @@ def generate(config: SynthConfig, label: Label) -> AudioRecord:
 
 def generate_dataset(n_healthy: int, n_pathological: int, base_seed: int = 0,
                      config: SynthConfig = SynthConfig()) -> list[AudioRecord]:
-    """A balanced-or-not labeled corpus with per-record derived seeds."""
+    """A balanced-or-not labeled corpus with per-record derived seeds;
+    base_seed may be any integer, negative too."""
+    check_count("base_seed", base_seed, -math.inf)
     check_count("n_healthy", n_healthy, 1)
     check_count("n_pathological", n_pathological, 1)
     records = []

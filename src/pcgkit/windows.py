@@ -159,8 +159,8 @@ def mainlobe_width(spectrum: WindowSpectrum) -> float:
 
     The spectrum of a real symmetric window is even, so the width is twice
     the frequency of the first null above bin 0.  If the spectrum has no
-    local minimum (very wide Gaussian), the -60 dB crossing stands in for
-    the null.
+    local minimum (a Gaussian narrow in time, large alpha, whose main lobe
+    is very wide), the -60 dB crossing stands in for the null.
     """
     db = spectrum.magnitudes_db
     null = _first_local_min(db)

@@ -28,6 +28,7 @@ from pcgkit.windows import (
 
 from naive_features import NAIVE_BY_NAME
 from test_features import LIB_BY_NAME, RECT_31, edge_frames, random_frames
+from test_nnet import grads_of
 
 
 def report(number: int, title: str, elapsed: float | None = None) -> None:
@@ -145,11 +146,10 @@ def test_criterion_4_gradient_check():
     X = rng.normal(size=(B, T, D))
     labels = np.array([0, 1])
 
-    probs, cache = nnet._forward_batch(model, X)
-    grads = nnet._backward_batch(model, cache, labels)
+    grads = grads_of(model, X, labels)
 
     def mean_loss():
-        p, _ = nnet._forward_batch(model, X)
+        p = nnet._forward_batch(model, X)[0]
         return float(-np.log(p[np.arange(B), labels]).mean())
 
     eps = 1e-5

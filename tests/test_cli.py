@@ -343,6 +343,15 @@ class TestTrainEvalCommands:
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
 
+    def test_empty_feature_dir_exits_2(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        code = main(["train", "--features", str(tmp_path / "empty"),
+                     "--out", str(tmp_path / "m.bin")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: no feature CSVs in {tmp_path / 'empty'}\n")
+        assert not (tmp_path / "m.bin").exists()
+
     def test_negative_seed_exits_1(self, feature_dir, tmp_path, capsys):
         code = main(["train", "--features", str(feature_dir), "--seed", "-1",
                      "--out", str(tmp_path / "m.bin")])
@@ -549,9 +558,11 @@ class TestGridCommand:
         ({"alpha": 2.5}, "unknown config key 'alpha'"),
         ({"bins": 10}, "unknown config key 'bins'"),
         ({"version": 2}, "run.json: unsupported config version 2"),
+        ({"version": 1, "command": "synth"}, "run.json: not a grid config"),
     ], ids=["trials-string", "trials-bool", "epochs-float", "shapes-string",
             "removed-flag-int", "removed-flag-string", "clip-norm",
-            "clip-norm-null", "momentum-ramp", "alpha", "bins", "version-2"])
+            "clip-norm-null", "momentum-ramp", "alpha", "bins", "version-2",
+            "synth-config"])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, config, message):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))
@@ -765,6 +776,16 @@ class TestWindowInfoCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "shape,L,alpha,l,w"
         assert len(out) == 1 + 15  # L=14, 15 coefficients
+
+    def test_gaussian_without_a_null(self, capsys):
+        # At alpha 8 neither spectrum has a local minimum: L = 14 never
+        # drops to -60 dB, so its main lobe is the whole band, and L = 30
+        # takes its -60 dB crossing for the null.
+        assert main(["window-info", "--shapes", "gaussian",
+                     "--lengths", "15", "30", "--alpha", "8"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "gaussian,14,8.0,1.00000000,none",
+            "gaussian,30,8.0,0.63134766,none"]
 
     @pytest.mark.parametrize("argv", [
         ["--lengths", "15", "1"], ["--shapes", "rectangular", "hann"],

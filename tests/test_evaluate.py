@@ -276,8 +276,14 @@ class TestRunGrid:
          "grid repeats shape gaussian"),
         (dict(lengths=[30, 15, 30]), ValueError, "grid repeats length 30"),
         (dict(hidden_sizes=[2, 2]), ValueError, "grid repeats hidden size 2"),
+        (dict(lengths=[]), ValueError, "grid axes must be non-empty"),
+        (dict(base_seed=2.5), ValueError,
+         "base_seed must be an integer, got 2.5"),
+        (dict(base_seed=True), ValueError,
+         "base_seed must be an integer, got True"),
     ], ids=["hidden", "length", "window-fit", "trials", "hop",
-            "repeated-shape", "repeated-length", "repeated-hidden"])
+            "repeated-shape", "repeated-length", "repeated-hidden",
+            "empty-axis", "base-seed", "base-seed-bool"])
     def test_bad_axis_refused_before_any_work(self, monkeypatch, axes, error,
                                               message):
         calls = []
@@ -310,6 +316,11 @@ class TestEmitResults:
         return run_grid(records, shapes=[WindowShape.GAUSSIAN], lengths=[30],
                         hidden_sizes=[3], trials=1, base_seed=3, hop=400,
                         train_config=FAST_TRAIN)
+
+    def test_no_cells_refused_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="^no grid cells to write$"):
+            emit_results([], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_single_cell_files(self, tmp_path):
         paths = emit_results(self._one_cell(), tmp_path)

@@ -376,6 +376,10 @@ class TestInputErrors:
         with pytest.raises(ValueError, match="finite"):
             feature_matrix(frames)
 
+    def test_no_frames_rejected(self):
+        with pytest.raises(ValueError, match="^need a non-empty"):
+            feature_matrix(np.zeros((0, 31)))
+
     @pytest.mark.parametrize("bins", [0, -1])
     def test_bins_below_one_rejected(self, bins):
         with pytest.raises(ValueError, match="bins"):

@@ -15,13 +15,13 @@ from pcgkit.features import FeatureSequence
 from pcgkit.ingest import Label
 from pcgkit.nnet import (
     BiLayer,
+    BiLSTMModel,
     TrainConfig,
     init_model,
     load_model,
     save_model,
     sgdm_step,
     train,
-    zeros_like_model,
 )
 from pcgkit.windows import WindowShape, WindowSpec
 
@@ -48,6 +48,12 @@ def toy_blobs(n_per_class=8, T=5, D=10, seed=0, gap=2.0):
 def probs_of(model, seq):
     """Class probabilities of one sequence: a forward pass at B = 1."""
     return nnet._forward_batch(model, seq.values[None])[0][0]
+
+
+def grads_of(model, X, y):
+    """Gradients of the mean cross-entropy of a (B, T, D) batch with class
+    indices y, as a training step takes them."""
+    return nnet._batch_grads(model, X, np.asarray(y))[2]
 
 
 def layer_forward(layer, U):
@@ -301,7 +307,7 @@ class TestCellStep:
         rng = np.random.default_rng(4)
         model = init_model(4, seed=5)
         X = rng.normal(size=(5, 8, 10))
-        probs, _ = nnet._forward_batch(model, X)
+        probs = nnet._forward_batch(model, X)[0]
         for b in range(5):
             single = probs_of(model, make_seq(X[b]))
             assert np.allclose(probs[b], single, rtol=0, atol=1e-14)
@@ -333,7 +339,7 @@ class TestForward:
         def swap_cols(W):
             return np.concatenate([W[..., H:], W[..., :H]], axis=-1)
 
-        swapped = zeros_like_model(model)
+        swapped = BiLSTMModel(H, model.input_size)
         for dst, src in zip(swapped.layers, model.layers):
             for role in ("input_weights", "recurrent_weights", "bias"):
                 getattr(dst, role)[...] = getattr(src, role)[::-1]
@@ -369,7 +375,7 @@ class TestLoss:
             probs = probs_of(model, s)
             per_example.append(float(-np.log(probs[y])))
         X = np.stack([s.values for s in seqs])
-        probs, _ = nnet._forward_batch(model, X)
+        probs = nnet._forward_batch(model, X)[0]
         batch_mean = float(-np.log(probs[np.arange(4), labels]).mean())
         assert batch_mean == pytest.approx(np.mean(per_example), abs=1e-12)
 
@@ -379,8 +385,7 @@ class TestBackward:
         # With an all-zero input sequence, dW = sum_t dz_t x_t^T = 0 for the
         # first layer's input weights while other blocks stay nonzero.
         model = init_model(3, seed=8)
-        _, cache = nnet._forward_batch(model, np.zeros((1, 6, 10)))
-        grads = nnet._backward_batch(model, cache, np.array([1]))
+        grads = grads_of(model, np.zeros((1, 6, 10)), [1])
         assert grads.layers[0].input_weights.shape == (2, 12, 10)
         assert np.all(grads.layers[0].input_weights == 0.0)
         # the zero input also silences every hidden state, so only the head
@@ -392,11 +397,10 @@ class TestBackward:
         model = init_model(2, seed=10)
         X = rng.normal(size=(2, 4, 10))
         labels = np.array([0, 1])
-        probs, cache = nnet._forward_batch(model, X)
-        grads = nnet._backward_batch(model, cache, labels)
+        grads = grads_of(model, X, labels)
 
         def total_loss():
-            p, _ = nnet._forward_batch(model, X)
+            p = nnet._forward_batch(model, X)[0]
             return float(-np.log(p[np.arange(2), labels]).mean())
 
         eps = 1e-6
@@ -422,28 +426,12 @@ class TestBackward:
         a = rng.normal(size=(1, 5, 10))
         b = rng.normal(size=(1, 5, 10))
 
-        def grads(X, labels):
-            _, cache = nnet._forward_batch(model, X)
-            return nnet._backward_batch(model, cache, np.array(labels))
-
-        g_joint = grads(np.concatenate([a, b]), [0, 1])
-        g_a = grads(a, [0])
-        g_b = grads(b, [1])
+        g_joint = grads_of(model, np.concatenate([a, b]), [0, 1])
+        g_a = grads_of(model, a, [0])
+        g_b = grads_of(model, b, [1])
         for (_, gj), (_, ga), (_, gb) in zip(g_joint.blocks, g_a.blocks,
                                              g_b.blocks):
             assert np.allclose(gj, 0.5 * (ga + gb), atol=1e-14)
-
-    def test_consumed_cache_rejected(self):
-        # BPTT overwrites the gates with dZ and frees the states, so a second
-        # pass over the same cache could only give wrong gradients.
-        model = init_model(3, seed=12)
-        labels = np.array([0, 1])
-        _, cache = nnet._forward_batch(model, np.ones((2, 4, 10)))
-        nnet._backward_batch(model, cache, labels)
-        assert set(cache) == {"probs", "feat"}
-        with pytest.raises(ValueError,
-                           match="cache already consumed by _backward_batch"):
-            nnet._backward_batch(model, cache, labels)
 
     @pytest.mark.parametrize("lengths", [(199,) * 16])
     def test_training_batch_peaks_at_its_forward_cache(self, lengths):
@@ -454,10 +442,11 @@ class TestBackward:
         model = init_model(30, seed=13)
         values = [rng.normal(size=(T, 10)) for T in lengths]
         labels = np.arange(len(lengths)) % 2
-        velocity = zeros_like_model(model)
+        velocity = BiLSTMModel(30, 10)
         config = TrainConfig(epochs=1)
-        peak = traced_peak(lambda: nnet._train_batch(
-            model, velocity, np.stack(values), labels, config))
+        peak = traced_peak(lambda: sgdm_step(
+            model, grads_of(model, np.stack(values), labels), velocity,
+            config))
         assert peak <= 1.10 * forward_cache_bytes(30, len(lengths), lengths[0])
 
 
@@ -470,10 +459,10 @@ class TestSgdm:
     def test_zero_momentum_is_plain_sgd(self):
         model = init_model(2, seed=12)
         before = {n: a.copy() for n, a in model.blocks}
-        grads = zeros_like_model(model)
+        grads = BiLSTMModel(2, 10)
         for _, g in grads.blocks:
             g[...] = 1.0
-        velocity = zeros_like_model(model)
+        velocity = BiLSTMModel(2, 10)
         config = TrainConfig(learning_rate=0.05, momentum=0.0, epochs=1)
         assert sgdm_step(model, grads, velocity, config) is None
         for name, arr in model.blocks:
@@ -481,9 +470,9 @@ class TestSgdm:
 
     def test_two_step_momentum_accumulation(self):
         model = self._scalar_model()
-        grads = zeros_like_model(model)
+        grads = BiLSTMModel(1, 1)
         grads.head_bias[0] = 1.0
-        velocity = zeros_like_model(model)
+        velocity = BiLSTMModel(1, 1)
         config = TrainConfig(learning_rate=0.01, momentum=0.9, epochs=1)
         sgdm_step(model, grads, velocity, config)
         assert model.head_bias[0] == pytest.approx(-0.01)
@@ -493,13 +482,18 @@ class TestSgdm:
 
     def test_velocity_decays_geometrically_without_gradient(self):
         model = self._scalar_model()
-        velocity = zeros_like_model(model)
+        velocity = BiLSTMModel(1, 1)
         velocity.head_bias[0] = 1.0
-        grads = zeros_like_model(model)
+        grads = BiLSTMModel(1, 1)
         config = TrainConfig(learning_rate=0.1, momentum=0.9, epochs=1)
         for step in range(1, 6):
             sgdm_step(model, grads, velocity, config)
             assert velocity.head_bias[0] == pytest.approx(0.9 ** step)
+
+    @pytest.mark.parametrize("momentum", [1.0, -0.1])
+    def test_momentum_outside_unit_interval_rejected(self, momentum):
+        with pytest.raises(ValueError, match=r"^momentum must be in \[0, 1\)$"):
+            TrainConfig(momentum=momentum)
 
     @pytest.mark.parametrize("lr", [-1.0, float("nan")])
     def test_negative_or_nan_learning_rate_rejected(self, lr):
@@ -728,7 +722,8 @@ class TestPredict:
         assert set(want.tolist()) == {0, 1}
         assert nnet.predict_batch(model, seqs).tolist() == want.tolist()
         # So does one 64-row forward pass.
-        probs, _ = nnet._forward_batch(model, np.stack([s.values for s in seqs]))
+        X = np.stack([s.values for s in seqs])
+        probs = nnet._forward_batch(model, X)[0]
         assert probs.argmax(axis=1).tolist() == want.tolist()
         peak = traced_peak(lambda: nnet.predict_batch(model, seqs))
         assert peak <= 1.10 * forward_cache_bytes(30, n, 199)
@@ -755,14 +750,14 @@ class TestPinnedBits:
         model = init_model(5, seed=40)
         X = rng.normal(size=(16, 6, 10))
         y = rng.integers(0, 2, size=16)
-        probs, cache = nnet._forward_batch(model, X)
-        grads = nnet._backward_batch(model, cache, y)
+        probs = nnet._forward_batch(model, X)[0]
+        grads = grads_of(model, X, y)
         assert [float.hex(float(p)) for p in probs[:, 1]] == self.PROBS
         theta = grads.theta.astype("<f8")
         assert theta.size == 1302
         assert hashlib.sha256(theta.tobytes()).hexdigest() == self.GRADS
 
-    # sha256 of the _backward_batch gradients as little-endian float64, on
+    # sha256 of the _batch_grads gradients as little-endian float64, on
     # init_model(H, seed=H) and a batch drawn from default_rng([H, B, T]).
     BPTT_GRADS = {
         (5, 3, 7):
@@ -781,8 +776,7 @@ class TestPinnedBits:
         model = init_model(H, seed=H)
         X = rng.normal(size=(B, T, 10))
         y = rng.integers(0, 2, size=B)
-        _, cache = nnet._forward_batch(model, X)
-        grads = nnet._backward_batch(model, cache, y)
+        grads = grads_of(model, X, y)
         theta = grads.theta.astype("<f8")
         assert hashlib.sha256(theta.tobytes()).hexdigest() == (
             self.BPTT_GRADS[H, B, T])

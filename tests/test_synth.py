@@ -97,6 +97,13 @@ class TestGenerateDataset:
         assert records[0].id != records[1].id
         assert not np.array_equal(records[0].samples, records[1].samples)
 
+    def test_negative_base_seed_is_its_64_bit_residue(self):
+        config = SynthConfig(duration_s=2.5)
+        a = generate_dataset(1, 1, base_seed=-1, config=config)
+        b = generate_dataset(1, 1, base_seed=(1 << 64) - 1, config=config)
+        for x, y in zip(a, b):
+            assert np.array_equal(x.samples, y.samples)
+
     def test_records_survive_preprocessing(self):
         for rec in generate_dataset(2, 2, base_seed=6):
             out = preprocess(rec)
@@ -127,6 +134,10 @@ class TestConfigValidation:
         for rate in (400, 500):  # the S2 band reaches 250 Hz
             with pytest.raises(InvalidConfig):
                 SynthConfig(rate_hz=rate)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SynthConfig(seed=-1)
 
     def test_duration_too_short(self):
         with pytest.raises(InvalidConfig):
