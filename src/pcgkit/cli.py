@@ -44,34 +44,37 @@ def _parse_shapes(names: list[str]) -> list[WindowShape]:
     return [WindowShape(n.lower()) for n in names]
 
 
-def _require_file(path: str) -> Path:
+def _require_file(path: str | Path) -> Path:
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"no such file: {p}")
     return p
 
 
-def _check_output_file(path: str) -> None:
-    """Refuse an output file that could not be written, before any work:
-    its directory must exist and the path must not be a directory."""
+def _check_output_file(path: str) -> Path:
+    """`_check_output_dir` of the file's directory, which the command makes
+    when it writes the file; the path itself must not be a directory."""
     p = Path(path)
-    if not p.parent.is_dir():
-        raise FileNotFoundError(f"cannot write {p}: no directory {p.parent}")
+    _check_output_dir(p.parent)
     if p.is_dir():
         raise IsADirectoryError(f"cannot write {p}: it is a directory")
+    return p
 
 
-def _check_output_dir(path: str | Path) -> None:
+def _check_output_dir(path: str | Path) -> Path:
     """Refuse an output directory that could not be made, before any work:
     the path, or else its nearest existing ancestor, must be a directory."""
     p = Path(path)
     q = next((q for q in (p, *p.parents) if q.exists()), p)
     if not q.is_dir():
         raise NotADirectoryError(f"cannot write {p}: {q} is not a directory")
+    return p
 
 
-def _write_effective_config(out_dir: Path, config: dict) -> None:
-    config = {"version": CONFIG_VERSION, **config}
+def _write_effective_config(out_dir: Path, args: argparse.Namespace) -> None:
+    config = {"version": CONFIG_VERSION, **{
+        key: value for key, value in vars(args).items()
+        if key not in ("config", "out_dir", "func")}}
     (out_dir / "effective_config.json").write_text(
         json.dumps(config, indent=2, sort_keys=True) + "\n")
 
@@ -84,10 +87,9 @@ def cmd_synth(args) -> int:
     config = synth.SynthConfig(
         duration_s=args.duration, rate_hz=args.rate,
         murmur_gain=args.murmur_gain, noise_floor=args.noise_floor)
-    _check_output_dir(args.out_dir)
+    out_dir = _check_output_dir(args.out_dir)
     records = synth.generate_dataset(args.healthy, args.pathological,
                                      base_seed=args.seed, config=config)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "labels.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -96,11 +98,7 @@ def cmd_synth(args) -> int:
             filename = f"{rec.id}.wav"
             write_wav(rec, out_dir / filename)
             writer.writerow([filename, rec.label.value])
-    _write_effective_config(out_dir, {
-        "command": "synth", "healthy": args.healthy,
-        "pathological": args.pathological, "seed": args.seed,
-        "duration_s": args.duration, "rate_hz": args.rate,
-        "murmur_gain": args.murmur_gain, "noise_floor": args.noise_floor})
+    _write_effective_config(out_dir, args)
     print(f"wrote {len(records)} records to {out_dir}")
     return 0
 
@@ -115,12 +113,10 @@ def _preprocess(record, path: Path):
 
 def _load_corpus(corpus_dir: Path) -> list:
     """The preprocessed recordings listed in the corpus's labels.csv."""
-    manifest = corpus_dir / "labels.csv"
-    if not manifest.is_file():
-        raise FileNotFoundError(f"no such file: {manifest}")
+    manifest = _require_file(corpus_dir / "labels.csv")
     classes = {label.value: label for label in CLASS_INDEX}
-    # path -> (line, label); a file listed twice could land on both sides
-    # of a split, so it is refused.
+    # resolved path -> (line, label, path); a file listed twice, under any
+    # name, could land on both sides of a split, so it is refused.
     entries = {}
     try:
         with open(manifest, newline="", encoding="utf-8") as fh:
@@ -135,22 +131,20 @@ def _load_corpus(corpus_dir: Path) -> list:
                     raise ValueError(f"line {reader.line_num} has label "
                                      f"{row['label']!r}, not {' or '.join(classes)}")
                 path = corpus_dir / row["filename"]
-                if path in entries:
+                key = path.resolve()
+                if key in entries:
                     raise ValueError(f"line {reader.line_num} lists "
                                      f"{row['filename']!r} again, first on "
-                                     f"line {entries[path][0]}")
-                entries[path] = (reader.line_num, classes[row["label"]])
+                                     f"line {entries[key][0]}")
+                entries[key] = (reader.line_num, classes[row["label"]], path)
     except (ValueError, csv.Error) as exc:  # also bad UTF-8
         raise PcgError(f"{manifest}: {exc}") from None
     return [_preprocess(read_wav(path, label=label), path)
-            for path, (_, label) in entries.items()]
+            for _, label, path in entries.values()]
 
 
 def cmd_extract(args) -> int:
-    out = Path(args.out)
-    _check_output_dir(out.parent)
-    if out.is_dir():
-        raise IsADirectoryError(f"cannot write {out}: it is a directory")
+    out = _check_output_file(args.out)
     path = _require_file(args.input)
     if path.suffix.lower() == ".wav":
         record = read_wav(path)
@@ -183,14 +177,15 @@ def _train_config_from_args(args, seed: int = 0) -> nnet.TrainConfig:
 
 def cmd_train(args) -> int:
     config = _train_config_from_args(args, seed=args.seed)
-    for path in (args.out, args.history):
-        if path:
-            _check_output_file(path)
+    out = _check_output_file(args.out)
+    history_path = _check_output_file(args.history) if args.history else None
     dataset = _load_feature_dir(Path(args.features))
     model, history = nnet.train(dataset, args.hidden, config)
-    nnet.save_model(model, args.out, config=config)
-    if args.history:
-        Path(args.history).write_text(json.dumps(
+    out.parent.mkdir(parents=True, exist_ok=True)
+    nnet.save_model(model, out, config=config)
+    if history_path:
+        history_path.parent.mkdir(parents=True, exist_ok=True)
+        history_path.write_text(json.dumps(
             {"losses": history.losses, "accuracies": history.accuracies},
             indent=2) + "\n")
     print(f"trained {args.epochs} epochs; final loss "
@@ -199,14 +194,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.out:
-        _check_output_file(args.out)
+    out = _check_output_file(args.out) if args.out else None
     model = nnet.load_model(_require_file(args.model))
     result = evaluate.score(model, _load_feature_dir(Path(args.features)))
     text = json.dumps({**asdict(result.confusion), **asdict(result.metrics)},
                       indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
+    if out:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text + "\n")
     print(text)
     return 0
 
@@ -260,7 +255,7 @@ def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
 def cmd_grid(args) -> int:
     # Seed left at 0: run_trial derives each trial's from --seed (any int).
     config = _train_config_from_args(args)
-    _check_output_dir(args.out_dir)
+    out_dir = _check_output_dir(args.out_dir)
     records = _load_corpus(Path(args.corpus))
     cells = evaluate.run_grid(
         records,
@@ -272,11 +267,8 @@ def cmd_grid(args) -> int:
         hop=args.hop,
         train_config=config,
     )
-    out_dir = Path(args.out_dir)
     paths = evaluate.emit_results(cells, out_dir)
-    _write_effective_config(out_dir, {
-        key: value for key, value in vars(args).items()
-        if key not in ("config", "out_dir", "func")})
+    _write_effective_config(out_dir, args)
     for name, p in paths.items():
         print(f"{name}: {p}")
     return 0

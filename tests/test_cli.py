@@ -11,7 +11,15 @@ import pytest
 from pcgkit import cli, evaluate, nnet, synth
 from pcgkit.cli import main
 from pcgkit.ingest import AudioRecord, write_wav
-from pcgkit.windows import WindowSpec
+from pcgkit.errors import NoSidelobe
+from pcgkit.windows import (
+    DEFAULT_NFFT,
+    WindowShape,
+    WindowSpec,
+    make_window,
+    peak_sidelobe_db,
+    window_spectrum,
+)
 from test_ingest import wav_mutations
 from test_nnet import MODEL_FILE_MUTATIONS, _rewrite_header
 
@@ -48,6 +56,13 @@ class TestSynthCommand:
         config = json.loads((corpus_dir / "effective_config.json").read_text())
         assert config["version"] == 1
         assert config["seed"] == 11
+
+    def test_effective_config_holds_the_flags_by_name(self, corpus_dir):
+        config = json.loads((corpus_dir / "effective_config.json").read_text())
+        flags = {a.dest for a in _subparser("synth")._actions}
+        assert set(config) == {"version", "command",
+                               *flags - {"help", "out_dir"}}
+        assert (config["command"], config["duration"]) == ("synth", 2.5)
 
     def test_deterministic(self, corpus_dir, tmp_path):
         again = tmp_path / "again"
@@ -334,14 +349,16 @@ class TestTrainEvalCommands:
         model = tmp_path / "model.bin"
         nnet.save_model(nnet.init_model(3, seed=0), model)
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.txt").write_text("")
         monkeypatch.setattr(nnet, "load_model", None)  # a call would fail
         code = main(["eval", "--model", str(model),
-                     "--features", str(feature_dir), "--out", "nodir/m.json"])
+                     "--features", str(feature_dir), "--out", "m.txt/m.json"])
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: cannot write ")
-        assert captured.err.count("\n") == 1 and captured.out == ""
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+        assert captured.err == ("error: cannot write m.txt: m.txt is not a "
+                                "directory\n")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt", "model.bin"]
 
     def test_empty_feature_dir_exits_2(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -360,10 +377,10 @@ class TestTrainEvalCommands:
         assert not (tmp_path / "m.bin").exists()
 
     @pytest.mark.parametrize("out,history", [
-        ("m.bin", "nodir/h.json"),  # no directory for the history
+        ("m.bin", "m.txt/sub/h.json"),  # a file above its directory
         ("m.bin", "m.txt/h.json"),  # a file where its directory should be
         ("m.bin", "."),             # a directory as the history file
-        ("nodir/m.bin", "h.json"),
+        ("m.txt/m.bin", "h.json"),
         (".", "h.json"),
     ])
     def test_unwritable_output_exits_2_writing_nothing(
@@ -504,6 +521,10 @@ class TestGridCommand:
         for name in ("results.csv", "summary.csv", "figure5.csv",
                      "effective_config.json"):
             assert (out / name).is_file()
+        config = json.loads((out / "effective_config.json").read_text())
+        flags = {a.dest for a in _subparser("grid")._actions}
+        assert set(config) == {"version", "command",
+                               *flags - {"help", "config", "out_dir"}}
         with open(out / "results.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2  # one cell, two trials
@@ -629,7 +650,7 @@ class TestGridCommand:
             f"error: {manifest}: line 3 has label {label!r}, not healthy or "
             "pathological\n")
 
-    @pytest.mark.parametrize("again", ["a.wav", "./a.wav"])
+    @pytest.mark.parametrize("again", ["a.wav", "./a.wav", "sub/../a.wav"])
     def test_manifest_listing_a_file_twice_exits_1(self, tmp_path, capsys,
                                                    again):
         # Refused before any WAV is read: the listed files do not exist.
@@ -721,6 +742,71 @@ class TestGridCommand:
         assert "labels.csv" in capsys.readouterr().err
 
 
+# Every output flag of every command, each given a path under a regular file
+# and, for a file, a directory: (command, flag, path, error message).
+UNWRITABLE_OUTPUTS = [
+    (command, flag, path, message)
+    for command, flag in [("synth", "--out-dir"), ("extract", "--out"),
+                          ("train", "--out"), ("train", "--history"),
+                          ("eval", "--out"), ("grid", "--out-dir")]
+    for path, message in (
+        [("f.txt/x", "f.txt/x: f.txt is not a directory"),
+         ("f.txt/sub/x", "f.txt/sub/x: f.txt is not a directory")]
+        if flag == "--out-dir" else
+        [("f.txt/x", "f.txt: f.txt is not a directory"),
+         ("f.txt/sub/x", "f.txt/sub: f.txt is not a directory"),
+         (".", ".: it is a directory")])]
+
+
+@pytest.mark.parametrize(
+    "command, flag, path, message", UNWRITABLE_OUTPUTS,
+    ids=[f"{c}{f}={p}" for c, f, p, _ in UNWRITABLE_OUTPUTS])
+def test_unwritable_output_exits_2_before_reading(
+        corpus_dir, feature_dir, tmp_path, capsys, monkeypatch,
+        command, flag, path, message):
+    model = tmp_path / "model.bin"
+    nnet.save_model(nnet.init_model(3, seed=0), model)
+    inputs = {  # the row's flag comes last, and argparse takes the last value
+        "synth": ["--healthy", "1", "--pathological", "1"],
+        "extract": ["--input", str(sorted(corpus_dir.glob("*.wav"))[0])],
+        "train": ["--features", str(feature_dir), "--hidden", "3",
+                  "--epochs", "1", "--out", "m.bin"],
+        "eval": ["--model", str(model), "--features", str(feature_dir)],
+        "grid": ["--corpus", str(corpus_dir), *SMALL_GRID],
+    }
+    for module, name in [(synth, "generate_dataset"), (cli, "read_wav"),
+                         (cli, "read_csv_record"), (cli, "_load_feature_dir"),
+                         (nnet, "load_model"), (cli, "_load_corpus")]:
+        monkeypatch.setattr(module, name, None)  # a call would fail
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "f.txt").write_text("")
+    monkeypatch.chdir(work)
+    code = main([command, *inputs[command], flag, path])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {message}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in work.iterdir()) == ["f.txt"]
+
+
+def test_missing_output_directories_are_made(corpus_dir, feature_dir,
+                                             tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    wav = sorted(corpus_dir.glob("*.wav"))[0]
+    assert main(["extract", "--input", str(wav), "--hop", "250",
+                 "--out", "features/sub/x.csv"]) == 0
+    assert main(["train", "--features", str(feature_dir), "--hidden", "3",
+                 "--epochs", "1", "--out", "models/m.bin",
+                 "--history", "logs/h.json"]) == 0
+    assert main(["eval", "--model", "models/m.bin",
+                 "--features", str(feature_dir),
+                 "--out", "reports/e.json"]) == 0
+    for path in ("features/sub/x.csv", "features/sub/x.meta.json",
+                 "models/m.bin", "logs/h.json", "reports/e.json"):
+        assert (tmp_path / path).is_file()
+
+
 # The same malformed JSON, fed to each file pcgkit reads JSON from.
 BAD_JSON = {
     "not_utf8": b'{"trials": 1}\xff',
@@ -786,6 +872,17 @@ class TestWindowInfoCommand:
         assert capsys.readouterr().out.splitlines()[1:] == [
             "gaussian,14,8.0,1.00000000,none",
             "gaussian,30,8.0,0.63134766,none"]
+
+    def test_gaussian_with_side_lobes_below_the_floor(self, capsys):
+        # At alpha 8.5 and L = 50 the spectrum has a null, and every side
+        # lobe after it lies within 10 dB of the -300 dB floor.
+        assert main(["window-info", "--shapes", "gaussian",
+                     "--lengths", "50", "--alpha", "8.5"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "gaussian,50,8.5,0.89306641,none"]
+        spec = WindowSpec.from_nominal_length(WindowShape.GAUSSIAN, 50, 8.5)
+        with pytest.raises(NoSidelobe, match="below numerical floor"):
+            peak_sidelobe_db(window_spectrum(make_window(spec), DEFAULT_NFFT))
 
     @pytest.mark.parametrize("argv", [
         ["--lengths", "15", "1"], ["--shapes", "rectangular", "hann"],

@@ -269,6 +269,9 @@ class TestRunGrid:
          "nominal length must be >= 2, got 1"),
         (dict(lengths=[30, 1200]), WindowTooLong,
          "window length 1201 exceeds signal length 1000"),
+        (dict(lengths=[30, 700]), ValueError,
+         "window length 701 at hop 400 leaves 1 frame in the shortest record "
+         "of 1000 samples; features need at least 2"),
         (dict(trials=1.5), ValueError, "trials must be an integer, got 1.5"),
         (dict(hop=2.5), ValueError, "hop must be an integer, got 2.5"),
         (dict(shapes=[WindowShape.GAUSSIAN, WindowShape.RECTANGULAR,
@@ -281,7 +284,7 @@ class TestRunGrid:
          "base_seed must be an integer, got 2.5"),
         (dict(base_seed=True), ValueError,
          "base_seed must be an integer, got True"),
-    ], ids=["hidden", "length", "window-fit", "trials", "hop",
+    ], ids=["hidden", "length", "window-fit", "one-frame", "trials", "hop",
             "repeated-shape", "repeated-length", "repeated-hidden",
             "empty-axis", "base-seed", "base-seed-bool"])
     def test_bad_axis_refused_before_any_work(self, monkeypatch, axes, error,
