@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import evaluate, nnet, synth
-from .errors import PcgError, json_object
-from .features import read_features, write_features
+from . import evaluate, ingest, nnet, synth
+from .errors import PcgError, check_count, json_object
+from .features import read_features, sidecar_path, write_features
 from .ingest import (
     CLASS_INDEX,
     Label,
@@ -31,6 +32,7 @@ from .windows import (
     DEFAULT_NFFT,
     WindowShape,
     WindowSpec,
+    frame_centers,
     mainlobe_width,
     make_window,
     peak_sidelobe_db,
@@ -51,14 +53,38 @@ def _require_file(path: str | Path) -> Path:
     return p
 
 
-def _check_output_file(path: str) -> Path:
-    """`_check_output_dir` of the file's directory, which the command makes
-    when it writes the file; the path itself must not be a directory."""
-    p = Path(path)
-    _check_output_dir(p.parent)
-    if p.is_dir():
-        raise IsADirectoryError(f"cannot write {p}: it is a directory")
-    return p
+def _file_key(path: str | Path):
+    """What makes two paths one file: the inode of an existing file (so
+    hard and symbolic links match), else the resolved path."""
+    try:
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+    except OSError:
+        return Path(path).resolve()
+
+
+def _check_output_files(writes: list, reads: list) -> list:
+    """The output files of a command as Paths, checked before any work.
+
+    `writes` and `reads` are (flag, path) pairs; a None output is skipped
+    and stays None.  An output's directory must pass `_check_output_dir`
+    (the command makes it when it writes the file), and the output must
+    not be a directory, nor be a file that the command reads or that an
+    earlier output names.
+    """
+    owners = {_file_key(p): f"{flag} reads it" for flag, p in reads}
+    for flag, path in writes:
+        if path is None:
+            continue
+        p = Path(path)
+        _check_output_dir(p.parent)
+        if p.is_dir():
+            raise IsADirectoryError(f"cannot write {p}: it is a directory")
+        key = _file_key(p)
+        if key in owners:
+            raise OSError(f"cannot write {p}: {owners[key]}")
+        owners[key] = f"{flag} writes it"
+    return [None if path is None else Path(path) for _, path in writes]
 
 
 def _check_output_dir(path: str | Path) -> Path:
@@ -144,7 +170,12 @@ def _load_corpus(corpus_dir: Path) -> list:
 
 
 def cmd_extract(args) -> int:
-    out = _check_output_file(args.out)
+    # preprocess makes every record TARGET_SAMPLES long.
+    spec = WindowSpec.from_nominal_length(WindowShape(args.shape), args.length)
+    frame_centers(ingest.TARGET_SAMPLES, spec, args.hop)
+    reads = [("--input", args.input)]
+    out, = _check_output_files([("--out", args.out)], reads)
+    _check_output_files([("--out", sidecar_path(out))], reads)
     path = _require_file(args.input)
     if path.suffix.lower() == ".wav":
         record = read_wav(path)
@@ -153,13 +184,17 @@ def cmd_extract(args) -> int:
     if args.label:
         record.label = Label(args.label)
     record = _preprocess(record, path)
-
-    spec = WindowSpec.from_nominal_length(WindowShape(args.shape), args.length)
     seq = evaluate.extract_dataset([record], spec, hop=args.hop)[0]
     out.parent.mkdir(parents=True, exist_ok=True)
     write_features(seq, out)
     print(f"wrote {seq.num_frames} x {seq.values.shape[1]} features to {args.out}")
     return 0
+
+
+def _feature_reads(features_dir: str) -> list:
+    """(--features, path) of each file `_load_feature_dir` reads."""
+    return [("--features", p) for csv_path in Path(features_dir).glob("*.csv")
+            for p in (csv_path, sidecar_path(csv_path))]
 
 
 def _load_feature_dir(features_dir: Path) -> list:
@@ -177,8 +212,10 @@ def _train_config_from_args(args, seed: int = 0) -> nnet.TrainConfig:
 
 def cmd_train(args) -> int:
     config = _train_config_from_args(args, seed=args.seed)
-    out = _check_output_file(args.out)
-    history_path = _check_output_file(args.history) if args.history else None
+    check_count("hidden size", args.hidden, 1)
+    out, history_path = _check_output_files(
+        [("--out", args.out), ("--history", args.history)],
+        _feature_reads(args.features))
     dataset = _load_feature_dir(Path(args.features))
     model, history = nnet.train(dataset, args.hidden, config)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -194,7 +231,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _check_output_file(args.out) if args.out else None
+    out, = _check_output_files(
+        [("--out", args.out)],
+        [("--model", args.model), *_feature_reads(args.features)])
     model = nnet.load_model(_require_file(args.model))
     result = evaluate.score(model, _load_feature_dir(Path(args.features)))
     text = json.dumps({**asdict(result.confusion), **asdict(result.metrics)},

@@ -34,7 +34,7 @@ class InvalidFactor(PcgError):
 
 
 class WindowTooLong(PcgError):
-    """Window length exceeds the signal length."""
+    """Window leaves fewer than two frames of the record at its hop."""
 
 
 class NoSidelobe(PcgError):

@@ -183,9 +183,9 @@ def run_grid(records: list[AudioRecord],
     training randomness vary across trials.  Per-trial seeds derive from
     base_seed and the cell/trial indices alone, so each trial's result does
     not depend on which trials ran before it.  Every window spec and hidden
-    size, and that every window leaves two frames of the shortest record, is
-    checked before the first extraction, and so is a value repeated on an
-    axis.
+    size is checked before the first extraction, and so is a value repeated
+    on an axis and each window's fit: `frame_centers` of the shortest record
+    raises WindowTooLong for a window that leaves it fewer than two frames.
     """
     if not (shapes and lengths and hidden_sizes):
         raise ValueError("grid axes must be non-empty")
@@ -204,12 +204,7 @@ def run_grid(records: list[AudioRecord],
         shortest = min(rec.samples.size for rec in records)
         for row in specs:
             for spec in row:
-                # A fitting window leaves >= 1 frame; normalization needs 2.
-                if frame_centers(shortest, spec, hop).size < 2:
-                    raise ValueError(
-                        f"window length {spec.length} at hop {hop} leaves "
-                        f"1 frame in the shortest record of {shortest} "
-                        "samples; features need at least 2")
+                frame_centers(shortest, spec, hop)
 
     cells = []
     for si, shape in enumerate(shapes):

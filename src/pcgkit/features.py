@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import PcgError, check_count, json_object
-from .ingest import Label
+from .ingest import Label, read_matrix
 from .windows import WindowShape, WindowSpec
 
 FEATURE_NAMES = (
@@ -305,7 +304,7 @@ def normalize_sequence(seq: FeatureSequence) -> FeatureSequence:
 # Feature files: CSV matrix + JSON sidecar with the extraction config
 # ---------------------------------------------------------------------------
 
-def _meta_path(path: Path) -> Path:
+def sidecar_path(path: Path) -> Path:
     return path.with_suffix(".meta.json")
 
 
@@ -315,7 +314,7 @@ def write_features(seq: FeatureSequence, path: str | Path) -> None:
     np.savetxt(path, seq.values, fmt="%.17g", delimiter=",")
     meta = {"signal_id": seq.signal_id, "label": seq.label.value,
             **seq.config, "columns": list(FEATURE_NAMES)}
-    _meta_path(path).write_text(json.dumps(meta, indent=2) + "\n")
+    sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n")
 
 
 def read_features(path: str | Path) -> FeatureSequence:
@@ -329,17 +328,8 @@ def read_features(path: str | Path) -> FeatureSequence:
     equal to FEATURE_NAMES.
     """
     path = Path(path)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy only warns on no rows
-            values = np.loadtxt(path, delimiter=",", ndmin=2)
-        if values.shape[1] != len(FEATURE_NAMES):
-            raise ValueError(f"{values.shape[1]} columns, not {len(FEATURE_NAMES)}")
-        if not np.isfinite(values).all():
-            raise ValueError("holds NaN or infinite values")
-    except (ValueError, UserWarning) as exc:
-        raise PcgError(f"{path}: {exc}") from None
-    meta_path = _meta_path(path)
+    values = read_matrix(path, len(FEATURE_NAMES), delimiter=",")
+    meta_path = sidecar_path(path)
     meta = json_object(meta_path.read_bytes(), meta_path)
     try:
         if meta["columns"] != list(FEATURE_NAMES):

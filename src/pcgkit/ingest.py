@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import enum
 import struct
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptHeader, InvalidFactor, UnsupportedFormat
+from .errors import CorruptHeader, InvalidFactor, PcgError, UnsupportedFormat
 
 TARGET_RATE_HZ = 500
 TARGET_SAMPLES = 5000
@@ -129,12 +130,32 @@ def write_wav(record: AudioRecord, path: str | Path) -> None:
     path.write_bytes(header + payload)
 
 
+def read_matrix(path: Path, columns: int,
+                delimiter: str | None = None) -> np.ndarray:
+    """The finite float64 (rows, columns) matrix a text file holds.
+
+    Raises PcgError naming the file on bad UTF-8, a value that is not a
+    number, no rows, another column count, or a NaN or infinite value.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy only warns on no rows
+            values = np.loadtxt(path, delimiter=delimiter, ndmin=2)
+        if values.shape[1] != columns:
+            raise ValueError(f"{values.shape[1]} columns, not {columns}")
+        if not np.isfinite(values).all():
+            raise ValueError("holds NaN or infinite values")
+    except (ValueError, UserWarning) as exc:
+        raise PcgError(f"{path}: {exc}") from None
+    return values
+
+
 def read_csv_record(path: str | Path, rate_hz: int,
                     label: Label = Label.UNLABELED) -> AudioRecord:
-    """Read a headerless one-value-per-line CSV as an AudioRecord."""
+    """Read a headerless one-value-per-line CSV (`read_matrix`, one column)
+    as an AudioRecord."""
     path = Path(path)
-    samples = np.loadtxt(path, dtype=np.float64, ndmin=1)
-    return AudioRecord(id=path.stem, samples=samples,
+    return AudioRecord(id=path.stem, samples=read_matrix(path, 1)[:, 0],
                        sample_rate_hz=rate_hz, label=label)
 
 

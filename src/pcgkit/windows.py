@@ -93,13 +93,16 @@ def make_window(spec: WindowSpec) -> np.ndarray:
 
 
 def frame_centers(n_samples: int, spec: WindowSpec, hop: int) -> np.ndarray:
-    """Valid frame centers: L/2, L/2+hop, ... while the window fits."""
+    """Frame centers L/2, L/2+hop, ... while the window fits; WindowTooLong
+    if that leaves fewer than two, the one rule of a usable window."""
     check_count("hop", hop, 1)
-    if spec.length > n_samples:
+    centers = np.arange(spec.half_length, n_samples - spec.half_length, hop)
+    if centers.size < 2:
         raise WindowTooLong(
-            f"window length {spec.length} exceeds signal length {n_samples}")
-    half = spec.half_length
-    return np.arange(half, n_samples - half, hop)
+            f"window length {spec.length} at hop {hop} leaves {centers.size} "
+            f"frame{'' if centers.size == 1 else 's'} in a record of "
+            f"{n_samples} samples; features need at least 2")
+    return centers
 
 
 def frame_matrix(samples: np.ndarray, spec: WindowSpec,

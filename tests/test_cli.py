@@ -3,7 +3,9 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +148,45 @@ class TestExtractCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
+
+    @pytest.mark.parametrize("length, hop, message", [
+        ("30", "4980", "window length 31 at hop 4980 leaves 1 frame"),
+        ("5000", "1", "window length 5001 at hop 1 leaves 0 frames"),
+    ], ids=["one-frame", "no-frame"])
+    def test_unusable_window_exits_1_before_reading(
+            self, corpus_dir, tmp_path, capsys, monkeypatch, length, hop,
+            message):
+        wav = sorted(corpus_dir.glob("*.wav"))[0]
+        monkeypatch.setattr(cli, "read_wav", None)  # a call would fail
+        code = main(["extract", "--input", str(wav), "--length", length,
+                     "--hop", hop, "--out", str(tmp_path / "one.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {message} in a record of 5000 "
+                                "samples; features need at least 2\n")
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"", "loadtxt: input contained no data"),
+        (b"abc\n0.1\n", "could not convert string 'abc' to float64"),
+        (b"\xff0.1\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"0.1\nnan\n0.2\n", "holds NaN or infinite values"),
+        (b"0.1\n0.2\n-inf\n", "holds NaN or infinite values"),
+        (b"0.1 0.2\n0.3 0.4\n", "2 columns, not 1"),
+    ], ids=["empty", "not-numeric", "not-utf8", "nan", "infinite",
+            "two-columns"])
+    def test_bad_csv_recording_exits_1_naming_the_file(
+            self, tmp_path, capsys, raw, message):
+        csv_in, out = tmp_path / "rec.csv", tmp_path / "f.csv"
+        csv_in.write_bytes(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning is a second line
+            code = main(["extract", "--input", str(csv_in), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_in}: {message}")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_fuzzed_wav_exits_cleanly(self, corpus_dir, tmp_path, capsys):
         wav = tmp_path / "w.wav"
@@ -368,6 +409,16 @@ class TestTrainEvalCommands:
         assert capsys.readouterr().err == (
             f"error: no feature CSVs in {tmp_path / 'empty'}\n")
         assert not (tmp_path / "m.bin").exists()
+
+    def test_zero_hidden_exits_1_before_reading(self, feature_dir, tmp_path,
+                                                capsys, monkeypatch):
+        monkeypatch.setattr(cli, "read_features", None)  # a call would fail
+        code = main(["train", "--features", str(feature_dir), "--hidden", "0",
+                     "--out", str(tmp_path / "m.bin")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: hidden size must be >= 1, got 0\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_seed_exits_1(self, feature_dir, tmp_path, capsys):
         code = main(["train", "--features", str(feature_dir), "--seed", "-1",
@@ -788,6 +839,64 @@ def test_unwritable_output_exits_2_before_reading(
     assert captured.err == f"error: cannot write {message}\n"
     assert captured.out == ""
     assert sorted(p.name for p in work.iterdir()) == ["f.txt"]
+
+
+# Outputs that name a file their command reads, or another of its outputs,
+# each spelled as the command sees it: (argv, error message).
+CLASHING_OUTPUTS = {
+    "eval-model": (["eval", "--model", "m.bin", "--features", "feats",
+                    "--out", "m.bin"], "m.bin: --model reads it"),
+    "eval-feature-sidecar": (
+        ["eval", "--model", "m.bin", "--features", "feats",
+         "--out", "feats/a.meta.json"], "feats/a.meta.json: --features reads it"),
+    "train-out-history": (
+        ["train", "--features", "feats", "--out", "same.bin",
+         "--history", "same.bin"], "same.bin: --out writes it"),
+    "train-feature-file": (
+        ["train", "--features", "feats", "--out", "feats/a.csv"],
+        "feats/a.csv: --features reads it"),
+    "extract-input": (["extract", "--input", "rec.csv", "--out", "rec.csv"],
+                      "rec.csv: --input reads it"),
+    "extract-input-other-spelling": (
+        ["extract", "--input", "rec.csv", "--out", "feats/../rec.csv"],
+        "feats/../rec.csv: --input reads it"),
+    "extract-sidecar": (
+        ["extract", "--input", "rec.meta.json", "--out", "rec.csv"],
+        "rec.meta.json: --input reads it"),
+    "extract-hard-link": (["extract", "--input", "rec.csv", "--out", "link.csv"],
+                          "link.csv: --input reads it"),
+    "extract-symbolic-link": (
+        ["extract", "--input", "rec.csv", "--out", "symlink.csv"],
+        "symlink.csv: --input reads it"),
+}
+
+
+@pytest.mark.parametrize("argv, message", CLASHING_OUTPUTS.values(),
+                         ids=CLASHING_OUTPUTS.keys())
+def test_output_naming_a_file_of_the_command_exits_2_before_reading(
+        feature_dir, tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    nnet.save_model(nnet.init_model(3, seed=0), tmp_path / "m.bin")
+    np.savetxt(tmp_path / "rec.csv", np.linspace(-0.5, 0.5, 20000))
+    shutil.copy(tmp_path / "rec.csv", tmp_path / "rec.meta.json")
+    os.link(tmp_path / "rec.csv", tmp_path / "link.csv")
+    (tmp_path / "symlink.csv").symlink_to("rec.csv")
+    (tmp_path / "feats").mkdir()
+    first = sorted(feature_dir.glob("*.csv"))[0]
+    shutil.copy(first, tmp_path / "feats" / "a.csv")
+    shutil.copy(first.with_suffix(".meta.json"),
+                tmp_path / "feats" / "a.meta.json")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    for module, name in [(cli, "read_wav"), (cli, "read_csv_record"),
+                         (cli, "read_features"), (nnet, "load_model")]:
+        monkeypatch.setattr(module, name, None)  # a call would fail
+    code = main(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {message}\n"
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+            if p.is_file()} == before
 
 
 def test_missing_output_directories_are_made(corpus_dir, feature_dir,

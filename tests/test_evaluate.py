@@ -268,10 +268,11 @@ class TestRunGrid:
         (dict(lengths=[30, 1]), ValueError,
          "nominal length must be >= 2, got 1"),
         (dict(lengths=[30, 1200]), WindowTooLong,
-         "window length 1201 exceeds signal length 1000"),
-        (dict(lengths=[30, 700]), ValueError,
-         "window length 701 at hop 400 leaves 1 frame in the shortest record "
-         "of 1000 samples; features need at least 2"),
+         "window length 1201 at hop 400 leaves 0 frames in a record of 1000 "
+         "samples; features need at least 2"),
+        (dict(lengths=[30, 700]), WindowTooLong,
+         "window length 701 at hop 400 leaves 1 frame in a record of 1000 "
+         "samples; features need at least 2"),
         (dict(trials=1.5), ValueError, "trials must be an integer, got 1.5"),
         (dict(hop=2.5), ValueError, "hop must be an integer, got 2.5"),
         (dict(shapes=[WindowShape.GAUSSIAN, WindowShape.RECTANGULAR,

@@ -5,6 +5,7 @@ from pcgkit.errors import NoSidelobe, WindowTooLong
 from pcgkit.windows import (
     WindowShape,
     WindowSpec,
+    frame_centers,
     frame_matrix,
     mainlobe_width,
     make_window,
@@ -59,11 +60,15 @@ class TestMakeWindow:
 
 class TestFrameSignal:
     def test_single_frame_boundary(self):
-        x = np.arange(5.0)
+        # One frame is refused; one sample more gives the two features need.
+        x = np.arange(6.0)
+        with pytest.raises(WindowTooLong, match="leaves 1 frame in a record "
+                                                "of 5 samples"):
+            frame_matrix(x[:5], WindowSpec(R, 2), hop=1)
         frames, centers = frame_matrix(x, WindowSpec(R, 2), hop=1)
-        assert frames.shape == (1, 5)
-        assert np.array_equal(centers, [2])
-        assert np.array_equal(frames[0], x)
+        assert frames.shape == (2, 5)
+        assert np.array_equal(centers, [2, 3])
+        assert np.array_equal(frames[1], x[1:])
 
     def test_frame_count_hop_one(self):
         x = np.zeros(5000)
@@ -87,6 +92,29 @@ class TestFrameSignal:
     def test_window_too_long(self):
         with pytest.raises(WindowTooLong):
             frame_matrix(np.zeros(10), WindowSpec(R, 5), hop=1)
+
+    @pytest.mark.parametrize("n_samples, hop, frames", [
+        (10, 1, 0), (11, 1, 1), (12, 1, 2), (15, 5, 1), (16, 5, 2),
+        (5000, 4989, 2), (5000, 4990, 1)])
+    def test_fewer_than_two_frames_is_the_one_refusal(self, n_samples, hop,
+                                                      frames):
+        spec = WindowSpec(G, 5)  # 11 points
+        if frames >= 2:
+            centers = frame_centers(n_samples, spec, hop)
+            assert centers.size == frames
+            assert centers[-1] + 5 < n_samples <= centers[-1] + 5 + hop
+            return
+        message = (f"window length 11 at hop {hop} leaves {frames} "
+                   f"frame{'' if frames == 1 else 's'} in a record of "
+                   f"{n_samples} samples; features need at least 2")
+        for call in (lambda: frame_centers(n_samples, spec, hop),
+                     lambda: frame_matrix(np.zeros(n_samples), spec, hop)):
+            with pytest.raises(WindowTooLong, match=f"^{message}$"):
+                call()
+
+    def test_hop_is_checked_before_the_fit(self):
+        with pytest.raises(ValueError, match="^hop must be >= 1, got 0$"):
+            frame_centers(3, WindowSpec(G, 5), 0)
 
     def test_frame_values_match_definition(self):
         rng = np.random.default_rng(5)
