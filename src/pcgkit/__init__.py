@@ -61,11 +61,10 @@ from .nnet import (
     sgdm_step,
     train,
 )
-from .synth import SynthConfig, generate, generate_dataset, generate_with_intervals
+from .synth import SynthConfig, generate, generate_dataset
 from .windows import (
     WindowShape,
     WindowSpec,
-    WindowSpectrum,
     frame_matrix,
     mainlobe_width,
     make_window,

@@ -29,7 +29,6 @@ from .ingest import (
 )
 from .windows import (
     DEFAULT_ALPHA,
-    DEFAULT_NFFT,
     WindowShape,
     WindowSpec,
     frame_centers,
@@ -314,8 +313,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_window_info(args) -> int:
-    # Every row is made before the first is written: a bad spec or nfft
-    # is refused with no output.
+    # Each spec is checked before its window is built, and every row made
+    # before the first is written: a bad or too-long spec gives no output.
     if args.coeffs:
         rows = [["shape", "L", "alpha", "l", "w"]]
     else:
@@ -323,16 +322,17 @@ def cmd_window_info(args) -> int:
     for shape in _parse_shapes(args.shapes):
         for length in args.lengths:
             spec = WindowSpec.from_nominal_length(shape, length, args.alpha)
+            frame_centers(ingest.TARGET_SAMPLES, spec, 1)
             w = make_window(spec)
             alpha = spec.alpha if shape is WindowShape.GAUSSIAN else ""
             if args.coeffs:
                 for l, val in zip(range(-spec.half_length, spec.half_length + 1), w):
                     rows.append([shape.value, spec.L, alpha, l, f"{val:.12g}"])
                 continue
-            spectrum = window_spectrum(w, args.nfft)
-            width = mainlobe_width(spectrum)
+            db = window_spectrum(w)
+            width = mainlobe_width(db)
             try:
-                sidelobe = f"{peak_sidelobe_db(spectrum):.4f}"
+                sidelobe = f"{peak_sidelobe_db(db):.4f}"
             except PcgError:
                 sidelobe = "none"
             rows.append([shape.value, spec.L, alpha, f"{width:.8f}", sidelobe])
@@ -424,7 +424,6 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--lengths", nargs="+", type=int,
                    default=list(evaluate.PROTOCOL_LENGTHS))
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--nfft", type=int, default=DEFAULT_NFFT)
     p.add_argument("--coeffs", action="store_true",
                    help="print coefficients instead of lobe diagnostics")
     p.set_defaults(func=cmd_window_info)

@@ -97,10 +97,13 @@ def _murmur(rng: np.random.Generator, num: int, rate: int,
     return rms * sig / np.sqrt(np.mean(sig ** 2))
 
 
-def generate_with_intervals(
-        config: SynthConfig,
-        label: Label) -> tuple[AudioRecord, dict[str, list[tuple[int, int]]]]:
-    """Generate one record plus the sample intervals of its cycle parts."""
+def generate(config: SynthConfig, label: Label) -> AudioRecord:
+    """Generate one synthetic record.
+
+    The heart rate is the first draw of np.random.default_rng(config.seed),
+    uniform in HEART_RATE_BPM; it fixes the cycle length, and every cycle
+    runs S1, systole, S2, diastole as the module docstring lays out.
+    """
     if label not in CLASS_INDEX:
         raise InvalidConfig(
             f"label must be {' or '.join(l.name for l in CLASS_INDEX)}")
@@ -114,8 +117,6 @@ def generate_with_intervals(
     s1_n = int(round(S1_DURATION_S * rate))
     s2_n = int(round(S2_DURATION_S * rate))
 
-    intervals: dict[str, list[tuple[int, int]]] = {
-        "s1": [], "systole": [], "s2": [], "diastole": []}
     pos = 0
     while pos + cycle <= n:
         s1_a, s1_b = pos, pos + s1_n
@@ -126,22 +127,11 @@ def generate_with_intervals(
         if label is Label.PATHOLOGICAL and config.murmur_gain > 0:
             samples[s1_b:s2_a] += _murmur(rng, s2_a - s1_b, rate,
                                           config.murmur_gain)
-        intervals["s1"].append((s1_a, s1_b))
-        intervals["systole"].append((s1_b, s2_a))
-        intervals["s2"].append((s2_a, s2_b))
-        intervals["diastole"].append((s2_b, pos + cycle))
         pos += cycle
 
     samples += rng.normal(0.0, config.noise_floor, n)
-    record = AudioRecord(id=f"synth_{label.value}_{config.seed:x}",
-                         samples=samples, sample_rate_hz=rate, label=label)
-    return record, intervals
-
-
-def generate(config: SynthConfig, label: Label) -> AudioRecord:
-    """Generate one synthetic record (see generate_with_intervals)."""
-    record, _ = generate_with_intervals(config, label)
-    return record
+    return AudioRecord(id=f"synth_{label.value}_{config.seed:x}",
+                       samples=samples, sample_rate_hz=rate, label=label)
 
 
 def generate_dataset(n_healthy: int, n_pathological: int, base_seed: int = 0,

@@ -3,8 +3,8 @@
 Three shapes are supported: rectangular, triangular, and Gaussian.  A
 window covers the symmetric index set l = -L/2 .. L/2 (total length L+1,
 always odd).  Spectral diagnostics (main-lobe width, peak side-lobe level)
-are measured by grid search on a zero-padded DFT, the same way for every
-shape.
+are measured by grid search on a zero-padded DFT of max(MIN_NFFT,
+8 * window length) points, the same way for every shape.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NoSidelobe, WindowTooLong, check_count
 
 DEFAULT_ALPHA = 2.5
-DEFAULT_NFFT = 4096
+MIN_NFFT = 4096
 DB_FLOOR = -300.0
 
 
@@ -69,18 +69,6 @@ class WindowSpec:
         return cls(shape=shape, half_length=L // 2, alpha=alpha)
 
 
-@dataclass
-class WindowSpectrum:
-    """dB magnitude over normalized frequency [0, 0.5], peak pinned at 0 dB."""
-
-    magnitudes_db: np.ndarray
-    nfft: int
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.arange(self.magnitudes_db.size) / self.nfft
-
-
 def make_window(spec: WindowSpec) -> np.ndarray:
     """Window coefficients w[l] for l = -L/2 .. L/2."""
     half = spec.half_length
@@ -125,16 +113,14 @@ def frame_matrix(samples: np.ndarray, spec: WindowSpec,
 # Spectral diagnostics
 # ---------------------------------------------------------------------------
 
-def window_spectrum(w: np.ndarray, nfft: int = DEFAULT_NFFT) -> WindowSpectrum:
-    """Zero-padded DFT magnitude in dB, normalized so the peak is 0 dB."""
+def window_spectrum(w: np.ndarray) -> np.ndarray:
+    """Zero-padded DFT magnitude in dB, peak at 0 dB: bins k = 0 .. nfft/2 at
+    frequency k / nfft, where nfft = max(MIN_NFFT, 8 * w.size) is even."""
     w = np.asarray(w, dtype=np.float64)
-    if nfft < 8 * w.size:
-        raise ValueError(f"nfft {nfft} too coarse for window of length {w.size}")
-    mag = np.abs(np.fft.rfft(w, nfft))
+    mag = np.abs(np.fft.rfft(w, max(MIN_NFFT, 8 * w.size)))
     peak = mag.max()
     floor = peak * 10.0 ** (DB_FLOOR / 20.0)
-    db = 20.0 * np.log10(np.maximum(mag, floor) / peak)
-    return WindowSpectrum(magnitudes_db=db, nfft=nfft)
+    return 20.0 * np.log10(np.maximum(mag, floor) / peak)
 
 
 def _first_local_min(db: np.ndarray) -> int | None:
@@ -145,9 +131,8 @@ def _first_local_min(db: np.ndarray) -> int | None:
     return None
 
 
-def peak_sidelobe_db(spectrum: WindowSpectrum) -> float:
+def peak_sidelobe_db(db: np.ndarray) -> float:
     """Highest side-lobe peak in dB relative to the main lobe (negative)."""
-    db = spectrum.magnitudes_db
     null = _first_local_min(db)
     if null is None:
         raise NoSidelobe("spectrum decays monotonically; no side lobe found")
@@ -157,19 +142,19 @@ def peak_sidelobe_db(spectrum: WindowSpectrum) -> float:
     return peak
 
 
-def mainlobe_width(spectrum: WindowSpectrum) -> float:
+def mainlobe_width(db: np.ndarray) -> float:
     """Main-lobe width in normalized frequency between the first nulls.
 
     The spectrum of a real symmetric window is even, so the width is twice
     the frequency of the first null above bin 0.  If the spectrum has no
     local minimum (a Gaussian narrow in time, large alpha, whose main lobe
-    is very wide), the -60 dB crossing stands in for the null.
+    is very wide), the -60 dB crossing stands in for the null.  db spans
+    bins 0 .. nfft/2 of an even nfft, so bin k is at k / (2 * (db.size - 1)).
     """
-    db = spectrum.magnitudes_db
     null = _first_local_min(db)
     if null is None:
         below = np.nonzero(db < -60.0)[0]
         if below.size == 0:
             return 1.0  # never drops: main lobe covers the whole band
         null = int(below[0])
-    return 2.0 * float(spectrum.frequencies[null])
+    return null / (db.size - 1)

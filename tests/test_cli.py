@@ -15,7 +15,6 @@ from pcgkit.cli import main
 from pcgkit.ingest import AudioRecord, write_wav
 from pcgkit.errors import NoSidelobe
 from pcgkit.windows import (
-    DEFAULT_NFFT,
     WindowShape,
     WindowSpec,
     make_window,
@@ -991,17 +990,49 @@ class TestWindowInfoCommand:
             "gaussian,50,8.5,0.89306641,none"]
         spec = WindowSpec.from_nominal_length(WindowShape.GAUSSIAN, 50, 8.5)
         with pytest.raises(NoSidelobe, match="below numerical floor"):
-            peak_sidelobe_db(window_spectrum(make_window(spec), DEFAULT_NFFT))
+            peak_sidelobe_db(window_spectrum(make_window(spec)))
 
     @pytest.mark.parametrize("argv", [
         ["--lengths", "15", "1"], ["--shapes", "rectangular", "hann"],
-        ["--lengths", "15", "--nfft", "0"]], ids=["length", "shape", "nfft"])
+        ["--lengths", "15", "5000"]], ids=["length", "shape", "too-long"])
     def test_bad_spec_exits_1_before_output(self, capsys, argv):
         assert main(["window-info", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_dft_size_follows_the_window(self, capsys):
+        # A 601-point window gets nfft 4808, eight points per window point.
+        assert main(["window-info", "--shapes", "rectangular",
+                     "--lengths", "601"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "rectangular,600,,0.00332779,-13.3967"]
+
+    def test_longest_window_that_leaves_two_frames(self, capsys):
+        # 4999 points leave two frames of a 5000-sample record; nfft 39992.
+        assert main(["window-info", "--lengths", "4999"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [row["L"] for row in rows] == ["4998"] * 3
+        width = float(rows[0]["mainlobe_width"])
+        assert width == pytest.approx(2 / 4999, abs=1 / 39992)
+
+    def test_window_that_leaves_no_frames_is_never_built(self, capsys,
+                                                         monkeypatch):
+        built = []
+
+        def make_window_spy(spec):
+            built.append(spec.length)
+            return make_window(spec)
+
+        monkeypatch.setattr(cli, "make_window", make_window_spy)
+        assert main(["window-info", "--lengths", "15", "5000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: window length 5001 at hop 1 leaves 0 frames in a record "
+            "of 5000 samples; features need at least 2\n")
+        assert built == [15]
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1024,9 +1055,10 @@ class TestWindowInfoCommand:
                                   ["grid", "--corpus", "c", "--out-dir", "o",
                                    "--alpha", "3"],
                                   ["extract", "--input", "i", "--out", "o",
-                                   "--bins", "5"]],
+                                   "--bins", "5"],
+                                  ["window-info", "--nfft", "4096"]],
                          ids=["clip-norm", "momentum-ramp", "grid-alpha",
-                              "extract-bins"])
+                              "extract-bins", "window-info-nfft"])
 def test_removed_training_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -3,6 +3,7 @@ import pytest
 
 from pcgkit.errors import NoSidelobe, WindowTooLong
 from pcgkit.windows import (
+    MIN_NFFT,
     WindowShape,
     WindowSpec,
     frame_centers,
@@ -138,18 +139,21 @@ class TestSpectrum:
     def test_peak_is_zero_db_at_bin_zero(self):
         for shape in (R, T, G):
             s = window_spectrum(make_window(WindowSpec(shape, 10)))
-            assert s.magnitudes_db[0] == 0.0
-            assert s.magnitudes_db.max() == 0.0
+            assert s[0] == 0.0
+            assert s.max() == 0.0
 
     def test_rectangular_first_null_position(self):
         L = 20
         s = window_spectrum(make_window(WindowSpec(R, L // 2)))
         width = mainlobe_width(s)
-        assert width == pytest.approx(2 / (L + 1), abs=1 / s.nfft)
+        assert width == pytest.approx(2 / (L + 1), abs=1 / MIN_NFFT)
 
-    def test_nfft_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            window_spectrum(np.ones(31), nfft=64)
+    @pytest.mark.parametrize("size, bins", [(1, 2049), (512, 2049),
+                                            (513, 2053), (1001, 4005)])
+    def test_dft_size_is_eight_points_per_window_point(self, size, bins):
+        # nfft = max(MIN_NFFT, 8 * size): a window of up to 512 points keeps
+        # 4096, and the spectrum holds bins 0 .. nfft/2.
+        assert window_spectrum(np.ones(size)).size == bins
 
     def test_triangular_zero_phase_transform_nonnegative(self):
         # Zero-phase DFT: rotate the symmetric window so its center sits at
@@ -209,7 +213,7 @@ class TestMainlobeWidth:
     def test_rectangular_value(self):
         for L in (20, 50):
             s = window_spectrum(make_window(WindowSpec(R, L // 2)))
-            assert mainlobe_width(s) == pytest.approx(2 / (L + 1), abs=1 / s.nfft)
+            assert mainlobe_width(s) == pytest.approx(2 / (L + 1), abs=1 / MIN_NFFT)
 
     def test_triangular_vs_rectangular(self):
         # The doubling identity is asymptotic in L; at L=20 the exact ratio
