@@ -116,14 +116,19 @@ def cmd_synth(args) -> int:
     records = synth.generate_dataset(args.healthy, args.pathological,
                                      base_seed=args.seed, config=config)
     out_dir.mkdir(parents=True, exist_ok=True)
+    clipped = []  # per record, the samples write_wav clipped
     with open(out_dir / "labels.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["filename", "label"])
         for rec in records:
             filename = f"{rec.id}.wav"
-            write_wav(rec, out_dir / filename)
+            clipped.append(write_wav(rec, out_dir / filename))
             writer.writerow([filename, rec.label.value])
     _write_effective_config(out_dir, args)
+    if sum(clipped):
+        print(f"warning: {sum(clipped)} samples in "
+              f"{sum(map(bool, clipped))} of {len(records)} records exceed "
+              f"16-bit full scale and were clipped", file=sys.stderr)
     print(f"wrote {len(records)} records to {out_dir}")
     return 0
 

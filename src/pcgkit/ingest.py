@@ -118,16 +118,20 @@ def read_wav(path: str | Path, label: Label = Label.UNLABELED) -> AudioRecord:
     )
 
 
-def write_wav(record: AudioRecord, path: str | Path) -> None:
-    """Write a record as mono 16-bit PCM WAV (inverse of read_wav's scaling)."""
+def write_wav(record: AudioRecord, path: str | Path) -> int:
+    """Write a record as mono 16-bit PCM WAV (inverse of read_wav's scaling)
+    and return how many samples fell outside 16-bit full scale and were
+    clipped to it."""
     path = Path(path)
-    ints = np.clip(np.round(record.samples * PCM_FULL_SCALE), -32768, 32767)
-    payload = ints.astype("<i2").tobytes()
+    ints = np.round(record.samples * PCM_FULL_SCALE)
+    clipped = np.count_nonzero((ints < -32768) | (ints > 32767))
+    payload = np.clip(ints, -32768, 32767).astype("<i2").tobytes()
     rate = int(record.sample_rate_hz)
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16)
     header += b"data" + struct.pack("<I", len(payload))
     path.write_bytes(header + payload)
+    return int(clipped)
 
 
 def read_matrix(path: Path, columns: int,

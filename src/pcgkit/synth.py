@@ -7,6 +7,13 @@ band-limited murmur energy inside the systolic gap, which is exactly the
 cue the feature/classifier pipeline is supposed to pick up.  The output is
 reproducible bit for bit from the seed.  The signal model is fixed by the
 module constants; SynthConfig holds only what the CLI sets.
+
+A record's random stream is the heart rate, then per cycle 24 uniforms
+(8 frequencies, 8 phases, 8 amplitudes) for S1, for S2 and, when it is
+pathological with a murmur, for the murmur, then the noise.  All tone
+uniforms come in one draw and each burst kind is one `sin` call over all
+cycles, so a record costs the same number of numpy calls however many
+cycles it holds.
 """
 
 from __future__ import annotations
@@ -60,49 +67,57 @@ class SynthConfig:
             raise InvalidConfig("murmur_gain and noise_floor must be >= 0")
 
 
-def _tones(rng: np.random.Generator, t: np.ndarray, lo: float,
-           hi: float) -> np.ndarray:
-    """Sum at times t of TONES_PER_BURST sinusoids: frequencies uniform in
-    [lo, hi), then phases, then amplitudes in [0.5, 1), in that draw order."""
-    freqs = rng.uniform(lo, hi, TONES_PER_BURST)
-    phases = rng.uniform(0.0, 2.0 * np.pi, TONES_PER_BURST)
-    amps = rng.uniform(0.5, 1.0, TONES_PER_BURST)
-    return (amps[:, None] * np.sin(2.0 * np.pi * freqs[:, None] * t
-                                   + phases[:, None])).sum(axis=0)
+def _tones(u: np.ndarray, t: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Per row of u, the sum at times t of TONES_PER_BURST sinusoids whose
+    frequencies in [lo, hi), phases and amplitudes in [0.5, 1) are that
+    row's uniforms, in that order."""
+    k = TONES_PER_BURST
+    freqs = lo + (hi - lo) * u[:, :k, None]
+    phases = 2.0 * np.pi * u[:, k:2 * k, None]
+    amps = 0.5 + 0.5 * u[:, 2 * k:, None]
+    arg = 2.0 * np.pi * freqs * t  # (cycles, k, t.size), updated in place
+    arg += phases
+    np.sin(arg, out=arg)
+    arg *= amps
+    return arg.sum(axis=1)
 
 
-def _tone_burst(rng: np.random.Generator, num: int, rate: int,
+def _tone_burst(u: np.ndarray, num: int, rate: int,
                 band: tuple[float, float], peak: float) -> np.ndarray:
-    """Gaussian-enveloped sum of random tones confined inside the band."""
+    """Per row of u, a Gaussian-enveloped sum of random in-band tones."""
     t = np.arange(num) / rate
     lo, hi = band
     margin = 0.1 * (hi - lo)
-    sig = _tones(rng, t, lo + margin, hi - margin)
+    sig = _tones(u, t, lo + margin, hi - margin)
     center = 0.5 * num / rate
     sigma = (num / rate) / 6.0
     sig *= np.exp(-0.5 * ((t - center) / sigma) ** 2)
-    return peak * sig / np.abs(sig).max()
+    return peak * sig / np.abs(sig).max(axis=1, keepdims=True)
 
 
-def _murmur(rng: np.random.Generator, num: int, rate: int,
-            rms: float) -> np.ndarray:
-    """Band-limited murmur noise with the requested RMS, tapered at the ends."""
-    sig = _tones(rng, np.arange(num) / rate, *MURMUR_BAND_HZ)
+def _murmur(u: np.ndarray, num: int, rate: int, rms: float) -> np.ndarray:
+    """Per row of u, band-limited murmur with the requested RMS, tapered."""
+    sig = _tones(u, np.arange(num) / rate, *MURMUR_BAND_HZ)
     ramp = max(1, num // 10)
     taper = np.ones(num)
     edge = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
     taper[:ramp] = edge
     taper[-ramp:] = edge[::-1]
     sig *= taper
-    return rms * sig / np.sqrt(np.mean(sig ** 2))
+    return rms * sig / np.sqrt(np.mean(sig ** 2, axis=1, keepdims=True))
 
 
 def generate(config: SynthConfig, label: Label) -> AudioRecord:
     """Generate one synthetic record.
 
-    The heart rate is the first draw of np.random.default_rng(config.seed),
-    uniform in HEART_RATE_BPM; it fixes the cycle length, and every cycle
-    runs S1, systole, S2, diastole as the module docstring lays out.
+    The stream of np.random.default_rng(config.seed) is laid out as: the
+    heart rate, uniform in HEART_RATE_BPM, which fixes the cycle length;
+    then per whole cycle 3 * TONES_PER_BURST uniforms for S1, as many for
+    S2 and, in a pathological record with murmur_gain > 0, as many for the
+    murmur; then one normal per sample for the noise floor.  Every cycle
+    runs S1, systole, S2, diastole as the module docstring lays out.  The
+    tone uniforms are one draw and each burst kind one `sin` call, so the
+    number of numpy calls does not grow with the number of cycles.
     """
     if label not in CLASS_INDEX:
         raise InvalidConfig(
@@ -116,18 +131,21 @@ def generate(config: SynthConfig, label: Label) -> AudioRecord:
     cycle = int(round(rate * 60.0 / bpm))
     s1_n = int(round(S1_DURATION_S * rate))
     s2_n = int(round(S2_DURATION_S * rate))
+    s2_a = int(round(S2_CYCLE_FRACTION * cycle))
+    murmur = label is Label.PATHOLOGICAL and config.murmur_gain > 0
 
-    pos = 0
-    while pos + cycle <= n:
-        s1_a, s1_b = pos, pos + s1_n
-        s2_a = pos + int(round(S2_CYCLE_FRACTION * cycle))
-        s2_b = s2_a + s2_n
-        samples[s1_a:s1_b] += _tone_burst(rng, s1_n, rate, S1_BAND_HZ, S1_PEAK)
-        samples[s2_a:s2_b] += _tone_burst(rng, s2_n, rate, S2_BAND_HZ, S2_PEAK)
-        if label is Label.PATHOLOGICAL and config.murmur_gain > 0:
-            samples[s1_b:s2_a] += _murmur(rng, s2_a - s1_b, rate,
-                                          config.murmur_gain)
-        pos += cycle
+    cycles = n // cycle
+    u = rng.random(cycles * (3 if murmur else 2) * 3 * TONES_PER_BURST)
+    u = u.reshape(cycles, -1, 3 * TONES_PER_BURST)
+    # No two bursts overlap, so each lands on zeros and adds exactly.
+    per_cycle = samples[:cycles * cycle].reshape(cycles, cycle)
+    per_cycle[:, :s1_n] += _tone_burst(u[:, 0], s1_n, rate, S1_BAND_HZ,
+                                       S1_PEAK)
+    per_cycle[:, s2_a:s2_a + s2_n] += _tone_burst(u[:, 1], s2_n, rate,
+                                                  S2_BAND_HZ, S2_PEAK)
+    if murmur:
+        per_cycle[:, s1_n:s2_a] += _murmur(u[:, 2], s2_a - s1_n, rate,
+                                           config.murmur_gain)
 
     samples += rng.normal(0.0, config.noise_floor, n)
     return AudioRecord(id=f"synth_{label.value}_{config.seed:x}",

@@ -76,6 +76,21 @@ class TestSynthCommand:
         for name in first:
             assert (corpus_dir / name).read_bytes() == (again / name).read_bytes()
 
+    def test_clipped_samples_are_warned_of(self, tmp_path, capsys):
+        # README's command: the default murmur gain drives some
+        # pathological records past 16-bit full scale.
+        code = main(["synth", "--healthy", "20", "--pathological", "20",
+                     "--seed", "0", "--out-dir", str(tmp_path / "a")])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: 29 samples in 12 of 40 records exceed 16-bit full "
+            "scale and were clipped\n")
+        code = main(["synth", "--healthy", "20", "--pathological", "20",
+                     "--seed", "0", "--murmur-gain", "0.1",
+                     "--out-dir", str(tmp_path / "b")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_rate_below_twice_the_top_band_exits_1(self, tmp_path, capsys):
         code = main(["synth", "--rate", "400", "--out-dir", str(tmp_path)])
         assert code == 1

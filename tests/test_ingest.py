@@ -80,6 +80,15 @@ class TestReadWav:
         assert back.sample_rate_hz == 2000
         assert np.allclose(back.samples, rec.samples, atol=1.0 / 32768)
 
+    def test_write_returns_the_clipped_count(self, tmp_path):
+        # 1.0 and 2.0 round above 32767 and -1.0001 below -32768; -1.0 and
+        # 0.99998 fit.
+        samples = np.array([1.0, -1.0, -1.0001, 0.99998, 2.0, 0.0])
+        path = tmp_path / "r.wav"
+        assert write_wav(AudioRecord("r", samples, 2000), path) == 3
+        assert read_wav(path).samples.tolist() == [
+            32767 / 32768, -1.0, -1.0, 32767 / 32768, 32767 / 32768, 0.0]
+
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
         path.write_bytes(make_wav_bytes([0, 0, 0, 0], channels=2))

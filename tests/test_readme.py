@@ -57,4 +57,11 @@ def test_quick_start_runs(tmp_path, monkeypatch, capsys):
     for argv in COMMANDS:
         if argv[1] != "grid":
             assert main(argv[1:]) == 0, shlex.join(argv)
-            assert capsys.readouterr().err == ""
+            err = capsys.readouterr().err
+            if argv[1] == "synth" and err:
+                # At the default murmur gain README's corpus clips in WAV,
+                # and synth says so on one line.
+                assert err.startswith("warning: ") and err.count("\n") == 1
+                assert err.endswith(" were clipped\n")
+            else:
+                assert err == ""
