@@ -10,7 +10,6 @@ numbers that matter for short-time feature extraction: main-lobe width
 import numpy as np
 
 from pcgkit import (
-    NoSidelobe,
     WindowShape,
     WindowSpec,
     mainlobe_width,
@@ -27,10 +26,8 @@ for shape in WindowShape:
         spec = WindowSpec.from_nominal_length(shape, nominal)
         spectrum = window_spectrum(make_window(spec))
         width = mainlobe_width(spectrum)
-        try:
-            lobe = f"{peak_sidelobe_db(spectrum):10.2f}"
-        except NoSidelobe:
-            lobe = "      none"
+        peak = peak_sidelobe_db(spectrum)
+        lobe = "      none" if peak is None else f"{peak:10.2f}"
         alpha = f"{spec.alpha:.1f}" if shape is WindowShape.GAUSSIAN else "  -"
         print(f"{shape.value:<12} {spec.L:>4} {alpha:>6} {width:>10.5f} {lobe:>12}")
 

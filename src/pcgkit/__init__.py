@@ -13,7 +13,6 @@ from .errors import (
     InvalidFactor,
     InvalidFraction,
     LengthMismatch,
-    NoSidelobe,
     NonFiniteLoss,
     PcgError,
     SingleClassDataset,
@@ -46,7 +45,6 @@ from .ingest import (
     AudioRecord,
     Label,
     preprocess,
-    read_csv_record,
     read_wav,
     write_wav,
 )

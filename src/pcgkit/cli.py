@@ -1,6 +1,8 @@
 """Command-line surface tying the pipeline together.
 
 Subcommands: synth, extract, train, eval, grid, window-info.
+Recordings are mono 16-bit PCM WAV files: synth writes them, extract and
+grid read them.
 Exit codes: 0 ok, 1 domain error, 2 usage or I/O error.
 All randomness flows from --seed (default 0); repeated runs with the same
 inputs and flags produce byte-identical outputs.
@@ -23,7 +25,6 @@ from .ingest import (
     CLASS_INDEX,
     Label,
     preprocess,
-    read_csv_record,
     read_wav,
     write_wav,
 )
@@ -181,10 +182,7 @@ def cmd_extract(args) -> int:
     out, = _check_output_files([("--out", args.out)], reads)
     _check_output_files([("--out", sidecar_path(out))], reads)
     path = _require_file(args.input)
-    if path.suffix.lower() == ".wav":
-        record = read_wav(path)
-    else:
-        record = read_csv_record(path, rate_hz=args.rate)
+    record = read_wav(path)
     if args.label:
         record.label = Label(args.label)
     record = _preprocess(record, path)
@@ -298,11 +296,16 @@ def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
 def cmd_grid(args) -> int:
     # Seed left at 0: run_trial derives each trial's from --seed (any int).
     config = _train_config_from_args(args)
+    shapes = _parse_shapes(args.shapes)
+    # Checked before any recording is read; _load_corpus preprocesses every
+    # record to TARGET_SAMPLES.
+    evaluate.check_grid(shapes, args.lengths, args.hidden, args.trials,
+                        args.seed, args.hop, ingest.TARGET_SAMPLES)
     out_dir = _check_output_dir(args.out_dir)
     records = _load_corpus(Path(args.corpus))
     cells = evaluate.run_grid(
         records,
-        shapes=_parse_shapes(args.shapes),
+        shapes=shapes,
         lengths=args.lengths,
         hidden_sizes=args.hidden,
         trials=args.trials,
@@ -320,26 +323,17 @@ def cmd_grid(args) -> int:
 def cmd_window_info(args) -> int:
     # Each spec is checked before its window is built, and every row made
     # before the first is written: a bad or too-long spec gives no output.
-    if args.coeffs:
-        rows = [["shape", "L", "alpha", "l", "w"]]
-    else:
-        rows = [["shape", "L", "alpha", "mainlobe_width", "sidelobe_db"]]
+    rows = [["shape", "L", "alpha", "mainlobe_width", "sidelobe_db"]]
     for shape in _parse_shapes(args.shapes):
         for length in args.lengths:
             spec = WindowSpec.from_nominal_length(shape, length, args.alpha)
             frame_centers(ingest.TARGET_SAMPLES, spec, 1)
             w = make_window(spec)
             alpha = spec.alpha if shape is WindowShape.GAUSSIAN else ""
-            if args.coeffs:
-                for l, val in zip(range(-spec.half_length, spec.half_length + 1), w):
-                    rows.append([shape.value, spec.L, alpha, l, f"{val:.12g}"])
-                continue
             db = window_spectrum(w)
             width = mainlobe_width(db)
-            try:
-                sidelobe = f"{peak_sidelobe_db(db):.4f}"
-            except PcgError:
-                sidelobe = "none"
+            peak = peak_sidelobe_db(db)
+            sidelobe = "none" if peak is None else f"{peak:.4f}"
             rows.append([shape.value, spec.L, alpha, f"{width:.8f}", sidelobe])
     csv.writer(sys.stdout).writerows(rows)
     return 0
@@ -379,8 +373,8 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="preprocess one recording and write features")
-    p.add_argument("--input", required=True, help="WAV or one-value-per-line CSV")
-    p.add_argument("--rate", type=int, default=2000, help="sample rate for CSV input")
+    p.add_argument("--input", required=True,
+                   help="mono 16-bit PCM WAV recording")
     p.add_argument("--label", choices=[l.value for l in Label], default=None)
     p.add_argument("--shape", choices=[s.value for s in WindowShape],
                    default="gaussian")
@@ -429,8 +423,6 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--lengths", nargs="+", type=int,
                    default=list(evaluate.PROTOCOL_LENGTHS))
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--coeffs", action="store_true",
-                   help="print coefficients instead of lobe diagnostics")
     p.set_defaults(func=cmd_window_info)
 
     return parser

@@ -1,12 +1,14 @@
 """Domain error types shared across the toolkit.
 
-Everything raised on bad inputs or violated contracts derives from
-:class:`PcgError`, so callers (and the CLI) can distinguish domain errors
-from genuine bugs or I/O failures.  :func:`json_object` is the one reader
-of JSON from outside the program (model headers, feature sidecars, run
-configs): whatever it cannot read as an object it refuses with one of
-these errors, naming the file.  :func:`check_count` is the one check of
-every count the library takes: an integer, not a bool, at least a floor.
+Bad files and violated contracts raise a :class:`PcgError`; a bad
+argument value (a count, a window, a grid axis, a training setting) or a
+feature value that is not finite raises ValueError.  The CLI maps both to
+exit 1, and OSError to exit 2, so neither is taken for a genuine bug.
+:func:`json_object` is the one reader of JSON from outside the program
+(model headers, feature sidecars, run configs): whatever it cannot read
+as an object it refuses with a PcgError naming the file.
+:func:`check_count` is the one check of every count the library takes:
+an integer, not a bool, at least a floor.
 """
 
 import json
@@ -35,10 +37,6 @@ class InvalidFactor(PcgError):
 
 class WindowTooLong(PcgError):
     """Window leaves fewer than two frames of the record at its hop."""
-
-
-class NoSidelobe(PcgError):
-    """Spectrum has no measurable side lobe above the numerical floor."""
 
 
 class EmptySequence(PcgError):

@@ -169,24 +169,14 @@ def extract_dataset(records: list[AudioRecord], spec: WindowSpec,
     return out
 
 
-def run_grid(records: list[AudioRecord],
-             shapes: list[WindowShape],
-             lengths: list[int],
-             hidden_sizes: list[int],
-             trials: int = PROTOCOL_TRIALS,
-             base_seed: int = 0,
-             hop: int = 1,
-             train_config: nnet.TrainConfig = nnet.TrainConfig()) -> list[GridCell]:
-    """Full experiment grid over shape x length x hidden size.
-
-    Features are extracted once per (shape, length); only the split and
-    training randomness vary across trials.  Per-trial seeds derive from
-    base_seed and the cell/trial indices alone, so each trial's result does
-    not depend on which trials ran before it.  Every window spec and hidden
-    size is checked before the first extraction, and so is a value repeated
-    on an axis and each window's fit: `frame_centers` of the shortest record
-    raises WindowTooLong for a window that leaves it fewer than two frames.
-    """
+def check_grid(shapes: list[WindowShape], lengths: list[int],
+               hidden_sizes: list[int], trials: int, base_seed: int, hop: int,
+               n_samples: int | None) -> list[list[WindowSpec]]:
+    """The grid's window specs, by shape then length, once the grid is
+    checked: ValueError on an empty axis, a value repeated on an axis, or a
+    bad length, hidden size, trial count or seed; and, unless `n_samples`
+    is None, `frame_centers` raises for a bad hop or for a window that
+    leaves a record of `n_samples` fewer than two frames."""
     if not (shapes and lengths and hidden_sizes):
         raise ValueError("grid axes must be non-empty")
     check_count("trials", trials, 1)
@@ -200,11 +190,32 @@ def run_grid(records: list[AudioRecord],
         repeat = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeat is not None:
             raise ValueError(f"grid repeats {axis} {repeat}")
-    if records:
-        shortest = min(rec.samples.size for rec in records)
+    if n_samples is not None:
         for row in specs:
             for spec in row:
-                frame_centers(shortest, spec, hop)
+                frame_centers(n_samples, spec, hop)
+    return specs
+
+
+def run_grid(records: list[AudioRecord],
+             shapes: list[WindowShape],
+             lengths: list[int],
+             hidden_sizes: list[int],
+             trials: int = PROTOCOL_TRIALS,
+             base_seed: int = 0,
+             hop: int = 1,
+             train_config: nnet.TrainConfig = nnet.TrainConfig()) -> list[GridCell]:
+    """Full experiment grid over shape x length x hidden size.
+
+    Features are extracted once per (shape, length); only the split and
+    training randomness vary across trials.  Per-trial seeds derive from
+    base_seed and the cell/trial indices alone, so each trial's result does
+    not depend on which trials ran before it.  `check_grid` checks every
+    argument before the first extraction, each window's fit against the
+    shortest record.
+    """
+    specs = check_grid(shapes, lengths, hidden_sizes, trials, base_seed, hop,
+                       min((rec.samples.size for rec in records), default=None))
 
     cells = []
     for si, shape in enumerate(shapes):

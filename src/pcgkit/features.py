@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import PcgError, check_count, json_object
-from .ingest import Label, read_matrix
+from .ingest import Label
 from .windows import WindowShape, WindowSpec
 
 FEATURE_NAMES = (
@@ -328,7 +329,17 @@ def read_features(path: str | Path) -> FeatureSequence:
     equal to FEATURE_NAMES.
     """
     path = Path(path)
-    values = read_matrix(path, len(FEATURE_NAMES), delimiter=",")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy only warns on no rows
+            values = np.loadtxt(path, delimiter=",", ndmin=2)
+        if values.shape[1] != len(FEATURE_NAMES):
+            raise ValueError(f"{values.shape[1]} columns, "
+                             f"not {len(FEATURE_NAMES)}")
+        if not np.isfinite(values).all():
+            raise ValueError("holds NaN or infinite values")
+    except (ValueError, UserWarning) as exc:  # also bad UTF-8
+        raise PcgError(f"{path}: {exc}") from None
     meta_path = sidecar_path(path)
     meta = json_object(meta_path.read_bytes(), meta_path)
     try:

@@ -1,23 +1,23 @@
 """Reading and preprocessing of heart-sound recordings.
 
-A recording enters the pipeline as an :class:`AudioRecord`.  `preprocess`,
-the one preprocessing step, low-pass filters it at CUTOFF_HZ (250 Hz),
-keeps one sample in rate / TARGET_RATE_HZ (500 Hz) and cuts or tiles it to
-TARGET_SAMPLES (5000, 10 s): the paper's fixed protocol, not parameters.
-It returns a new record.
+A recording enters the pipeline as an :class:`AudioRecord`, read from a
+mono 16-bit PCM WAV file by `read_wav` (`write_wav` writes one).
+`preprocess`, the one preprocessing step, low-pass filters it at
+CUTOFF_HZ (250 Hz), keeps one sample in rate / TARGET_RATE_HZ (500 Hz)
+and cuts or tiles it to TARGET_SAMPLES (5000, 10 s): the paper's fixed
+protocol, not parameters.  It returns a new record.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptHeader, InvalidFactor, PcgError, UnsupportedFormat
+from .errors import CorruptHeader, InvalidFactor, UnsupportedFormat
 
 TARGET_RATE_HZ = 500
 TARGET_SAMPLES = 5000
@@ -132,35 +132,6 @@ def write_wav(record: AudioRecord, path: str | Path) -> int:
     header += b"data" + struct.pack("<I", len(payload))
     path.write_bytes(header + payload)
     return int(clipped)
-
-
-def read_matrix(path: Path, columns: int,
-                delimiter: str | None = None) -> np.ndarray:
-    """The finite float64 (rows, columns) matrix a text file holds.
-
-    Raises PcgError naming the file on bad UTF-8, a value that is not a
-    number, no rows, another column count, or a NaN or infinite value.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy only warns on no rows
-            values = np.loadtxt(path, delimiter=delimiter, ndmin=2)
-        if values.shape[1] != columns:
-            raise ValueError(f"{values.shape[1]} columns, not {columns}")
-        if not np.isfinite(values).all():
-            raise ValueError("holds NaN or infinite values")
-    except (ValueError, UserWarning) as exc:
-        raise PcgError(f"{path}: {exc}") from None
-    return values
-
-
-def read_csv_record(path: str | Path, rate_hz: int,
-                    label: Label = Label.UNLABELED) -> AudioRecord:
-    """Read a headerless one-value-per-line CSV (`read_matrix`, one column)
-    as an AudioRecord."""
-    path = Path(path)
-    return AudioRecord(id=path.stem, samples=read_matrix(path, 1)[:, 0],
-                       sample_rate_hz=rate_hz, label=label)
 
 
 # ---------------------------------------------------------------------------

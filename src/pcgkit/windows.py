@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSidelobe, WindowTooLong, check_count
+from .errors import WindowTooLong, check_count
 
 DEFAULT_ALPHA = 2.5
 MIN_NFFT = 4096
@@ -131,15 +131,15 @@ def _first_local_min(db: np.ndarray) -> int | None:
     return None
 
 
-def peak_sidelobe_db(db: np.ndarray) -> float:
-    """Highest side-lobe peak in dB relative to the main lobe (negative)."""
+def peak_sidelobe_db(db: np.ndarray) -> float | None:
+    """Highest side-lobe peak in dB relative to the main lobe (negative);
+    None when there is no side lobe to measure: the spectrum decays
+    monotonically, or every side lobe lies within 10 dB of DB_FLOOR."""
     null = _first_local_min(db)
     if null is None:
-        raise NoSidelobe("spectrum decays monotonically; no side lobe found")
+        return None
     peak = float(db[null + 1:].max())
-    if peak <= DB_FLOOR + 10.0:
-        raise NoSidelobe(f"side lobes below numerical floor ({peak:.1f} dB)")
-    return peak
+    return None if peak <= DB_FLOOR + 10.0 else peak
 
 
 def mainlobe_width(db: np.ndarray) -> float:

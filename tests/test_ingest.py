@@ -14,7 +14,6 @@ from pcgkit.ingest import (
     AudioRecord,
     Label,
     preprocess,
-    read_csv_record,
     read_wav,
     write_wav,
 )
@@ -146,14 +145,6 @@ class TestReadWav:
             assert rec.samples.size > 0 and rec.sample_rate_hz > 0
             read += 1
         assert 0 < read < 240  # both outcomes are exercised
-
-
-def test_csv_record_roundtrip(tmp_path):
-    rec = AudioRecord("c", np.array([0.25, -0.5, 0.125]), 500)
-    np.savetxt(tmp_path / "c.csv", rec.samples, fmt="%.17g")
-    back = read_csv_record(tmp_path / "c.csv", rate_hz=500)
-    assert np.array_equal(back.samples, rec.samples)
-    assert back.sample_rate_hz == 500
 
 
 def preprocessed(samples, rate=2000):
