@@ -5,20 +5,7 @@ deterministic synthetic generator (synth) for desk-scale experiments and a
 CLI (cli) wrapping it all.
 """
 
-from .errors import (
-    CorruptHeader,
-    CorruptModel,
-    EmptySequence,
-    InvalidConfig,
-    InvalidFactor,
-    InvalidFraction,
-    LengthMismatch,
-    NonFiniteLoss,
-    PcgError,
-    SingleClassDataset,
-    UnsupportedFormat,
-    WindowTooLong,
-)
+from .errors import PcgError
 from .evaluate import (
     Confusion,
     GridCell,
@@ -70,4 +57,4 @@ from .windows import (
     window_spectrum,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

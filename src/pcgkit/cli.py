@@ -40,10 +40,8 @@ from .windows import (
 )
 
 CONFIG_VERSION = 1
-
-
-def _parse_shapes(names: list[str]) -> list[WindowShape]:
-    return [WindowShape(n.lower()) for n in names]
+# A shape is named by its WindowShape value, in lower case, on every command.
+SHAPE_NAMES = [s.value for s in WindowShape]
 
 
 def _require_file(path: str | Path) -> Path:
@@ -139,7 +137,7 @@ def _preprocess(record, path: Path):
     try:
         return preprocess(record)
     except PcgError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise PcgError(f"{path}: {exc}") from None
 
 
 def _load_corpus(corpus_dir: Path) -> list:
@@ -264,8 +262,9 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                None: ((str,), "a string")}
 
 
-def _fits(value, types: tuple) -> bool:
-    return isinstance(value, types) and not isinstance(value, bool)
+def _fits(value, types: tuple, choices=None) -> bool:
+    return (isinstance(value, types) and not isinstance(value, bool)
+            and (choices is None or value in choices))
 
 
 def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
@@ -279,12 +278,15 @@ def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
             raise PcgError(f"unknown config key {key!r}")
         flag = flags[key]
         types, expected = _JSON_TYPES[flag.type]
+        # argparse checks choices on the command line, not on defaults.
+        if flag.choices is not None:
+            expected = f"one of {', '.join(flag.choices)}"
         if flag.nargs == "+":
             ok = (isinstance(value, list) and value
-                  and all(_fits(v, types) for v in value))
+                  and all(_fits(v, types, flag.choices) for v in value))
             expected = f"a non-empty list, each {expected}"
         else:
-            ok = _fits(value, types)
+            ok = _fits(value, types, flag.choices)
         if not ok:
             raise PcgError(f"config key {key!r} must be {expected}, "
                            f"got {json.dumps(value)}")
@@ -296,7 +298,7 @@ def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
 def cmd_grid(args) -> int:
     # Seed left at 0: run_trial derives each trial's from --seed (any int).
     config = _train_config_from_args(args)
-    shapes = _parse_shapes(args.shapes)
+    shapes = [WindowShape(name) for name in args.shapes]
     # Checked before any recording is read; _load_corpus preprocesses every
     # record to TARGET_SAMPLES.
     evaluate.check_grid(shapes, args.lengths, args.hidden, args.trials,
@@ -324,7 +326,7 @@ def cmd_window_info(args) -> int:
     # Each spec is checked before its window is built, and every row made
     # before the first is written: a bad or too-long spec gives no output.
     rows = [["shape", "L", "alpha", "mainlobe_width", "sidelobe_db"]]
-    for shape in _parse_shapes(args.shapes):
+    for shape in map(WindowShape, args.shapes):
         for length in args.lengths:
             spec = WindowSpec.from_nominal_length(shape, length, args.alpha)
             frame_centers(ingest.TARGET_SAMPLES, spec, 1)
@@ -376,7 +378,7 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help="mono 16-bit PCM WAV recording")
     p.add_argument("--label", choices=[l.value for l in Label], default=None)
-    p.add_argument("--shape", choices=[s.value for s in WindowShape],
+    p.add_argument("--shape", choices=SHAPE_NAMES,
                    default="gaussian")
     p.add_argument("--length", type=int, default=30, help="nominal window length")
     p.add_argument("--hop", type=int, default=1)
@@ -403,7 +405,7 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
                    help="directory with WAV files and labels.csv")
     p.add_argument("--config", default=None,
                    help="JSON config file; explicit flags win")
-    p.add_argument("--shapes", nargs="+",
+    p.add_argument("--shapes", nargs="+", choices=SHAPE_NAMES,
                    default=[s.value for s in evaluate.PROTOCOL_SHAPES])
     p.add_argument("--lengths", nargs="+", type=int,
                    default=list(evaluate.PROTOCOL_LENGTHS))
@@ -418,8 +420,8 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("window-info",
                        help="window diagnostics as CSV on stdout")
-    p.add_argument("--shapes", nargs="+",
-                   default=[s.value for s in WindowShape])
+    p.add_argument("--shapes", nargs="+", choices=SHAPE_NAMES,
+                   default=SHAPE_NAMES)
     p.add_argument("--lengths", nargs="+", type=int,
                    default=list(evaluate.PROTOCOL_LENGTHS))
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)

@@ -1,9 +1,11 @@
-"""Domain error types shared across the toolkit.
+"""The one domain error of the toolkit, and the checks that raise it.
 
-Bad files and violated contracts raise a :class:`PcgError`; a bad
-argument value (a count, a window, a grid axis, a training setting) or a
-feature value that is not finite raises ValueError.  The CLI maps both to
-exit 1, and OSError to exit 2, so neither is taken for a genuine bug.
+Bad files and violated contracts raise :class:`PcgError`, the only
+exception class pcgkit defines; its message says what was refused.  A
+bad argument value (a count, a window, a grid axis, a training setting)
+or a feature value that is not finite raises ValueError.  The CLI maps
+both to exit 1, and OSError to exit 2, so neither is taken for a genuine
+bug.
 :func:`json_object` is the one reader of JSON from outside the program
 (model headers, feature sidecars, run configs): whatever it cannot read
 as an object it refuses with a PcgError naming the file.
@@ -16,52 +18,7 @@ import operator
 
 
 class PcgError(Exception):
-    """Base class for all domain errors raised by pcgkit."""
-
-
-class UnsupportedFormat(PcgError):
-    """Audio container is readable but not a supported flavour (mono PCM16)."""
-
-
-class CorruptHeader(PcgError):
-    """Audio container header is malformed or truncated."""
-
-
-class CorruptModel(PcgError):
-    """Model file is malformed, truncated or does not match its layout."""
-
-
-class InvalidFactor(PcgError):
-    """Sample rate is not an integer multiple of the 500 Hz target rate."""
-
-
-class WindowTooLong(PcgError):
-    """Window leaves fewer than two frames of the record at its hop."""
-
-
-class EmptySequence(PcgError):
-    """Classifier input has no time steps or no feature columns."""
-
-
-class SingleClassDataset(PcgError):
-    """Operation requires examples of both classes."""
-
-
-class NonFiniteLoss(PcgError):
-    """Training loss became NaN or infinite."""
-
-
-class LengthMismatch(PcgError):
-    """Paired sequences differ in length, a batch mixes feature configs, or
-    the features' width is not the model's input size."""
-
-
-class InvalidFraction(PcgError):
-    """The protocol's train fraction leaves a class's train side empty."""
-
-
-class InvalidConfig(PcgError):
-    """Synthesis or run configuration violates its invariants."""
+    """The one error pcgkit raises for a bad file or a violated contract."""
 
 
 def check_count(name: str, value, least: int) -> None:
@@ -76,16 +33,16 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
-def json_object(raw: bytes, where, error: type[PcgError] = PcgError) -> dict:
+def json_object(raw: bytes, where) -> dict:
     """The JSON object that `raw` holds as UTF-8.
 
-    Raises `error`, naming `where`, on bad UTF-8, bad JSON, nesting too
+    Raises PcgError, naming `where`, on bad UTF-8, bad JSON, nesting too
     deep for the parser, or a JSON value that is not an object.
     """
     try:
         value = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or nesting
-        raise error(f"{where}: not JSON ({exc})") from None
+        raise PcgError(f"{where}: not JSON ({exc})") from None
     if not isinstance(value, dict):
-        raise error(f"{where}: not a JSON object")
+        raise PcgError(f"{where}: not a JSON object")
     return value

@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nnet
-from .errors import (InvalidFraction, LengthMismatch, SingleClassDataset,
-                     check_count)
+from .errors import PcgError, check_count
 from .features import FeatureSequence, extract_sequence, normalize_sequence
 from .ingest import CLASS_INDEX, AudioRecord, Label
 from .rng import mix_seed
@@ -82,10 +81,10 @@ def confusion(predictions, labels) -> Confusion:
     predictions = list(predictions)
     labels = list(labels)
     if len(predictions) != len(labels):
-        raise LengthMismatch(
+        raise PcgError(
             f"{len(predictions)} predictions vs {len(labels)} labels")
     if not predictions:
-        raise LengthMismatch("need at least one prediction")
+        raise PcgError("need at least one prediction")
     positive = CLASS_INDEX[Label.PATHOLOGICAL]
     p = np.asarray(predictions) == positive
     y = np.asarray(labels) == positive
@@ -104,11 +103,11 @@ def metrics(c: Confusion) -> Metrics:
 def split(dataset: list, seed: int = 0) -> tuple[list, list]:
     """Stratified random split of labeled sequences, class by class in
     CLASS_INDEX order; per class, floor(n * PROTOCOL_TRAIN_FRACTION) goes to
-    train, and a class with no train item raises InvalidFraction.  An
-    unlabeled sequence raises SingleClassDataset (see `nnet.class_indices`)."""
+    train, and a class with no train item raises PcgError, as does an
+    unlabeled sequence (see `nnet.class_indices`)."""
     indices = nnet.class_indices(dataset).tolist()
     if len(set(indices)) < 2:
-        raise SingleClassDataset("split needs examples of both classes")
+        raise PcgError("split needs examples of both classes")
 
     rng = np.random.default_rng(seed)
     train: list = []
@@ -117,7 +116,7 @@ def split(dataset: list, seed: int = 0) -> tuple[list, list]:
         items = [item for item, k in zip(dataset, indices) if k == index]
         n_train = int(len(items) * PROTOCOL_TRAIN_FRACTION)
         if n_train == 0:
-            raise InvalidFraction(
+            raise PcgError(
                 f"fraction {PROTOCOL_TRAIN_FRACTION} leaves class "
                 f"{label.value!r} with an empty train side")
         order = rng.permutation(len(items))

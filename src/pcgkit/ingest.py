@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptHeader, InvalidFactor, UnsupportedFormat
+from .errors import PcgError
 
 TARGET_RATE_HZ = 500
 TARGET_SAMPLES = 5000
@@ -67,14 +67,14 @@ def read_wav(path: str | Path, label: Label = Label.UNLABELED) -> AudioRecord:
     """Read a mono 16-bit PCM WAV file into an AudioRecord.
 
     Integer samples are mapped to reals by dividing by 32768.  Raises
-    UnsupportedFormat for multi-channel, non-PCM or non-16-bit data and
-    CorruptHeader for malformed containers: a zero sample rate, or a data
+    PcgError for multi-channel, non-PCM or non-16-bit data and for
+    malformed containers: a zero sample rate, or a data
     chunk that is missing, truncated, empty or of odd byte count.
     """
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise CorruptHeader(f"{path} is not a RIFF/WAVE file")
+        raise PcgError(f"{path} is not a RIFF/WAVE file")
 
     fmt = None
     data = None
@@ -85,29 +85,29 @@ def read_wav(path: str | Path, label: Label = Label.UNLABELED) -> AudioRecord:
         body = raw[pos + 8:pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
-                raise CorruptHeader(f"{path}: fmt chunk truncated")
+                raise PcgError(f"{path}: fmt chunk truncated")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             if len(body) < chunk_size:
-                raise CorruptHeader(f"{path}: data chunk truncated")
+                raise PcgError(f"{path}: data chunk truncated")
             data = body
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None or data is None:
-        raise CorruptHeader(f"{path}: missing fmt or data chunk")
+        raise PcgError(f"{path}: missing fmt or data chunk")
 
     audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
     if audio_format != 1:
-        raise UnsupportedFormat(f"{path}: not PCM (format code {audio_format})")
+        raise PcgError(f"{path}: not PCM (format code {audio_format})")
     if channels != 1:
-        raise UnsupportedFormat(f"{path}: {channels} channels, expected mono")
+        raise PcgError(f"{path}: {channels} channels, expected mono")
     if bits != 16:
-        raise UnsupportedFormat(f"{path}: {bits}-bit samples, expected 16")
+        raise PcgError(f"{path}: {bits}-bit samples, expected 16")
     if rate == 0:
-        raise CorruptHeader(f"{path}: sample rate is 0")
+        raise PcgError(f"{path}: sample rate is 0")
     if not data or len(data) % 2:
-        raise CorruptHeader(f"{path}: data chunk of {len(data)} bytes does "
-                            "not hold whole 16-bit samples")
+        raise PcgError(f"{path}: data chunk of {len(data)} bytes does "
+                       "not hold whole 16-bit samples")
 
     ints = np.frombuffer(data, dtype="<i2")
     return AudioRecord(
@@ -160,14 +160,14 @@ def preprocess(record: AudioRecord) -> AudioRecord:
 
     Above the target rate, the delay-compensated filter output keeps every
     (rate // TARGET_RATE_HZ)-th sample from index 0; a rate that is not a
-    multiple of TARGET_RATE_HZ raises InvalidFactor.  The result is cut to
+    multiple of TARGET_RATE_HZ raises PcgError.  The result is cut to
     TARGET_SAMPLES, or tiled and then cut: tiling preserves the periodic
     heartbeat statistics that zero padding would destroy.
     """
     samples, rate = record.samples, record.sample_rate_hz
     if rate != TARGET_RATE_HZ:
         if rate % TARGET_RATE_HZ != 0:
-            raise InvalidFactor(
+            raise PcgError(
                 f"rate {rate} is not an integer multiple "
                 f"of target {TARGET_RATE_HZ}")
         delay = NUM_TAPS // 2

@@ -56,9 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (CorruptModel, EmptySequence, LengthMismatch,
-                     NonFiniteLoss, SingleClassDataset, check_count,
-                     json_object)
+from .errors import PcgError, check_count, json_object
 from .features import FEATURE_NAMES, FeatureSequence
 from .ingest import CLASS_INDEX
 
@@ -260,9 +258,9 @@ def _stack(seqs: list[FeatureSequence]) -> np.ndarray:
     for k, seq in enumerate(seqs):
         v = np.asarray(seq.values, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] < 1:
-            raise EmptySequence(f"sequence {seq.signal_id!r} has no frames")
+            raise PcgError(f"sequence {seq.signal_id!r} has no frames")
         if v.shape[1] < 1:
-            raise EmptySequence(
+            raise PcgError(
                 f"sequence {seq.signal_id!r} has no feature columns")
         values.append(v)
         got = {**seq.config, "values shape": v.shape}
@@ -270,7 +268,7 @@ def _stack(seqs: list[FeatureSequence]) -> np.ndarray:
             want = got
         for name, value in got.items():
             if value != want[name]:
-                raise LengthMismatch(
+                raise PcgError(
                     f"sequence {k} ({seq.signal_id!r}) has {name} {value}, "
                     f"sequence 0 ({first.signal_id!r}) has {want[name]}: "
                     "a batch takes one feature config and one shape")
@@ -289,7 +287,7 @@ def predict_batch(model: BiLSTMModel,
         return np.zeros(0, dtype=np.int64)
     X = _stack(seqs)
     if X.shape[2] != model.input_size:
-        raise LengthMismatch(
+        raise PcgError(
             f"model takes {model.input_size} features per frame, sequence 0 "
             f"({seqs[0].signal_id!r}) has {X.shape[2]}")
     n = TrainConfig().batch_size
@@ -357,7 +355,7 @@ def _batch_grads(model: BiLSTMModel, X: np.ndarray,
                  labels: np.ndarray) -> tuple[float, int, BiLSTMModel]:
     """Summed cross-entropy, number correct and the gradients of the mean
     cross-entropy of a (B, T, D) batch; a non-finite loss raises
-    NonFiniteLoss before BPTT.
+    PcgError before BPTT.
 
     Layer 2's outputs reach the loss only through feat, on its last step,
     so the head's gradient seeds layer 2's carry and its output gradients
@@ -375,7 +373,7 @@ def _batch_grads(model: BiLSTMModel, X: np.ndarray,
     total_loss = float(-np.log(probs[np.arange(B), labels]).sum())
     correct = int((probs.argmax(axis=1) == labels).sum())
     if not np.isfinite(total_loss):
-        raise NonFiniteLoss(
+        raise PcgError(
             f"training loss is {total_loss}: the features hold NaN or Inf, "
             "or the learning rate is too high")
 
@@ -429,7 +427,7 @@ def class_indices(seqs: list[FeatureSequence]) -> np.ndarray:
     first unlabeled sequence is refused by name."""
     for seq in seqs:
         if seq.label not in CLASS_INDEX:
-            raise SingleClassDataset(f"sequence {seq.signal_id!r} is unlabeled")
+            raise PcgError(f"sequence {seq.signal_id!r} is unlabeled")
     return np.array([CLASS_INDEX[seq.label] for seq in seqs], dtype=np.int64)
 
 
@@ -438,7 +436,7 @@ def train(dataset: list[FeatureSequence], hidden: int,
     """Train a fresh model; fully deterministic in (dataset order, seed)."""
     labels = class_indices(dataset)
     if len(set(labels.tolist())) < 2:
-        raise SingleClassDataset("training data must contain both classes")
+        raise PcgError("training data must contain both classes")
     X = _stack(dataset)
 
     model = init_model(hidden, seed=config.seed, input_size=X.shape[2])
@@ -463,8 +461,8 @@ def train(dataset: list[FeatureSequence], hidden: int,
     # Each step's loss is checked before the step: the last step's result
     # is checked here.
     if not np.isfinite(model.theta).all():
-        raise NonFiniteLoss("the parameters hold NaN or Inf after the last "
-                            "step: the learning rate is too high")
+        raise PcgError("the parameters hold NaN or Inf after the last "
+                       "step: the learning rate is too high")
     return model, history
 
 
@@ -497,35 +495,35 @@ def save_model(model: BiLSTMModel, path: str | Path,
 
 def load_model(path: str | Path) -> BiLSTMModel:
     """Read a model file; anything but a file save_model could have written
-    from finite parameters raises CorruptModel."""
+    from finite parameters raises PcgError."""
     raw = Path(path).read_bytes()
     if raw[:4] != MODEL_MAGIC:
-        raise CorruptModel(f"{path}: not a model file (bad magic)")
+        raise PcgError(f"{path}: not a model file (bad magic)")
     hlen = int.from_bytes(raw[4:8], "little")
     if len(raw) < 8 or 8 + hlen > len(raw):
-        raise CorruptModel(f"{path}: the header runs past the end of the "
-                           f"{len(raw)}-byte file")
-    descriptor = json_object(raw[8:8 + hlen], f"{path}: header", CorruptModel)
+        raise PcgError(f"{path}: the header runs past the end of the "
+                       f"{len(raw)}-byte file")
+    descriptor = json_object(raw[8:8 + hlen], f"{path}: header")
     H, D = descriptor.get("hidden_size"), descriptor.get("input_size")
     try:
         check_count("hidden_size", H, 1)
         check_count("input_size", D, 1)
     except ValueError as exc:
-        raise CorruptModel(f"{path}: {exc}") from None
+        raise PcgError(f"{path}: {exc}") from None
     for key, want in _descriptor(H, D).items():
         if key not in descriptor:
-            raise CorruptModel(f"{path}: descriptor has no {key!r}")
+            raise PcgError(f"{path}: descriptor has no {key!r}")
         got = descriptor[key]
         if got == want:
             continue
         if key == "blocks" and isinstance(got, list) and len(got) == len(want):
             got, want = next((g, w) for g, w in zip(got, want) if g != w)
-        raise CorruptModel(f"{path}: {key} {got!r}, expected {want!r}")
+        raise PcgError(f"{path}: {key} {got!r}, expected {want!r}")
     body = len(raw) - 8 - hlen
     size = sum(math.prod(shape) for _, shape in param_layout(H, D))
     if body != 8 * size:
-        raise CorruptModel(f"{path}: body of {body} bytes, expected {8 * size}")
+        raise PcgError(f"{path}: body of {body} bytes, expected {8 * size}")
     theta = np.frombuffer(raw, dtype="<f8", offset=8 + hlen)
     if not np.isfinite(theta).all():
-        raise CorruptModel(f"{path}: parameters hold NaN or infinite values")
+        raise PcgError(f"{path}: parameters hold NaN or infinite values")
     return BiLSTMModel(H, D, theta.astype(np.float64))

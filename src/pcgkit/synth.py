@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidConfig, check_count
+from .errors import PcgError, check_count
 from .ingest import CLASS_INDEX, AudioRecord, Label
 from .rng import mix_seed
 
@@ -52,19 +52,19 @@ class SynthConfig:
         check_count("rate_hz", self.rate_hz, 1)
         for name in ("duration_s", "murmur_gain", "noise_floor"):
             if not math.isfinite(getattr(self, name)):
-                raise InvalidConfig(
+                raise PcgError(
                     f"{name} must be finite, got {getattr(self, name)}")
         top_hz = max(hi for _, hi in (S1_BAND_HZ, S2_BAND_HZ, MURMUR_BAND_HZ))
         if not top_hz < self.rate_hz / 2:
-            raise InvalidConfig(
+            raise PcgError(
                 f"rate {self.rate_hz} Hz puts the {top_hz} Hz band edge "
                 f"at or above Nyquist")
         if self.duration_s < 2 * 60.0 / HEART_RATE_BPM[0]:
-            raise InvalidConfig(
+            raise PcgError(
                 f"duration {self.duration_s}s holds fewer than 2 cycles "
                 f"at {HEART_RATE_BPM[0]} bpm")
         if self.murmur_gain < 0 or self.noise_floor < 0:
-            raise InvalidConfig("murmur_gain and noise_floor must be >= 0")
+            raise PcgError("murmur_gain and noise_floor must be >= 0")
 
 
 def _tones(u: np.ndarray, t: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -120,7 +120,7 @@ def generate(config: SynthConfig, label: Label) -> AudioRecord:
     number of numpy calls does not grow with the number of cycles.
     """
     if label not in CLASS_INDEX:
-        raise InvalidConfig(
+        raise PcgError(
             f"label must be {' or '.join(l.name for l in CLASS_INDEX)}")
     rng = np.random.default_rng(config.seed)
     rate = config.rate_hz

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WindowTooLong, check_count
+from .errors import PcgError, check_count
 
 DEFAULT_ALPHA = 2.5
 MIN_NFFT = 4096
@@ -81,12 +81,12 @@ def make_window(spec: WindowSpec) -> np.ndarray:
 
 
 def frame_centers(n_samples: int, spec: WindowSpec, hop: int) -> np.ndarray:
-    """Frame centers L/2, L/2+hop, ... while the window fits; WindowTooLong
+    """Frame centers L/2, L/2+hop, ... while the window fits; PcgError
     if that leaves fewer than two, the one rule of a usable window."""
     check_count("hop", hop, 1)
     centers = np.arange(spec.half_length, n_samples - spec.half_length, hop)
     if centers.size < 2:
-        raise WindowTooLong(
+        raise PcgError(
             f"window length {spec.length} at hop {hop} leaves {centers.size} "
             f"frame{'' if centers.size == 1 else 's'} in a record of "
             f"{n_samples} samples; features need at least 2")

@@ -623,6 +623,11 @@ class TestGridCommand:
         ({"trials": True}, "config key 'trials' must be an integer"),
         ({"epochs": 2.5}, "config key 'epochs' must be an integer"),
         ({"shapes": "gaussian"}, "config key 'shapes' must be a non-empty list"),
+        ({"shapes": ["hann"]}, "config key 'shapes' must be a non-empty list, "
+         "each one of rectangular, triangular, gaussian, got [\"hann\"]"),
+        ({"shapes": ["Gaussian"]}, "config key 'shapes' must be a non-empty "
+         "list, each one of rectangular, triangular, gaussian, got "
+         "[\"Gaussian\"]"),
         ({REMOVED_FLAG: 2}, f"unknown config key '{REMOVED_FLAG}'"),
         ({REMOVED_FLAG: "2"}, f"unknown config key '{REMOVED_FLAG}'"),
         ({"clip_norm": 1.0}, "unknown config key 'clip_norm'"),
@@ -633,9 +638,9 @@ class TestGridCommand:
         ({"version": 2}, "run.json: unsupported config version 2"),
         ({"version": 1, "command": "synth"}, "run.json: not a grid config"),
     ], ids=["trials-string", "trials-bool", "epochs-float", "shapes-string",
-            "removed-flag-int", "removed-flag-string", "clip-norm",
-            "clip-norm-null", "momentum-ramp", "alpha", "bins", "version-2",
-            "synth-config"])
+            "shapes-unknown", "shapes-wrong-case", "removed-flag-int",
+            "removed-flag-string", "clip-norm", "clip-norm-null",
+            "momentum-ramp", "alpha", "bins", "version-2", "synth-config"])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, config, message):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))
@@ -788,10 +793,9 @@ class TestGridCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
 
     @pytest.mark.parametrize("bad", [
-        ["--hidden", "0"], ["--trials", "0"], ["--shapes", "hann"],
-        ["--lengths", "1"], ["--hop", "0"], ["--hidden", "5", "5"],
-        ["--lengths", "15", "6000"]],
-        ids=["hidden", "trials", "shape", "length", "hop", "repeated-hidden",
+        ["--hidden", "0"], ["--trials", "0"], ["--lengths", "1"],
+        ["--hop", "0"], ["--hidden", "5", "5"], ["--lengths", "15", "6000"]],
+        ids=["hidden", "trials", "length", "hop", "repeated-hidden",
              "window-fit"])
     def test_bad_axis_exits_1_before_reading(self, corpus_dir, tmp_path,
                                              capsys, monkeypatch, bad):
@@ -1014,8 +1018,8 @@ class TestWindowInfoCommand:
         assert peak_sidelobe_db(window_spectrum(make_window(spec))) is None
 
     @pytest.mark.parametrize("argv", [
-        ["--lengths", "15", "1"], ["--shapes", "rectangular", "hann"],
-        ["--lengths", "15", "5000"]], ids=["length", "shape", "too-long"])
+        ["--lengths", "15", "1"], ["--lengths", "15", "5000"]],
+        ids=["length", "too-long"])
     def test_bad_spec_exits_1_before_output(self, capsys, argv):
         assert main(["window-info", *argv]) == 1
         captured = capsys.readouterr()
@@ -1088,6 +1092,22 @@ def test_removed_training_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--input", "i", "--out", "o", "--shape", "Gaussian"],
+    ["grid", "--corpus", "c", "--out-dir", "o", "--shapes", "hann"],
+    ["window-info", "--shapes", "Gaussian"],
+    ["window-info", "--shapes", "rectangular", "hann"]],
+    ids=["extract-wrong-case", "grid-unknown", "window-info-wrong-case",
+         "window-info-unknown"])
+def test_bad_shape_name_is_a_usage_error(argv, capsys):
+    # Every command takes a shape by its lower-case name, or refuses it
+    # before it reads or writes anything.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"invalid choice: '{argv[-1]}'" in capsys.readouterr().err
 
 
 def _subparser(command):

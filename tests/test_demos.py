@@ -1,7 +1,7 @@
 """The two fast demos run end to end as scripts.
 
-Demos 03 and 04 train models for tens of seconds each and 05 needs a
-real corpus, so they are left out; every demo's pcgkit imports are still
+Demos 03 and 04 train models for tens of seconds each (CI runs them in
+a step of their own) and 05 needs a real corpus, so they are left out; every demo's pcgkit imports are still
 checked against the package, so a renamed or deleted name fails here.
 """
 

@@ -1,17 +1,41 @@
-"""The one count rule, `errors.check_count`, and the library's counts that
-go through it."""
+"""The one refusal type, `errors.PcgError`; the one count rule,
+`errors.check_count`, and the library's counts that go through it."""
 
+import importlib
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
-from pcgkit.errors import check_count
+import pcgkit
+from pcgkit import errors
+from pcgkit.errors import PcgError, check_count
 from pcgkit.features import feature_matrix
 from pcgkit.synth import SynthConfig, generate_dataset
 from pcgkit.windows import WindowShape, WindowSpec, frame_matrix
 
 G = WindowShape.GAUSSIAN
+
+
+class TestOneRefusalType:
+    """Every refusal is a PcgError told apart by its message alone."""
+
+    def test_pcg_error_has_no_subclasses(self):
+        for module in pkgutil.iter_modules(pcgkit.__path__):
+            importlib.import_module(f"pcgkit.{module.name}")
+        assert PcgError.__subclasses__() == []
+
+    def test_errors_defines_no_other_exception(self):
+        defined = [v for v in vars(errors).values()
+                   if isinstance(v, type) and issubclass(v, BaseException)
+                   and v.__module__ == errors.__name__]
+        assert defined == [PcgError]
+
+    def test_package_exports_one_exception(self):
+        exported = [v for v in vars(pcgkit).values()
+                    if isinstance(v, type) and issubclass(v, BaseException)]
+        assert exported == [PcgError]
 
 
 class TestCheckCount:

@@ -3,14 +3,14 @@ import json
 import math
 import re
 import struct
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from pcgkit import nnet
-from pcgkit.errors import (CorruptModel, EmptySequence, LengthMismatch,
-                           NonFiniteLoss, SingleClassDataset)
+from pcgkit.errors import PcgError
 from pcgkit.features import FeatureSequence
 from pcgkit.ingest import Label
 from pcgkit.nnet import (
@@ -420,6 +420,40 @@ class TestBackward:
                                               + np.linalg.norm(num) + 1e-300)
             assert rel < 1e-6, name
 
+    def test_gradient_check_at_the_protocols_length(self):
+        # Criterion 4 checks BPTT at T = 7; this checks it at the protocol's
+        # hop-1 length, T = 4970, where an error that grows with T would
+        # show.  Each block is checked at its largest-|gradient| entry.
+        start = time.perf_counter()
+        rng = np.random.default_rng(4)
+        H, D, T, B = 5, 10, 4970, 2
+        model = init_model(H, seed=4, input_size=D)
+        X = rng.normal(size=(B, T, D))
+        labels = np.array([0, 1])
+        grads = dict(grads_of(model, X, labels).blocks)
+
+        def mean_loss():
+            p = nnet._forward_batch(model, X)[0]
+            return float(-np.log(p[np.arange(B), labels]).mean())
+
+        eps = 1e-5
+        params = dict(model.blocks)
+        for name in ("layer1.fw.recurrent_weights",
+                     "layer1.bw.recurrent_weights",
+                     "layer2.bw.input_weights", "head.bias"):
+            flat, g = params[name].reshape(-1), grads[name].reshape(-1)
+            k = int(np.argmax(np.abs(g)))
+            orig = flat[k]
+            flat[k] = orig + eps
+            lp = mean_loss()
+            flat[k] = orig - eps
+            lm = mean_loss()
+            flat[k] = orig
+            numeric = (lp - lm) / (2 * eps)
+            rel = abs(g[k] - numeric) / (abs(g[k]) + abs(numeric) + 1e-300)
+            assert rel < 1e-5, f"{name}: rel err {rel:.2e}"
+        assert time.perf_counter() - start < 30.0
+
     def test_mean_gradient_linearity(self):
         rng = np.random.default_rng(10)
         model = init_model(3, seed=11)
@@ -530,7 +564,7 @@ class TestTrain:
     def test_nan_in_sequence_stops_training(self):
         data = toy_blobs(4)
         data[0].values[2, 3] = np.nan
-        with pytest.raises(NonFiniteLoss, match="nan"):
+        with pytest.raises(PcgError, match="nan"):
             train(data, 3, TrainConfig(epochs=2, seed=20))
 
     def test_non_finite_parameters_after_last_step_refused(self, monkeypatch):
@@ -544,7 +578,7 @@ class TestTrain:
             model.theta[-1] = np.inf
 
         monkeypatch.setattr(nnet, "sgdm_step", overflowing_step)
-        with pytest.raises(NonFiniteLoss, match="after the last step"):
+        with pytest.raises(PcgError, match="after the last step"):
             train(toy_blobs(4), 3, TrainConfig(epochs=1, batch_size=16))
 
     def test_zero_learning_rate_keeps_init(self):
@@ -583,32 +617,32 @@ class TestTrain:
     def test_single_class_rejected(self):
         data = [make_seq(np.random.default_rng(i).normal(size=(4, 10)),
                          label=Label.HEALTHY, sid=str(i)) for i in range(4)]
-        with pytest.raises(SingleClassDataset):
+        with pytest.raises(PcgError, match="both classes"):
             train(data, 3, TrainConfig(epochs=1))
 
     def test_empty_sequence_named(self):
         data = toy_blobs(2) + [make_seq(np.zeros((0, 10)), sid="void")]
-        with pytest.raises(EmptySequence, match="sequence 'void' has no frames"):
+        with pytest.raises(PcgError, match="sequence 'void' has no frames"):
             train(data, 3, TrainConfig(epochs=1))
 
     def test_sequence_without_feature_columns_named(self):
         # Width 0 would train a model that sees no input, its loss at ln 2.
         data = [make_seq(np.zeros((5, 0)), label=label, sid=f"z{i}")
                 for i, label in enumerate([Label.HEALTHY, Label.PATHOLOGICAL] * 2)]
-        with pytest.raises(EmptySequence,
+        with pytest.raises(PcgError,
                            match="^sequence 'z0' has no feature columns$"):
             train(data, 3, TrainConfig(epochs=1))
 
     def test_unlabeled_sequence_named(self):
         data = toy_blobs(2) + [make_seq(np.ones((5, 10)), label=Label.UNLABELED,
                                         sid="u")]
-        with pytest.raises(SingleClassDataset,
+        with pytest.raises(PcgError,
                            match="^sequence 'u' is unlabeled$"):
             train(data, 3, TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_sequences_refused(self, n):
-        with pytest.raises(SingleClassDataset, match="both classes"):
+        with pytest.raises(PcgError, match="both classes"):
             train(toy_blobs(1)[:n], 3, TrainConfig(epochs=1))
 
     def test_mixed_lengths_refused(self):
@@ -619,7 +653,7 @@ class TestTrain:
                 for T, label, sid in ((4, Label.HEALTHY, "a"),
                                       (4, Label.PATHOLOGICAL, "b"),
                                       (6, Label.PATHOLOGICAL, "c"))]
-        with pytest.raises(LengthMismatch,
+        with pytest.raises(PcgError,
                            match=r"^sequence 2 \('c'\) has values shape "
                                  r"\(6, 10\), sequence 0 \('a'\) has \(4, 10\)"):
             train(data, 3, TrainConfig(epochs=1))
@@ -634,11 +668,11 @@ class TestTrain:
         data = toy_blobs(4)
         setattr(data[5], field, value)
         key = "window_shape" if field == "window" else field  # sidecar key
-        with pytest.raises(LengthMismatch,
+        with pytest.raises(PcgError,
                            match=rf"^sequence 5 \('pathological1'\) has "
                                  rf"{key} "):
             train(data, 3, TrainConfig(epochs=1))
-        with pytest.raises(LengthMismatch, match=r"^sequence 5 "):
+        with pytest.raises(PcgError, match=r"^sequence 5 "):
             nnet.predict_batch(init_model(3, seed=0), data)
 
 
@@ -684,12 +718,12 @@ class TestPredict:
 
     def test_sequence_without_frames_is_named(self):
         seqs = [make_seq(np.ones((3, 10))), make_seq(np.empty((0, 10)), sid="e")]
-        with pytest.raises(EmptySequence, match="'e'"):
+        with pytest.raises(PcgError, match="'e'"):
             nnet.predict_batch(init_model(3, seed=30), seqs)
 
     def test_model_width_mismatch_refused(self):
         seqs = [make_seq(np.ones((5, 10)), sid=sid) for sid in ("w", "x")]
-        with pytest.raises(LengthMismatch,
+        with pytest.raises(PcgError,
                            match=r"^model takes 4 features per frame, "
                                  r"sequence 0 \('w'\) has 10$"):
             nnet.predict_batch(init_model(3, seed=30, input_size=4), seqs)
@@ -697,7 +731,7 @@ class TestPredict:
     def test_mixed_lengths_refused(self):
         seqs = [make_seq(np.ones((T, 10)), sid=sid)
                 for T, sid in ((5, "a"), (5, "b"), (3, "c"))]
-        with pytest.raises(LengthMismatch,
+        with pytest.raises(PcgError,
                            match=r"^sequence 2 \('c'\) has values shape"):
             nnet.predict_batch(init_model(3, seed=30), seqs)
 
@@ -818,7 +852,7 @@ class TestModelFile:
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bogus.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(CorruptModel, match="bad magic"):
+        with pytest.raises(PcgError, match="bad magic"):
             load_model(path)
 
     def test_header_format(self, tmp_path):
@@ -847,5 +881,5 @@ class TestModelFile:
         path = tmp_path / "model.bin"
         save_model(init_model(3, seed=32), path)
         path.write_bytes(MODEL_FILE_MUTATIONS[mutation](path.read_bytes()))
-        with pytest.raises(CorruptModel):
+        with pytest.raises(PcgError, match=f"^{re.escape(str(path))}"):
             load_model(path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pcgkit import synth
-from pcgkit.errors import InvalidConfig
+from pcgkit.errors import PcgError
 from pcgkit.features import feature_matrix
 from pcgkit.ingest import Label, preprocess
 from pcgkit.synth import SynthConfig, generate, generate_dataset
@@ -136,7 +136,7 @@ def test_class_separability_knob():
 class TestConfigValidation:
     def test_band_outside_nyquist(self):
         for rate in (400, 500):  # the S2 band reaches 250 Hz
-            with pytest.raises(InvalidConfig):
+            with pytest.raises(PcgError, match="at or above Nyquist"):
                 SynthConfig(rate_hz=rate)
 
     def test_negative_seed_rejected(self):
@@ -144,7 +144,7 @@ class TestConfigValidation:
             SynthConfig(seed=-1)
 
     def test_duration_too_short(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(PcgError, match="fewer than 2 cycles"):
             SynthConfig(duration_s=1.0)
 
     @pytest.mark.parametrize("name", ["duration_s", "murmur_gain",
@@ -152,15 +152,15 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_number_rejected(self, name, value):
         # NaN is below nothing, so the range checks alone let it through.
-        with pytest.raises(InvalidConfig, match=f"^{name} must be finite"):
+        with pytest.raises(PcgError, match=f"^{name} must be finite"):
             SynthConfig(**{name: value})
 
     def test_negative_gain(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(PcgError, match="must be >= 0"):
             SynthConfig(murmur_gain=-0.1)
 
     def test_unlabeled_rejected(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(PcgError, match="label must be"):
             generate(SynthConfig(), Label.UNLABELED)
 
 
