@@ -31,7 +31,7 @@ print(f"dataset: {len(dataset)} sequences of shape "
 train_set, test_set = split(dataset, seed=1)
 print(f"split: {len(train_set)} train / {len(test_set)} test (stratified)")
 
-config = TrainConfig(learning_rate=0.01, momentum=0.9, epochs=60, seed=1)
+config = TrainConfig(epochs=60, seed=1)
 model, history = train(train_set, hidden=30, config=config)
 print(f"loss: {history.losses[0]:.4f} -> {history.losses[-1]:.4f}; "
       f"train accuracy {history.accuracies[-1]:.2%}")

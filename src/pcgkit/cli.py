@@ -3,7 +3,7 @@
 Subcommands: synth, extract, train, eval, grid, window-info.
 Recordings are mono 16-bit PCM WAV files: synth writes them, extract and
 grid read them.
-Exit codes: 0 ok, 1 domain error, 2 usage or I/O error.
+Exit codes: 0 ok, 1 domain error or failed allocation, 2 usage or I/O error.
 All randomness flows from --seed (default 0); repeated runs with the same
 inputs and flags produce byte-identical outputs.
 """
@@ -205,9 +205,8 @@ def _load_feature_dir(features_dir: Path) -> list:
 
 
 def _train_config_from_args(args, seed: int = 0) -> nnet.TrainConfig:
-    return nnet.TrainConfig(
-        learning_rate=args.lr, momentum=args.momentum, epochs=args.epochs,
-        batch_size=args.batch_size, seed=seed)
+    return nnet.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                            seed=seed)
 
 
 def cmd_train(args) -> int:
@@ -258,8 +257,7 @@ def _read_config_file(path: str) -> dict:
 
 
 # JSON types a config value may take, by its flag's argparse type.
-_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-               None: ((str,), "a string")}
+_JSON_TYPES = {int: ((int,), "an integer"), None: ((str,), "a string")}
 
 
 def _fits(value, types: tuple, choices=None) -> bool:
@@ -290,8 +288,6 @@ def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
         if not ok:
             raise PcgError(f"config key {key!r} must be {expected}, "
                            f"got {json.dumps(value)}")
-        if flag.type is float and _fits(value, types):
-            config[key] = float(value)
     return config
 
 
@@ -349,8 +345,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     """The training flags of train and grid, defaulting to TrainConfig's."""
     d = nnet.TrainConfig()
     p.add_argument("--epochs", type=int, default=d.epochs)
-    p.add_argument("--lr", type=float, default=d.learning_rate)
-    p.add_argument("--momentum", type=float, default=d.momentum)
     p.add_argument("--batch-size", type=int, default=d.batch_size)
 
 
@@ -437,7 +431,7 @@ def main(argv=None) -> int:
             config = _read_config_file(args.config)
             args = build_parser(config).parse_args(argv)
         return args.func(args)
-    except (PcgError, ValueError) as exc:
+    except (PcgError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -25,6 +25,8 @@ CUTOFF_HZ = 250.0
 NUM_TAPS = 101
 
 PCM_FULL_SCALE = 32768.0  # int16 sample / 32768 -> float in [-1, 1)
+# RIFF's 32-bit size field holds 36 + the data's bytes, 2 per sample.
+MAX_WAV_SAMPLES = (2**32 - 37) // 2
 
 
 class Label(enum.Enum):

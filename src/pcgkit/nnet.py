@@ -4,10 +4,11 @@ The network stacks two bidirectional LSTM layers over a feature sequence;
 the classifier head sees the concatenation of layer 2's forward final
 state and backward final state and produces class probabilities through a
 softmax.  Gradients come from exact backpropagation through time, and the
-optimizer is stochastic gradient descent with momentum:
+optimizer is stochastic gradient descent with momentum, at the
+protocol's fixed LEARNING_RATE (0.01) and MOMENTUM (0.9):
 
-    v <- momentum * v + g
-    theta <- theta - learning_rate * v
+    v <- MOMENTUM * v + g
+    theta <- theta - LEARNING_RATE * v
 
 Each layer runs both directions in one Python time loop: step s is time s
 forward and time T-1-s backward, so the state is (2, B, H) and the
@@ -60,6 +61,8 @@ from .errors import PcgError, check_count, json_object
 from .features import FEATURE_NAMES, FeatureSequence
 from .ingest import CLASS_INDEX
 
+LEARNING_RATE = 0.01
+MOMENTUM = 0.90
 NUM_CLASSES = len(CLASS_INDEX)
 # Gate order inside the stacked 4H dimension: input, forget, candidate, output.
 
@@ -118,21 +121,11 @@ class BiLSTMModel:
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.01
-    momentum: float = 0.90
     epochs: int = 500
     batch_size: int = 16
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:  # NaN fails this too
-            raise ValueError(
-                f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not math.isfinite(self.learning_rate):
-            raise ValueError(
-                f"learning_rate must be finite, got {self.learning_rate}")
-        if not (0 <= self.momentum < 1):
-            raise ValueError("momentum must be in [0, 1)")
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             check_count(name, getattr(self, name), least)
 
@@ -409,13 +402,13 @@ def _batch_grads(model: BiLSTMModel, X: np.ndarray,
 # Optimization
 # ---------------------------------------------------------------------------
 
-def sgdm_step(model: BiLSTMModel, grads: BiLSTMModel, velocity: BiLSTMModel,
-              config: TrainConfig) -> None:
-    """v <- momentum*v + g; theta <- theta - lr*v.  Updates in place."""
+def sgdm_step(model: BiLSTMModel, grads: BiLSTMModel,
+              velocity: BiLSTMModel) -> None:
+    """v <- MOMENTUM*v + g; theta <- theta - LEARNING_RATE*v, in place."""
     v = velocity.theta
-    v *= config.momentum
+    v *= MOMENTUM
     v += grads.theta
-    model.theta -= config.learning_rate * v
+    model.theta -= LEARNING_RATE * v
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +445,7 @@ def train(dataset: list[FeatureSequence], hidden: int,
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
             loss_b, correct_b, grads = _batch_grads(model, X[idx], labels[idx])
-            sgdm_step(model, grads, velocity, config)
+            sgdm_step(model, grads, velocity)
             del grads  # not alive in the next batch's forward pass
             total_loss += loss_b
             correct += correct_b

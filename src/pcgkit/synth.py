@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PcgError, check_count
-from .ingest import CLASS_INDEX, AudioRecord, Label
+from .ingest import CLASS_INDEX, MAX_WAV_SAMPLES, AudioRecord, Label
 from .rng import mix_seed
 
 S1_DURATION_S = 0.12
@@ -55,7 +55,7 @@ class SynthConfig:
                 raise PcgError(
                     f"{name} must be finite, got {getattr(self, name)}")
         top_hz = max(hi for _, hi in (S1_BAND_HZ, S2_BAND_HZ, MURMUR_BAND_HZ))
-        if not top_hz < self.rate_hz / 2:
+        if not 2 * top_hz < self.rate_hz:  # no huge int becomes a float
             raise PcgError(
                 f"rate {self.rate_hz} Hz puts the {top_hz} Hz band edge "
                 f"at or above Nyquist")
@@ -63,6 +63,14 @@ class SynthConfig:
             raise PcgError(
                 f"duration {self.duration_s}s holds fewer than 2 cycles "
                 f"at {HEART_RATE_BPM[0]} bpm")
+        # round(duration_s * rate_hz) > MAX_WAV_SAMPLES, which is odd, so a
+        # tie at MAX_WAV_SAMPLES + 0.5 rounds up.  The rate is compared
+        # first: a huge int would overflow in the product.
+        if (self.rate_hz > MAX_WAV_SAMPLES
+                or self.duration_s * self.rate_hz >= MAX_WAV_SAMPLES + 0.5):
+            raise PcgError(
+                f"duration {self.duration_s}s at rate {self.rate_hz} Hz is "
+                f"more than the {MAX_WAV_SAMPLES} samples a WAV file holds")
         if self.murmur_gain < 0 or self.noise_floor < 0:
             raise PcgError("murmur_gain and noise_floor must be >= 0")
 

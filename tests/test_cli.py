@@ -12,6 +12,7 @@ import pytest
 
 from pcgkit import cli, evaluate, nnet, synth
 from pcgkit.cli import main
+from pcgkit.errors import PcgError
 from pcgkit.ingest import AudioRecord, write_wav
 from pcgkit.windows import (
     WindowShape,
@@ -109,6 +110,22 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be finite" in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rate", str(10**400)), ("--duration", "1e308"),
+        ("--duration", "1e300")],
+        ids=["huge-rate", "inf-samples", "huge-duration"])
+    def test_more_samples_than_a_wav_holds_exits_1_before_output(
+            self, tmp_path, capsys, flag, value):
+        out = tmp_path / "corpus"
+        code = main(["synth", "--healthy", "1", "--pathological", "1",
+                     flag, value, "--out-dir", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: duration ")
+        assert captured.err.endswith(" samples a WAV file holds\n")
+        assert captured.err.count("\n") == 1 and captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("out_dir", ["f.txt", "f.txt/sub"])
@@ -593,17 +610,16 @@ class TestGridCommand:
         config_path.write_text(json.dumps({
             "version": 1, "shapes": ["gaussian"], "lengths": [30],
             "hidden": [3], "trials": 2, "hop": 250, "epochs": 2,
-            "lr": 0.05}))
-        default_lr = nnet.TrainConfig().learning_rate
+            "seed": 7}))
         out = tmp_path / "grid"
         code = main(["grid", "--corpus", str(corpus_dir),
                      "--config", str(config_path), "--trials", "1",
-                     "--lr", str(default_lr), "--out-dir", str(out)])
+                     "--seed", "0", "--out-dir", str(out)])
         assert code == 0
         effective = json.loads((out / "effective_config.json").read_text())
-        assert effective["trials"] == 1      # explicit flag wins
-        assert effective["lr"] == default_lr  # ... also when it is the default
-        assert effective["hop"] == 250       # taken from the config file
+        assert effective["trials"] == 1  # explicit flag wins
+        assert effective["seed"] == 0    # ... also when it is the default
+        assert effective["hop"] == 250   # taken from the config file
         assert effective["epochs"] == 2
 
     def test_effective_config_round_trips(self, corpus_dir, tmp_path):
@@ -622,6 +638,10 @@ class TestGridCommand:
         ({"trials": "2"}, "config key 'trials' must be an integer"),
         ({"trials": True}, "config key 'trials' must be an integer"),
         ({"epochs": 2.5}, "config key 'epochs' must be an integer"),
+        ({"trials": math.nan}, "config key 'trials' must be an integer, "
+         "got NaN"),
+        ({"trials": math.inf}, "config key 'trials' must be an integer, "
+         "got Infinity"),
         ({"shapes": "gaussian"}, "config key 'shapes' must be a non-empty list"),
         ({"shapes": ["hann"]}, "config key 'shapes' must be a non-empty list, "
          "each one of rectangular, triangular, gaussian, got [\"hann\"]"),
@@ -633,14 +653,17 @@ class TestGridCommand:
         ({"clip_norm": 1.0}, "unknown config key 'clip_norm'"),
         ({"clip_norm": None}, "unknown config key 'clip_norm'"),
         ({"momentum_ramp": True}, "unknown config key 'momentum_ramp'"),
+        ({"lr": 0.01}, "unknown config key 'lr'"),
+        ({"momentum": 0.9}, "unknown config key 'momentum'"),
         ({"alpha": 2.5}, "unknown config key 'alpha'"),
         ({"bins": 10}, "unknown config key 'bins'"),
         ({"version": 2}, "run.json: unsupported config version 2"),
         ({"version": 1, "command": "synth"}, "run.json: not a grid config"),
-    ], ids=["trials-string", "trials-bool", "epochs-float", "shapes-string",
-            "shapes-unknown", "shapes-wrong-case", "removed-flag-int",
-            "removed-flag-string", "clip-norm", "clip-norm-null",
-            "momentum-ramp", "alpha", "bins", "version-2", "synth-config"])
+    ], ids=["trials-string", "trials-bool", "epochs-float", "trials-nan",
+            "trials-infinity", "shapes-string", "shapes-unknown",
+            "shapes-wrong-case", "removed-flag-int", "removed-flag-string",
+            "clip-norm", "clip-norm-null", "momentum-ramp", "lr", "momentum",
+            "alpha", "bins", "version-2", "synth-config"])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, config, message):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))
@@ -652,34 +675,6 @@ class TestGridCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_nan_learning_rate_exits_1(self, tmp_path, capsys, source):
-        args = ["--lr", "nan"]
-        if source == "config":
-            config_path = tmp_path / "run.json"
-            config_path.write_text('{"lr": NaN}')
-            args = ["--config", str(config_path)]
-        # The corpus does not exist: a learning rate that passed would exit 2.
-        code = main(["grid", "--corpus", str(tmp_path / "missing"), *args,
-                     "--out-dir", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == "error: learning_rate must be >= 0, got nan\n"
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_infinite_learning_rate_exits_1(self, tmp_path, capsys, source):
-        args = ["--lr", "inf"]
-        if source == "config":
-            config_path = tmp_path / "run.json"
-            config_path.write_text('{"lr": Infinity}')
-            args = ["--config", str(config_path)]
-        # The corpus does not exist: a learning rate that passed would exit 2.
-        code = main(["grid", "--corpus", str(tmp_path / "missing"), *args,
-                     "--out-dir", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == "error: learning_rate must be finite, got inf\n"
 
     def test_manifest_without_filename_column_exits_1(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -923,6 +918,23 @@ def test_output_naming_a_file_of_the_command_exits_2_before_reading(
             if p.is_file()} == before
 
 
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_impossible_allocation_exits_1_writing_nothing(
+        corpus_dir, feature_dir, tmp_path, capsys, monkeypatch, command):
+    # At H = 1e8 theta is 32 H^2 float64s, 2.22 EiB: beyond any x86-64
+    # address space, so the allocation fails before it touches memory.
+    monkeypatch.chdir(tmp_path)
+    argv = {"train": ["train", "--features", str(feature_dir), "--epochs",
+                      "1", "--out", "m.bin", "--history", "h.json"],
+            "grid": ["grid", "--corpus", str(corpus_dir), *SMALL_GRID,
+                     "--out-dir", "out"]}[command]
+    assert main([*argv, "--hidden", "100000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Unable to allocate ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_output_directories_are_made(corpus_dir, feature_dir,
                                              tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -1084,14 +1096,47 @@ class TestWindowInfoCommand:
                                   ["extract", "--input", "i", "--out", "o",
                                    "--rate", "2000"],
                                   ["window-info", "--nfft", "4096"],
-                                  ["window-info", "--coeffs"]],
+                                  ["window-info", "--coeffs"],
+                                  ["train", "--features", "f", "--out", "m",
+                                   "--lr", "0.01"],
+                                  ["train", "--features", "f", "--out", "m",
+                                   "--momentum", "0.9"],
+                                  ["grid", "--corpus", "c", "--out-dir", "o",
+                                   "--lr", "0.01"],
+                                  ["grid", "--corpus", "c", "--out-dir", "o",
+                                   "--momentum", "0.9"]],
                          ids=["clip-norm", "momentum-ramp", "grid-alpha",
                               "extract-bins", "extract-rate",
-                              "window-info-nfft", "window-info-coeffs"])
+                              "window-info-nfft", "window-info-coeffs",
+                              "train-lr", "train-momentum", "grid-lr",
+                              "grid-momentum"])
 def test_removed_training_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# What a command may raise and the exit code main maps it to; None: it
+# propagates, so a genuine bug keeps its traceback.
+EXIT_CODE_OF = {PcgError: 1, ValueError: 1, OSError: 2, MemoryError: 1,
+                RuntimeError: None}
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODE_OF.items(),
+                         ids=[error.__name__ for error in EXIT_CODE_OF])
+def test_exception_contract(capsys, monkeypatch, error, code):
+    def refuse(args):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "cmd_window_info", refuse)
+    if code is None:
+        with pytest.raises(error, match="^refused$"):
+            main(["window-info"])
+    else:
+        assert main(["window-info"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ("" if code is None else "error: refused\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -1116,10 +1161,8 @@ def _subparser(command):
                 if isinstance(a.choices, dict))[command]
 
 
-# TrainConfig's fields as train's and grid's flags: all but seed, with --lr
-# for learning_rate.
-TRAINING_FLAGS = {f.name: "lr" if f.name == "learning_rate" else f.name
-                  for f in dataclasses.fields(nnet.TrainConfig)
+# TrainConfig's fields as train's and grid's flags: all but seed.
+TRAINING_FLAGS = {f.name for f in dataclasses.fields(nnet.TrainConfig)
                   if f.name != "seed"}
 
 # The flags of train and grid that are not training flags, and the
@@ -1141,13 +1184,13 @@ def test_training_flags_are_train_config_fields(command):
     others, required = OTHER_FLAGS[command]
     flags = {a.dest: a for a in _subparser(command)._actions
              if a.dest != "help"}
-    assert set(flags) - others == set(TRAINING_FLAGS.values())
+    assert set(flags) - others == TRAINING_FLAGS
     argv, changed = [command, *required], {}
-    for name, dest in TRAINING_FLAGS.items():
+    for name in TRAINING_FLAGS:
         default = getattr(defaults, name)
-        assert flags[dest].default == default
-        changed[name] = default + 1 if type(default) is int else default / 2
-        argv += ["--" + dest.replace("_", "-"), str(changed[name])]
+        assert flags[name].default == default
+        changed[name] = default + 1
+        argv += ["--" + name.replace("_", "-"), str(changed[name])]
     args = cli.build_parser().parse_args(argv)
     assert cli._train_config_from_args(args, seed=5) == dataclasses.replace(
         defaults, seed=5, **changed)
@@ -1158,7 +1201,7 @@ def test_training_flags_are_train_config_fields(command):
 # the flags that set none.
 SETTING_FLAGS = {
     "grid": ((evaluate.run_grid,), {"records", "train_config"},
-             {"corpus", "config", "out_dir", *TRAINING_FLAGS.values()}),
+             {"corpus", "config", "out_dir", *TRAINING_FLAGS}),
     "extract": ((WindowSpec.from_nominal_length, evaluate.extract_dataset),
                 {"alpha", "records", "spec"}, {"input", "label", "out"}),
 }

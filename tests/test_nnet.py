@@ -477,10 +477,8 @@ class TestBackward:
         values = [rng.normal(size=(T, 10)) for T in lengths]
         labels = np.arange(len(lengths)) % 2
         velocity = BiLSTMModel(30, 10)
-        config = TrainConfig(epochs=1)
         peak = traced_peak(lambda: sgdm_step(
-            model, grads_of(model, np.stack(values), labels), velocity,
-            config))
+            model, grads_of(model, np.stack(values), labels), velocity))
         assert peak <= 1.10 * forward_cache_bytes(30, len(lengths), lengths[0])
 
 
@@ -490,28 +488,15 @@ class TestSgdm:
         model.head_bias[0] = value
         return model
 
-    def test_zero_momentum_is_plain_sgd(self):
-        model = init_model(2, seed=12)
-        before = {n: a.copy() for n, a in model.blocks}
-        grads = BiLSTMModel(2, 10)
-        for _, g in grads.blocks:
-            g[...] = 1.0
-        velocity = BiLSTMModel(2, 10)
-        config = TrainConfig(learning_rate=0.05, momentum=0.0, epochs=1)
-        assert sgdm_step(model, grads, velocity, config) is None
-        for name, arr in model.blocks:
-            assert np.allclose(arr, before[name] - 0.05, atol=1e-15)
-
     def test_two_step_momentum_accumulation(self):
         model = self._scalar_model()
         grads = BiLSTMModel(1, 1)
         grads.head_bias[0] = 1.0
         velocity = BiLSTMModel(1, 1)
-        config = TrainConfig(learning_rate=0.01, momentum=0.9, epochs=1)
-        sgdm_step(model, grads, velocity, config)
+        sgdm_step(model, grads, velocity)
         assert model.head_bias[0] == pytest.approx(-0.01)
         grads.head_bias[0] = 1.0
-        sgdm_step(model, grads, velocity, config)
+        sgdm_step(model, grads, velocity)
         assert model.head_bias[0] == pytest.approx(-0.01 - 0.019)
 
     def test_velocity_decays_geometrically_without_gradient(self):
@@ -519,25 +504,9 @@ class TestSgdm:
         velocity = BiLSTMModel(1, 1)
         velocity.head_bias[0] = 1.0
         grads = BiLSTMModel(1, 1)
-        config = TrainConfig(learning_rate=0.1, momentum=0.9, epochs=1)
         for step in range(1, 6):
-            sgdm_step(model, grads, velocity, config)
+            sgdm_step(model, grads, velocity)
             assert velocity.head_bias[0] == pytest.approx(0.9 ** step)
-
-    @pytest.mark.parametrize("momentum", [1.0, -0.1])
-    def test_momentum_outside_unit_interval_rejected(self, momentum):
-        with pytest.raises(ValueError, match=r"^momentum must be in \[0, 1\)$"):
-            TrainConfig(momentum=momentum)
-
-    @pytest.mark.parametrize("lr", [-1.0, float("nan")])
-    def test_negative_or_nan_learning_rate_rejected(self, lr):
-        with pytest.raises(ValueError, match="learning_rate"):
-            TrainConfig(learning_rate=lr)
-
-    def test_infinite_learning_rate_rejected(self):
-        with pytest.raises(ValueError,
-                           match=r"^learning_rate must be finite, got inf$"):
-            TrainConfig(learning_rate=float("inf"))
 
     @pytest.mark.parametrize("name, value", [("epochs", float("nan")),
                                              ("epochs", True),
@@ -569,21 +538,16 @@ class TestTrain:
 
     def test_non_finite_parameters_after_last_step_refused(self, monkeypatch):
         # The loss is checked before each step, so no loss sees the last
-        # step's result.  No learning rate TrainConfig accepts was seen to
-        # overflow theta, so a step that leaves an Inf stands in for one.
-        real_step = nnet.sgdm_step
-
-        def overflowing_step(model, grads, velocity, config):
-            real_step(model, grads, velocity, config)
-            model.theta[-1] = np.inf
-
-        monkeypatch.setattr(nnet, "sgdm_step", overflowing_step)
+        # step's result: with one batch, the one step is the last, and an
+        # infinite learning rate leaves theta infinite.
+        monkeypatch.setattr(nnet, "LEARNING_RATE", math.inf)
         with pytest.raises(PcgError, match="after the last step"):
             train(toy_blobs(4), 3, TrainConfig(epochs=1, batch_size=16))
 
-    def test_zero_learning_rate_keeps_init(self):
+    def test_zero_learning_rate_keeps_init(self, monkeypatch):
+        monkeypatch.setattr(nnet, "LEARNING_RATE", 0.0)
         data = toy_blobs(4)
-        config = TrainConfig(learning_rate=0.0, epochs=3, seed=21)
+        config = TrainConfig(epochs=3, seed=21)
         model, _ = train(data, 3, config)
         fresh = init_model(3, seed=21, input_size=10)
         for (_, a), (_, b) in zip(model.blocks, fresh.blocks):
@@ -606,10 +570,11 @@ class TestTrain:
         for (_, a), (_, b) in zip(m1.blocks, m2.blocks):
             assert np.array_equal(a, b)
 
-    def test_full_batch_small_lr_loss_non_increasing(self):
+    def test_full_batch_small_lr_loss_non_increasing(self, monkeypatch):
+        monkeypatch.setattr(nnet, "LEARNING_RATE", 1e-3)
+        monkeypatch.setattr(nnet, "MOMENTUM", 0.0)
         data = toy_blobs(4)
-        config = TrainConfig(learning_rate=1e-3, momentum=0.0, epochs=20,
-                             batch_size=len(data), seed=24)
+        config = TrainConfig(epochs=20, batch_size=len(data), seed=24)
         _, history = train(data, 3, config)
         diffs = np.diff(history.losses)
         assert np.all(diffs <= 1e-9)
@@ -839,14 +804,16 @@ class TestModelFile:
             assert np.array_equal(a, b)
 
     def test_older_train_config_keys_still_load(self, tmp_path):
-        # Files saved before clip_norm and momentum_ramp were deleted carry
-        # them in train_config, which load_model does not read.
+        # Files saved before clip_norm, momentum_ramp, learning_rate and
+        # momentum were deleted carry them in train_config, which
+        # load_model does not read.
         model = init_model(3, seed=30)
         path = tmp_path / "model.bin"
         save_model(model, path, config=TrainConfig())
         path.write_bytes(_header_edit(
             b'"seed": 0}', b'"seed": 0, "clip_norm": null, '
-            b'"momentum_ramp": false}')(path.read_bytes()))
+            b'"momentum_ramp": false, "learning_rate": 0.01, '
+            b'"momentum": 0.9}')(path.read_bytes()))
         assert np.array_equal(load_model(path).theta, model.theta)
 
     def test_magic_checked(self, tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from pcgkit import synth
 from pcgkit.errors import PcgError
 from pcgkit.features import feature_matrix
-from pcgkit.ingest import Label, preprocess
+from pcgkit.ingest import MAX_WAV_SAMPLES, Label, preprocess
 from pcgkit.synth import SynthConfig, generate, generate_dataset
 from pcgkit.windows import WindowShape, WindowSpec, frame_matrix
 
@@ -154,6 +155,25 @@ class TestConfigValidation:
         # NaN is below nothing, so the range checks alone let it through.
         with pytest.raises(PcgError, match=f"^{name} must be finite"):
             SynthConfig(**{name: value})
+
+    @pytest.mark.parametrize("duration, rate", [
+        (10.0, 10**400),          # a huge int, never turned into a float
+        (1e308, 2000),            # the product overflows to inf
+        (1e300, 2000),
+        (10.0, MAX_WAV_SAMPLES + 1),
+        ((MAX_WAV_SAMPLES + 0.5) / 1024, 1024),  # round() takes the tie up
+    ], ids=["huge-rate", "inf-product", "huge-duration", "rate-over",
+            "tie-over"])
+    def test_more_samples_than_a_wav_holds_rejected(self, duration, rate):
+        # write_wav's 32-bit RIFF sizes: refused before any allocation.
+        with pytest.raises(PcgError, match="^" + re.escape(
+                f"duration {duration}s at rate {rate} Hz is more than the "
+                f"{MAX_WAV_SAMPLES} samples a WAV file holds") + "$"):
+            SynthConfig(duration_s=duration, rate_hz=rate)
+
+    def test_largest_wav_accepted(self):
+        config = SynthConfig(duration_s=MAX_WAV_SAMPLES / 1024, rate_hz=1024)
+        assert round(config.duration_s * config.rate_hz) == MAX_WAV_SAMPLES
 
     def test_negative_gain(self):
         with pytest.raises(PcgError, match="must be >= 0"):
