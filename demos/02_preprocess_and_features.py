@@ -22,7 +22,7 @@ from pcgkit import (
     preprocess,
 )
 
-record = generate(SynthConfig(seed=42), Label.PATHOLOGICAL)
+record = generate(SynthConfig(), Label.PATHOLOGICAL, seed=42)
 print(f"raw record: {record.samples.size} samples at {record.sample_rate_hz} Hz "
       f"({record.duration_s:.1f} s)")
 

@@ -109,8 +109,8 @@ def _write_effective_config(out_dir: Path, args: argparse.Namespace) -> None:
 
 def cmd_synth(args) -> int:
     config = synth.SynthConfig(
-        duration_s=args.duration, rate_hz=args.rate,
-        murmur_gain=args.murmur_gain, noise_floor=args.noise_floor)
+        duration_s=args.duration, murmur_gain=args.murmur_gain,
+        noise_floor=args.noise_floor)
     out_dir = _check_output_dir(args.out_dir)
     records = synth.generate_dataset(args.healthy, args.pathological,
                                      base_seed=args.seed, config=config)
@@ -362,7 +362,6 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     synth_config = synth.SynthConfig()
     p.add_argument("--duration", type=float, default=synth_config.duration_s)
-    p.add_argument("--rate", type=int, default=synth_config.rate_hz)
     p.add_argument("--murmur-gain", type=float, default=synth_config.murmur_gain)
     p.add_argument("--noise-floor", type=float, default=synth_config.noise_floor)
     p.add_argument("--out-dir", required=True)
@@ -382,7 +381,7 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a directory of feature CSVs")
     p.add_argument("--features", required=True)
     p.add_argument("--hidden", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=nnet.TrainConfig().seed)
     _add_train_flags(p)
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--history", default=None, help="optional history JSON path")

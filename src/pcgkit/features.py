@@ -267,7 +267,12 @@ def extract_sequence(frames: np.ndarray,
                      window: WindowSpec,
                      hop: int = 1) -> FeatureSequence:
     """The T x 10 feature sequence of a (T, L+1) frame matrix cut with
-    `window` at `hop`."""
+    `window` at `hop`; ValueError when the frames are not window.length
+    points wide."""
+    shape = np.shape(frames)
+    if len(shape) == 2 and shape[1] != window.length:
+        raise ValueError(f"frames are {shape[1]} points wide, but the "
+                         f"window has {window.length}")
     return FeatureSequence(
         values=feature_matrix(frames, bins),
         signal_id=signal_id,

@@ -12,7 +12,8 @@ import pcgkit
 from pcgkit import errors
 from pcgkit.errors import PcgError, check_count
 from pcgkit.features import feature_matrix
-from pcgkit.synth import SynthConfig, generate_dataset
+from pcgkit.ingest import Label
+from pcgkit.synth import SynthConfig, generate, generate_dataset
 from pcgkit.windows import WindowShape, WindowSpec, frame_matrix
 
 G = WindowShape.GAUSSIAN
@@ -60,16 +61,16 @@ class TestCheckCount:
     (lambda: feature_matrix(np.ones((3, 11)), bins=2.5),
      "bins must be an integer, got 2.5"),
     (lambda: generate_dataset(1.5, 1), "n_healthy must be an integer, got 1.5"),
-    (lambda: SynthConfig(seed=2.5), "seed must be an integer, got 2.5"),
-    (lambda: SynthConfig(seed=True), "seed must be an integer, got True"),
-    (lambda: SynthConfig(rate_hz=2000.5),
-     "rate_hz must be an integer, got 2000.5"),
+    (lambda: generate(SynthConfig(), Label.HEALTHY, 2.5),
+     "seed must be an integer, got 2.5"),
+    (lambda: generate(SynthConfig(), Label.HEALTHY, True),
+     "seed must be an integer, got True"),
     (lambda: generate_dataset(1, 1, base_seed=2.5),
      "base_seed must be an integer, got 2.5"),
     (lambda: generate_dataset(1, 1, base_seed=True),
      "base_seed must be an integer, got True"),
 ], ids=["half_length", "nominal", "hop", "bins", "records", "synth-seed",
-        "synth-seed-bool", "rate", "base-seed", "base-seed-bool"])
+        "synth-seed-bool", "base-seed", "base-seed-bool"])
 def test_non_integer_count_refused(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

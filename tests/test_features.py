@@ -255,6 +255,15 @@ class TestExtractSequence:
         seq = extract_sequence(np.ones((1, 15)), window=RECT_15)
         assert seq.values.shape == (1, 10)
 
+    def test_frames_not_cut_with_the_window_rejected(self):
+        # The sequence records its window: frames of another width would
+        # give it a config that did not make them.
+        spec = WindowSpec.from_nominal_length(WindowShape.GAUSSIAN, 30)
+        with pytest.raises(ValueError, match="^frames are 7 points wide, "
+                                             "but the window has 31$"):
+            extract_sequence(np.ones((20, 7)), window=spec)
+        assert extract_sequence(np.ones((20, 31)), window=spec).window == spec
+
     def test_constant_signal_columns(self):
         frames = np.full((8, 15), 0.7)
         seq = extract_sequence(frames, window=RECT_15)

@@ -21,13 +21,13 @@ def interval_rms(samples, intervals):
     return rms(np.concatenate([samples[a:b] for a, b in intervals]))
 
 
-def cycle_intervals(config):
+def cycle_intervals(config, seed):
     """The sample intervals of each cycle's S1, systole, S2 and diastole,
     rebuilt from synth's documented layout: the heart rate is the first
     draw of np.random.default_rng(seed), and whole cycles follow from 0."""
-    rate = config.rate_hz
+    rate = synth.RATE_HZ
     n = int(round(config.duration_s * rate))
-    bpm = np.random.default_rng(config.seed).uniform(*synth.HEART_RATE_BPM)
+    bpm = np.random.default_rng(seed).uniform(*synth.HEART_RATE_BPM)
     cycle = int(round(rate * 60.0 / bpm))
     s1_n = int(round(synth.S1_DURATION_S * rate))
     s2_n = int(round(synth.S2_DURATION_S * rate))
@@ -43,32 +43,31 @@ def cycle_intervals(config):
 
 class TestGenerate:
     def test_deterministic(self):
-        cfg = SynthConfig(seed=7)
-        a = generate(cfg, Label.HEALTHY)
-        b = generate(cfg, Label.HEALTHY)
+        a = generate(SynthConfig(), Label.HEALTHY, 7)
+        b = generate(SynthConfig(), Label.HEALTHY, 7)
         assert np.array_equal(a.samples, b.samples)
-        c = generate(SynthConfig(seed=8), Label.HEALTHY)
+        c = generate(SynthConfig(), Label.HEALTHY, 8)
         assert not np.array_equal(a.samples, c.samples)
 
     def test_shape_and_metadata(self):
-        cfg = SynthConfig(seed=1, duration_s=10.0, rate_hz=2000)
-        rec = generate(cfg, Label.PATHOLOGICAL)
+        rec = generate(SynthConfig(duration_s=10.0), Label.PATHOLOGICAL, 1)
         assert rec.samples.size == 20000
         assert rec.sample_rate_hz == 2000
         assert rec.label is Label.PATHOLOGICAL
 
     def test_healthy_diastole_is_quiet(self):
         for seed in range(5):
-            cfg = SynthConfig(seed=seed)
-            rec, iv = generate(cfg, Label.HEALTHY), cycle_intervals(cfg)
+            cfg = SynthConfig()
+            rec = generate(cfg, Label.HEALTHY, seed)
+            iv = cycle_intervals(cfg, seed)
             assert interval_rms(rec.samples, iv["diastole"]) <= 3 * cfg.noise_floor
 
     def test_murmur_raises_systolic_energy(self):
         for seed in range(5):
-            cfg = SynthConfig(seed=seed, murmur_gain=0.3)
-            rec_h = generate(cfg, Label.HEALTHY)
-            rec_p = generate(cfg, Label.PATHOLOGICAL)
-            iv = cycle_intervals(cfg)
+            cfg = SynthConfig(murmur_gain=0.3)
+            rec_h = generate(cfg, Label.HEALTHY, seed)
+            rec_p = generate(cfg, Label.PATHOLOGICAL, seed)
+            iv = cycle_intervals(cfg, seed)
             ratio_h = (interval_rms(rec_h.samples, iv["systole"])
                        / interval_rms(rec_h.samples, iv["diastole"]))
             ratio_p = (interval_rms(rec_p.samples, iv["systole"])
@@ -78,13 +77,13 @@ class TestGenerate:
     def test_burst_energy_confined_to_bands(self):
         # Isolate each burst at its documented place and measure its
         # spectrum; >= 95% of the energy must sit in band.
-        cfg = SynthConfig(seed=3, noise_floor=0.0)
-        rec, iv = generate(cfg, Label.HEALTHY), cycle_intervals(cfg)
+        cfg = SynthConfig(noise_floor=0.0)
+        rec, iv = generate(cfg, Label.HEALTHY, 3), cycle_intervals(cfg, 3)
         for part, fmax in (("s1", 200.0), ("s2", 250.0)):
             for a, b in iv[part]:
                 burst = rec.samples[a:b]
                 power = np.abs(np.fft.rfft(burst)) ** 2
-                freqs = np.fft.rfftfreq(burst.size, 1.0 / cfg.rate_hz)
+                freqs = np.fft.rfftfreq(burst.size, 1.0 / synth.RATE_HZ)
                 assert power[freqs <= fmax].sum() / power.sum() >= 0.95
 
 
@@ -135,14 +134,18 @@ def test_class_separability_knob():
 
 
 class TestConfigValidation:
-    def test_band_outside_nyquist(self):
-        for rate in (400, 500):  # the S2 band reaches 250 Hz
-            with pytest.raises(PcgError, match="at or above Nyquist"):
-                SynthConfig(rate_hz=rate)
+    def test_bands_below_nyquist(self):
+        # The rate is fixed, so no config can put a band at or above Nyquist.
+        bands = (synth.S1_BAND_HZ, synth.S2_BAND_HZ, synth.MURMUR_BAND_HZ)
+        assert 2 * max(hi for _, hi in bands) < synth.RATE_HZ
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
-            SynthConfig(seed=-1)
+            generate(SynthConfig(), Label.HEALTHY, -1)
+
+    def test_seed_is_required(self):
+        with pytest.raises(TypeError, match="seed"):
+            generate(SynthConfig(), Label.HEALTHY)
 
     def test_duration_too_short(self):
         with pytest.raises(PcgError, match="fewer than 2 cycles"):
@@ -156,24 +159,26 @@ class TestConfigValidation:
         with pytest.raises(PcgError, match=f"^{name} must be finite"):
             SynthConfig(**{name: value})
 
-    @pytest.mark.parametrize("duration, rate", [
-        (10.0, 10**400),          # a huge int, never turned into a float
-        (1e308, 2000),            # the product overflows to inf
-        (1e300, 2000),
-        (10.0, MAX_WAV_SAMPLES + 1),
-        ((MAX_WAV_SAMPLES + 0.5) / 1024, 1024),  # round() takes the tie up
-    ], ids=["huge-rate", "inf-product", "huge-duration", "rate-over",
-            "tie-over"])
-    def test_more_samples_than_a_wav_holds_rejected(self, duration, rate):
+    # At 2000 Hz no duration's product is an exact tie: the largest below
+    # MAX_WAV_SAMPLES + 0.5 is accepted and rounds down, the next is refused.
+    TIE_BELOW = (MAX_WAV_SAMPLES + 0.5) / synth.RATE_HZ
+
+    @pytest.mark.parametrize("duration", [
+        1e308,                                # the product overflows to inf
+        1e300,
+        math.nextafter(TIE_BELOW, math.inf),  # round() would give one more
+    ], ids=["inf-product", "huge-duration", "tie-over"])
+    def test_more_samples_than_a_wav_holds_rejected(self, duration):
         # write_wav's 32-bit RIFF sizes: refused before any allocation.
         with pytest.raises(PcgError, match="^" + re.escape(
-                f"duration {duration}s at rate {rate} Hz is more than the "
+                f"duration {duration}s at rate 2000 Hz is more than the "
                 f"{MAX_WAV_SAMPLES} samples a WAV file holds") + "$"):
-            SynthConfig(duration_s=duration, rate_hz=rate)
+            SynthConfig(duration_s=duration)
 
     def test_largest_wav_accepted(self):
-        config = SynthConfig(duration_s=MAX_WAV_SAMPLES / 1024, rate_hz=1024)
-        assert round(config.duration_s * config.rate_hz) == MAX_WAV_SAMPLES
+        for duration in (MAX_WAV_SAMPLES / synth.RATE_HZ, self.TIE_BELOW):
+            config = SynthConfig(duration_s=duration)
+            assert round(config.duration_s * synth.RATE_HZ) == MAX_WAV_SAMPLES
 
     def test_negative_gain(self):
         with pytest.raises(PcgError, match="must be >= 0"):
@@ -181,26 +186,27 @@ class TestConfigValidation:
 
     def test_unlabeled_rejected(self):
         with pytest.raises(PcgError, match="label must be"):
-            generate(SynthConfig(), Label.UNLABELED)
+            generate(SynthConfig(), Label.UNLABELED, 0)
 
 
 @pytest.mark.parametrize("make, digest", [
     (lambda: generate_dataset(2, 2, base_seed=0),
      "d77431b2cef29f33edda08d6671741b799678a53c9c76e0173d28e7c7afbc59a"),
-    (lambda: [generate(SynthConfig(seed=5, duration_s=3.0, rate_hz=1000,
-                                   murmur_gain=0.0), Label.PATHOLOGICAL)],
-     "ecfdc9675fd69677647a8651a76a3c570735c72941b769aa5a0f9f6da646c860"),
-    (lambda: [generate(SynthConfig(seed=9, duration_s=12.5, rate_hz=4000,
-                                   noise_floor=0.0, murmur_gain=0.05),
-                       Label.PATHOLOGICAL)],
-     "2988d983185e12640be2ac1062c2a0bbf928739a07732c0ff1c34c9aaae8c140"),
+    (lambda: [generate(SynthConfig(duration_s=3.0, murmur_gain=0.0),
+                       Label.PATHOLOGICAL, 5)],
+     "f07bb08cd48761e33a054146ab39e886ea870c88c1e0a16505866b684adb5d9d"),
+    (lambda: [generate(SynthConfig(duration_s=12.5, noise_floor=0.0,
+                                   murmur_gain=0.05), Label.PATHOLOGICAL, 9)],
+     "aa4192700dc8739f0fa261acc183dbc60010793230f6297e7b791175545ea3d7"),
 ], ids=["dataset", "no_murmur", "no_noise"])
 def test_records_are_pinned(make, digest):
     """SHA-256 of each case's samples as little-endian float64, records
-    concatenated in list order.  The digests were taken from the per-cycle
-    generator that drew three `uniform` calls and one `sin` per burst, so
-    they hold the whole-record generator to the same bytes.  Only numpy 2.4
-    is pinned: another numpy may round `sin` or draw differently."""
+    concatenated in list order.  The dataset digest was taken from the
+    per-cycle generator that drew three `uniform` calls and one `sin` per
+    burst, and the other two from the generator whose config still held the
+    seed and the rate (set to 2000 Hz), so they hold today's generator to
+    the same bytes.  Only numpy 2.4 is pinned: another numpy may round `sin`
+    or draw differently."""
     sha = hashlib.sha256()
     for rec in make():
         sha.update(np.asarray(rec.samples, dtype="<f8").tobytes())
