@@ -31,8 +31,8 @@ print(f"dataset: {len(dataset)} sequences of shape "
 train_set, test_set = split(dataset, seed=1)
 print(f"split: {len(train_set)} train / {len(test_set)} test (stratified)")
 
-config = TrainConfig(epochs=60, seed=1)
-model, history = train(train_set, hidden=30, config=config)
+config = TrainConfig(epochs=60)
+model, history = train(train_set, hidden=30, config=config, seed=1)
 print(f"loss: {history.losses[0]:.4f} -> {history.losses[-1]:.4f}; "
       f"train accuracy {history.accuracies[-1]:.2%}")
 
@@ -41,5 +41,5 @@ print(f"test sensitivity {m.sensitivity:.1f}%  "
       f"specificity {m.specificity:.1f}%  accuracy {m.accuracy:.1f}%")
 
 # Same seed, same data: training is fully deterministic.
-model2, history2 = train(train_set, hidden=30, config=config)
+model2, history2 = train(train_set, hidden=30, config=config, seed=1)
 print("deterministic retrain:", history2.losses == history.losses)

@@ -4,8 +4,8 @@ Subcommands: synth, extract, train, eval, grid, window-info.
 Recordings are mono 16-bit PCM WAV files: synth writes them, extract and
 grid read them.
 Exit codes: 0 ok, 1 domain error or failed allocation, 2 usage or I/O error.
-All randomness flows from --seed (default 0); repeated runs with the same
-inputs and flags produce byte-identical outputs.
+All randomness flows from --seed (default 0 on every command); repeated
+runs with the same inputs and flags produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -204,21 +204,21 @@ def _load_feature_dir(features_dir: Path) -> list:
     return [read_features(p) for p in paths]
 
 
-def _train_config_from_args(args, seed: int = 0) -> nnet.TrainConfig:
-    return nnet.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                            seed=seed)
+def _train_config_from_args(args) -> nnet.TrainConfig:
+    return nnet.TrainConfig(epochs=args.epochs, batch_size=args.batch_size)
 
 
 def cmd_train(args) -> int:
-    config = _train_config_from_args(args, seed=args.seed)
+    config = _train_config_from_args(args)
     check_count("hidden size", args.hidden, 1)
+    check_count("seed", args.seed, 0)
     out, history_path = _check_output_files(
         [("--out", args.out), ("--history", args.history)],
         _feature_reads(args.features))
     dataset = _load_feature_dir(Path(args.features))
-    model, history = nnet.train(dataset, args.hidden, config)
+    model, history = nnet.train(dataset, args.hidden, config, args.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
-    nnet.save_model(model, out, config=config)
+    nnet.save_model(model, out, config={**asdict(config), "seed": args.seed})
     if history_path:
         history_path.parent.mkdir(parents=True, exist_ok=True)
         history_path.write_text(json.dumps(
@@ -230,17 +230,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out, = _check_output_files(
-        [("--out", args.out)],
-        [("--model", args.model), *_feature_reads(args.features)])
     model = nnet.load_model(_require_file(args.model))
     result = evaluate.score(model, _load_feature_dir(Path(args.features)))
-    text = json.dumps({**asdict(result.confusion), **asdict(result.metrics)},
-                      indent=2)
-    if out:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-    print(text)
+    print(json.dumps({**asdict(result.confusion), **asdict(result.metrics)},
+                     indent=2))
     return 0
 
 
@@ -292,7 +285,6 @@ def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
 
 
 def cmd_grid(args) -> int:
-    # Seed left at 0: run_trial derives each trial's from --seed (any int).
     config = _train_config_from_args(args)
     shapes = [WindowShape(name) for name in args.shapes]
     # Checked before any recording is read; _load_corpus preprocesses every
@@ -381,7 +373,7 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a directory of feature CSVs")
     p.add_argument("--features", required=True)
     p.add_argument("--hidden", type=int, default=30)
-    p.add_argument("--seed", type=int, default=nnet.TrainConfig().seed)
+    p.add_argument("--seed", type=int, default=0)
     _add_train_flags(p)
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--history", default=None, help="optional history JSON path")
@@ -390,7 +382,6 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a saved model on saved features")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--out", default=None, help="optional metrics JSON path")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grid", help="full shape x length x hidden experiment grid")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -137,10 +137,10 @@ def score(model: nnet.BiLSTMModel, seqs: list[FeatureSequence]) -> TrialResult:
 
 def run_trial(dataset: list[FeatureSequence], hidden: int,
               train_config: nnet.TrainConfig, seed: int) -> TrialResult:
-    """One 70/30 split + train + test cycle, deterministic in the seed."""
+    """One 70/30 split + train + test cycle, deterministic in the seed:
+    the split's seed is mix_seed(seed, 0) and training's mix_seed(seed, 1)."""
     train_set, test_set = split(dataset, seed=mix_seed(seed, 0))
-    config = replace(train_config, seed=mix_seed(seed, 1))
-    model, _ = nnet.train(train_set, hidden, config)
+    model, _ = nnet.train(train_set, hidden, train_config, mix_seed(seed, 1))
     return score(model, test_set)
 
 

@@ -52,7 +52,7 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -123,11 +123,10 @@ class BiLSTMModel:
 class TrainConfig:
     epochs: int = 500
     batch_size: int = 16
-    seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            check_count(name, getattr(self, name), least)
+        for name in ("epochs", "batch_size"):
+            check_count(name, getattr(self, name), 1)
 
 
 @dataclass
@@ -194,7 +193,9 @@ def _layer_forward(layer: BiLayer, make_input, T: int, B: int) -> dict:
         np.matmul(X, (layer.input_weights[d] * col[:, None]).T, out=Z[d])
         Z[d] += layer.bias[d] * col
     del U, X
-    W = (layer.recurrent_weights * col[:, None]).transpose(0, 2, 1)
+    # Copied contiguous once: each step's matmul runs about twice as fast.
+    W = np.ascontiguousarray(
+        (layer.recurrent_weights * col[:, None]).transpose(0, 2, 1))
     C = np.zeros((2, T + 1, B, H))
     Hs = np.zeros((2, T + 1, B, H))
     for s in range(T):
@@ -367,8 +368,7 @@ def _batch_grads(model: BiLSTMModel, X: np.ndarray,
     correct = int((probs.argmax(axis=1) == labels).sum())
     if not np.isfinite(total_loss):
         raise PcgError(
-            f"training loss is {total_loss}: the features hold NaN or Inf, "
-            "or the learning rate is too high")
+            f"training loss is {total_loss}: the features hold NaN or Inf")
 
     dlogits = probs.copy()
     dlogits[np.arange(B), labels] -= 1.0
@@ -424,17 +424,18 @@ def class_indices(seqs: list[FeatureSequence]) -> np.ndarray:
     return np.array([CLASS_INDEX[seq.label] for seq in seqs], dtype=np.int64)
 
 
-def train(dataset: list[FeatureSequence], hidden: int,
-          config: TrainConfig) -> tuple[BiLSTMModel, TrainHistory]:
+def train(dataset: list[FeatureSequence], hidden: int, config: TrainConfig,
+          seed: int) -> tuple[BiLSTMModel, TrainHistory]:
     """Train a fresh model; fully deterministic in (dataset order, seed)."""
+    check_count("seed", seed, 0)
     labels = class_indices(dataset)
     if len(set(labels.tolist())) < 2:
         raise PcgError("training data must contain both classes")
     X = _stack(dataset)
 
-    model = init_model(hidden, seed=config.seed, input_size=X.shape[2])
+    model = init_model(hidden, seed=seed, input_size=X.shape[2])
     velocity = BiLSTMModel(model.hidden_size, model.input_size)
-    shuffle_rng = np.random.default_rng([config.seed, 1])
+    shuffle_rng = np.random.default_rng([seed, 1])
 
     history = TrainHistory()
     n = len(dataset)
@@ -454,8 +455,7 @@ def train(dataset: list[FeatureSequence], hidden: int,
     # Each step's loss is checked before the step: the last step's result
     # is checked here.
     if not np.isfinite(model.theta).all():
-        raise PcgError("the parameters hold NaN or Inf after the last "
-                       "step: the learning rate is too high")
+        raise PcgError("the parameters hold NaN or Inf after the last step")
     return model, history
 
 
@@ -474,13 +474,14 @@ def _descriptor(hidden_size: int, input_size: int) -> dict:
 
 
 def save_model(model: BiLSTMModel, path: str | Path,
-               config: TrainConfig | None = None) -> None:
+               config: dict | None = None) -> None:
     """Binary model file: magic, length-prefixed JSON descriptor, then
     `model.theta` as little-endian float64 (every block row-major, in
-    layout order)."""
+    layout order).  `config`, the settings the model was trained with,
+    goes into the descriptor as its `train_config`."""
     descriptor = _descriptor(model.hidden_size, model.input_size)
     if config is not None:
-        descriptor["train_config"] = asdict(config)
+        descriptor["train_config"] = config
     header = json.dumps(descriptor).encode("utf-8")
     Path(path).write_bytes(MODEL_MAGIC + struct.pack("<I", len(header))
                            + header + model.theta.astype("<f8").tobytes())

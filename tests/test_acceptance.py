@@ -186,7 +186,7 @@ def test_criterion_5_training_sanity():
     dataset = extract_dataset(records, spec, hop=25)
 
     train_set, test_set = split(dataset, seed=42)
-    model, _ = nnet.train(train_set, 30, nnet.TrainConfig(epochs=100, seed=42))
+    model, _ = nnet.train(train_set, 30, nnet.TrainConfig(epochs=100), seed=42)
     predictions = nnet.predict_batch(model, test_set)
     labels = np.array([nnet.CLASS_INDEX[s.label] for s in test_set])
     accuracy = 100.0 * float(np.mean(predictions == labels))

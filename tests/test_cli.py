@@ -398,30 +398,12 @@ class TestTrainEvalCommands:
         model_path = tmp_path / "model.bin"
         assert main(["train", "--features", str(feature_dir), "--hidden", "3",
                      "--epochs", "2", "--out", str(model_path)]) == 0
-        out_path = tmp_path / "metrics.json"
+        capsys.readouterr()
         assert main(["eval", "--model", str(model_path),
-                     "--features", str(feature_dir),
-                     "--out", str(out_path)]) == 0
-        payload = json.loads(out_path.read_text())
+                     "--features", str(feature_dir)]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"tp", "tn", "fp", "fn", "sensitivity",
                                 "specificity", "accuracy"}
-        capsys.readouterr()
-
-    def test_eval_unwritable_out_exits_2_before_reading(
-            self, feature_dir, tmp_path, capsys, monkeypatch):
-        model = tmp_path / "model.bin"
-        nnet.save_model(nnet.init_model(3, seed=0), model)
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "m.txt").write_text("")
-        monkeypatch.setattr(nnet, "load_model", None)  # a call would fail
-        code = main(["eval", "--model", str(model),
-                     "--features", str(feature_dir), "--out", "m.txt/m.json"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err == ("error: cannot write m.txt: m.txt is not a "
-                                "directory\n")
-        assert captured.out == ""
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt", "model.bin"]
 
     def test_empty_feature_dir_exits_2(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -442,12 +424,14 @@ class TestTrainEvalCommands:
             "error: hidden size must be >= 1, got 0\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_negative_seed_exits_1(self, feature_dir, tmp_path, capsys):
+    def test_negative_seed_exits_1(self, feature_dir, tmp_path, capsys,
+                                   monkeypatch):
+        monkeypatch.setattr(cli, "read_features", None)  # a call would fail
         code = main(["train", "--features", str(feature_dir), "--seed", "-1",
                      "--out", str(tmp_path / "m.bin")])
         assert code == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
-        assert not (tmp_path / "m.bin").exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("out,history", [
         ("m.bin", "m.txt/sub/h.json"),  # a file above its directory
@@ -822,7 +806,7 @@ UNWRITABLE_OUTPUTS = [
     (command, flag, path, message)
     for command, flag in [("synth", "--out-dir"), ("extract", "--out"),
                           ("train", "--out"), ("train", "--history"),
-                          ("eval", "--out"), ("grid", "--out-dir")]
+                          ("grid", "--out-dir")]
     for path, message in (
         [("f.txt/x", "f.txt/x: f.txt is not a directory"),
          ("f.txt/sub/x", "f.txt/sub/x: f.txt is not a directory")]
@@ -838,19 +822,15 @@ UNWRITABLE_OUTPUTS = [
 def test_unwritable_output_exits_2_before_reading(
         corpus_dir, feature_dir, tmp_path, capsys, monkeypatch,
         command, flag, path, message):
-    model = tmp_path / "model.bin"
-    nnet.save_model(nnet.init_model(3, seed=0), model)
     inputs = {  # the row's flag comes last, and argparse takes the last value
         "synth": ["--healthy", "1", "--pathological", "1"],
         "extract": ["--input", str(sorted(corpus_dir.glob("*.wav"))[0])],
         "train": ["--features", str(feature_dir), "--hidden", "3",
                   "--epochs", "1", "--out", "m.bin"],
-        "eval": ["--model", str(model), "--features", str(feature_dir)],
         "grid": ["--corpus", str(corpus_dir), *SMALL_GRID],
     }
     for module, name in [(synth, "generate_dataset"), (cli, "read_wav"),
-                         (cli, "_load_feature_dir"), (nnet, "load_model"),
-                         (cli, "_load_corpus")]:
+                         (cli, "_load_feature_dir"), (cli, "_load_corpus")]:
         monkeypatch.setattr(module, name, None)  # a call would fail
     work = tmp_path / "work"
     work.mkdir()
@@ -867,11 +847,6 @@ def test_unwritable_output_exits_2_before_reading(
 # Outputs that name a file their command reads, or another of its outputs,
 # each spelled as the command sees it: (argv, error message).
 CLASHING_OUTPUTS = {
-    "eval-model": (["eval", "--model", "m.bin", "--features", "feats",
-                    "--out", "m.bin"], "m.bin: --model reads it"),
-    "eval-feature-sidecar": (
-        ["eval", "--model", "m.bin", "--features", "feats",
-         "--out", "feats/a.meta.json"], "feats/a.meta.json: --features reads it"),
     "train-out-history": (
         ["train", "--features", "feats", "--out", "same.bin",
          "--history", "same.bin"], "same.bin: --out writes it"),
@@ -899,7 +874,6 @@ CLASHING_OUTPUTS = {
 def test_output_naming_a_file_of_the_command_exits_2_before_reading(
         feature_dir, tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
-    nnet.save_model(nnet.init_model(3, seed=0), tmp_path / "m.bin")
     np.savetxt(tmp_path / "rec.csv", np.linspace(-0.5, 0.5, 20000))
     shutil.copy(tmp_path / "rec.csv", tmp_path / "rec.meta.json")
     os.link(tmp_path / "rec.csv", tmp_path / "link.csv")
@@ -910,8 +884,7 @@ def test_output_naming_a_file_of_the_command_exits_2_before_reading(
     shutil.copy(first.with_suffix(".meta.json"),
                 tmp_path / "feats" / "a.meta.json")
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-    for module, name in [(cli, "read_wav"), (cli, "read_features"),
-                         (nnet, "load_model")]:
+    for module, name in [(cli, "read_wav"), (cli, "read_features")]:
         monkeypatch.setattr(module, name, None)  # a call would fail
     code = main(argv)
     assert code == 2
@@ -948,11 +921,8 @@ def test_missing_output_directories_are_made(corpus_dir, feature_dir,
     assert main(["train", "--features", str(feature_dir), "--hidden", "3",
                  "--epochs", "1", "--out", "models/m.bin",
                  "--history", "logs/h.json"]) == 0
-    assert main(["eval", "--model", "models/m.bin",
-                 "--features", str(feature_dir),
-                 "--out", "reports/e.json"]) == 0
     for path in ("features/sub/x.csv", "features/sub/x.meta.json",
-                 "models/m.bin", "logs/h.json", "reports/e.json"):
+                 "models/m.bin", "logs/h.json"):
         assert (tmp_path / path).is_file()
 
 
@@ -1089,7 +1059,7 @@ class TestWindowInfoCommand:
         assert args.seed == 0
         args = build_parser().parse_args(["train", "--features", "f",
                                           "--out", "m"])
-        assert args.seed == nnet.TrainConfig().seed == 0
+        assert args.seed == 0
 
 
 @pytest.mark.parametrize("argv", [["train", "--features", "f", "--out", "m",
@@ -1113,12 +1083,14 @@ class TestWindowInfoCommand:
                                   ["grid", "--corpus", "c", "--out-dir", "o",
                                    "--momentum", "0.9"],
                                   ["synth", "--out-dir", "o",
-                                   "--rate", "2000"]],
+                                   "--rate", "2000"],
+                                  ["eval", "--model", "m", "--features", "f",
+                                   "--out", "x"]],
                          ids=["clip-norm", "momentum-ramp", "grid-alpha",
                               "extract-bins", "extract-rate",
                               "window-info-nfft", "window-info-coeffs",
                               "train-lr", "train-momentum", "grid-lr",
-                              "grid-momentum", "synth-rate"])
+                              "grid-momentum", "synth-rate", "eval-out"])
 def test_removed_training_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -1170,9 +1142,8 @@ def _subparser(command):
                 if isinstance(a.choices, dict))[command]
 
 
-# TrainConfig's fields as train's and grid's flags: all but seed.
-TRAINING_FLAGS = {f.name for f in dataclasses.fields(nnet.TrainConfig)
-                  if f.name != "seed"}
+# TrainConfig's fields as train's and grid's flags.
+TRAINING_FLAGS = {f.name for f in dataclasses.fields(nnet.TrainConfig)}
 
 # The flags of train and grid that are not training flags, and the
 # required ones among them with a value each.
@@ -1201,32 +1172,35 @@ def test_training_flags_are_train_config_fields(command):
         changed[name] = default + 1
         argv += ["--" + name.replace("_", "-"), str(changed[name])]
     args = cli.build_parser().parse_args(argv)
-    assert cli._train_config_from_args(args, seed=5) == dataclasses.replace(
-        defaults, seed=5, **changed)
+    assert cli._train_config_from_args(args) == dataclasses.replace(
+        defaults, **changed)
 
 
-# The library functions whose parameters grid's and extract's remaining flags
-# set, the parameters no flag sets (alpha: extract uses DEFAULT_ALPHA), and
-# the flags that set none.
+# The library functions whose parameters grid's, extract's and train's
+# remaining flags set, the parameters no flag sets (alpha: extract uses
+# DEFAULT_ALPHA), the flags that set none, and the parameter each flag sets
+# where their names differ.
 SETTING_FLAGS = {
     "grid": ((evaluate.run_grid,), {"records", "train_config"},
-             {"corpus", "config", "out_dir", *TRAINING_FLAGS}),
+             {"corpus", "config", "out_dir", *TRAINING_FLAGS},
+             {"hidden": "hidden_sizes", "seed": "base_seed"}),
     "extract": ((WindowSpec.from_nominal_length, evaluate.extract_dataset),
-                {"alpha", "records", "spec"}, {"input", "label", "out"}),
+                {"alpha", "records", "spec"}, {"input", "label", "out"},
+                {"length": "nominal"}),
+    "train": ((nnet.train,), {"dataset", "config"},
+              {"features", "out", "history", *TRAINING_FLAGS}, {}),
 }
-PARAMETER_OF_FLAG = {"hidden": "hidden_sizes", "seed": "base_seed",
-                     "length": "nominal"}
 
 
 @pytest.mark.parametrize("command", sorted(SETTING_FLAGS))
 def test_setting_flags_are_library_parameters(command):
     # One table of defaults: a knob added to the library or to the command
     # alone, or a default of the command's own, fails here.
-    functions, unset, others = SETTING_FLAGS[command]
+    functions, unset, others, parameter_of_flag = SETTING_FLAGS[command]
     params = {name: p for f in functions
               for name, p in inspect.signature(f).parameters.items()
               if name not in unset}
-    flags = {PARAMETER_OF_FLAG.get(a.dest, a.dest): a
+    flags = {parameter_of_flag.get(a.dest, a.dest): a
              for a in _subparser(command)._actions
              if a.dest not in ("help", *others)}
     assert set(flags) == set(params)

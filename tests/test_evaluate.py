@@ -194,8 +194,7 @@ class TestRunTrial:
         data = extract_dataset(tiny_corpus(6, seed=4), spec, hop=25)
         r = run_trial(data, 4, self.config, seed=8)
         train_set, test_set = split(data, seed=mix_seed(8, 0))
-        model, _ = nnet.train(train_set, 4,
-                              replace(self.config, seed=mix_seed(8, 1)))
+        model, _ = nnet.train(train_set, 4, self.config, mix_seed(8, 1))
         assert r.predictions.dtype == np.int64
         assert r.predictions.tolist() == forward_argmax(model, test_set)
 

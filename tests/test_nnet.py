@@ -187,7 +187,7 @@ class TestInit:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             init_model(hidden, seed=0)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            train(toy_blobs(2), hidden, TrainConfig(epochs=1))
+            train(toy_blobs(2), hidden, TrainConfig(epochs=1), seed=0)
 
     @pytest.mark.parametrize("input_size, message", [
         (2.5, "input size must be an integer, got 2.5"),
@@ -516,13 +516,22 @@ class TestSgdm:
                                              ("seed", False)])
     def test_non_integer_count_rejected(self, name, value):
         # Each would otherwise fail later, inside train's range() or numpy's
-        # seeding, or (a bool) run as 0 or 1.
+        # seeding, or (a bool) run as 0 or 1.  The seed is train's argument.
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            TrainConfig(**{name: value})
+            if name == "seed":
+                train(toy_blobs(2), 3, TrainConfig(epochs=1), seed=value)
+            else:
+                TrainConfig(**{name: value})
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
-            TrainConfig(seed=-1)
+            train(toy_blobs(2), 3, TrainConfig(epochs=1), seed=-1)
+
+    def test_seed_is_an_argument_of_train(self):
+        with pytest.raises(TypeError, match="seed"):
+            TrainConfig(seed=0)
+        with pytest.raises(TypeError, match="seed"):
+            train(toy_blobs(2), 3, TrainConfig(epochs=1))
 
     def test_numpy_integer_counts_accepted(self):
         config = TrainConfig(epochs=np.int64(2), batch_size=np.int32(3))
@@ -534,7 +543,7 @@ class TestTrain:
         data = toy_blobs(4)
         data[0].values[2, 3] = np.nan
         with pytest.raises(PcgError, match="nan"):
-            train(data, 3, TrainConfig(epochs=2, seed=20))
+            train(data, 3, TrainConfig(epochs=2), seed=20)
 
     def test_non_finite_parameters_after_last_step_refused(self, monkeypatch):
         # The loss is checked before each step, so no loss sees the last
@@ -542,29 +551,30 @@ class TestTrain:
         # infinite learning rate leaves theta infinite.
         monkeypatch.setattr(nnet, "LEARNING_RATE", math.inf)
         with pytest.raises(PcgError, match="after the last step"):
-            train(toy_blobs(4), 3, TrainConfig(epochs=1, batch_size=16))
+            train(toy_blobs(4), 3, TrainConfig(epochs=1, batch_size=16),
+                  seed=0)
 
     def test_zero_learning_rate_keeps_init(self, monkeypatch):
         monkeypatch.setattr(nnet, "LEARNING_RATE", 0.0)
         data = toy_blobs(4)
-        config = TrainConfig(epochs=3, seed=21)
-        model, _ = train(data, 3, config)
+        config = TrainConfig(epochs=3)
+        model, _ = train(data, 3, config, seed=21)
         fresh = init_model(3, seed=21, input_size=10)
         for (_, a), (_, b) in zip(model.blocks, fresh.blocks):
             assert np.array_equal(a, b)
 
     def test_separable_blobs_reach_full_accuracy(self):
         data = toy_blobs(8)
-        config = TrainConfig(epochs=50, seed=22)
-        _, history = train(data, 4, config)
+        config = TrainConfig(epochs=50)
+        _, history = train(data, 4, config, seed=22)
         assert max(history.accuracies) == 1.0
         assert history.accuracies[-1] == 1.0
 
     def test_deterministic_history(self):
         data = toy_blobs(4)
-        config = TrainConfig(epochs=5, seed=23)
-        m1, h1 = train(data, 3, config)
-        m2, h2 = train(data, 3, config)
+        config = TrainConfig(epochs=5)
+        m1, h1 = train(data, 3, config, seed=23)
+        m2, h2 = train(data, 3, config, seed=23)
         assert h1.losses == h2.losses
         assert h1.accuracies == h2.accuracies
         for (_, a), (_, b) in zip(m1.blocks, m2.blocks):
@@ -574,8 +584,8 @@ class TestTrain:
         monkeypatch.setattr(nnet, "LEARNING_RATE", 1e-3)
         monkeypatch.setattr(nnet, "MOMENTUM", 0.0)
         data = toy_blobs(4)
-        config = TrainConfig(epochs=20, batch_size=len(data), seed=24)
-        _, history = train(data, 3, config)
+        config = TrainConfig(epochs=20, batch_size=len(data))
+        _, history = train(data, 3, config, seed=24)
         diffs = np.diff(history.losses)
         assert np.all(diffs <= 1e-9)
 
@@ -583,12 +593,12 @@ class TestTrain:
         data = [make_seq(np.random.default_rng(i).normal(size=(4, 10)),
                          label=Label.HEALTHY, sid=str(i)) for i in range(4)]
         with pytest.raises(PcgError, match="both classes"):
-            train(data, 3, TrainConfig(epochs=1))
+            train(data, 3, TrainConfig(epochs=1), seed=0)
 
     def test_empty_sequence_named(self):
         data = toy_blobs(2) + [make_seq(np.zeros((0, 10)), sid="void")]
         with pytest.raises(PcgError, match="sequence 'void' has no frames"):
-            train(data, 3, TrainConfig(epochs=1))
+            train(data, 3, TrainConfig(epochs=1), seed=0)
 
     def test_sequence_without_feature_columns_named(self):
         # Width 0 would train a model that sees no input, its loss at ln 2.
@@ -596,19 +606,19 @@ class TestTrain:
                 for i, label in enumerate([Label.HEALTHY, Label.PATHOLOGICAL] * 2)]
         with pytest.raises(PcgError,
                            match="^sequence 'z0' has no feature columns$"):
-            train(data, 3, TrainConfig(epochs=1))
+            train(data, 3, TrainConfig(epochs=1), seed=0)
 
     def test_unlabeled_sequence_named(self):
         data = toy_blobs(2) + [make_seq(np.ones((5, 10)), label=Label.UNLABELED,
                                         sid="u")]
         with pytest.raises(PcgError,
                            match="^sequence 'u' is unlabeled$"):
-            train(data, 3, TrainConfig(epochs=1))
+            train(data, 3, TrainConfig(epochs=1), seed=0)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_sequences_refused(self, n):
         with pytest.raises(PcgError, match="both classes"):
-            train(toy_blobs(1)[:n], 3, TrainConfig(epochs=1))
+            train(toy_blobs(1)[:n], 3, TrainConfig(epochs=1), seed=0)
 
     def test_mixed_lengths_refused(self):
         # One (window, hop) gives one length, so mixed lengths mean mixed
@@ -621,7 +631,7 @@ class TestTrain:
         with pytest.raises(PcgError,
                            match=r"^sequence 2 \('c'\) has values shape "
                                  r"\(6, 10\), sequence 0 \('a'\) has \(4, 10\)"):
-            train(data, 3, TrainConfig(epochs=1))
+            train(data, 3, TrainConfig(epochs=1), seed=0)
 
     @pytest.mark.parametrize("field, value", [
         ("window", WindowSpec(WindowShape.GAUSSIAN, 7)),
@@ -636,7 +646,7 @@ class TestTrain:
         with pytest.raises(PcgError,
                            match=rf"^sequence 5 \('pathological1'\) has "
                                  rf"{key} "):
-            train(data, 3, TrainConfig(epochs=1))
+            train(data, 3, TrainConfig(epochs=1), seed=0)
         with pytest.raises(PcgError, match=r"^sequence 5 "):
             nnet.predict_batch(init_model(3, seed=0), data)
 
@@ -649,7 +659,7 @@ def forward_argmax(model, seqs):
 class TestPredict:
     def test_argmax(self):
         data = toy_blobs(8, seed=1)
-        model, _ = train(data, 3, TrainConfig(epochs=30, seed=26))
+        model, _ = train(data, 3, TrainConfig(epochs=30), seed=26)
         got = nnet.predict_batch(model, data)
         assert got.dtype == np.int64
         assert got.tolist() == forward_argmax(model, data)
@@ -658,7 +668,7 @@ class TestPredict:
         # Shuffled classes: each prediction must stay at its sequence's
         # place in the input.
         data = toy_blobs(6, T=5, seed=5)
-        model, _ = train(data, 3, TrainConfig(epochs=20, seed=31))
+        model, _ = train(data, 3, TrainConfig(epochs=20), seed=31)
         np.random.default_rng(31).shuffle(data)
         want = forward_argmax(model, data)
         assert set(want) == {0, 1}
@@ -785,8 +795,8 @@ class TestPinnedBits:
         data = [make_seq(rng.normal(size=(9, 10)) + (0.5 if k % 2 else -0.5),
                          label=(Label.HEALTHY, Label.PATHOLOGICAL)[k % 2],
                          sid=str(k)) for k in range(12)]
-        model, history = train(data, 30, TrainConfig(epochs=5, batch_size=4,
-                                                     seed=45))
+        model, history = train(data, 30, TrainConfig(epochs=5, batch_size=4),
+                               seed=45)
         bits = np.concatenate([model.theta, history.losses]).astype("<f8")
         assert hashlib.sha256(bits.tobytes()).hexdigest() == self.TRAIN
 
@@ -794,9 +804,9 @@ class TestPinnedBits:
 class TestModelFile:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = init_model(5, seed=30)
-        config = TrainConfig(epochs=7, seed=30)
         path = tmp_path / "model.bin"
-        save_model(model, path, config=config)
+        save_model(model, path, config={"epochs": 7, "batch_size": 16,
+                                        "seed": 30})
         back = load_model(path)
         assert back.hidden_size == 5 and back.input_size == 10
         for (na, a), (nb, b) in zip(model.blocks, back.blocks):
@@ -809,7 +819,8 @@ class TestModelFile:
         # load_model does not read.
         model = init_model(3, seed=30)
         path = tmp_path / "model.bin"
-        save_model(model, path, config=TrainConfig())
+        save_model(model, path, config={"epochs": 500, "batch_size": 16,
+                                        "seed": 0})
         path.write_bytes(_header_edit(
             b'"seed": 0}', b'"seed": 0, "clip_norm": null, '
             b'"momentum_ramp": false, "learning_rate": 0.01, '

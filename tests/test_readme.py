@@ -1,5 +1,5 @@
-"""README's CLI quick start: every `pcgkit` command parses, and all but
-the grid run.
+"""README's quick starts: every `pcgkit` command of the CLI one parses,
+and all but the grid run; the library one runs, at one epoch.
 
 A flag the README shows that the parser no longer takes fails here, as a
 demo's deleted import does in test_demos.py.  The grid, which runs the
@@ -17,10 +17,15 @@ from pcgkit.cli import build_parser, main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def quick_start_commands():
+def quick_start_block(title, language):
+    """The first ```language block of README's section `title`."""
     text = (ROOT / "README.md").read_text()
-    section = text.split("## Quick start (CLI)", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    section = text.split(f"## {title}", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def quick_start_commands():
+    block = quick_start_block("Quick start (CLI)", "sh")
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True) for line in lines
             if line.startswith("pcgkit ")]
@@ -65,3 +70,10 @@ def test_quick_start_runs(tmp_path, monkeypatch, capsys):
                 assert err.endswith(" were clipped\n")
             else:
                 assert err == ""
+
+
+def test_library_quick_start_runs(capsys):
+    code = quick_start_block("Quick start (library)", "python")
+    assert code.count("epochs=60") == 1
+    exec(code.replace("epochs=60", "epochs=1"), {})
+    assert capsys.readouterr().out.startswith("Metrics(sensitivity=")
