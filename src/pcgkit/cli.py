@@ -362,7 +362,8 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="preprocess one recording and write features")
     p.add_argument("--input", required=True,
                    help="mono 16-bit PCM WAV recording")
-    p.add_argument("--label", choices=[l.value for l in Label], default=None)
+    p.add_argument("--label", choices=[label.value for label in CLASS_INDEX],
+                   default=None)
     p.add_argument("--shape", choices=SHAPE_NAMES,
                    default="gaussian")
     p.add_argument("--length", type=int, default=30, help="nominal window length")

@@ -18,10 +18,11 @@ a (2, T, B, 4H) gate buffer in step order, which the loop turns into
 activations in place and BPTT into pre-activation gradients.  One tanh
 gives all four gates, since sigma(x) = 0.5*tanh(x/2) + 0.5.
 
-Training and prediction take sequences of one feature config and one
-shape, as one (window, hop) gives every 10 s recording one length: a
-mini-batch is one (B, T, D) array, and `predict_batch` runs forward passes
-over chunks of `TrainConfig().batch_size` rows.
+Training and prediction take sequences of INPUT_SIZE (the ten
+`FEATURE_NAMES`) features per frame, one feature config and one shape, as
+one (window, hop) gives every 10 s recording one length: a mini-batch is
+one (B, T, INPUT_SIZE) array, and `predict_batch` runs forward passes over
+chunks of `TrainConfig().batch_size` rows.
 
 One optimizer step is `_batch_grads` (a mini-batch's forward pass, loss
 and BPTT; its caches never leave it), then `sgdm_step`.  BPTT recomputes
@@ -64,15 +65,16 @@ from .ingest import CLASS_INDEX
 LEARNING_RATE = 0.01
 MOMENTUM = 0.90
 NUM_CLASSES = len(CLASS_INDEX)
+INPUT_SIZE = len(FEATURE_NAMES)
 # Gate order inside the stacked 4H dimension: input, forget, candidate, output.
 
 
-def param_layout(hidden_size: int, input_size: int) -> list[tuple[str, tuple]]:
+def param_layout(hidden_size: int) -> list[tuple[str, tuple]]:
     """(name, shape) of every parameter block, in theta order: the model's
     views, init_model and the model-file descriptor all follow it."""
     H = hidden_size
     layout = []
-    for li, d_in in ((1, input_size), (2, 2 * H)):
+    for li, d_in in ((1, INPUT_SIZE), (2, 2 * H)):
         for dname in ("fw", "bw"):
             layout += [(f"layer{li}.{dname}.input_weights", (4 * H, d_in)),
                        (f"layer{li}.{dname}.recurrent_weights", (4 * H, H)),
@@ -100,10 +102,9 @@ class BiLSTMModel:
     roles is one strided (2, ...) view across both.
     """
 
-    def __init__(self, hidden_size: int, input_size: int,
-                 theta: np.ndarray | None = None):
-        self.hidden_size, self.input_size = hidden_size, input_size
-        layout = param_layout(hidden_size, input_size)
+    def __init__(self, hidden_size: int, theta: np.ndarray | None = None):
+        self.hidden_size = hidden_size
+        layout = param_layout(hidden_size)
         cuts = [0, *itertools.accumulate(math.prod(s) for _, s in layout)]
         self.theta = np.zeros(cuts[-1]) if theta is None else theta
         self.blocks = [(name, self.theta[a:b].reshape(shape))
@@ -139,13 +140,11 @@ class TrainHistory:
 # Parameter bookkeeping
 # ---------------------------------------------------------------------------
 
-def init_model(hidden: int, seed: int,
-               input_size: int = len(FEATURE_NAMES)) -> BiLSTMModel:
+def init_model(hidden: int, seed: int) -> BiLSTMModel:
     """Glorot-uniform weights, zero biases except forget-gate bias = 1."""
     check_count("hidden size", hidden, 1)
-    check_count("input size", input_size, 1)
     rng = np.random.default_rng(seed)
-    model = BiLSTMModel(hidden, input_size)
+    model = BiLSTMModel(hidden)
     for name, block in model.blocks:
         if block.ndim == 2:
             s = np.sqrt(6.0 / (block.shape[0] + block.shape[1]))
@@ -244,18 +243,19 @@ def _forward_batch(model: BiLSTMModel, X: np.ndarray) -> tuple:
 
 
 def _stack(seqs: list[FeatureSequence]) -> np.ndarray:
-    """The (B, T, D) float64 batch of a non-empty list of sequences; the
-    first that has no frames or no feature columns, or differs from seqs[0]
-    in a key of its feature `config` or in shape, is refused by name, with
-    the first key that differs."""
+    """The (B, T, INPUT_SIZE) float64 batch of a non-empty list of
+    sequences; the first that has no frames or is not INPUT_SIZE wide, or
+    differs from seqs[0] in a key of its feature `config` or in shape, is
+    refused by name, with the first key that differs."""
     first, values = seqs[0], []
     for k, seq in enumerate(seqs):
         v = np.asarray(seq.values, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] < 1:
             raise PcgError(f"sequence {seq.signal_id!r} has no frames")
-        if v.shape[1] < 1:
+        if v.shape[1] != INPUT_SIZE:
             raise PcgError(
-                f"sequence {seq.signal_id!r} has no feature columns")
+                f"sequence {seq.signal_id!r} has {v.shape[1]} features per "
+                f"frame, not {INPUT_SIZE}")
         values.append(v)
         got = {**seq.config, "values shape": v.shape}
         if k == 0:
@@ -274,16 +274,12 @@ def predict_batch(model: BiLSTMModel,
     """Most probable class index of each sequence, in input order; exact
     ties resolve to class 0 (healthy).  The sequences are stacked as one
     batch, so they must share one feature config and one shape (see
-    `_stack`), and their width must be the model's `input_size`.  They
-    run in chunks of `TrainConfig().batch_size` rows, so prediction peaks
-    at one training batch's forward cache however long the list is."""
+    `_stack`).  They run in chunks of `TrainConfig().batch_size` rows, so
+    prediction peaks at one training batch's forward cache however long the
+    list is."""
     if not seqs:
         return np.zeros(0, dtype=np.int64)
     X = _stack(seqs)
-    if X.shape[2] != model.input_size:
-        raise PcgError(
-            f"model takes {model.input_size} features per frame, sequence 0 "
-            f"({seqs[0].signal_id!r}) has {X.shape[2]}")
     n = TrainConfig().batch_size
     return np.concatenate([_forward_batch(model, X[k:k + n])[0].argmax(axis=1)
                            for k in range(0, len(X), n)])
@@ -374,7 +370,7 @@ def _batch_grads(model: BiLSTMModel, X: np.ndarray,
     dlogits[np.arange(B), labels] -= 1.0
     dlogits /= B
 
-    grads = BiLSTMModel(H, model.input_size)
+    grads = BiLSTMModel(H)
     grads.head_weights[...] = dlogits.T @ feat
     grads.head_bias[...] = dlogits.sum(axis=0)
 
@@ -433,8 +429,8 @@ def train(dataset: list[FeatureSequence], hidden: int, config: TrainConfig,
         raise PcgError("training data must contain both classes")
     X = _stack(dataset)
 
-    model = init_model(hidden, seed=seed, input_size=X.shape[2])
-    velocity = BiLSTMModel(model.hidden_size, model.input_size)
+    model = init_model(hidden, seed=seed)
+    velocity = BiLSTMModel(model.hidden_size)
     shuffle_rng = np.random.default_rng([seed, 1])
 
     history = TrainHistory()
@@ -466,10 +462,9 @@ def train(dataset: list[FeatureSequence], hidden: int, config: TrainConfig,
 MODEL_MAGIC = b"HWM1"
 
 
-def _descriptor(hidden_size: int, input_size: int) -> dict:
-    blocks = [[name, list(shape)]
-              for name, shape in param_layout(hidden_size, input_size)]
-    return {"input_size": input_size, "hidden_size": hidden_size,
+def _descriptor(hidden_size: int) -> dict:
+    blocks = [[name, list(shape)] for name, shape in param_layout(hidden_size)]
+    return {"input_size": INPUT_SIZE, "hidden_size": hidden_size,
             "num_layers": 2, "blocks": blocks, "dtype": "<f8"}
 
 
@@ -479,7 +474,7 @@ def save_model(model: BiLSTMModel, path: str | Path,
     `model.theta` as little-endian float64 (every block row-major, in
     layout order).  `config`, the settings the model was trained with,
     goes into the descriptor as its `train_config`."""
-    descriptor = _descriptor(model.hidden_size, model.input_size)
+    descriptor = _descriptor(model.hidden_size)
     if config is not None:
         descriptor["train_config"] = config
     header = json.dumps(descriptor).encode("utf-8")
@@ -498,13 +493,12 @@ def load_model(path: str | Path) -> BiLSTMModel:
         raise PcgError(f"{path}: the header runs past the end of the "
                        f"{len(raw)}-byte file")
     descriptor = json_object(raw[8:8 + hlen], f"{path}: header")
-    H, D = descriptor.get("hidden_size"), descriptor.get("input_size")
+    H = descriptor.get("hidden_size")
     try:
         check_count("hidden_size", H, 1)
-        check_count("input_size", D, 1)
     except ValueError as exc:
         raise PcgError(f"{path}: {exc}") from None
-    for key, want in _descriptor(H, D).items():
+    for key, want in _descriptor(H).items():
         if key not in descriptor:
             raise PcgError(f"{path}: descriptor has no {key!r}")
         got = descriptor[key]
@@ -514,10 +508,10 @@ def load_model(path: str | Path) -> BiLSTMModel:
             got, want = next((g, w) for g, w in zip(got, want) if g != w)
         raise PcgError(f"{path}: {key} {got!r}, expected {want!r}")
     body = len(raw) - 8 - hlen
-    size = sum(math.prod(shape) for _, shape in param_layout(H, D))
+    size = sum(math.prod(shape) for _, shape in param_layout(H))
     if body != 8 * size:
         raise PcgError(f"{path}: body of {body} bytes, expected {8 * size}")
     theta = np.frombuffer(raw, dtype="<f8", offset=8 + hlen)
     if not np.isfinite(theta).all():
         raise PcgError(f"{path}: parameters hold NaN or infinite values")
-    return BiLSTMModel(H, D, theta.astype(np.float64))
+    return BiLSTMModel(H, theta.astype(np.float64))

@@ -142,7 +142,7 @@ def test_criterion_4_gradient_check():
     start = time.perf_counter()
     rng = np.random.default_rng(4)
     H, D, T, B = 3, 10, 7, 2
-    model = nnet.init_model(H, seed=4, input_size=D)
+    model = nnet.init_model(H, seed=4)
     X = rng.normal(size=(B, T, D))
     labels = np.array([0, 1])
 

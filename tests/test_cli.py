@@ -22,7 +22,7 @@ from pcgkit.windows import (
     window_spectrum,
 )
 from test_ingest import wav_mutations
-from test_nnet import MODEL_FILE_MUTATIONS, _rewrite_header
+from test_nnet import MODEL_FILE_MUTATIONS, _header_edit, _rewrite_header
 
 # The removed thread-pool flag, spelled in two parts so that a search of the
 # tree for leftover uses of it finds none.
@@ -199,6 +199,18 @@ class TestExtractCommand:
         assert captured.err == (f"error: {message} in a record of 5000 "
                                 "samples; features need at least 2\n")
         assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_label_outside_the_two_classes_is_a_usage_error(
+            self, corpus_dir, tmp_path, capsys):
+        # train and eval refuse unlabeled features, so extract does not
+        # write them under a --label; leaving --label out still does.
+        wav = sorted(corpus_dir.glob("*.wav"))[0]
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--input", str(wav), "--label", "unlabeled",
+                  "--hop", "250", "--out", str(tmp_path / "f.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'unlabeled'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_wav_input_exits_1_naming_the_file(self, tmp_path, capsys):
         csv_in = tmp_path / "rec.csv"
@@ -537,15 +549,17 @@ class TestTrainEvalCommands:
         assert err.count("\n") == 1
 
     def test_model_width_mismatch_exits_1(self, feature_dir, tmp_path, capsys):
+        # The network's input width is fixed at the ten features, so a
+        # header that records another one is refused by load_model.
         model = tmp_path / "model.bin"
-        nnet.save_model(nnet.init_model(3, seed=0, input_size=4), model)
+        nnet.save_model(nnet.init_model(3, seed=0), model)
+        model.write_bytes(_header_edit(b'"input_size": 10', b'"input_size": 4')(
+            model.read_bytes()))
         code = main(["eval", "--model", str(model),
                      "--features", str(feature_dir)])
         assert code == 1
-        first = sorted(feature_dir.glob("*.csv"))[0].stem
         assert capsys.readouterr().err == (
-            f"error: model takes 4 features per frame, sequence 0 ({first!r}) "
-            "has 10\n")
+            f"error: {model}: input_size 4, expected 10\n")
 
     def test_eval_on_one_class_exits_0(self, feature_dir, tmp_path, capsys):
         # Scoring needs no second class, unlike training.

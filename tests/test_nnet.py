@@ -11,7 +11,7 @@ import pytest
 
 from pcgkit import nnet
 from pcgkit.errors import PcgError
-from pcgkit.features import FeatureSequence
+from pcgkit.features import FEATURE_NAMES, FeatureSequence
 from pcgkit.ingest import Label
 from pcgkit.nnet import (
     BiLayer,
@@ -61,8 +61,8 @@ def layer_forward(layer, U):
     return nnet._layer_forward(layer, lambda: U, *U.shape[:2])
 
 
-def zero_model(H=3, D=10):
-    model = init_model(H, seed=0, input_size=D)
+def zero_model(H=3):
+    model = init_model(H, seed=0)
     for _, arr in model.blocks:
         arr[...] = 0.0
     return model
@@ -98,8 +98,8 @@ def _header_edit(old, new):
     return lambda raw: _rewrite_header(raw, lambda h: h.replace(old, new))
 
 
-# Ways to break the file that save_model writes for init_model(3, seed=...)
-# with the default input size of 10.
+# Ways to break the file that save_model writes for init_model(3, seed=...),
+# whose input size is nnet.INPUT_SIZE, 10.
 MODEL_FILE_MUTATIONS = {
     "trailing_8_bytes": lambda raw: raw + bytes(8),
     "cut_16_bytes": lambda raw: raw[:-16],
@@ -155,9 +155,9 @@ class TestInit:
                 assert np.all(bias[8:] == 0.0)
 
     def test_blocks_are_views_of_theta(self):
-        m = init_model(3, seed=0, input_size=4)
+        m = init_model(3, seed=0)
         assert [name for name, _ in m.blocks] == [
-            name for name, _ in nnet.param_layout(3, 4)]
+            name for name, _ in nnet.param_layout(3)]
         m.layers[1].bias[1, 0] = 42.0
         m.theta[-1] = 7.0
         assert m.head_bias[-1] == 7.0
@@ -189,13 +189,11 @@ class TestInit:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             train(toy_blobs(2), hidden, TrainConfig(epochs=1), seed=0)
 
-    @pytest.mark.parametrize("input_size, message", [
-        (2.5, "input size must be an integer, got 2.5"),
-        (True, "input size must be an integer, got True"),
-        (0, "input size must be >= 1, got 0")])
-    def test_bad_input_size_rejected(self, input_size, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            init_model(3, seed=0, input_size=input_size)
+    def test_input_width_is_the_feature_count(self):
+        assert nnet.INPUT_SIZE == len(FEATURE_NAMES) == 10
+        assert init_model(3, seed=0).layers[0].input_weights.shape[2] == 10
+        with pytest.raises(TypeError, match="input_size"):
+            init_model(3, 0, input_size=4)
 
     def test_glorot_bounds(self):
         m = init_model(30, seed=1)
@@ -339,7 +337,7 @@ class TestForward:
         def swap_cols(W):
             return np.concatenate([W[..., H:], W[..., :H]], axis=-1)
 
-        swapped = BiLSTMModel(H, model.input_size)
+        swapped = BiLSTMModel(H)
         for dst, src in zip(swapped.layers, model.layers):
             for role in ("input_weights", "recurrent_weights", "bias"):
                 getattr(dst, role)[...] = getattr(src, role)[::-1]
@@ -427,7 +425,7 @@ class TestBackward:
         start = time.perf_counter()
         rng = np.random.default_rng(4)
         H, D, T, B = 5, 10, 4970, 2
-        model = init_model(H, seed=4, input_size=D)
+        model = init_model(H, seed=4)
         X = rng.normal(size=(B, T, D))
         labels = np.array([0, 1])
         grads = dict(grads_of(model, X, labels).blocks)
@@ -476,7 +474,7 @@ class TestBackward:
         model = init_model(30, seed=13)
         values = [rng.normal(size=(T, 10)) for T in lengths]
         labels = np.arange(len(lengths)) % 2
-        velocity = BiLSTMModel(30, 10)
+        velocity = BiLSTMModel(30)
         peak = traced_peak(lambda: sgdm_step(
             model, grads_of(model, np.stack(values), labels), velocity))
         assert peak <= 1.10 * forward_cache_bytes(30, len(lengths), lengths[0])
@@ -484,15 +482,15 @@ class TestBackward:
 
 class TestSgdm:
     def _scalar_model(self, value=0.0):
-        model = zero_model(H=1, D=1)
+        model = zero_model(H=1)
         model.head_bias[0] = value
         return model
 
     def test_two_step_momentum_accumulation(self):
         model = self._scalar_model()
-        grads = BiLSTMModel(1, 1)
+        grads = BiLSTMModel(1)
         grads.head_bias[0] = 1.0
-        velocity = BiLSTMModel(1, 1)
+        velocity = BiLSTMModel(1)
         sgdm_step(model, grads, velocity)
         assert model.head_bias[0] == pytest.approx(-0.01)
         grads.head_bias[0] = 1.0
@@ -501,9 +499,9 @@ class TestSgdm:
 
     def test_velocity_decays_geometrically_without_gradient(self):
         model = self._scalar_model()
-        velocity = BiLSTMModel(1, 1)
+        velocity = BiLSTMModel(1)
         velocity.head_bias[0] = 1.0
-        grads = BiLSTMModel(1, 1)
+        grads = BiLSTMModel(1)
         for step in range(1, 6):
             sgdm_step(model, grads, velocity)
             assert velocity.head_bias[0] == pytest.approx(0.9 ** step)
@@ -559,7 +557,7 @@ class TestTrain:
         data = toy_blobs(4)
         config = TrainConfig(epochs=3)
         model, _ = train(data, 3, config, seed=21)
-        fresh = init_model(3, seed=21, input_size=10)
+        fresh = init_model(3, seed=21)
         for (_, a), (_, b) in zip(model.blocks, fresh.blocks):
             assert np.array_equal(a, b)
 
@@ -605,7 +603,8 @@ class TestTrain:
         data = [make_seq(np.zeros((5, 0)), label=label, sid=f"z{i}")
                 for i, label in enumerate([Label.HEALTHY, Label.PATHOLOGICAL] * 2)]
         with pytest.raises(PcgError,
-                           match="^sequence 'z0' has no feature columns$"):
+                           match="^sequence 'z0' has 0 features per frame, "
+                                 "not 10$"):
             train(data, 3, TrainConfig(epochs=1), seed=0)
 
     def test_unlabeled_sequence_named(self):
@@ -697,11 +696,16 @@ class TestPredict:
             nnet.predict_batch(init_model(3, seed=30), seqs)
 
     def test_model_width_mismatch_refused(self):
-        seqs = [make_seq(np.ones((5, 10)), sid=sid) for sid in ("w", "x")]
-        with pytest.raises(PcgError,
-                           match=r"^model takes 4 features per frame, "
-                                 r"sequence 0 \('w'\) has 10$"):
-            nnet.predict_batch(init_model(3, seed=30, input_size=4), seqs)
+        # The network takes nnet.INPUT_SIZE features per frame; `_stack`
+        # refuses any other width, so train and predict_batch refuse alike.
+        seqs = [make_seq(np.ones((5, 4)), label=label, sid=sid)
+                for label, sid in ((Label.HEALTHY, "w"),
+                                   (Label.PATHOLOGICAL, "x"))]
+        message = r"^sequence 'w' has 4 features per frame, not 10$"
+        with pytest.raises(PcgError, match=message):
+            nnet.predict_batch(init_model(3, seed=30), seqs)
+        with pytest.raises(PcgError, match=message):
+            train(seqs, 3, TrainConfig(epochs=1), seed=0)
 
     def test_mixed_lengths_refused(self):
         seqs = [make_seq(np.ones((T, 10)), sid=sid)
@@ -808,7 +812,7 @@ class TestModelFile:
         save_model(model, path, config={"epochs": 7, "batch_size": 16,
                                         "seed": 30})
         back = load_model(path)
-        assert back.hidden_size == 5 and back.input_size == 10
+        assert back.hidden_size == 5
         for (na, a), (nb, b) in zip(model.blocks, back.blocks):
             assert na == nb
             assert np.array_equal(a, b)
@@ -848,9 +852,9 @@ class TestModelFile:
         # Any change to the layout, the descriptor or the order of the
         # initializer's draws changes these bytes.
         path = tmp_path / "model.bin"
-        save_model(init_model(2, seed=0, input_size=3), path)
+        save_model(init_model(2, seed=0), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "18515c5d0b8467f014f20a4b4f6ffc07cc4486dc769a31dae0bc88e4ca886be2")
+            "df3dbcf70bfe74e956bb72b7f9a6019e2133e9379d2f5c5cc4ba12c5e6d4e9c0")
         save_model(load_model(path), tmp_path / "again.bin")
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
