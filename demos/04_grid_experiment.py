@@ -36,7 +36,7 @@ cells = run_grid(
 
 print(f"{'shape':<12} {'len':>4} {'hidden':>6} {'sens':>7} {'spec':>7} {'accu':>7}")
 for cell in cells:
-    print(f"{cell.shape.value:<12} {cell.length_label:>4} {cell.hidden:>6} "
+    print(f"{cell.spec.shape.value:<12} {cell.length_label:>4} {cell.hidden:>6} "
           f"{cell.mean.sensitivity:>7.1f} {cell.mean.specificity:>7.1f} "
           f"{cell.mean.accuracy:>7.1f}")
 

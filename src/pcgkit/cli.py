@@ -148,7 +148,8 @@ def _load_corpus(corpus_dir: Path) -> list:
     # name, could land on both sides of a split, so it is refused.
     entries = {}
     try:
-        with open(manifest, newline="", encoding="utf-8") as fh:
+        # utf-8-sig: spreadsheet tools start "CSV UTF-8" with a byte-order mark.
+        with open(manifest, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             for column in ("filename", "label"):
                 if column not in (reader.fieldnames or []):

@@ -67,13 +67,16 @@ class TrialResult:
 
 @dataclass
 class GridCell:
-    shape: WindowShape
+    """A measured cell; `mean` averages its trials, skipping None values."""
+
+    spec: WindowSpec
     length_label: int
-    L: int
-    alpha: float
     hidden: int
     trials: list[Metrics]
-    mean: Metrics
+
+    @property
+    def mean(self) -> Metrics:
+        return _mean_metrics(self.trials)
 
 
 def confusion(predictions, labels) -> Confusion:
@@ -204,7 +207,7 @@ def run_grid(records: list[AudioRecord],
              base_seed: int = 0,
              hop: int = 1,
              train_config: nnet.TrainConfig = nnet.TrainConfig()) -> list[GridCell]:
-    """Full experiment grid over shape x length x hidden size.
+    """One GridCell per shape x length x hidden size, in that order.
 
     Features are extracted once per (shape, length); only the split and
     training randomness vary across trials.  Per-trial seeds derive from
@@ -217,20 +220,14 @@ def run_grid(records: list[AudioRecord],
                        min((rec.samples.size for rec in records), default=None))
 
     cells = []
-    for si, shape in enumerate(shapes):
-        for li, length in enumerate(lengths):
-            spec = specs[si][li]
+    for si, row in enumerate(specs):
+        for li, (spec, length) in enumerate(zip(row, lengths)):
             dataset = extract_dataset(records, spec, hop=hop)
             for hi, hidden in enumerate(hidden_sizes):
-                trial_metrics = [
+                cells.append(GridCell(spec, length, hidden, [
                     run_trial(dataset, hidden, train_config,
                               mix_seed(base_seed, si, li, hi, t)).metrics
-                    for t in range(trials)]
-                cells.append(GridCell(
-                    shape=shape, length_label=length, L=spec.L,
-                    alpha=spec.alpha, hidden=hidden,
-                    trials=trial_metrics,
-                    mean=_mean_metrics(trial_metrics)))
+                    for t in range(trials)]))
     return cells
 
 
@@ -261,31 +258,33 @@ def emit_results(cells: list[GridCell], out_dir: str | Path) -> dict[str, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     shape_order = list(WindowShape)  # declaration order
-    ordered = sorted(cells, key=lambda c: (shape_order.index(c.shape),
+    ordered = sorted(cells, key=lambda c: (shape_order.index(c.spec.shape),
                                            c.length_label, c.hidden))
 
     def rounded(m: Metrics) -> list[str]:
         return [_round2(m.sensitivity), _round2(m.specificity),
                 _round2(m.accuracy)]
 
+    def key(cell: GridCell) -> list:
+        return [cell.spec.shape.value, cell.length_label, cell.spec.L,
+                cell.spec.alpha, cell.hidden]
+
     by_figure_cell: dict[tuple, list[Metrics]] = {}
     for cell in ordered:
-        by_figure_cell.setdefault((cell.shape, cell.length_label),
+        by_figure_cell.setdefault((cell.spec.shape, cell.length_label),
                                   []).append(cell.mean)
     return {
         "results": _write_csv(
             out_dir / "results.csv",
             ["shape", "length_label", "L", "alpha", "hidden", "trial",
              "sens", "spec", "accu"],
-            ([cell.shape.value, cell.length_label, cell.L, cell.alpha,
-              cell.hidden, t, *rounded(m)]
+            ([*key(cell), t, *rounded(m)]
              for cell in ordered for t, m in enumerate(cell.trials))),
         "summary": _write_csv(
             out_dir / "summary.csv",
             ["shape", "length_label", "L", "alpha", "hidden", "trials",
              "sens", "spec", "accu"],
-            ([cell.shape.value, cell.length_label, cell.L, cell.alpha,
-              cell.hidden, len(cell.trials), *rounded(cell.mean)]
+            ([*key(cell), len(cell.trials), *rounded(cell.mean)]
              for cell in ordered)),
         "figure5": _write_csv(
             out_dir / "figure5.csv",

@@ -502,10 +502,11 @@ def load_model(path: str | Path) -> BiLSTMModel:
         if key not in descriptor:
             raise PcgError(f"{path}: descriptor has no {key!r}")
         got = descriptor[key]
-        if got == want:
+        if json.dumps(got) == json.dumps(want):  # 10.0 and true are not 10, 1
             continue
         if key == "blocks" and isinstance(got, list) and len(got) == len(want):
-            got, want = next((g, w) for g, w in zip(got, want) if g != w)
+            got, want = next((g, w) for g, w in zip(got, want)
+                             if json.dumps(g) != json.dumps(w))
         raise PcgError(f"{path}: {key} {got!r}, expected {want!r}")
     body = len(raw) - 8 - hlen
     size = sum(math.prod(shape) for _, shape in param_layout(H))

@@ -720,6 +720,32 @@ class TestGridCommand:
             f"error: {manifest}: line 4 lists {again!r} again, first on "
             "line 2\n")
 
+    def test_manifest_with_a_byte_order_mark_gives_the_same_results(
+            self, corpus_dir, tmp_path):
+        # Spreadsheet tools save "CSV UTF-8" with a leading byte-order mark.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        manifest = corpus / "labels.csv"
+        manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        for source, out in ((corpus_dir, "plain"), (corpus, "bom")):
+            assert main(["grid", "--corpus", str(source), *SMALL_GRID,
+                         "--out-dir", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "bom" / "results.csv").read_bytes()
+                == (tmp_path / "plain" / "results.csv").read_bytes())
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"],
+                             ids=["plain", "byte-order-mark"])
+    def test_manifest_not_utf8_exits_1_naming_it(self, tmp_path, capsys, bom):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        manifest = corpus / "labels.csv"
+        manifest.write_bytes(bom + b"filename,label\n\xff.wav,healthy\n")
+        code = main(["grid", "--corpus", str(corpus), *SMALL_GRID,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ") and err.count("\n") == 1
+
     def test_fuzzed_manifest_exits_cleanly(self, corpus_dir, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(corpus_dir, corpus)

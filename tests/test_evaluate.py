@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +8,9 @@ from pcgkit import evaluate, nnet
 from pcgkit.errors import PcgError
 from pcgkit.evaluate import (
     Confusion,
+    GridCell,
+    Metrics,
+    _mean_metrics,
     confusion,
     emit_results,
     extract_dataset,
@@ -301,13 +304,31 @@ class TestRunGrid:
         cells = run_grid(tiny_corpus(), shapes=[WindowShape.GAUSSIAN],
                          lengths=[30, 31], hidden_sizes=[3], trials=1,
                          hop=400, train_config=FAST_TRAIN)
-        assert [(c.length_label, c.L) for c in cells] == [(30, 30), (31, 30)]
+        assert [(c.length_label, c.spec.L) for c in cells] == [(30, 30), (31, 30)]
 
     def test_no_records_refused_by_split(self):
         with pytest.raises(PcgError,
                            match="split needs examples of both classes"):
             run_grid([], shapes=[WindowShape.GAUSSIAN], lengths=[30],
                      hidden_sizes=[3], trials=1, train_config=FAST_TRAIN)
+
+
+class TestGridCell:
+    def test_fields_are_what_the_grid_measured(self):
+        assert [f.name for f in fields(GridCell)] == [
+            "spec", "length_label", "hidden", "trials"]
+        with pytest.raises(TypeError):
+            GridCell(shape=WindowShape.GAUSSIAN, length_label=30, hidden=3,
+                     trials=[])
+
+    def test_mean_is_derived_from_the_trials(self):
+        cell = GridCell(WindowSpec.from_nominal_length(WindowShape.GAUSSIAN, 30),
+                        30, 3, [Metrics(50.0, None, 75.0),
+                                Metrics(None, 20.0, 25.0)])
+        assert cell.mean == _mean_metrics(cell.trials) == Metrics(
+            50.0, 20.0, 50.0)
+        cell.trials.append(Metrics(100.0, 40.0, 0.0))
+        assert cell.mean == Metrics(75.0, 30.0, 100.0 / 3)
 
 
 class TestEmitResults:
@@ -341,6 +362,33 @@ class TestEmitResults:
             rows = list(csv.DictReader(fh))
         mean_accu = np.mean([float(r["accu"]) for r in rows])
         assert mean_accu == pytest.approx(cells[0].mean.accuracy, abs=0.005)
+
+    def test_hand_built_cells(self, tmp_path):
+        # A None trial metric is left out of its cell's mean, and figure5
+        # averages the two cell means, not the four trials (sens 75.0).
+        spec = WindowSpec.from_nominal_length(WindowShape.GAUSSIAN, 31)
+        cells = [
+            GridCell(spec, 31, 5, [Metrics(100.0, 40.0, 70.0),
+                                   Metrics(75.0, 20.0, 47.5)]),
+            GridCell(spec, 31, 2, [Metrics(50.0, 80.0, 65.0),
+                                   Metrics(None, 60.0, 60.0)]),
+        ]
+        paths = emit_results(cells, tmp_path)
+        assert paths["summary"].read_text().splitlines() == [
+            "shape,length_label,L,alpha,hidden,trials,sens,spec,accu",
+            "gaussian,31,30,2.5,2,2,50.00,70.00,62.50",
+            "gaussian,31,30,2.5,5,2,87.50,30.00,58.75",
+        ]
+        assert paths["figure5"].read_text().splitlines() == [
+            "shape,length_label,sens,spec,accu",
+            "gaussian,31,68.75,50.00,60.63",
+        ]
+        assert paths["results"].read_text().splitlines()[1:] == [
+            "gaussian,31,30,2.5,2,0,50.00,80.00,65.00",
+            "gaussian,31,30,2.5,2,1,,60.00,60.00",
+            "gaussian,31,30,2.5,5,0,100.00,40.00,70.00",
+            "gaussian,31,30,2.5,5,1,75.00,20.00,47.50",
+        ]
 
     def test_summary_ordering(self, tmp_path):
         import csv

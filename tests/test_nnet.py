@@ -107,6 +107,10 @@ MODEL_FILE_MUTATIONS = {
     "unknown_block_name": _header_edit(b"layer1.fw.bias", b"layer1.fw.gain"),
     "wrong_block_shape": _header_edit(b"[12, 10]", b"[10, 12]"),
     "wrong_input_size": _header_edit(b'"input_size": 10', b'"input_size": 11'),
+    # Equal to what save_model writes under ==, but of another JSON type.
+    "float_input_size": _header_edit(b'"input_size": 10', b'"input_size": 10.0'),
+    "float_num_layers": _header_edit(b'"num_layers": 2', b'"num_layers": 2.0'),
+    "float_block_shape": _header_edit(b"[12, 10]", b"[12.0, 10]"),
     "zero_hidden_size": _header_edit(b'"hidden_size": 3', b'"hidden_size": 0'),
     "bool_hidden_size": _header_edit(b'"hidden_size": 3', b'"hidden_size": true'),
     "missing_dtype": _header_edit(b', "dtype": "<f8"', b""),
@@ -864,4 +868,30 @@ class TestModelFile:
         save_model(init_model(3, seed=32), path)
         path.write_bytes(MODEL_FILE_MUTATIONS[mutation](path.read_bytes()))
         with pytest.raises(PcgError, match=f"^{re.escape(str(path))}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("mutation, message", [
+        ("float_input_size", "input_size 10.0, expected 10"),
+        ("float_num_layers", "num_layers 2.0, expected 2"),
+        ("float_block_shape", "blocks ['layer1.fw.input_weights', [12.0, 10]], "
+                              "expected ['layer1.fw.input_weights', [12, 10]]"),
+    ], ids=["input-size", "num-layers", "block-shape"])
+    def test_header_value_of_another_json_type_named(self, tmp_path, mutation,
+                                                     message):
+        path = tmp_path / "model.bin"
+        save_model(init_model(3, seed=33), path)
+        path.write_bytes(MODEL_FILE_MUTATIONS[mutation](path.read_bytes()))
+        with pytest.raises(PcgError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
+
+    def test_bool_block_dimension_refused_at_hidden_1(self, tmp_path):
+        # At H = 1 a recurrent block is [4, 1], and true == 1 in Python.
+        path = tmp_path / "model.bin"
+        save_model(init_model(1, seed=34), path)
+        path.write_bytes(_header_edit(
+            b'"layer1.fw.recurrent_weights", [4, 1]',
+            b'"layer1.fw.recurrent_weights", [4, true]')(path.read_bytes()))
+        with pytest.raises(PcgError, match=re.escape(
+                f"{path}: blocks ['layer1.fw.recurrent_weights', [4, True]], "
+                "expected ['layer1.fw.recurrent_weights', [4, 1]]")):
             load_model(path)
