@@ -290,8 +290,8 @@ def cmd_grid(args) -> int:
     shapes = [WindowShape(name) for name in args.shapes]
     # Checked before any recording is read; _load_corpus preprocesses every
     # record to TARGET_SAMPLES.
-    evaluate.check_grid(shapes, args.lengths, args.hidden, args.trials,
-                        args.seed, args.hop, ingest.TARGET_SAMPLES)
+    evaluate.grid_plan(shapes, args.lengths, args.hidden, args.trials,
+                       args.seed, args.hop, ingest.TARGET_SAMPLES)
     out_dir = _check_output_dir(args.out_dir)
     records = _load_corpus(Path(args.corpus))
     cells = evaluate.run_grid(
@@ -368,7 +368,7 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--shape", choices=SHAPE_NAMES,
                    default="gaussian")
     p.add_argument("--length", type=int, default=30, help="nominal window length")
-    p.add_argument("--hop", type=int, default=1)
+    p.add_argument("--hop", type=int, default=evaluate.PROTOCOL_HOP)
     p.add_argument("--out", required=True, help="output feature CSV path")
     p.set_defaults(func=cmd_extract)
 
@@ -399,7 +399,7 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
                    default=list(evaluate.PROTOCOL_HIDDEN_SIZES))
     p.add_argument("--trials", type=int, default=evaluate.PROTOCOL_TRIALS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hop", type=int, default=1)
+    p.add_argument("--hop", type=int, default=evaluate.PROTOCOL_HOP)
     _add_train_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_grid, **_config_defaults(p, grid_config or {}))

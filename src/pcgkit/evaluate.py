@@ -2,19 +2,21 @@
 
 A trial stratified-splits the labeled feature sequences 70/30
 (PROTOCOL_TRAIN_FRACTION, fixed by the paper's protocol), trains a fresh
-classifier on the train side, and scores the test side.  The grid repeats
-that over window shape x window length x hidden size, re-extracting
-features once per (shape, length) and reporting per-trial and mean
-sensitivity / specificity / accuracy percentages (pathological is the
-positive class).
+classifier on the train side, and keeps the confusion counts of the test
+side.  The grid (`grid_plan`) repeats that over window shape x window
+length x hidden size, re-extracting features once per (shape, length),
+and reports per-trial and mean sensitivity / specificity / accuracy
+percentages derived from the counts (pathological is the positive class).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ PROTOCOL_LENGTHS = (15, 30, 50)
 PROTOCOL_HIDDEN_SIZES = (5, 30, 50, 100)
 PROTOCOL_TRIALS = 30
 PROTOCOL_TRAIN_FRACTION = 0.7
+PROTOCOL_HOP = 1
 
 
 @dataclass
@@ -59,24 +62,29 @@ class Metrics:
 
 @dataclass
 class TrialResult:
+    """A scored test side; `metrics` is derived from `confusion`."""
+
     confusion: Confusion
-    metrics: Metrics
     predictions: np.ndarray
     labels: np.ndarray
+
+    @property
+    def metrics(self) -> Metrics:
+        return metrics(self.confusion)
 
 
 @dataclass
 class GridCell:
-    """A measured cell; `mean` averages its trials, skipping None values."""
+    """A measured cell; `mean` averages its trials' metrics, skipping None."""
 
     spec: WindowSpec
     length_label: int
     hidden: int
-    trials: list[Metrics]
+    trials: list[Confusion]
 
     @property
     def mean(self) -> Metrics:
-        return _mean_metrics(self.trials)
+        return _mean_metrics([metrics(c) for c in self.trials])
 
 
 def confusion(predictions, labels) -> Confusion:
@@ -129,12 +137,11 @@ def split(dataset: list, seed: int = 0) -> tuple[list, list]:
 
 
 def score(model: nnet.BiLSTMModel, seqs: list[FeatureSequence]) -> TrialResult:
-    """Predictions, labels, confusion and metrics of a model on labeled
-    sequences; one class alone is fine (its other ratio is None)."""
+    """Predictions, labels and confusion of a model on labeled sequences;
+    one class alone is fine (its other ratio is None)."""
     labels = nnet.class_indices(seqs)
     predictions = nnet.predict_batch(model, seqs)
-    c = confusion(predictions, labels)
-    return TrialResult(confusion=c, metrics=metrics(c),
+    return TrialResult(confusion=confusion(predictions, labels),
                        predictions=predictions, labels=labels)
 
 
@@ -160,7 +167,7 @@ def _mean_metrics(trials: list[Metrics]) -> Metrics:
 
 
 def extract_dataset(records: list[AudioRecord], spec: WindowSpec,
-                    hop: int = 1) -> list[FeatureSequence]:
+                    hop: int = PROTOCOL_HOP) -> list[FeatureSequence]:
     """Frame + extract + normalize every record under one window config."""
     out = []
     for rec in records:
@@ -171,14 +178,15 @@ def extract_dataset(records: list[AudioRecord], spec: WindowSpec,
     return out
 
 
-def check_grid(shapes: list[WindowShape], lengths: list[int],
-               hidden_sizes: list[int], trials: int, base_seed: int, hop: int,
-               n_samples: int | None) -> list[list[WindowSpec]]:
-    """The grid's window specs, by shape then length, once the grid is
-    checked: ValueError on an empty axis, a value repeated on an axis, or a
-    bad length, hidden size, trial count or seed; and, unless `n_samples`
-    is None, `frame_centers` raises for a bad hop or for a window that
-    leaves a record of `n_samples` fewer than two frames."""
+def grid_plan(shapes: list[WindowShape], lengths: list[int],
+              hidden_sizes: list[int], trials: int, base_seed: int, hop: int,
+              n_samples: int | None) -> Iterator[tuple]:
+    """The grid's trials, lazily, as (spec, length_label, hidden, trial,
+    seed) in run order, seed = mix_seed(base_seed, si, li, hi, trial), once
+    this call has checked the grid: ValueError on an empty axis, a repeated
+    axis value, or a bad length, hidden size, trial count or seed; unless
+    `n_samples` is None, `frame_centers` raises for a bad hop or for a
+    window that leaves a record of `n_samples` fewer than two frames."""
     if not (shapes and lengths and hidden_sizes):
         raise ValueError("grid axes must be non-empty")
     check_count("trials", trials, 1)
@@ -196,7 +204,10 @@ def check_grid(shapes: list[WindowShape], lengths: list[int],
         for row in specs:
             for spec in row:
                 frame_centers(n_samples, spec, hop)
-    return specs
+    return ((spec, length, hidden, t, mix_seed(base_seed, si, li, hi, t))
+            for si, row in enumerate(specs)
+            for li, (spec, length) in enumerate(zip(row, lengths))
+            for hi, hidden in enumerate(hidden_sizes) for t in range(trials))
 
 
 def run_grid(records: list[AudioRecord],
@@ -205,29 +216,23 @@ def run_grid(records: list[AudioRecord],
              hidden_sizes: list[int],
              trials: int = PROTOCOL_TRIALS,
              base_seed: int = 0,
-             hop: int = 1,
+             hop: int = PROTOCOL_HOP,
              train_config: nnet.TrainConfig = nnet.TrainConfig()) -> list[GridCell]:
-    """One GridCell per shape x length x hidden size, in that order.
-
-    Features are extracted once per (shape, length); only the split and
-    training randomness vary across trials.  Per-trial seeds derive from
-    base_seed and the cell/trial indices alone, so each trial's result does
-    not depend on which trials ran before it.  `check_grid` checks every
-    argument before the first extraction, each window's fit against the
-    shortest record.
+    """One GridCell of Confusion trials per shape x length x hidden size, in
+    that order.  `grid_plan` checks every argument first (each window's fit
+    against the shortest record) and gives each trial a seed of its own, so
+    no result depends on the trials before it.  Features are extracted once
+    per (shape, length), and only that dataset is held.
     """
-    specs = check_grid(shapes, lengths, hidden_sizes, trials, base_seed, hop,
-                       min((rec.samples.size for rec in records), default=None))
-
+    plan = grid_plan(shapes, lengths, hidden_sizes, trials, base_seed, hop,
+                     min((rec.samples.size for rec in records), default=None))
     cells = []
-    for si, row in enumerate(specs):
-        for li, (spec, length) in enumerate(zip(row, lengths)):
-            dataset = extract_dataset(records, spec, hop=hop)
-            for hi, hidden in enumerate(hidden_sizes):
-                cells.append(GridCell(spec, length, hidden, [
-                    run_trial(dataset, hidden, train_config,
-                              mix_seed(base_seed, si, li, hi, t)).metrics
-                    for t in range(trials)]))
+    for (spec, length), window in groupby(plan, key=lambda p: p[:2]):
+        dataset = extract_dataset(records, spec, hop=hop)
+        for hidden, cell in groupby(window, key=lambda p: p[2]):
+            cells.append(GridCell(spec, length, hidden, [
+                run_trial(dataset, hidden, train_config, seed).confusion
+                for *_, seed in cell]))
     return cells
 
 
@@ -278,8 +283,8 @@ def emit_results(cells: list[GridCell], out_dir: str | Path) -> dict[str, Path]:
             out_dir / "results.csv",
             ["shape", "length_label", "L", "alpha", "hidden", "trial",
              "sens", "spec", "accu"],
-            ([*key(cell), t, *rounded(m)]
-             for cell in ordered for t, m in enumerate(cell.trials))),
+            ([*key(cell), t, *rounded(metrics(c))]
+             for cell in ordered for t, c in enumerate(cell.trials))),
         "summary": _write_csv(
             out_dir / "summary.csv",
             ["shape", "length_label", "L", "alpha", "hidden", "trials",

@@ -10,10 +10,12 @@ from pcgkit.evaluate import (
     Confusion,
     GridCell,
     Metrics,
+    TrialResult,
     _mean_metrics,
     confusion,
     emit_results,
     extract_dataset,
+    grid_plan,
     metrics,
     run_grid,
     run_trial,
@@ -202,6 +204,18 @@ class TestRunTrial:
         assert r.predictions.tolist() == forward_argmax(model, test_set)
 
 
+class TestTrialResult:
+    def test_fields_are_what_the_trial_measured(self):
+        assert [f.name for f in fields(TrialResult)] == [
+            "confusion", "predictions", "labels"]
+        r = run_trial(toy_blobs(10, seed=3), 3, nnet.TrainConfig(epochs=2),
+                      seed=5)
+        assert r.metrics == metrics(r.confusion)
+        with pytest.raises(TypeError):
+            TrialResult(confusion=r.confusion, metrics=r.metrics,
+                        predictions=r.predictions, labels=r.labels)
+
+
 class TestScore:
     def test_healthy_only_has_no_sensitivity(self):
         # One class alone is scored: only train needs both.
@@ -238,7 +252,8 @@ class TestRunGrid:
                          train_config=FAST_TRAIN)
         assert len(cells) == 36
         first = cells[0]
-        assert first.mean == first.trials[0]  # single trial: mean is trivial
+        # single trial: mean is trivial
+        assert first.mean == metrics(first.trials[0])
 
     def test_mean_is_permutation_invariant(self):
         records = tiny_corpus()
@@ -247,8 +262,8 @@ class TestRunGrid:
                          train_config=FAST_TRAIN)
         cell = cells[0]
         reordered = list(reversed(cell.trials))
-        assert np.mean([t.accuracy for t in reordered]) == pytest.approx(
-            cell.mean.accuracy)
+        assert np.mean([metrics(t).accuracy for t in reordered]) == \
+            pytest.approx(cell.mean.accuracy)
 
     def test_deterministic_across_runs(self):
         records = tiny_corpus()
@@ -313,6 +328,35 @@ class TestRunGrid:
                      hidden_sizes=[3], trials=1, train_config=FAST_TRAIN)
 
 
+class TestGridPlan:
+    SHAPES = [WindowShape.TRIANGULAR, WindowShape.GAUSSIAN]
+
+    def test_order_and_seeds_are_the_nested_loop(self):
+        lengths, hidden_sizes = [30, 15], [4, 2]
+        plan = grid_plan(self.SHAPES, lengths, hidden_sizes, trials=3,
+                         base_seed=9, hop=400, n_samples=1000)
+        expected = [
+            (WindowSpec.from_nominal_length(shape, length), length, hidden, t,
+             mix_seed(9, si, li, hi, t))
+            for si, shape in enumerate(self.SHAPES)
+            for li, length in enumerate(lengths)
+            for hi, hidden in enumerate(hidden_sizes)
+            for t in range(3)]
+        assert list(plan) == expected
+        assert len(expected) == 24
+
+    def test_too_long_window_refused_at_the_call(self):
+        with pytest.raises(PcgError, match="^window length 1201 at hop 400 "):
+            grid_plan(self.SHAPES, [30, 1200], [2], trials=1, base_seed=0,
+                      hop=400, n_samples=1000)
+
+    def test_trial_count_is_not_materialized(self):
+        plan = grid_plan(self.SHAPES, [30], [2], trials=10**12, base_seed=0,
+                         hop=400, n_samples=1000)
+        spec = WindowSpec.from_nominal_length(WindowShape.TRIANGULAR, 30)
+        assert next(plan) == (spec, 30, 2, 0, mix_seed(0, 0, 0, 0, 0))
+
+
 class TestGridCell:
     def test_fields_are_what_the_grid_measured(self):
         assert [f.name for f in fields(GridCell)] == [
@@ -322,13 +366,15 @@ class TestGridCell:
                      trials=[])
 
     def test_mean_is_derived_from_the_trials(self):
+        # Metrics (50.0, None, 50.0), (None, 20.0, 20.0), then
+        # (100.0, 40.0, 62.5).
         cell = GridCell(WindowSpec.from_nominal_length(WindowShape.GAUSSIAN, 30),
-                        30, 3, [Metrics(50.0, None, 75.0),
-                                Metrics(None, 20.0, 25.0)])
-        assert cell.mean == _mean_metrics(cell.trials) == Metrics(
-            50.0, 20.0, 50.0)
-        cell.trials.append(Metrics(100.0, 40.0, 0.0))
-        assert cell.mean == Metrics(75.0, 30.0, 100.0 / 3)
+                        30, 3, [Confusion(tp=1, fn=1, tn=0, fp=0),
+                                Confusion(tp=0, fn=0, tn=1, fp=4)])
+        assert cell.mean == _mean_metrics(
+            [metrics(c) for c in cell.trials]) == Metrics(50.0, 20.0, 35.0)
+        cell.trials.append(Confusion(tp=3, fn=0, tn=2, fp=3))
+        assert cell.mean == Metrics(75.0, 30.0, 132.5 / 3)
 
 
 class TestEmitResults:
@@ -367,11 +413,13 @@ class TestEmitResults:
         # A None trial metric is left out of its cell's mean, and figure5
         # averages the two cell means, not the four trials (sens 75.0).
         spec = WindowSpec.from_nominal_length(WindowShape.GAUSSIAN, 31)
+        # The trials' Metrics: (100.0, 40.0, 70.0), (75.0, 20.0, 47.5),
+        # (50.0, 80.0, 65.0) and (None, 60.0, 60.0).
         cells = [
-            GridCell(spec, 31, 5, [Metrics(100.0, 40.0, 70.0),
-                                   Metrics(75.0, 20.0, 47.5)]),
-            GridCell(spec, 31, 2, [Metrics(50.0, 80.0, 65.0),
-                                   Metrics(None, 60.0, 60.0)]),
+            GridCell(spec, 31, 5, [Confusion(tp=5, fn=0, tn=2, fp=3),
+                                   Confusion(tp=15, fn=5, tn=4, fp=16)]),
+            GridCell(spec, 31, 2, [Confusion(tp=10, fn=10, tn=16, fp=4),
+                                   Confusion(tp=0, fn=0, tn=3, fp=2)]),
         ]
         paths = emit_results(cells, tmp_path)
         assert paths["summary"].read_text().splitlines() == [
