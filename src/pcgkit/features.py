@@ -50,9 +50,12 @@ FEATURE_NAMES = (
 DEFAULT_BINS = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureSequence:
-    """T x 10 matrix of per-frame features plus its extraction config."""
+    """T x 10 matrix of per-frame features plus its extraction config,
+    checked when made (ValueError), so that every sequence stacks and reads
+    back from write_features' files.  The values are not scanned: their
+    makers check that they are finite."""
 
     values: np.ndarray
     signal_id: str
@@ -61,6 +64,24 @@ class FeatureSequence:
     hop: int
     bins: int
     normalized: bool = False
+
+    def __post_init__(self):
+        if type(self.signal_id) is not str:
+            raise ValueError(f"signal_id must be a string, got {self.signal_id!r}")
+        shape = np.shape(self.values)
+        if len(shape) != 2 or shape[0] < 1:
+            raise ValueError(f"sequence {self.signal_id!r} has no frames")
+        if shape[1] != len(FEATURE_NAMES):
+            raise ValueError(f"sequence {self.signal_id!r} has {shape[1]} "
+                             f"features per frame, not {len(FEATURE_NAMES)}")
+        for name, kind in (("label", Label), ("window", WindowSpec)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+        for name in ("hop", "bins"):
+            check_count(name, getattr(self, name), 1)
+        if type(self.normalized) is not bool:
+            raise ValueError(f"normalized must be true or false, "
+                             f"got {self.normalized!r}")
 
     @property
     def num_frames(self) -> int:
@@ -329,9 +350,8 @@ def read_features(path: str | Path) -> FeatureSequence:
     Raises PcgError naming the file when the CSV is not a finite numeric
     matrix with one column per feature, or the sidecar is not one
     write_features could have written: a JSON object with every key, an
-    even L, a known shape and label, a positive int hop and bins, a finite
-    positive alpha, a bool normalized, a string signal_id, and columns
-    equal to FEATURE_NAMES.
+    even L, a known shape and label, columns equal to FEATURE_NAMES, and
+    fields that WindowSpec and FeatureSequence accept.
     """
     path = Path(path)
     try:
@@ -352,16 +372,7 @@ def read_features(path: str | Path) -> FeatureSequence:
             raise ValueError(f"columns {meta['columns']!r} are not FEATURE_NAMES")
         if type(meta["L"]) is not int or meta["L"] % 2:
             raise ValueError(f"L must be an even int, got {meta['L']!r}")
-        for key in ("hop", "bins"):
-            check_count(key, meta[key], 1)
-        if type(meta["alpha"]) not in (int, float):
-            raise ValueError(f"alpha must be a number, got {meta['alpha']!r}")
-        if type(meta["normalized"]) is not bool:
-            raise ValueError(f"normalized must be true or false, "
-                             f"got {meta['normalized']!r}")
-        if type(meta["signal_id"]) is not str:
-            raise ValueError(f"signal_id must be a string, got {meta['signal_id']!r}")
-        return FeatureSequence(
+        return FeatureSequence(  # which checks every other field
             values=values,
             signal_id=meta["signal_id"],
             label=Label(meta["label"]),

@@ -120,7 +120,7 @@ class BiLSTMModel:
         self.head_weights, self.head_bias = v[12:]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 500
     batch_size: int = 16
@@ -244,29 +244,20 @@ def _forward_batch(model: BiLSTMModel, X: np.ndarray) -> tuple:
 
 def _stack(seqs: list[FeatureSequence]) -> np.ndarray:
     """The (B, T, INPUT_SIZE) float64 batch of a non-empty list of
-    sequences; the first that has no frames or is not INPUT_SIZE wide, or
-    differs from seqs[0] in a key of its feature `config` or in shape, is
-    refused by name, with the first key that differs."""
-    first, values = seqs[0], []
+    sequences, each INPUT_SIZE wide with frames since it was made; the first
+    that differs from seqs[0] in a key of its feature `config` or in shape
+    is refused by name, with the first key that differs."""
+    first = seqs[0]
+    want = {**first.config, "values shape": np.shape(first.values)}
     for k, seq in enumerate(seqs):
-        v = np.asarray(seq.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise PcgError(f"sequence {seq.signal_id!r} has no frames")
-        if v.shape[1] != INPUT_SIZE:
-            raise PcgError(
-                f"sequence {seq.signal_id!r} has {v.shape[1]} features per "
-                f"frame, not {INPUT_SIZE}")
-        values.append(v)
-        got = {**seq.config, "values shape": v.shape}
-        if k == 0:
-            want = got
+        got = {**seq.config, "values shape": np.shape(seq.values)}
         for name, value in got.items():
             if value != want[name]:
                 raise PcgError(
                     f"sequence {k} ({seq.signal_id!r}) has {name} {value}, "
                     f"sequence 0 ({first.signal_id!r}) has {want[name]}: "
                     "a batch takes one feature config and one shape")
-    return np.stack(values)
+    return np.stack([seq.values for seq in seqs], dtype=np.float64)
 
 
 def predict_batch(model: BiLSTMModel,

@@ -34,8 +34,8 @@ class WindowSpec:
 
     half_length is L/2, so the full window has 2*half_length + 1 points.
     alpha is only meaningful for the Gaussian shape; larger alpha narrows
-    the window in time.  It must be finite and positive for every shape,
-    so every spec a feature file records reads back.
+    the window in time.  It must be a finite positive int or float (not a
+    bool) for every shape, so every spec a feature file records reads back.
     """
 
     shape: WindowShape
@@ -44,6 +44,8 @@ class WindowSpec:
 
     def __post_init__(self):
         check_count("half_length", self.half_length, 1)
+        if not isinstance(self.alpha, (int, float)) or isinstance(self.alpha, bool):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 

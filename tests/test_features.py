@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import json
 import math
 import warnings
 
@@ -10,16 +12,19 @@ from pcgkit.features import (
     DEFAULT_BINS,
     _quartile_columns,
     FEATURE_NAMES,
+    FeatureSequence,
     extract_sequence,
     feature_matrix,
     normalize_sequence,
     read_features,
     write_features,
 )
+from pcgkit.errors import PcgError
 from pcgkit.ingest import Label
 from pcgkit.windows import WindowShape, WindowSpec, frame_matrix
 
 from naive_features import NAIVE_BY_NAME, _naive_histogram
+from test_cli import FEATURE_FILE_MUTATIONS
 from test_nnet import traced_peak
 
 # The windows that cut 15- and 31-sample frames.
@@ -292,6 +297,83 @@ class TestExtractSequence:
             assert cols["variance"] >= 0.0
             assert 0.0 <= cols["zcr"] < 1.0
             assert cols["quantile_range"] >= 0.0
+
+
+def sequence_fields(**changes):
+    """The fields of a valid 5-frame FeatureSequence, with `changes`."""
+    return {"values": np.zeros((5, 10)), "signal_id": "s", "label": Label.HEALTHY,
+            "window": RECT_15, "hop": 1, "bins": DEFAULT_BINS,
+            "normalized": False, **changes}
+
+
+class TestFeatureSequence:
+    @pytest.mark.parametrize("field, value, message", [
+        ("values", np.zeros(5), "sequence 's' has no frames"),
+        ("values", np.zeros((0, 10)), "sequence 's' has no frames"),
+        ("values", np.zeros((5, 4)), "sequence 's' has 4 features per frame, not 10"),
+        ("signal_id", 7, "signal_id must be a string, got 7"),
+        ("signal_id", None, "signal_id must be a string, got None"),
+        ("label", "healthy", "label must be a Label, got 'healthy'"),
+        ("window", None, "window must be a WindowSpec, got None"),
+        ("hop", 0, "hop must be >= 1, got 0"),
+        ("hop", -3, "hop must be >= 1, got -3"),
+        ("hop", 2.5, "hop must be an integer, got 2.5"),
+        ("hop", True, "hop must be an integer, got True"),
+        ("bins", 0, "bins must be >= 1, got 0"),
+        ("bins", 10.0, "bins must be an integer, got 10.0"),
+        ("normalized", 1, "normalized must be true or false, got 1"),
+        ("normalized", "yes", "normalized must be true or false, got 'yes'"),
+    ])
+    def test_refused_when_made(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            FeatureSequence(**sequence_fields(**{field: value}))
+        assert str(info.value) == message
+
+    def test_frozen(self):
+        seq = FeatureSequence(**sequence_fields())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seq.hop = 0
+
+    def test_made_as_read_features_reads(self, tmp_path):
+        # Every sidecar value of a checked field that read_features refuses
+        # is refused, with the same text, when a sequence is made with it,
+        # so extract_sequence writes no file that read_features refuses.
+        frames = np.random.default_rng(23).normal(size=(5, 15))
+        path = tmp_path / "f.csv"
+        meta_path = path.with_suffix(".meta.json")
+        write_features(extract_sequence(frames, window=RECT_15), path)
+        csv_raw, meta_raw = path.read_bytes(), meta_path.read_bytes()
+        meta = json.loads(meta_raw)
+        checked = {"hop", "bins", "alpha", "normalized", "signal_id"}
+        seen = set()
+        for name, mutation in sorted(FEATURE_FILE_MUTATIONS.items()):
+            bad_csv, bad_meta = mutation(csv_raw, meta_raw)
+            try:
+                edited = json.loads(bad_meta)
+            except (ValueError, RecursionError):
+                continue
+            if (bad_csv != csv_raw or not isinstance(edited, dict)
+                    or edited.keys() != meta.keys()):
+                continue
+            changed = [key for key in meta if edited[key] != meta[key]]
+            if len(changed) != 1 or changed[0] not in checked:
+                continue
+            key, value = changed[0], edited[changed[0]]
+            meta_path.write_bytes(bad_meta)
+            with pytest.raises(PcgError) as read:
+                read_features(path)
+            with pytest.raises(ValueError) as made:
+                if key == "alpha":
+                    extract_sequence(frames, window=WindowSpec(
+                        RECT_15.shape, RECT_15.half_length, value))
+                elif key == "normalized":
+                    dataclasses.replace(extract_sequence(frames, window=RECT_15),
+                                        normalized=value)
+                else:
+                    extract_sequence(frames, window=RECT_15, **{key: value})
+            assert str(read.value) == f"{meta_path}: {made.value}", name
+            seen.add(key)
+        assert seen == checked
 
 
 def histogram_mode_entropy(row, bins):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -535,6 +536,11 @@ class TestSgdm:
         with pytest.raises(TypeError, match="seed"):
             train(toy_blobs(2), 3, TrainConfig(epochs=1))
 
+    def test_train_config_frozen(self):
+        # A shared default, such as run_grid's, cannot be changed in place.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TrainConfig().epochs = 0
+
     def test_numpy_integer_counts_accepted(self):
         config = TrainConfig(epochs=np.int64(2), batch_size=np.int32(3))
         assert (config.epochs, config.batch_size) == (2, 3)
@@ -598,18 +604,16 @@ class TestTrain:
             train(data, 3, TrainConfig(epochs=1), seed=0)
 
     def test_empty_sequence_named(self):
-        data = toy_blobs(2) + [make_seq(np.zeros((0, 10)), sid="void")]
-        with pytest.raises(PcgError, match="sequence 'void' has no frames"):
-            train(data, 3, TrainConfig(epochs=1), seed=0)
+        # Refused when made, so no list that train takes holds one.
+        with pytest.raises(ValueError, match="sequence 'void' has no frames"):
+            make_seq(np.zeros((0, 10)), sid="void")
 
     def test_sequence_without_feature_columns_named(self):
         # Width 0 would train a model that sees no input, its loss at ln 2.
-        data = [make_seq(np.zeros((5, 0)), label=label, sid=f"z{i}")
-                for i, label in enumerate([Label.HEALTHY, Label.PATHOLOGICAL] * 2)]
-        with pytest.raises(PcgError,
+        with pytest.raises(ValueError,
                            match="^sequence 'z0' has 0 features per frame, "
                                  "not 10$"):
-            train(data, 3, TrainConfig(epochs=1), seed=0)
+            make_seq(np.zeros((5, 0)), sid="z0")
 
     def test_unlabeled_sequence_named(self):
         data = toy_blobs(2) + [make_seq(np.ones((5, 10)), label=Label.UNLABELED,
@@ -644,7 +648,7 @@ class TestTrain:
     def test_mixed_feature_config_refused(self, field, value):
         # Same shape, different provenance: still two feature sets.
         data = toy_blobs(4)
-        setattr(data[5], field, value)
+        data[5] = dataclasses.replace(data[5], **{field: value})
         key = "window_shape" if field == "window" else field  # sidecar key
         with pytest.raises(PcgError,
                            match=rf"^sequence 5 \('pathological1'\) has "
@@ -695,21 +699,17 @@ class TestPredict:
         assert got.dtype == np.int64 and got.shape == (0,)
 
     def test_sequence_without_frames_is_named(self):
-        seqs = [make_seq(np.ones((3, 10))), make_seq(np.empty((0, 10)), sid="e")]
-        with pytest.raises(PcgError, match="'e'"):
-            nnet.predict_batch(init_model(3, seed=30), seqs)
+        with pytest.raises(ValueError, match="'e'"):
+            make_seq(np.empty((0, 10)), sid="e")
 
     def test_model_width_mismatch_refused(self):
-        # The network takes nnet.INPUT_SIZE features per frame; `_stack`
-        # refuses any other width, so train and predict_batch refuse alike.
-        seqs = [make_seq(np.ones((5, 4)), label=label, sid=sid)
-                for label, sid in ((Label.HEALTHY, "w"),
-                                   (Label.PATHOLOGICAL, "x"))]
-        message = r"^sequence 'w' has 4 features per frame, not 10$"
-        with pytest.raises(PcgError, match=message):
-            nnet.predict_batch(init_model(3, seed=30), seqs)
-        with pytest.raises(PcgError, match=message):
-            train(seqs, 3, TrainConfig(epochs=1), seed=0)
+        # The network takes nnet.INPUT_SIZE features per frame; a sequence
+        # of any other width is refused when made, before train or
+        # predict_batch could take it.
+        with pytest.raises(ValueError,
+                           match=r"^sequence 'w' has 4 features per frame, "
+                                 r"not 10$"):
+            make_seq(np.ones((5, 4)), sid="w")
 
     def test_mixed_lengths_refused(self):
         seqs = [make_seq(np.ones((T, 10)), sid=sid)

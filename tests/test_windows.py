@@ -29,6 +29,17 @@ class TestWindowSpec:
         with pytest.raises(ValueError):
             WindowSpec(G, 5, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [True, "x", None, np.int64(3)])
+    def test_non_number_alpha_refused(self, alpha):
+        # A sidecar records alpha as JSON, which has no np.int64.
+        with pytest.raises(ValueError) as info:
+            WindowSpec(G, 5, alpha=alpha)
+        assert str(info.value) == f"alpha must be a number, got {alpha!r}"
+
+    @pytest.mark.parametrize("alpha", [np.float64(2.5), 3])
+    def test_int_and_float_alpha_accepted(self, alpha):
+        assert WindowSpec(G, 5, alpha=alpha).alpha == alpha
+
     @pytest.mark.parametrize("nominal,L", [(15, 14), (30, 30), (50, 50), (31, 30)])
     def test_nominal_lengths(self, nominal, L):
         spec = WindowSpec.from_nominal_length(G, nominal)
