@@ -4,8 +4,9 @@ Subcommands: synth, extract, train, eval, grid, window-info.
 Recordings are mono 16-bit PCM WAV files: synth writes them, extract and
 grid read them.
 Exit codes: 0 ok, 1 domain error or failed allocation, 2 usage or I/O error.
-All randomness flows from --seed (default 0 on every command); repeated
-runs with the same inputs and flags produce byte-identical outputs.
+All randomness flows from --seed: train requires it, and synth and grid
+default to 0, as generate_dataset and run_grid do; repeated runs with the
+same inputs and flags produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -177,9 +178,11 @@ def cmd_extract(args) -> int:
     # preprocess makes every record TARGET_SAMPLES long.
     spec = WindowSpec.from_nominal_length(WindowShape(args.shape), args.length)
     frame_centers(ingest.TARGET_SAMPLES, spec, args.hop)
-    reads = [("--input", args.input)]
-    out, = _check_output_files([("--out", args.out)], reads)
-    _check_output_files([("--out", sidecar_path(out))], reads)
+    out = Path(args.out)
+    # "." and "/" have no name, so no sidecar: they are refused as directories.
+    _check_output_files(
+        [("--out", out), ("--out", sidecar_path(out) if out.name else None)],
+        [("--input", args.input)])
     path = _require_file(args.input)
     record = read_wav(path)
     if args.label:
@@ -350,8 +353,8 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled WAV corpus")
-    p.add_argument("--healthy", type=int, default=20)
-    p.add_argument("--pathological", type=int, default=20)
+    p.add_argument("--healthy", type=int, required=True)
+    p.add_argument("--pathological", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     synth_config = synth.SynthConfig()
     p.add_argument("--duration", type=float, default=synth_config.duration_s)
@@ -365,17 +368,17 @@ def build_parser(grid_config: dict | None = None) -> argparse.ArgumentParser:
                    help="mono 16-bit PCM WAV recording")
     p.add_argument("--label", choices=[label.value for label in CLASS_INDEX],
                    default=None)
-    p.add_argument("--shape", choices=SHAPE_NAMES,
-                   default="gaussian")
-    p.add_argument("--length", type=int, default=30, help="nominal window length")
+    p.add_argument("--shape", choices=SHAPE_NAMES, required=True)
+    p.add_argument("--length", type=int, required=True,
+                   help="nominal window length")
     p.add_argument("--hop", type=int, default=evaluate.PROTOCOL_HOP)
     p.add_argument("--out", required=True, help="output feature CSV path")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train a model on a directory of feature CSVs")
     p.add_argument("--features", required=True)
-    p.add_argument("--hidden", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--hidden", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
     _add_train_flags(p)
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--history", default=None, help="optional history JSON path")

@@ -2,10 +2,10 @@
 
 Bad files and violated contracts raise :class:`PcgError`, the only
 exception class pcgkit defines; its message says what was refused.  A
-bad argument value (a count, a window, a grid axis, a training setting)
-or a feature value that is not finite raises ValueError.  The CLI maps
-both to exit 1, and OSError to exit 2, so neither is taken for a genuine
-bug.
+bad argument value (a count, a window, a grid axis, a training or synth
+setting) or a feature value that is not finite raises ValueError.  The
+CLI maps both to exit 1, and OSError to exit 2, so neither is taken for
+a genuine bug.
 :func:`json_object` is the one reader of JSON from outside the program
 (model headers, feature sidecars, run configs): whatever it cannot read
 as an object it refuses with a PcgError naming the file.

@@ -286,7 +286,7 @@ def extract_sequence(frames: np.ndarray,
                      label: Label = Label.UNLABELED,
                      *,
                      window: WindowSpec,
-                     hop: int = 1) -> FeatureSequence:
+                     hop: int) -> FeatureSequence:
     """The T x 10 feature sequence of a (T, L+1) frame matrix cut with
     `window` at `hop`; ValueError when the frames are not window.length
     points wide."""

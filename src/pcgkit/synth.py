@@ -50,21 +50,23 @@ class SynthConfig:
 
     def __post_init__(self):
         for name in ("duration_s", "murmur_gain", "noise_floor"):
-            if not math.isfinite(getattr(self, name)):
-                raise PcgError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.duration_s < 2 * 60.0 / HEART_RATE_BPM[0]:
-            raise PcgError(
+            raise ValueError(
                 f"duration {self.duration_s}s holds fewer than 2 cycles "
                 f"at {HEART_RATE_BPM[0]} bpm")
         # round(duration_s * RATE_HZ) > MAX_WAV_SAMPLES, which is odd, so a
         # tie at MAX_WAV_SAMPLES + 0.5 rounds up.
         if self.duration_s * RATE_HZ >= MAX_WAV_SAMPLES + 0.5:
-            raise PcgError(
+            raise ValueError(
                 f"duration {self.duration_s}s at rate {RATE_HZ} Hz is "
                 f"more than the {MAX_WAV_SAMPLES} samples a WAV file holds")
         if self.murmur_gain < 0 or self.noise_floor < 0:
-            raise PcgError("murmur_gain and noise_floor must be >= 0")
+            raise ValueError("murmur_gain and noise_floor must be >= 0")
 
 
 def _tones(u: np.ndarray, t: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -96,7 +96,7 @@ def frame_centers(n_samples: int, spec: WindowSpec, hop: int) -> np.ndarray:
 
 
 def frame_matrix(samples: np.ndarray, spec: WindowSpec,
-                 hop: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                 hop: int) -> tuple[np.ndarray, np.ndarray]:
     """All frames at once as a (num_frames, L+1) matrix plus their centers.
 
     Row t is the windowed segment y_n[l] = w[l] * x[n+l] centered at sample

@@ -121,7 +121,7 @@ def test_criterion_2_feature_oracle_suite():
 def test_criterion_3_normalization():
     rng = np.random.default_rng(3)
     frames = rng.standard_t(3, size=(300, 31))
-    seq = extract_sequence(frames, window=RECT_31)
+    seq = extract_sequence(frames, window=RECT_31, hop=1)
     seq.values[:, 2] = 1.25  # force one constant column
     out = normalize_sequence(seq)
 

@@ -28,6 +28,11 @@ from test_nnet import MODEL_FILE_MUTATIONS, _header_edit, _rewrite_header
 # tree for leftover uses of it finds none.
 REMOVED_FLAG = "jo" "bs"
 
+# Extract's and train's required settings, at the values the pinned
+# outputs and the fixtures were made with.
+OLD_WINDOW = ["--shape", "gaussian", "--length", "30"]
+OLD_TRAIN = ["--hidden", "30", "--seed", "0"]
+
 
 def write_1250_hz_wav(path):
     """A valid WAV whose rate is not a multiple of preprocess's 500 Hz."""
@@ -138,7 +143,8 @@ class TestSynthCommand:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "f.txt").write_text("")
         monkeypatch.setattr(synth, "generate_dataset", None)  # a call would fail
-        code = main(["synth", "--out-dir", out_dir])
+        code = main(["synth", "--healthy", "20", "--pathological", "20",
+                     "--out-dir", out_dir])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == (f"error: cannot write {out_dir}: f.txt is not "
@@ -162,7 +168,7 @@ class TestExtractCommand:
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["extract", "--input", str(tmp_path / "nope.wav"),
-                     "--out", str(tmp_path / "f.csv")])
+                     *OLD_WINDOW, "--out", str(tmp_path / "f.csv")])
         assert code == 2
         assert "nope.wav" in capsys.readouterr().err
 
@@ -177,7 +183,8 @@ class TestExtractCommand:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "f.txt").write_text("")
         monkeypatch.setattr(cli, "read_wav", None)  # a call would fail
-        code = main(["extract", "--input", str(wav), "--out", out])
+        code = main(["extract", "--input", str(wav), *OLD_WINDOW,
+                     "--out", out])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
@@ -192,8 +199,9 @@ class TestExtractCommand:
             message):
         wav = sorted(corpus_dir.glob("*.wav"))[0]
         monkeypatch.setattr(cli, "read_wav", None)  # a call would fail
-        code = main(["extract", "--input", str(wav), "--length", length,
-                     "--hop", hop, "--out", str(tmp_path / "one.csv")])
+        code = main(["extract", "--input", str(wav), "--shape", "gaussian",
+                     "--length", length, "--hop", hop,
+                     "--out", str(tmp_path / "one.csv")])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err == (f"error: {message} in a record of 5000 "
@@ -207,7 +215,7 @@ class TestExtractCommand:
         wav = sorted(corpus_dir.glob("*.wav"))[0]
         with pytest.raises(SystemExit) as exc:
             main(["extract", "--input", str(wav), "--label", "unlabeled",
-                  "--hop", "250", "--out", str(tmp_path / "f.csv")])
+                  *OLD_WINDOW, "--hop", "250", "--out", str(tmp_path / "f.csv")])
         assert exc.value.code == 2
         assert "invalid choice: 'unlabeled'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -215,7 +223,7 @@ class TestExtractCommand:
     def test_non_wav_input_exits_1_naming_the_file(self, tmp_path, capsys):
         csv_in = tmp_path / "rec.csv"
         np.savetxt(csv_in, np.linspace(-0.5, 0.5, 20000))
-        code = main(["extract", "--input", str(csv_in),
+        code = main(["extract", "--input", str(csv_in), *OLD_WINDOW,
                      "--out", str(tmp_path / "f.csv")])
         assert code == 1
         assert capsys.readouterr().err == (
@@ -229,8 +237,8 @@ class TestExtractCommand:
         for raw in wav_mutations(sorted(corpus_dir.glob("*.wav"))[0].read_bytes(),
                                  200, seed=80):
             wav.write_bytes(raw)
-            code = main(["extract", "--input", str(wav), "--hop", "250",
-                         "--out", str(out)])
+            code = main(["extract", "--input", str(wav), *OLD_WINDOW,
+                         "--hop", "250", "--out", str(out)])
             captured = capsys.readouterr()
             codes.add(code)
             assert code in (0, 1, 2)
@@ -244,7 +252,7 @@ class TestExtractCommand:
     def test_undecimable_rate_names_the_file(self, tmp_path, capsys):
         wav = tmp_path / "odd_rate.wav"
         write_1250_hz_wav(wav)
-        code = main(["extract", "--input", str(wav),
+        code = main(["extract", "--input", str(wav), *OLD_WINDOW,
                      "--out", str(tmp_path / "f.csv")])
         assert code == 1
         err = capsys.readouterr().err
@@ -256,8 +264,8 @@ class TestExtractCommand:
         wav = sorted(corpus_dir.glob("*.wav"))[0]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
-            assert main(["extract", "--input", str(wav), "--hop", "50",
-                         "--out", str(out)]) == 0
+            assert main(["extract", "--input", str(wav), *OLD_WINDOW,
+                         "--hop", "50", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_output_is_pinned(self, tmp_path):
@@ -268,7 +276,8 @@ class TestExtractCommand:
         wav = tmp_path / f"{rec.id}.wav"
         write_wav(rec, wav)
         assert main(["extract", "--input", str(wav), "--label", "healthy",
-                     "--hop", "25", "--out", str(tmp_path / "f.csv")]) == 0
+                     *OLD_WINDOW, "--hop", "25",
+                     "--out", str(tmp_path / "f.csv")]) == 0
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in ("f.csv", "f.meta.json")} == {
             "f.csv": "7c394b4608ea4bbef3f44756aac3f81075ff360841d1423ecce2e301a0530145",
@@ -363,7 +372,7 @@ def mixed_feature_dir(corpus_dir, tmp_path_factory):
         stem = row["filename"].removesuffix(".wav")
         for hop in ("25", "50"):
             assert main(["extract", "--input", str(corpus_dir / row["filename"]),
-                         "--label", row["label"], "--length", "30",
+                         "--label", row["label"], *OLD_WINDOW,
                          "--hop", hop,
                          "--out", str(out / f"{stem}_hop{hop}.csv")]) == 0
     return out
@@ -409,7 +418,8 @@ class TestTrainEvalCommands:
     def test_eval_writes_metrics_file(self, feature_dir, tmp_path, capsys):
         model_path = tmp_path / "model.bin"
         assert main(["train", "--features", str(feature_dir), "--hidden", "3",
-                     "--epochs", "2", "--out", str(model_path)]) == 0
+                     "--seed", "0", "--epochs", "2",
+                     "--out", str(model_path)]) == 0
         capsys.readouterr()
         assert main(["eval", "--model", str(model_path),
                      "--features", str(feature_dir)]) == 0
@@ -420,7 +430,7 @@ class TestTrainEvalCommands:
     def test_empty_feature_dir_exits_2(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         code = main(["train", "--features", str(tmp_path / "empty"),
-                     "--out", str(tmp_path / "m.bin")])
+                     *OLD_TRAIN, "--out", str(tmp_path / "m.bin")])
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: no feature CSVs in {tmp_path / 'empty'}\n")
@@ -430,7 +440,7 @@ class TestTrainEvalCommands:
                                                 capsys, monkeypatch):
         monkeypatch.setattr(cli, "read_features", None)  # a call would fail
         code = main(["train", "--features", str(feature_dir), "--hidden", "0",
-                     "--out", str(tmp_path / "m.bin")])
+                     "--seed", "0", "--out", str(tmp_path / "m.bin")])
         assert code == 1
         assert capsys.readouterr().err == (
             "error: hidden size must be >= 1, got 0\n")
@@ -440,7 +450,7 @@ class TestTrainEvalCommands:
                                    monkeypatch):
         monkeypatch.setattr(cli, "read_features", None)  # a call would fail
         code = main(["train", "--features", str(feature_dir), "--seed", "-1",
-                     "--out", str(tmp_path / "m.bin")])
+                     "--hidden", "30", "--out", str(tmp_path / "m.bin")])
         assert code == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert list(tmp_path.iterdir()) == []
@@ -457,7 +467,8 @@ class TestTrainEvalCommands:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "m.txt").write_text("")
         code = main(["train", "--features", str(feature_dir), "--hidden", "3",
-                     "--epochs", "1", "--out", out, "--history", history])
+                     "--seed", "0", "--epochs", "1", "--out", out,
+                     "--history", history])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot write ")
@@ -468,7 +479,7 @@ class TestTrainEvalCommands:
                                                     tmp_path, capsys):
         capsys.readouterr()
         code = main(["train", "--features", str(mixed_feature_dir),
-                     "--hidden", "3", "--epochs", "1",
+                     "--hidden", "3", "--seed", "0", "--epochs", "1",
                      "--out", str(tmp_path / "m.bin")])
         assert code == 1
         assert_mixed_hops_refused(capsys.readouterr().err, mixed_feature_dir)
@@ -494,7 +505,8 @@ class TestTrainEvalCommands:
         values[1, 2] = np.nan
         np.savetxt(path, values, delimiter=",")
         code = main(["train", "--features", str(features), "--hidden", "3",
-                     "--epochs", "2", "--out", str(tmp_path / "m.bin")])
+                     "--seed", "0", "--epochs", "2",
+                     "--out", str(tmp_path / "m.bin")])
         assert code == 1
         err = capsys.readouterr().err
         # Refused when read, before any training step.
@@ -537,8 +549,8 @@ class TestTrainEvalCommands:
         wav = sorted(corpus_dir.glob("*.wav"))[0]
         features = tmp_path / "features"
         features.mkdir()
-        assert main(["extract", "--input", str(wav), "--hop", "250",
-                     "--out", str(features / "f.csv")]) == 0
+        assert main(["extract", "--input", str(wav), *OLD_WINDOW,
+                     "--hop", "250", "--out", str(features / "f.csv")]) == 0
         model = tmp_path / "model.bin"
         nnet.save_model(nnet.init_model(3, seed=0), model)
         capsys.readouterr()
@@ -864,9 +876,10 @@ def test_unwritable_output_exits_2_before_reading(
         command, flag, path, message):
     inputs = {  # the row's flag comes last, and argparse takes the last value
         "synth": ["--healthy", "1", "--pathological", "1"],
-        "extract": ["--input", str(sorted(corpus_dir.glob("*.wav"))[0])],
+        "extract": ["--input", str(sorted(corpus_dir.glob("*.wav"))[0]),
+                    *OLD_WINDOW],
         "train": ["--features", str(feature_dir), "--hidden", "3",
-                  "--epochs", "1", "--out", "m.bin"],
+                  "--seed", "0", "--epochs", "1", "--out", "m.bin"],
         "grid": ["--corpus", str(corpus_dir), *SMALL_GRID],
     }
     for module, name in [(synth, "generate_dataset"), (cli, "read_wav"),
@@ -888,23 +901,26 @@ def test_unwritable_output_exits_2_before_reading(
 # each spelled as the command sees it: (argv, error message).
 CLASHING_OUTPUTS = {
     "train-out-history": (
-        ["train", "--features", "feats", "--out", "same.bin",
+        ["train", "--features", "feats", *OLD_TRAIN, "--out", "same.bin",
          "--history", "same.bin"], "same.bin: --out writes it"),
     "train-feature-file": (
-        ["train", "--features", "feats", "--out", "feats/a.csv"],
+        ["train", "--features", "feats", *OLD_TRAIN, "--out", "feats/a.csv"],
         "feats/a.csv: --features reads it"),
-    "extract-input": (["extract", "--input", "rec.csv", "--out", "rec.csv"],
-                      "rec.csv: --input reads it"),
+    "extract-input": (
+        ["extract", "--input", "rec.csv", *OLD_WINDOW, "--out", "rec.csv"],
+        "rec.csv: --input reads it"),
     "extract-input-other-spelling": (
-        ["extract", "--input", "rec.csv", "--out", "feats/../rec.csv"],
+        ["extract", "--input", "rec.csv", *OLD_WINDOW,
+         "--out", "feats/../rec.csv"],
         "feats/../rec.csv: --input reads it"),
     "extract-sidecar": (
-        ["extract", "--input", "rec.meta.json", "--out", "rec.csv"],
+        ["extract", "--input", "rec.meta.json", *OLD_WINDOW, "--out", "rec.csv"],
         "rec.meta.json: --input reads it"),
-    "extract-hard-link": (["extract", "--input", "rec.csv", "--out", "link.csv"],
-                          "link.csv: --input reads it"),
+    "extract-hard-link": (
+        ["extract", "--input", "rec.csv", *OLD_WINDOW, "--out", "link.csv"],
+        "link.csv: --input reads it"),
     "extract-symbolic-link": (
-        ["extract", "--input", "rec.csv", "--out", "symlink.csv"],
+        ["extract", "--input", "rec.csv", *OLD_WINDOW, "--out", "symlink.csv"],
         "symlink.csv: --input reads it"),
 }
 
@@ -941,8 +957,8 @@ def test_impossible_allocation_exits_1_writing_nothing(
     # At H = 1e8 theta is 32 H^2 float64s, 2.22 EiB: beyond any x86-64
     # address space, so the allocation fails before it touches memory.
     monkeypatch.chdir(tmp_path)
-    argv = {"train": ["train", "--features", str(feature_dir), "--epochs",
-                      "1", "--out", "m.bin", "--history", "h.json"],
+    argv = {"train": ["train", "--features", str(feature_dir), "--seed", "0",
+                      "--epochs", "1", "--out", "m.bin", "--history", "h.json"],
             "grid": ["grid", "--corpus", str(corpus_dir), *SMALL_GRID,
                      "--out-dir", "out"]}[command]
     assert main([*argv, "--hidden", "100000000"]) == 1
@@ -956,10 +972,10 @@ def test_missing_output_directories_are_made(corpus_dir, feature_dir,
                                              tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     wav = sorted(corpus_dir.glob("*.wav"))[0]
-    assert main(["extract", "--input", str(wav), "--hop", "250",
+    assert main(["extract", "--input", str(wav), *OLD_WINDOW, "--hop", "250",
                  "--out", "features/sub/x.csv"]) == 0
     assert main(["train", "--features", str(feature_dir), "--hidden", "3",
-                 "--epochs", "1", "--out", "models/m.bin",
+                 "--seed", "0", "--epochs", "1", "--out", "models/m.bin",
                  "--history", "logs/h.json"]) == 0
     for path in ("features/sub/x.csv", "features/sub/x.meta.json",
                  "models/m.bin", "logs/h.json"):
@@ -1091,39 +1107,40 @@ class TestWindowInfoCommand:
         assert exc.value.code == 2
 
     def test_seed_defaults_to_zero(self):
+        # As generate_dataset's and run_grid's base_seed do; train's
+        # --seed is required.
         from pcgkit.cli import build_parser
-        args = build_parser().parse_args(["synth", "--out-dir", "x"])
+        args = build_parser().parse_args(["synth", "--healthy", "1",
+                                          "--pathological", "1",
+                                          "--out-dir", "x"])
         assert args.seed == 0
         args = build_parser().parse_args(["grid", "--corpus", "c",
                                           "--out-dir", "x"])
         assert args.seed == 0
-        args = build_parser().parse_args(["train", "--features", "f",
-                                          "--out", "m"])
-        assert args.seed == 0
 
 
 @pytest.mark.parametrize("argv", [["train", "--features", "f", "--out", "m",
-                                   "--clip-norm", "1"],
+                                   *OLD_TRAIN, "--clip-norm", "1"],
                                   ["grid", "--corpus", "c", "--out-dir", "o",
                                    "--momentum-ramp"],
                                   ["grid", "--corpus", "c", "--out-dir", "o",
                                    "--alpha", "3"],
                                   ["extract", "--input", "i", "--out", "o",
-                                   "--bins", "5"],
+                                   *OLD_WINDOW, "--bins", "5"],
                                   ["extract", "--input", "i", "--out", "o",
-                                   "--rate", "2000"],
+                                   *OLD_WINDOW, "--rate", "2000"],
                                   ["window-info", "--nfft", "4096"],
                                   ["window-info", "--coeffs"],
                                   ["train", "--features", "f", "--out", "m",
-                                   "--lr", "0.01"],
+                                   *OLD_TRAIN, "--lr", "0.01"],
                                   ["train", "--features", "f", "--out", "m",
-                                   "--momentum", "0.9"],
+                                   *OLD_TRAIN, "--momentum", "0.9"],
                                   ["grid", "--corpus", "c", "--out-dir", "o",
                                    "--lr", "0.01"],
                                   ["grid", "--corpus", "c", "--out-dir", "o",
                                    "--momentum", "0.9"],
-                                  ["synth", "--out-dir", "o",
-                                   "--rate", "2000"],
+                                  ["synth", "--out-dir", "o", "--healthy", "20",
+                                   "--pathological", "20", "--rate", "2000"],
                                   ["eval", "--model", "m", "--features", "f",
                                    "--out", "x"]],
                          ids=["clip-norm", "momentum-ramp", "grid-alpha",
@@ -1131,10 +1148,29 @@ class TestWindowInfoCommand:
                               "window-info-nfft", "window-info-coeffs",
                               "train-lr", "train-momentum", "grid-lr",
                               "grid-momentum", "synth-rate", "eval-out"])
-def test_removed_training_flags_are_usage_errors(argv):
+def test_removed_training_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("synth", "--healthy"), ("synth", "--pathological"),
+    ("extract", "--shape"), ("extract", "--length"),
+    ("train", "--hidden"), ("train", "--seed")])
+def test_setting_the_paper_does_not_fix_is_required(command, flag, capsys):
+    # Their library parameters have no default, so neither has the flag.
+    argv = {"synth": ["--healthy", "1", "--pathological", "1",
+                      "--out-dir", "o"],
+            "extract": ["--input", "i", "--out", "o", *OLD_WINDOW],
+            "train": ["--features", "f", "--out", "m", *OLD_TRAIN]}[command]
+    i = argv.index(flag)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv[:i], *argv[i + 2:]])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: the following arguments are required: {flag}\n")
 
 
 # What a command may raise and the exit code main maps it to; None: it
@@ -1189,7 +1225,7 @@ TRAINING_FLAGS = {f.name for f in dataclasses.fields(nnet.TrainConfig)}
 # required ones among them with a value each.
 OTHER_FLAGS = {
     "train": ({"features", "hidden", "seed", "out", "history"},
-              ["--features", "f", "--out", "m"]),
+              ["--features", "f", "--out", "m", *OLD_TRAIN]),
     "grid": ({"corpus", "config", "shapes", "lengths", "hidden", "trials",
               "seed", "hop", "out_dir"},
              ["--corpus", "c", "--out-dir", "o"]),
@@ -1216,10 +1252,10 @@ def test_training_flags_are_train_config_fields(command):
         defaults, **changed)
 
 
-# The library functions whose parameters grid's, extract's and train's
-# remaining flags set, the parameters no flag sets (alpha: extract uses
-# DEFAULT_ALPHA), the flags that set none, and the parameter each flag sets
-# where their names differ.
+# The library functions whose parameters grid's, extract's, train's and
+# synth's remaining flags set, the parameters no flag sets (alpha: extract
+# uses DEFAULT_ALPHA), the flags that set none, and the parameter each flag
+# sets where their names differ.
 SETTING_FLAGS = {
     "grid": ((evaluate.run_grid,), {"records", "train_config"},
              {"corpus", "config", "out_dir", *TRAINING_FLAGS},
@@ -1229,13 +1265,26 @@ SETTING_FLAGS = {
                 {"length": "nominal"}),
     "train": ((nnet.train,), {"dataset", "config"},
               {"features", "out", "history", *TRAINING_FLAGS}, {}),
+    "synth": ((synth.generate_dataset,), {"config"},
+              {"duration", "murmur_gain", "noise_floor", "out_dir"},
+              {"healthy": "n_healthy", "pathological": "n_pathological",
+               "seed": "base_seed"}),
+}
+
+# Parameters with no library default whose flags default to a named
+# library constant instead: grid's axes are the protocol's.
+CONSTANT_DEFAULTS = {
+    "grid": {"shapes": [s.value for s in evaluate.PROTOCOL_SHAPES],
+             "lengths": list(evaluate.PROTOCOL_LENGTHS),
+             "hidden_sizes": list(evaluate.PROTOCOL_HIDDEN_SIZES)},
 }
 
 
 @pytest.mark.parametrize("command", sorted(SETTING_FLAGS))
 def test_setting_flags_are_library_parameters(command):
     # One table of defaults: a knob added to the library or to the command
-    # alone, or a default of the command's own, fails here.
+    # alone, a default of the command's own, or a default for a parameter
+    # that the library makes the caller pass, fails here.
     functions, unset, others, parameter_of_flag = SETTING_FLAGS[command]
     params = {name: p for f in functions
               for name, p in inspect.signature(f).parameters.items()
@@ -1244,6 +1293,11 @@ def test_setting_flags_are_library_parameters(command):
              for a in _subparser(command)._actions
              if a.dest not in ("help", *others)}
     assert set(flags) == set(params)
+    constants = CONSTANT_DEFAULTS.get(command, {})
     for name, param in params.items():
-        if param.default is not inspect.Parameter.empty:
+        if name in constants:
+            assert flags[name].default == constants[name], name
+        elif param.default is inspect.Parameter.empty:
+            assert flags[name].required, name
+        else:
             assert flags[name].default == param.default, name

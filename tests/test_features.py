@@ -257,7 +257,7 @@ class TestShiftScaleBehavior:
 
 class TestExtractSequence:
     def test_single_frame_shape(self):
-        seq = extract_sequence(np.ones((1, 15)), window=RECT_15)
+        seq = extract_sequence(np.ones((1, 15)), window=RECT_15, hop=1)
         assert seq.values.shape == (1, 10)
 
     def test_frames_not_cut_with_the_window_rejected(self):
@@ -266,12 +266,23 @@ class TestExtractSequence:
         spec = WindowSpec.from_nominal_length(WindowShape.GAUSSIAN, 30)
         with pytest.raises(ValueError, match="^frames are 7 points wide, "
                                              "but the window has 31$"):
-            extract_sequence(np.ones((20, 7)), window=spec)
-        assert extract_sequence(np.ones((20, 31)), window=spec).window == spec
+            extract_sequence(np.ones((20, 7)), window=spec, hop=1)
+        seq = extract_sequence(np.ones((20, 31)), window=spec, hop=1)
+        assert seq.window == spec
+
+    def test_hop_is_required(self):
+        # The sequence records its hop, which the frames do not show: a
+        # default would record 1 for frames cut at another hop.
+        spec = WindowSpec(WindowShape.RECTANGULAR, 7)
+        with pytest.raises(TypeError, match="hop"):
+            frame_matrix(np.ones(100), spec)
+        frames, _ = frame_matrix(np.ones(100), spec, 25)
+        with pytest.raises(TypeError, match="hop"):
+            extract_sequence(frames, window=spec)
 
     def test_constant_signal_columns(self):
         frames = np.full((8, 15), 0.7)
-        seq = extract_sequence(frames, window=RECT_15)
+        seq = extract_sequence(frames, window=RECT_15, hop=1)
         cols = dict(zip(FEATURE_NAMES, seq.values.T))
         assert np.allclose(cols["mean"], 0.7, atol=1e-15)
         assert np.all(cols["variance"] == 0.0)
@@ -341,7 +352,7 @@ class TestFeatureSequence:
         frames = np.random.default_rng(23).normal(size=(5, 15))
         path = tmp_path / "f.csv"
         meta_path = path.with_suffix(".meta.json")
-        write_features(extract_sequence(frames, window=RECT_15), path)
+        write_features(extract_sequence(frames, window=RECT_15, hop=1), path)
         csv_raw, meta_raw = path.read_bytes(), meta_path.read_bytes()
         meta = json.loads(meta_raw)
         checked = {"hop", "bins", "alpha", "normalized", "signal_id"}
@@ -365,12 +376,14 @@ class TestFeatureSequence:
             with pytest.raises(ValueError) as made:
                 if key == "alpha":
                     extract_sequence(frames, window=WindowSpec(
-                        RECT_15.shape, RECT_15.half_length, value))
+                        RECT_15.shape, RECT_15.half_length, value), hop=1)
                 elif key == "normalized":
-                    dataclasses.replace(extract_sequence(frames, window=RECT_15),
-                                        normalized=value)
+                    dataclasses.replace(
+                        extract_sequence(frames, window=RECT_15, hop=1),
+                        normalized=value)
                 else:
-                    extract_sequence(frames, window=RECT_15, **{key: value})
+                    extract_sequence(frames, window=RECT_15,
+                                     **{"hop": 1, key: value})
             assert str(read.value) == f"{meta_path}: {made.value}", name
             seen.add(key)
         assert seen == checked
@@ -605,20 +618,21 @@ class TestSortedRowStatistics:
 
 class TestNormalize:
     def test_example_column(self):
-        seq = extract_sequence(np.ones((3, 15)), window=RECT_15)
+        seq = extract_sequence(np.ones((3, 15)), window=RECT_15, hop=1)
         seq.values[:, 0] = [1.0, 2.0, 3.0]
         out = normalize_sequence(seq)
         root = math.sqrt(3 / 2)
         assert out.values[:, 0] == pytest.approx([-root, 0.0, root])
 
     def test_constant_columns_become_zero(self):
-        seq = extract_sequence(np.full((5, 15), 0.3), window=RECT_15)
+        seq = extract_sequence(np.full((5, 15), 0.3), window=RECT_15, hop=1)
         out = normalize_sequence(seq)
         assert np.all(out.values[:, 3] == 0.0)  # variance column was constant
 
     def test_column_statistics(self):
         rng = np.random.default_rng(17)
-        seq = extract_sequence(rng.normal(size=(200, 31)), window=RECT_31)
+        seq = extract_sequence(rng.normal(size=(200, 31)), window=RECT_31,
+                               hop=1)
         out = normalize_sequence(seq)
         for j in range(10):
             col = out.values[:, j]
@@ -628,7 +642,8 @@ class TestNormalize:
 
     def test_idempotent(self):
         rng = np.random.default_rng(18)
-        seq = extract_sequence(rng.normal(size=(50, 15)), window=RECT_15)
+        seq = extract_sequence(rng.normal(size=(50, 15)), window=RECT_15,
+                               hop=1)
         once = normalize_sequence(seq)
         twice = normalize_sequence(once)
         assert np.allclose(twice.values, once.values, atol=1e-9)
@@ -642,8 +657,8 @@ class TestNormalize:
         for c in (0.5, 3.0):
             f1, _ = frame_matrix(x, spec, hop=5)
             f2, _ = frame_matrix(c * x, spec, hop=5)
-            n1 = normalize_sequence(extract_sequence(f1, window=spec))
-            n2 = normalize_sequence(extract_sequence(f2, window=spec))
+            n1 = normalize_sequence(extract_sequence(f1, window=spec, hop=5))
+            n2 = normalize_sequence(extract_sequence(f2, window=spec, hop=5))
             for j, name in enumerate(FEATURE_NAMES):
                 if name in ("shannon_energy", "shannon_entropy"):
                     continue
@@ -653,19 +668,19 @@ class TestNormalize:
     def test_overflowing_column_rejected(self):
         # At 1e80 the variance column is near 1e160: its spread overflows.
         frames = np.random.default_rng(21).normal(size=(20, 15)) * 1e80
-        seq = extract_sequence(frames, signal_id="big", window=RECT_15)
+        seq = extract_sequence(frames, signal_id="big", window=RECT_15, hop=1)
         with pytest.raises(ValueError, match="'big': column 3 .* overflow"):
             normalize_sequence(seq)
 
     def test_non_finite_values_rejected(self):
         seq = extract_sequence(np.random.default_rng(22).normal(size=(5, 15)),
-                               window=RECT_15)
+                               window=RECT_15, hop=1)
         seq.values[2, 0] = np.nan
         with pytest.raises(ValueError, match="column 0"):
             normalize_sequence(seq)
 
     def test_too_short_rejected(self):
-        seq = extract_sequence(np.ones((1, 15)), window=RECT_15)
+        seq = extract_sequence(np.ones((1, 15)), window=RECT_15, hop=1)
         with pytest.raises(ValueError):
             normalize_sequence(seq)
 

@@ -148,7 +148,7 @@ class TestConfigValidation:
             generate(SynthConfig(), Label.HEALTHY)
 
     def test_duration_too_short(self):
-        with pytest.raises(PcgError, match="fewer than 2 cycles"):
+        with pytest.raises(ValueError, match="fewer than 2 cycles"):
             SynthConfig(duration_s=1.0)
 
     @pytest.mark.parametrize("name", ["duration_s", "murmur_gain",
@@ -156,7 +156,18 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_number_rejected(self, name, value):
         # NaN is below nothing, so the range checks alone let it through.
-        with pytest.raises(PcgError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SynthConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["duration_s", "murmur_gain",
+                                      "noise_floor"])
+    @pytest.mark.parametrize("value", [True, "10", None, 1j],
+                             ids=["bool", "str", "none", "complex"])
+    def test_non_number_rejected(self, name, value):
+        # WindowSpec.alpha's rule: an int or float, and not a bool, which
+        # would pass as 1.
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{name} must be a number, got {value!r}") + "$"):
             SynthConfig(**{name: value})
 
     # At 2000 Hz no duration's product is an exact tie: the largest below
@@ -170,7 +181,7 @@ class TestConfigValidation:
     ], ids=["inf-product", "huge-duration", "tie-over"])
     def test_more_samples_than_a_wav_holds_rejected(self, duration):
         # write_wav's 32-bit RIFF sizes: refused before any allocation.
-        with pytest.raises(PcgError, match="^" + re.escape(
+        with pytest.raises(ValueError, match="^" + re.escape(
                 f"duration {duration}s at rate 2000 Hz is more than the "
                 f"{MAX_WAV_SAMPLES} samples a WAV file holds") + "$"):
             SynthConfig(duration_s=duration)
@@ -181,7 +192,7 @@ class TestConfigValidation:
             assert round(config.duration_s * synth.RATE_HZ) == MAX_WAV_SAMPLES
 
     def test_negative_gain(self):
-        with pytest.raises(PcgError, match="must be >= 0"):
+        with pytest.raises(ValueError, match="must be >= 0"):
             SynthConfig(murmur_gain=-0.1)
 
     def test_unlabeled_rejected(self):
