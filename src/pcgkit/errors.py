@@ -11,9 +11,13 @@ a genuine bug.
 as an object it refuses with a PcgError naming the file.
 :func:`check_count` is the one check of every count the library takes:
 an integer, not a bool, at least a floor.
+:func:`check_real` is the one check of every real-valued setting (a synth
+duration, gain or noise floor, a Gaussian window's alpha): an int or
+float, not a bool, that a float holds finitely, at least a floor.
 """
 
 import json
+import math
 import operator
 
 
@@ -29,6 +33,23 @@ def check_count(name: str, value, least: int) -> None:
         operator.index(value)  # refuses floats, NaN included, and strings
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
+def check_real(name: str, value, least: float = -math.inf) -> None:
+    """ValueError, naming the value, unless it is an int or float, not a
+    bool, that a float holds finitely (NaN, infinities and ints beyond
+    sys.float_info.max are not), and >= least."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        raise ValueError(f"{name} must be finite, got an int beyond the "
+                         "largest float") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
 

@@ -42,7 +42,12 @@ of it, so an optimizer step is one vector operation.  A layer's input
 weights, recurrent weights and bias are (2, ...) views of theta, index 0
 forward and 1 backward: the direction axis of every compute buffer.  A
 model file's body is theta's bytes: load_model checks the descriptor
-against the layout and the body for exactly 8 bytes per parameter.
+against the layout and the body for exactly 8 bytes per parameter.  The
+descriptor also records `FEATURE_NAMES`, which load_model checks, and the
+model's `feature_config`, the `FeatureSequence.config` of the sequences it
+was trained on, as it is; `predict_batch` holds every sequence to it, so
+a model refuses features made with another window, hop, bins or
+normalization.
 
 Everything is plain numpy in double precision, deterministic in the seed.
 """
@@ -99,11 +104,16 @@ class BiLSTMModel:
     `blocks` lists every block as (name, view of theta) in layout order;
     `layers`, `head_weights` and `head_bias` view the same memory by role.
     A layer's fw and bw blocks are two equal runs of theta, so each of its
-    roles is one strided (2, ...) view across both.
+    roles is one strided (2, ...) view across both.  `feature_config` is
+    the `FeatureSequence.config` of the sequences the model was trained
+    on, which `predict_batch` holds every sequence to; None (an untrained
+    model) holds them to nothing.
     """
 
-    def __init__(self, hidden_size: int, theta: np.ndarray | None = None):
+    def __init__(self, hidden_size: int, theta: np.ndarray | None = None,
+                 feature_config: dict | None = None):
         self.hidden_size = hidden_size
+        self.feature_config = feature_config
         layout = param_layout(hidden_size)
         cuts = [0, *itertools.accumulate(math.prod(s) for _, s in layout)]
         self.theta = np.zeros(cuts[-1]) if theta is None else theta
@@ -242,21 +252,30 @@ def _forward_batch(model: BiLSTMModel, X: np.ndarray) -> tuple:
     return _softmax(logits), feat, c1, c2
 
 
-def _stack(seqs: list[FeatureSequence]) -> np.ndarray:
+def _stack(seqs: list[FeatureSequence],
+           feature_config: dict | None = None) -> np.ndarray:
     """The (B, T, INPUT_SIZE) float64 batch of a non-empty list of
-    sequences, each INPUT_SIZE wide with frames since it was made; the first
-    that differs from seqs[0] in a key of its feature `config` or in shape
-    is refused by name, with the first key that differs."""
+    sequences, each INPUT_SIZE wide with frames since it was made.  Every
+    sequence must have seqs[0]'s shape and one feature `config`: a model's
+    `feature_config` when it is given, else seqs[0]'s.  The first that
+    differs is refused by name, with the first key that differs."""
     first = seqs[0]
-    want = {**first.config, "values shape": np.shape(first.values)}
+    config = first.config if feature_config is None else feature_config
+    want = {**config, "values shape": np.shape(first.values)}
     for k, seq in enumerate(seqs):
         got = {**seq.config, "values shape": np.shape(seq.values)}
-        for name, value in got.items():
-            if value != want[name]:
-                raise PcgError(
-                    f"sequence {k} ({seq.signal_id!r}) has {name} {value}, "
-                    f"sequence 0 ({first.signal_id!r}) has {want[name]}: "
-                    "a batch takes one feature config and one shape")
+        for name in {**got, **want}:  # a model file's record may lack a key
+            if got.get(name) == want.get(name):
+                continue
+            if feature_config is None or name == "values shape":
+                whose = f"sequence 0 ({first.signal_id!r})"
+                rule = "a batch takes one feature config and one shape"
+            else:
+                whose = "the model"
+                rule = "a model takes the features it was trained on"
+            raise PcgError(
+                f"sequence {k} ({seq.signal_id!r}) has {name} "
+                f"{got.get(name)}, {whose} has {want.get(name)}: {rule}")
     return np.stack([seq.values for seq in seqs], dtype=np.float64)
 
 
@@ -264,13 +283,13 @@ def predict_batch(model: BiLSTMModel,
                   seqs: list[FeatureSequence]) -> np.ndarray:
     """Most probable class index of each sequence, in input order; exact
     ties resolve to class 0 (healthy).  The sequences are stacked as one
-    batch, so they must share one feature config and one shape (see
-    `_stack`).  They run in chunks of `TrainConfig().batch_size` rows, so
-    prediction peaks at one training batch's forward cache however long the
-    list is."""
+    batch, so they must share one shape and one feature config, the
+    model's `feature_config` if it has one (see `_stack`).  They run in
+    chunks of `TrainConfig().batch_size` rows, so prediction peaks at one
+    training batch's forward cache however long the list is."""
     if not seqs:
         return np.zeros(0, dtype=np.int64)
-    X = _stack(seqs)
+    X = _stack(seqs, model.feature_config)
     n = TrainConfig().batch_size
     return np.concatenate([_forward_batch(model, X[k:k + n])[0].argmax(axis=1)
                            for k in range(0, len(X), n)])
@@ -413,7 +432,8 @@ def class_indices(seqs: list[FeatureSequence]) -> np.ndarray:
 
 def train(dataset: list[FeatureSequence], hidden: int, config: TrainConfig,
           seed: int) -> tuple[BiLSTMModel, TrainHistory]:
-    """Train a fresh model; fully deterministic in (dataset order, seed)."""
+    """Train a fresh model, which records the dataset's feature config;
+    fully deterministic in (dataset order, seed)."""
     check_count("seed", seed, 0)
     labels = class_indices(dataset)
     if len(set(labels.tolist())) < 2:
@@ -421,6 +441,7 @@ def train(dataset: list[FeatureSequence], hidden: int, config: TrainConfig,
     X = _stack(dataset)
 
     model = init_model(hidden, seed=seed)
+    model.feature_config = dataset[0].config
     velocity = BiLSTMModel(model.hidden_size)
     shuffle_rng = np.random.default_rng([seed, 1])
 
@@ -450,22 +471,27 @@ def train(dataset: list[FeatureSequence], hidden: int, config: TrainConfig,
 # Model file format
 # ---------------------------------------------------------------------------
 
-MODEL_MAGIC = b"HWM1"
+MODEL_MAGIC = b"HWM2"
 
 
 def _descriptor(hidden_size: int) -> dict:
+    """What load_model requires of a descriptor, key by key."""
     blocks = [[name, list(shape)] for name, shape in param_layout(hidden_size)]
     return {"input_size": INPUT_SIZE, "hidden_size": hidden_size,
-            "num_layers": 2, "blocks": blocks, "dtype": "<f8"}
+            "num_layers": 2, "blocks": blocks, "dtype": "<f8",
+            "feature_names": list(FEATURE_NAMES)}
 
 
 def save_model(model: BiLSTMModel, path: str | Path,
                config: dict | None = None) -> None:
     """Binary model file: magic, length-prefixed JSON descriptor, then
     `model.theta` as little-endian float64 (every block row-major, in
-    layout order).  `config`, the settings the model was trained with,
-    goes into the descriptor as its `train_config`."""
-    descriptor = _descriptor(model.hidden_size)
+    layout order).  The descriptor records the layout, `FEATURE_NAMES`
+    and the model's `feature_config` (null for an untrained model);
+    `config`, the settings the model was trained with, goes into it as
+    its `train_config`."""
+    descriptor = {**_descriptor(model.hidden_size),
+                  "feature_config": model.feature_config}
     if config is not None:
         descriptor["train_config"] = config
     header = json.dumps(descriptor).encode("utf-8")
@@ -475,8 +501,13 @@ def save_model(model: BiLSTMModel, path: str | Path,
 
 def load_model(path: str | Path) -> BiLSTMModel:
     """Read a model file; anything but a file save_model could have written
-    from finite parameters raises PcgError."""
+    from finite parameters raises PcgError, and so does a file of the old
+    format, which records no feature config."""
     raw = Path(path).read_bytes()
+    if raw[:4] == b"HWM1":  # MODEL_MAGIC up to pcgkit 0.10.0
+        raise PcgError(f"{path}: an HWM1 model file, the old format of "
+                       "pcgkit 0.10.0 and earlier, which records no feature "
+                       "config: train the model again")
     if raw[:4] != MODEL_MAGIC:
         raise PcgError(f"{path}: not a model file (bad magic)")
     hlen = int.from_bytes(raw[4:8], "little")
@@ -499,6 +530,12 @@ def load_model(path: str | Path) -> BiLSTMModel:
             got, want = next((g, w) for g, w in zip(got, want)
                              if json.dumps(g) != json.dumps(w))
         raise PcgError(f"{path}: {key} {got!r}, expected {want!r}")
+    if "feature_config" not in descriptor:
+        raise PcgError(f"{path}: descriptor has no 'feature_config'")
+    feature_config = descriptor["feature_config"]
+    if feature_config is not None and not isinstance(feature_config, dict):
+        raise PcgError(f"{path}: feature_config {feature_config!r}, "
+                       "expected an object or null")
     body = len(raw) - 8 - hlen
     size = sum(math.prod(shape) for _, shape in param_layout(H))
     if body != 8 * size:
@@ -506,4 +543,4 @@ def load_model(path: str | Path) -> BiLSTMModel:
     theta = np.frombuffer(raw, dtype="<f8", offset=8 + hlen)
     if not np.isfinite(theta).all():
         raise PcgError(f"{path}: parameters hold NaN or infinite values")
-    return BiLSTMModel(H, theta.astype(np.float64))
+    return BiLSTMModel(H, theta.astype(np.float64), feature_config)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PcgError, check_count
+from .errors import PcgError, check_count, check_real
 from .ingest import CLASS_INDEX, MAX_WAV_SAMPLES, AudioRecord, Label
 from .rng import mix_seed
 
@@ -49,12 +49,9 @@ class SynthConfig:
     noise_floor: float = 0.01
 
     def __post_init__(self):
-        for name in ("duration_s", "murmur_gain", "noise_floor"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        check_real("duration_s", self.duration_s)
+        check_real("murmur_gain", self.murmur_gain, least=0)
+        check_real("noise_floor", self.noise_floor, least=0)
         if self.duration_s < 2 * 60.0 / HEART_RATE_BPM[0]:
             raise ValueError(
                 f"duration {self.duration_s}s holds fewer than 2 cycles "
@@ -65,8 +62,6 @@ class SynthConfig:
             raise ValueError(
                 f"duration {self.duration_s}s at rate {RATE_HZ} Hz is "
                 f"more than the {MAX_WAV_SAMPLES} samples a WAV file holds")
-        if self.murmur_gain < 0 or self.noise_floor < 0:
-            raise ValueError("murmur_gain and noise_floor must be >= 0")
 
 
 def _tones(u: np.ndarray, t: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -10,12 +10,11 @@ are measured by grid search on a zero-padded DFT of max(MIN_NFFT,
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PcgError, check_count
+from .errors import PcgError, check_count, check_real
 
 DEFAULT_ALPHA = 2.5
 MIN_NFFT = 4096
@@ -34,8 +33,8 @@ class WindowSpec:
 
     half_length is L/2, so the full window has 2*half_length + 1 points.
     alpha is only meaningful for the Gaussian shape; larger alpha narrows
-    the window in time.  It must be a finite positive int or float (not a
-    bool) for every shape, so every spec a feature file records reads back.
+    the window in time.  It must pass `check_real` and be > 0 for every
+    shape, so every spec a feature file records reads back.
     """
 
     shape: WindowShape
@@ -44,10 +43,9 @@ class WindowSpec:
 
     def __post_init__(self):
         check_count("half_length", self.half_length, 1)
-        if not isinstance(self.alpha, (int, float)) or isinstance(self.alpha, bool):
-            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        check_real("alpha", self.alpha)
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
     @property
     def L(self) -> int:

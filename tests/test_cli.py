@@ -346,6 +346,7 @@ FEATURE_FILE_MUTATIONS = {
     "nan_alpha": _meta_edit(lambda m: m.update(alpha=math.nan)),
     "infinite_alpha": _meta_edit(lambda m: m.update(alpha=math.inf)),
     "bool_alpha": _meta_edit(lambda m: m.update(alpha=True)),
+    "huge_int_alpha": _meta_edit(lambda m: m.update(alpha=10**400)),
 }
 
 
@@ -496,6 +497,51 @@ class TestTrainEvalCommands:
         captured = capsys.readouterr()
         assert_mixed_hops_refused(captured.err, mixed_feature_dir)
         assert captured.out == ""
+
+    def test_eval_on_features_made_another_way_exits_1(self, tmp_path,
+                                                       capsys):
+        # The model records the feature config it was trained on, and eval
+        # holds the features to it: here the window differs.
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--healthy", "3", "--pathological", "3",
+                     "--out-dir", str(corpus)]) == 0
+        for name, shape, length in (("f", "gaussian", "30"),
+                                    ("f2", "rectangular", "15")):
+            for wav in sorted(corpus.glob("*.wav")):
+                label = wav.stem.split("_")[0]
+                assert main(["extract", "--input", str(wav), "--label", label,
+                             "--shape", shape, "--length", length,
+                             "--hop", "250",
+                             "--out", str(tmp_path / name / f"{wav.stem}.csv")
+                             ]) == 0
+        model = tmp_path / "m.bin"
+        assert main(["train", "--features", str(tmp_path / "f"),
+                     "--hidden", "3", "--epochs", "2", "--seed", "0",
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--model", str(model),
+                     "--features", str(tmp_path / "f2")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sequence 0 ('healthy_000') has window_shape rectangular, "
+            "the model has gaussian: a model takes the features it was "
+            "trained on\n")
+
+    def test_eval_on_old_format_model_exits_1(self, feature_dir, tmp_path,
+                                              capsys):
+        model = tmp_path / "model.bin"
+        nnet.save_model(nnet.init_model(3, seed=0), model)
+        model.write_bytes(b"HWM1" + model.read_bytes()[4:])
+        code = main(["eval", "--model", str(model),
+                     "--features", str(feature_dir)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {model}: an HWM1 model file, "
+                                       "the old format")
+        assert captured.err.count("\n") == 1
 
     def test_nan_feature_exits_1(self, feature_dir, tmp_path, capsys):
         features = tmp_path / "features"

@@ -1,5 +1,6 @@
 """The one refusal type, `errors.PcgError`; the one count rule,
-`errors.check_count`, and the library's counts that go through it."""
+`errors.check_count`, and the library's counts that go through it; the
+one real-number rule, `errors.check_real`."""
 
 import importlib
 import pkgutil
@@ -10,7 +11,7 @@ import pytest
 
 import pcgkit
 from pcgkit import errors
-from pcgkit.errors import PcgError, check_count
+from pcgkit.errors import PcgError, check_count, check_real
 from pcgkit.features import feature_matrix
 from pcgkit.ingest import Label
 from pcgkit.synth import SynthConfig, generate, generate_dataset
@@ -50,6 +51,30 @@ class TestCheckCount:
         message = f"n must be an integer, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check_count("n", value, 0)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [0, 2.5, -3, 10**300, np.float64(2.5),
+                                       1.7976931348623157e308])
+    def test_finite_numbers_pass(self, value):
+        check_real("x", value)
+
+    @pytest.mark.parametrize("value", [True, "3", None, 1j, np.int64(3)])
+    def test_non_numbers_refused(self, value):
+        message = f"x must be a number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_real("x", value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), 10**400, -10**400])
+    def test_non_finite_refused(self, value):
+        with pytest.raises(ValueError, match="^x must be finite, got "):
+            check_real("x", value)
+
+    def test_floor(self):
+        check_real("x", 0.0, least=0)
+        with pytest.raises(ValueError, match=r"^x must be >= 0, got -0.5$"):
+            check_real("x", -0.5, least=0)
 
 
 @pytest.mark.parametrize("call, message", [

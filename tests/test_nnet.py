@@ -115,6 +115,10 @@ MODEL_FILE_MUTATIONS = {
     "zero_hidden_size": _header_edit(b'"hidden_size": 3', b'"hidden_size": 0'),
     "bool_hidden_size": _header_edit(b'"hidden_size": 3', b'"hidden_size": true'),
     "missing_dtype": _header_edit(b', "dtype": "<f8"', b""),
+    "other_feature_names": _header_edit(b'"zcr"', b'"zero_crossings"'),
+    "missing_feature_config": _header_edit(b', "feature_config": null', b""),
+    "feature_config_not_object":
+        _header_edit(b'"feature_config": null', b'"feature_config": 250'),
     "big_endian_dtype": _header_edit(b'"<f8"', b'">f8"'),
     "header_length_1e9":
         lambda raw: raw[:4] + struct.pack("<I", 10**9) + raw[8:],
@@ -717,6 +721,40 @@ class TestPredict:
         with pytest.raises(PcgError,
                            match=r"^sequence 2 \('c'\) has values shape"):
             nnet.predict_batch(init_model(3, seed=30), seqs)
+        model = init_model(3, seed=30)
+        model.feature_config = seqs[0].config  # the lengths still differ
+        with pytest.raises(PcgError, match=r"^sequence 2 \('c'\) has values "
+                                           r"shape \(3, 10\), sequence 0 "):
+            nnet.predict_batch(model, seqs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("window", WindowSpec(WindowShape.GAUSSIAN, 7)),
+        ("hop", 2),
+        ("bins", 11),
+        ("normalized", False)])
+    def test_features_made_another_way_refused(self, field, value):
+        # One feature config throughout, but not the one trained on.
+        data = toy_blobs(4)
+        model, _ = train(data, 3, TrainConfig(epochs=1), seed=0)
+        assert model.feature_config == data[0].config
+        other = [dataclasses.replace(seq, **{field: value}) for seq in data]
+        key = "window_shape" if field == "window" else field  # sidecar key
+        want = data[0].config[key]
+        with pytest.raises(PcgError, match="^" + re.escape(
+                f"sequence 0 ('healthy0') has {key} {other[0].config[key]}, "
+                f"the model has {want}: a model takes the features it was "
+                "trained on") + "$"):
+            nnet.predict_batch(model, other)
+
+    def test_feature_record_missing_a_key_refused(self):
+        # A model file's record is read as it is; a key it lacks differs.
+        data = toy_blobs(2)
+        model = init_model(3, seed=0)
+        model.feature_config = {k: v for k, v in data[0].config.items()
+                                if k != "bins"}
+        with pytest.raises(PcgError, match=r"^sequence 0 \('healthy0'\) has "
+                                           r"bins 10, the model has None: "):
+            nnet.predict_batch(model, data)
 
     def test_peaks_at_its_forward_cache(self):
         rng = np.random.default_rng(32)
@@ -821,19 +859,28 @@ class TestModelFile:
             assert na == nb
             assert np.array_equal(a, b)
 
-    def test_older_train_config_keys_still_load(self, tmp_path):
-        # Files saved before clip_norm, momentum_ramp, learning_rate and
-        # momentum were deleted carry them in train_config, which
-        # load_model does not read.
-        model = init_model(3, seed=30)
+    def test_hwm1_file_refused_as_old_format(self, tmp_path):
+        # pcgkit 0.10.0 and earlier wrote HWM1 files, which record no
+        # feature config: there is nothing to hold features to.
         path = tmp_path / "model.bin"
-        save_model(model, path, config={"epochs": 500, "batch_size": 16,
-                                        "seed": 0})
-        path.write_bytes(_header_edit(
-            b'"seed": 0}', b'"seed": 0, "clip_norm": null, '
-            b'"momentum_ramp": false, "learning_rate": 0.01, '
-            b'"momentum": 0.9}')(path.read_bytes()))
-        assert np.array_equal(load_model(path).theta, model.theta)
+        save_model(init_model(3, seed=30), path)
+        path.write_bytes(b"HWM1" + path.read_bytes()[4:])
+        with pytest.raises(PcgError, match="^" + re.escape(
+                f"{path}: an HWM1 model file, the old format of pcgkit "
+                "0.10.0 and earlier")):
+            load_model(path)
+
+    def test_feature_record_roundtrip(self, tmp_path):
+        data = toy_blobs(4)
+        model, _ = train(data, 3, TrainConfig(epochs=1), seed=0)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 4)
+        descriptor = json.loads(raw[8:8 + hlen])
+        assert descriptor["feature_names"] == list(FEATURE_NAMES)
+        assert descriptor["feature_config"] == data[0].config
+        assert load_model(path).feature_config == data[0].config
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bogus.bin"
@@ -845,7 +892,7 @@ class TestModelFile:
         path = tmp_path / "model.bin"
         save_model(init_model(3, seed=31), path)
         raw = path.read_bytes()
-        assert raw[:4] == b"HWM1"
+        assert raw[:4] == b"HWM2"
         (hlen,) = struct.unpack_from("<I", raw, 4)
         descriptor = json.loads(raw[8:8 + hlen])
         assert descriptor["hidden_size"] == 3
@@ -853,12 +900,12 @@ class TestModelFile:
         assert len(raw) == 8 + hlen + 8 * total
 
     def test_format_pinned(self, tmp_path):
-        # Any change to the layout, the descriptor or the order of the
-        # initializer's draws changes these bytes.
+        # Any change to the magic, the layout, the descriptor or the order
+        # of the initializer's draws changes these bytes.
         path = tmp_path / "model.bin"
         save_model(init_model(2, seed=0), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "df3dbcf70bfe74e956bb72b7f9a6019e2133e9379d2f5c5cc4ba12c5e6d4e9c0")
+            "b9642c27b50c0f041bb35ccd6aabf183941f9a2efb68cd773343d4036772133c")
         save_model(load_model(path), tmp_path / "again.bin")
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 

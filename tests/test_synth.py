@@ -153,9 +153,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name", ["duration_s", "murmur_gain",
                                       "noise_floor"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 10**400, -10**400],
+                             ids=["inf", "nan", "int-1e400", "int--1e400"])
     def test_non_finite_number_rejected(self, name, value):
-        # NaN is below nothing, so the range checks alone let it through.
+        # NaN is below nothing, so the range checks alone let it through;
+        # an int no float holds is not finite either.
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             SynthConfig(**{name: value})
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,12 @@ class TestWindowSpec:
         with pytest.raises(ValueError) as info:
             WindowSpec(G, 5, alpha=alpha)
         assert str(info.value) == f"alpha must be a number, got {alpha!r}"
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 10**400],
+                             ids=["inf", "nan", "int-1e400"])
+    def test_non_finite_alpha_refused(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be finite"):
+            WindowSpec(G, 5, alpha=alpha)
 
     @pytest.mark.parametrize("alpha", [np.float64(2.5), 3])
     def test_int_and_float_alpha_accepted(self, alpha):
