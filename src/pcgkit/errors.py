@@ -34,7 +34,20 @@ def check_count(name: str, value, least: int) -> None:
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+        raise ValueError(f"{name} must be >= {least}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """repr(value), or, for an integer with more digits than Python turns
+    into a string (sys.get_int_max_str_digits()), its sign and length."""
+    try:
+        return repr(value)
+    except ValueError:
+        n = abs(operator.index(value))
+        digits = int(math.log10(n)) + 1  # log10 rounds near a power of ten
+        digits += (n >= 10 ** digits) - (n < 10 ** (digits - 1))
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {digits} digits"
 
 
 def check_real(name: str, value, least: float = -math.inf) -> None:

@@ -11,12 +11,16 @@ protocol's fixed LEARNING_RATE (0.01) and MOMENTUM (0.9):
     theta <- theta - LEARNING_RATE * v
 
 Each layer runs both directions in one Python time loop: step s is time s
-forward and time T-1-s backward, so the state is (2, B, H) and the
+forward and time T-1-s backward, so the state is (B, 2, H) and the
 recurrent step is one batched matmul over the layer's (2, 4H, H)
-recurrent weights.  The input projection is one matmul per direction into
-a (2, T, B, 4H) gate buffer in step order, which the loop turns into
-activations in place and BPTT into pre-activation gradients.  One tanh
-gives all four gates, since sigma(x) = 0.5*tanh(x/2) + 0.5.
+recurrent weights.  Every buffer is step-major: the gates are (T, B, 2, 4H)
+and the cell and hidden states (T+1, B, 2, H), so each step's gates,
+states and carries are one contiguous block, and each direction's
+(T*B, ...) rows are one strided 2-D view for the weight-gradient matmuls.
+The input projection is one matmul per direction into the gate buffer,
+which the loop turns into activations in place and BPTT into
+pre-activation gradients.  One tanh gives all four gates, since
+sigma(x) = 0.5*tanh(x/2) + 0.5.
 
 Training and prediction take sequences of INPUT_SIZE (the ten
 `FEATURE_NAMES`) features per frame, one feature config and one shape, as
@@ -25,16 +29,17 @@ one (B, T, INPUT_SIZE) array, and `predict_batch` runs forward passes over
 chunks of `TrainConfig().batch_size` rows.
 
 One optimizer step is `_batch_grads` (a mini-batch's forward pass, loss
-and BPTT; its caches never leave it), then `sgdm_step`.  BPTT recomputes
-nothing and frees each buffer after its last reader, so a batch of B
-sequences of length T peaks at its forward cache,
-8*(16TBH + 8(T+1)BH) bytes: per layer the (2, T, B, 4H) gates and the
-(2, T+1, B, H) cell and hidden states.  Layer 2's (T, B, 2H) input is not
-cached: the forward pass frees it after layer 2's input projection, and
-the backward pass rebuilds it from layer 1's hidden states, one direction
-at a time.  At T = 4970 and B = 16 that is 437 MiB at H = 30 and
-1.42 GiB at H = 100.  Prediction peaks at the same bound for one chunk,
-however many sequences it is given.
+and BPTT), then `sgdm_step`.  `train` and `predict_batch` each make one
+`_Workspace` per call, an arena of exactly one batch's forward cache,
+8*(16TBH + 8(T+1)BH) bytes: per layer the (T, B, 2, 4H) gates and the
+(T+1, B, 2, H) cell and hidden states.  Every batch, a smaller last one
+included, carves its buffers from it, and BPTT recomputes nothing and
+puts each of its own buffers where a dead one was, so a call peaks at
+that one cache.  Layer 2's (T, B, 2H) input is not cached: the forward
+pass builds it in layer 2's cell-state buffer, where the input projection
+reads it before the loop writes the states, and the backward pass rebuilds
+it there once the cell states are dead, one direction at a time.  At
+T = 4970 and B = 16 that is 437 MiB at H = 30 and 1.42 GiB at H = 100.
 
 A model, its gradients and its velocity each own one float64 vector,
 theta, laid out by `param_layout`; every weight matrix and bias is a view
@@ -165,60 +170,101 @@ def init_model(hidden: int, seed: int) -> BiLSTMModel:
 
 
 # ---------------------------------------------------------------------------
+# Workspace
+# ---------------------------------------------------------------------------
+
+class _Workspace:
+    """The memory of one `train` or `predict_batch` call: batches of at most
+    B sequences of length T at hidden size H.
+
+    `arena` is one flat float64 array of exactly a batch's forward cache,
+    16TBH + 8(T+1)BH floats; `caches(b)` carves both layers' buffers for a
+    batch of b <= B sequences from it, each contiguous.  The rest is small
+    and (B, 2, ...) in shape, so its first b rows are a contiguous (b, 2, ...)
+    array: the step loops' `out=` buffers, two (B, 2, 4H) and five
+    (B, 2, H), and three (B, 2, 4H) constants.  The gates are
+    scale*tanh(scale*z) + offset: sigma(z) = 0.5*tanh(z/2) + 0.5 on the
+    sigmoid columns and tanh on the candidate's; halving is exact.  BPTT's
+    slope uses lo = scale - offset.  The constants come in the shape of one
+    step's gates: a broadcast operand costs the step loops about twice as
+    much per op.
+    """
+
+    def __init__(self, H: int, B: int, T: int):
+        self.H, self.T = H, T
+        self.arena = np.empty(16 * T * B * H + 8 * (T + 1) * B * H)
+        self.scale = np.full((B, 2, 4 * H), 0.5)
+        self.scale[..., 2 * H:3 * H] = 1.0
+        self.offset = 1.0 - self.scale
+        self.lo = self.scale - self.offset
+        self.wide = np.empty((2, B, 2, 4 * H))
+        self.narrow = np.empty((5, B, 2, H))
+
+    def caches(self, b: int) -> tuple[dict, dict]:
+        """Each layer's gates Z (T, b, 2, 4H) and cell and hidden states C
+        and Hs (T+1, b, 2, H), in step order, carved in turn from the arena.
+        Nothing is zeroed: the forward pass writes every row it reads but
+        row 0 of C and Hs, which it zeroes itself."""
+        T, H = self.T, self.H
+        layers, start = [], 0
+        for _ in range(2):
+            layer = {}
+            for key, shape in (("Z", (T, b, 2, 4 * H)), ("C", (T + 1, b, 2, H)),
+                               ("Hs", (T + 1, b, 2, H))):
+                size = math.prod(shape)
+                layer[key] = self.arena[start:start + size].reshape(shape)
+                start += size
+            layers.append(layer)
+        return tuple(layers)
+
+
+# ---------------------------------------------------------------------------
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def _gate_scale(H: int, B: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column scale and offset: gates = scale*tanh(scale*z) + offset.
-
-    That is sigma(z) = 0.5*tanh(z/2) + 0.5 on the sigmoid columns and tanh
-    on the candidate's; halving is exact.  Both come in the (2, B, 4H)
-    shape of one step's gates: a broadcast operand costs the step loops
-    about twice as much per op.
-    """
-    scale = np.full((2, B, 4 * H), 0.5)
-    scale[..., 2 * H:3 * H] = 1.0
-    return scale, 1.0 - scale
-
-
-def _layer_forward(layer: BiLayer, make_input, T: int, B: int) -> dict:
-    """Both directions of one layer over a time-major (T, B, D) input.
+def _layer_forward(layer: BiLayer, U: np.ndarray, cache: dict,
+                   ws: _Workspace) -> None:
+    """Both directions of one layer over a time-major (T, b, D) input U,
+    into cache's buffers (see `_Workspace.caches`).
 
     Step s runs time s of the forward direction and time T-1-s of the
-    backward one, so the state is (2, B, H) and every buffer is
-    (2, T, B, ...) in step order.  Z holds the gate activations; C and Hs
-    hold the cell and hidden states, with the zero initial state at index 0.
-    make_input() returns the input.  It is called once the gate buffer is
-    allocated, and the cache keeps no input, so an input built on demand
-    lives only for the input projection and the states can reuse its
-    memory.
+    backward one, so the state is (b, 2, H) and each step's gates, states
+    and carries are one contiguous block.  Z receives the gate activations;
+    C and Hs the cell and hidden states, with the zero initial state at
+    index 0.  U is read only by the input projection, before C and Hs are
+    written, so it may share memory with them.
     """
-    H = layer.recurrent_weights.shape[2]
-    scale, offset = _gate_scale(H, B)
+    Z, C, Hs = cache["Z"], cache["C"], cache["Hs"]
+    T, b = Z.shape[:2]
+    H = Hs.shape[-1]
+    scale, offset = ws.scale[:b], ws.offset[:b]
     col = scale[0, 0]  # the per-column scale, folded into the weights
-    Z = np.empty((2, T, B, 4 * H))
-    U = make_input()
+    Wx = layer.input_weights * col[:, None]
     for d, X in enumerate((U, U[::-1])):
-        np.matmul(X, (layer.input_weights[d] * col[:, None]).T, out=Z[d])
-        Z[d] += layer.bias[d] * col
-    del U, X
+        np.matmul(X, Wx[d].T, out=Z[:, :, d])
+    Z += layer.bias * col
     # Copied contiguous once: each step's matmul runs about twice as fast.
     W = np.ascontiguousarray(
         (layer.recurrent_weights * col[:, None]).transpose(0, 2, 1))
-    C = np.zeros((2, T + 1, B, H))
-    Hs = np.zeros((2, T + 1, B, H))
+    C[0] = 0.0
+    Hs[0] = 0.0
+    rec, fc = ws.wide[0, :b], ws.narrow[0, :b]
+    # Views made once: the matmul's operands direction-first, and each gate.
+    HsT, recT = Hs.transpose(0, 2, 1, 3), rec.transpose(1, 0, 2)
+    zi, zf, zg, zo = (Z[..., k * H:(k + 1) * H] for k in range(4))
     for s in range(T):
-        z = Z[:, s]
-        z += np.matmul(Hs[:, s], W)
+        z = Z[s]
+        np.matmul(HsT[s], W, out=recT)
+        z += rec
         np.tanh(z, out=z)
         z *= scale
         z += offset
-        c, h = C[:, s + 1], Hs[:, s + 1]
-        np.multiply(z[..., :H], z[..., 2 * H:3 * H], out=c)
-        c += z[..., H:2 * H] * C[:, s]
+        c, h = C[s + 1], Hs[s + 1]
+        np.multiply(zi[s], zg[s], out=c)
+        np.multiply(zf[s], C[s], out=fc)
+        c += fc
         np.tanh(c, out=h)
-        h *= z[..., 3 * H:]
-    return {"Z": Z, "C": C, "Hs": Hs}
+        h *= zo[s]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -227,26 +273,33 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _layer2_input(Hs1: np.ndarray, d: int) -> np.ndarray:
-    """Layer 2's (T, B, 2H) input in direction d's step order, built from
-    layer 1's (2, T, B, H) step-order hidden states: [forward h_t,
-    backward h_t] at each time t, in time order for d = 0 and reversed for
-    d = 1."""
+def _layer2_input(Hs1: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
+    """Layer 2's (T, b, 2H) input in direction d's step order, written into
+    the (T, b, 2, H) array out, from layer 1's (T, b, 2, H) step-order hidden
+    states: [forward h_t, backward h_t] at each time t, in time order for
+    d = 0 and reversed for d = 1."""
     step = 1 - 2 * d
-    return np.concatenate([Hs1[0, ::step], Hs1[1, ::-step]], axis=2)
+    out[:, :, 0] = Hs1[::step, :, 0]
+    out[:, :, 1] = Hs1[::-step, :, 1]
+    return out.reshape(*out.shape[:2], -1)
 
 
-def _forward_batch(model: BiLSTMModel, X: np.ndarray) -> tuple:
+def _forward_batch(model: BiLSTMModel, X: np.ndarray,
+                   ws: _Workspace | None = None) -> tuple:
     """Probabilities (B, 2), the head's (B, 2H) input feat and the two
-    layers' caches for a (B, T, D) batch.  No cache keeps a layer's input:
-    layer 1's is X, and layer 2's lives only for its input projection."""
+    layers' caches for a (B, T, D) batch; feat and the caches are views of
+    ws (a fresh workspace for this batch if None).  No cache keeps a
+    layer's input: layer 1's is X, and layer 2's lives in layer 2's C until
+    its input projection has read it."""
     l1, l2 = model.layers
     B, T, _ = X.shape
-    c1 = _layer_forward(l1, lambda: X.transpose(1, 0, 2), T, B)
-    Hs1 = c1["Hs"][:, 1:]
-    c2 = _layer_forward(l2, lambda: _layer2_input(Hs1, 0), T, B)
+    if ws is None:
+        ws = _Workspace(model.hidden_size, B, T)
+    c1, c2 = ws.caches(B)
+    _layer_forward(l1, X.transpose(1, 0, 2), c1, ws)
+    _layer_forward(l2, _layer2_input(c1["Hs"][1:], 0, c2["C"][:T]), c2, ws)
     # Forward ends at t = T-1 and backward at t = 0: both on the last step.
-    feat = np.concatenate(c2["Hs"][:, -1], axis=1)  # (B, 2H)
+    feat = c2["Hs"][T].reshape(B, -1)  # (B, 2H): [forward, backward]
 
     logits = feat @ model.head_weights.T + model.head_bias
     return _softmax(logits), feat, c1, c2
@@ -291,8 +344,10 @@ def predict_batch(model: BiLSTMModel,
         return np.zeros(0, dtype=np.int64)
     X = _stack(seqs, model.feature_config)
     n = TrainConfig().batch_size
-    return np.concatenate([_forward_batch(model, X[k:k + n])[0].argmax(axis=1)
-                           for k in range(0, len(X), n)])
+    ws = _Workspace(model.hidden_size, min(n, len(X)), X.shape[1])
+    return np.concatenate([
+        _forward_batch(model, X[k:k + n], ws)[0].argmax(axis=1)
+        for k in range(0, len(X), n)])
 
 
 # ---------------------------------------------------------------------------
@@ -300,74 +355,83 @@ def predict_batch(model: BiLSTMModel,
 # ---------------------------------------------------------------------------
 
 def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray,
-                    dh_carry: np.ndarray, grads: BiLayer, input_of) -> None:
+                    dh_carry: np.ndarray, grads: BiLayer, input_of,
+                    ws: _Workspace) -> None:
     """BPTT through both directions of one layer, in reverse step order.
 
-    dHs holds the (2, T, B, H) output gradients in step order, and dh_carry
-    the (2, B, H) gradient that reaches the last step's hidden state from
+    dHs holds the (T, b, 2, H) output gradients in step order, and dh_carry
+    the (b, 2, H) gradient that reaches the last step's hidden state from
     outside dHs; the loop carries it back through the recurrence.  The gate
     buffer cache["Z"] is overwritten with the pre-activation gradients dZ,
     and the weight gradients are written into `grads`.  input_of(d) gives
-    the layer's (T, B, D) input in direction d's step order; it is called
-    once per direction and each result freed before the next call, so an
-    input built on demand is alive one direction at a time.  The cell
-    states are popped from the cache and freed after the time loop, their
-    last reader, before the first input is taken.
+    the layer's (T, b, D) input in direction d's step order; it is called
+    once per direction, after the time loop, and each result is read before
+    the next call, so an input built on demand may reuse cache["C"], whose
+    last reader is the time loop.
     """
-    Z, Hs = cache["Z"], cache["Hs"]
-    C = cache.pop("C")
-    T, B = Z.shape[1:3]
+    Z, C, Hs = cache["Z"], cache["C"], cache["Hs"]
+    T, b = Z.shape[:2]
     H = C.shape[-1]
-    scale, offset = _gate_scale(H, B)
     # (1 - a)(a + lo) is a(1 - a) on the sigmoid columns, 1 - a^2 on tanh's.
-    lo = scale - offset
+    lo = ws.lo[:b]
+    slope, zlo = ws.wide[:, :b]
+    dh, dc, tc, t, dc_carry = ws.narrow[:, :b]
     W = layer.recurrent_weights
-    dc_carry = np.zeros((2, B, H))
+    dh[...] = dh_carry
+    dc_carry[...] = 0.0
+    ZT, dhT = Z.transpose(0, 2, 1, 3), dh.transpose(1, 0, 2)
+    zi, zf, zg, zo = (Z[..., k * H:(k + 1) * H] for k in range(4))
     for s in range(T - 1, -1, -1):
-        z = Z[:, s]
-        i, f, g, o = (z[..., k * H:(k + 1) * H] for k in range(4))
-        dh = dHs[:, s] + dh_carry
-        tc = np.tanh(C[:, s + 1])
-        dc = dh * o
-        dc *= 1.0 - tc * tc
+        z = Z[s]
+        i, f, g, o = zi[s], zf[s], zg[s], zo[s]
+        dh += dHs[s]  # dh holds the carry from step s + 1
+        np.tanh(C[s + 1], out=tc)
+        np.multiply(dh, o, out=dc)
+        np.multiply(tc, tc, out=t)
+        np.subtract(1.0, t, out=t)
+        dc *= t
         dc += dc_carry
-        slope = 1.0 - z
-        slope *= z + lo
+        np.subtract(1.0, z, out=slope)
+        np.add(z, lo, out=zlo)
+        slope *= zlo
         # Gate slots turn into dZ; each is read before it is overwritten.
-        dc_carry = dc * f
-        di = dc * g
+        np.multiply(dc, f, out=dc_carry)
+        np.multiply(dc, g, out=t)
         np.multiply(dc, i, out=g)
-        np.multiply(dc, C[:, s], out=f)
+        np.multiply(dc, C[s], out=f)
         np.multiply(dh, tc, out=o)
-        i[...] = di
+        i[...] = t
         z *= slope
-        dh_carry = np.matmul(z, W)
-    del C
+        np.matmul(ZT[s], W, out=dhT)
 
     for d in (0, 1):
-        dZ = Z[d].reshape(T * B, 4 * H)
-        grads.input_weights[d] = dZ.T @ input_of(d).reshape(T * B, -1)
-        grads.recurrent_weights[d] = dZ.T @ Hs[d, :-1].reshape(T * B, H)
-        grads.bias[d] = dZ.sum(axis=0)
+        dZ = Z[:, :, d].reshape(T * b, 4 * H)
+        grads.input_weights[d] = dZ.T @ input_of(d).reshape(T * b, -1)
+        grads.recurrent_weights[d] = dZ.T @ Hs[:-1, :, d].reshape(T * b, H)
+    # Down the rows in order, as a sum per direction would run.
+    grads.bias[...] = Z.reshape(T * b, 2, 4 * H).sum(axis=0)
 
 
-def _batch_grads(model: BiLSTMModel, X: np.ndarray,
-                 labels: np.ndarray) -> tuple[float, int, BiLSTMModel]:
+def _batch_grads(model: BiLSTMModel, X: np.ndarray, labels: np.ndarray,
+                 ws: _Workspace | None = None
+                 ) -> tuple[float, int, BiLSTMModel]:
     """Summed cross-entropy, number correct and the gradients of the mean
-    cross-entropy of a (B, T, D) batch; a non-finite loss raises
-    PcgError before BPTT.
+    cross-entropy of a (B, T, D) batch, its buffers carved from ws (a fresh
+    workspace for this batch if None); a non-finite loss raises PcgError
+    before BPTT.
 
     Layer 2's outputs reach the loss only through feat, on its last step,
     so the head's gradient seeds layer 2's carry and its output gradients
-    are a zero-stride view.  Layer 2's weight gradients rebuild its input
-    from layer 1's hidden states, one direction at a time.  Each buffer is
-    released after its last reader: layer 2's cell states inside its
-    backward, its hidden states once its weight gradients are formed, its
-    dZ once it has become dU, layer 1's output gradient, and dU once it is
-    stacked in layer 1's step order.  Layer 1's backward thus runs with
-    only its own cache alive, and a batch peaks at its forward cache.
+    are a zero-stride view.  Every buffer after the forward cache goes into
+    memory whose occupant is dead: layer 2's input, rebuilt one direction
+    at a time for its weight gradients, and then the forward half of its
+    input gradient into its C; the backward half into its Hs; and layer
+    1's output gradient dHs1 into its Z.  A batch thus peaks at its
+    forward cache.
     """
-    probs, feat, c1, c2 = _forward_batch(model, X)
+    if ws is None:
+        ws = _Workspace(model.hidden_size, *X.shape[:2])
+    probs, feat, c1, c2 = _forward_batch(model, X, ws)
     B, T, _ = X.shape
     H = model.hidden_size
     total_loss = float(-np.log(probs[np.arange(B), labels]).sum())
@@ -387,20 +451,23 @@ def _batch_grads(model: BiLSTMModel, X: np.ndarray,
     dfeat = dlogits @ model.head_weights  # (B, 2H): [forward, backward]
 
     l1, l2 = model.layers
-    zeros = np.broadcast_to(np.zeros((2, 1, B, H)), (2, T, B, H))
-    Hs1 = c1["Hs"][:, 1:]
-    _layer_backward(l2, c2, zeros, dfeat.reshape(B, 2, H).transpose(1, 0, 2),
-                    grads.layers[1], lambda d: _layer2_input(Hs1, d))
+    zeros = np.broadcast_to(np.zeros((1, B, 2, H)), (T, B, 2, H))
+    Hs1, C2, Hs2 = c1["Hs"][1:], c2["C"][:T], c2["Hs"][:T]
+    _layer_backward(l2, c2, zeros, dfeat.reshape(B, 2, H), grads.layers[1],
+                    lambda d: _layer2_input(Hs1, d, C2), ws)
     dZ = c2["Z"]
-    del c2
-    dU = dZ[0] @ l2.input_weights[0]  # (T, B, 2H), time order
-    dU += (dZ[1] @ l2.input_weights[1])[::-1]
-    del dZ
-    dHs1 = np.stack([dU[..., :H], dU[::-1, :, H:]])
-    del dU
+    # Layer 2's input gradient, one half per direction, the backward one in
+    # reversed time order; layer 1's output gradients are their sums.
+    fw = np.matmul(dZ[:, :, 0], l2.input_weights[0],
+                   out=C2.reshape(T, B, 2 * H))
+    bw = np.matmul(dZ[:, :, 1], l2.input_weights[1],
+                   out=Hs2.reshape(T, B, 2 * H))
+    dHs1 = dZ.reshape(-1)[:C2.size].reshape(C2.shape)
+    np.add(fw[..., :H], bw[::-1, :, :H], out=dHs1[:, :, 0])
+    np.add(fw[::-1, :, H:], bw[:, :, H:], out=dHs1[:, :, 1])
     U1 = X.transpose(1, 0, 2)
-    _layer_backward(l1, c1, dHs1, np.zeros((2, B, H)), grads.layers[0],
-                    lambda d: U1[::1 - 2 * d])
+    _layer_backward(l1, c1, dHs1, np.zeros((B, 2, H)), grads.layers[0],
+                    lambda d: U1[::1 - 2 * d], ws)
     return total_loss, correct, grads
 
 
@@ -444,6 +511,7 @@ def train(dataset: list[FeatureSequence], hidden: int, config: TrainConfig,
     model.feature_config = dataset[0].config
     velocity = BiLSTMModel(model.hidden_size)
     shuffle_rng = np.random.default_rng([seed, 1])
+    ws = _Workspace(hidden, min(config.batch_size, len(X)), X.shape[1])
 
     history = TrainHistory()
     n = len(dataset)
@@ -453,7 +521,8 @@ def train(dataset: list[FeatureSequence], hidden: int, config: TrainConfig,
         correct = 0
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            loss_b, correct_b, grads = _batch_grads(model, X[idx], labels[idx])
+            loss_b, correct_b, grads = _batch_grads(model, X[idx], labels[idx],
+                                                    ws)
             sgdm_step(model, grads, velocity)
             del grads  # not alive in the next batch's forward pass
             total_loss += loss_b

@@ -52,6 +52,18 @@ class TestCheckCount:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check_count("n", value, 0)
 
+    @pytest.mark.parametrize("value, shown", [
+        (-10**5000, "a negative integer of 5001 digits"),
+        (1 - 10**5000, "a negative integer of 5000 digits"),
+    ], ids=["5001-digits", "5000-digits"])
+    def test_floor_named_for_an_int_too_long_to_print(self, value, shown):
+        # Python turns no int of more than 4300 digits into a string.
+        message = f"half_length must be >= 1, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_count("half_length", value, 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WindowSpec(G, value)
+
 
 class TestCheckReal:
     @pytest.mark.parametrize("value", [0, 2.5, -3, 10**300, np.float64(2.5),

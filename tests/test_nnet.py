@@ -59,7 +59,11 @@ def grads_of(model, X, y):
 
 def layer_forward(layer, U):
     """`_layer_forward` over a time-major (T, B, D) array."""
-    return nnet._layer_forward(layer, lambda: U, *U.shape[:2])
+    T, B = U.shape[:2]
+    ws = nnet._Workspace(layer.recurrent_weights.shape[2], B, T)
+    cache = ws.caches(B)[0]
+    nnet._layer_forward(layer, U, cache, ws)
+    return cache
 
 
 def zero_model(H=3):
@@ -226,9 +230,10 @@ def _random_layer(rng, H, D):
 class TestCellStep:
     """The LSTM step as production runs it: both directions of one layer.
 
-    `_layer_forward` keeps its buffers in step order: step s is time s of
-    the forward direction and time T-1-s of the backward one, and index 0
-    of the state buffers holds the zero initial state.
+    `_layer_forward` keeps its buffers step-major, (step, batch row,
+    direction, ...): step s is time s of the forward direction and time
+    T-1-s of the backward one, and step 0 of the state buffers holds the
+    zero initial state.
     """
 
     def test_zero_params_give_zero_state(self):
@@ -236,8 +241,8 @@ class TestCellStep:
                         np.zeros((2, 12)))
         U = np.random.default_rng(0).normal(size=(4, 2, 10))  # (T, B, D)
         cache = layer_forward(layer, U)
-        assert np.array_equal(cache["Hs"], np.zeros((2, 5, 2, 3)))
-        assert np.array_equal(cache["C"], np.zeros((2, 5, 2, 3)))
+        assert np.array_equal(cache["Hs"], np.zeros((5, 2, 2, 3)))
+        assert np.array_equal(cache["C"], np.zeros((5, 2, 2, 3)))
 
     def test_saturated_forget_gate_carries_cell(self):
         rng = np.random.default_rng(1)
@@ -250,12 +255,12 @@ class TestCellStep:
         cache = layer_forward(_layer((Wx, Wh, b)), U)
         # Step 2 sees time 1 in the forward direction, time 0 in the backward.
         for d, t in ((0, 1), (1, 0)):
-            h_prev, c_prev = cache["Hs"][d, 1, 0], cache["C"][d, 1, 0]
+            h_prev, c_prev = cache["Hs"][1, 0, d], cache["C"][1, 0, d]
             assert np.all(c_prev != 0.0)
             z = Wx @ U[t, 0] + Wh @ h_prev
             i = 1 / (1 + np.exp(-z[:H]))
             g = np.tanh(z[2 * H:3 * H])
-            assert np.allclose(cache["C"][d, 2, 0], c_prev + i * g, atol=1e-12)
+            assert np.allclose(cache["C"][2, 0, d], c_prev + i * g, atol=1e-12)
 
     @staticmethod
     def _scalar_loop(layer, d, xs):
@@ -294,8 +299,8 @@ class TestCellStep:
         for d, order in enumerate(([0, 1], [1, 0])):
             states = self._scalar_loop(layer, d, [U[t, 0] for t in order])
             for s, (h, c) in enumerate(states):
-                assert cache["Hs"][d, s + 1, 0] == pytest.approx(h, abs=1e-12)
-                assert cache["C"][d, s + 1, 0] == pytest.approx(c, abs=1e-12)
+                assert cache["Hs"][s + 1, 0, d] == pytest.approx(h, abs=1e-12)
+                assert cache["C"][s + 1, 0, d] == pytest.approx(c, abs=1e-12)
 
     def test_backward_half_is_forward_half_on_reversed_input(self):
         rng = np.random.default_rng(3)
@@ -307,8 +312,10 @@ class TestCellStep:
                           layer.recurrent_weights[::-1], layer.bias[::-1])
         swapped = layer_forward(flipped, U[::-1])
         for key in ("Hs", "C", "Z"):
-            assert np.allclose(ours[key][1], swapped[key][0], rtol=0, atol=1e-14)
-            assert np.allclose(ours[key][0], swapped[key][1], rtol=0, atol=1e-14)
+            assert np.allclose(ours[key][:, :, 1], swapped[key][:, :, 0],
+                               rtol=0, atol=1e-14)
+            assert np.allclose(ours[key][:, :, 0], swapped[key][:, :, 1],
+                               rtol=0, atol=1e-14)
 
     def test_batch_rows_match_single_sequence_forward(self):
         rng = np.random.default_rng(4)
@@ -784,11 +791,79 @@ class TestPredict:
         assert peak <= 1.10 * forward_cache_bytes(30, n, 199)
 
 
+def uneven_train_set():
+    """17 labelled sequences: batches of 5 leave a last batch of 2."""
+    rng = np.random.default_rng(46)
+    return [make_seq(rng.normal(size=(25, 10)) + (0.5 if k % 2 else -0.5),
+                     label=(Label.HEALTHY, Label.PATHOLOGICAL)[k % 2],
+                     sid=str(k)) for k in range(17)]
+
+
+class TestWorkspace:
+    """`train` and `predict_batch` carve every batch from one workspace per
+    call, a smaller last batch included; that changes no bit."""
+
+    def test_train_equals_steps_with_a_fresh_workspace_each(self):
+        data = uneven_train_set()
+        model, history = train(data, 30, TrainConfig(epochs=3, batch_size=5),
+                               seed=46)
+        # train's loop by hand, each batch in a workspace of its own.
+        X = np.stack([seq.values for seq in data])
+        y = nnet.class_indices(data)
+        want = init_model(30, seed=46)
+        velocity = BiLSTMModel(30)
+        shuffle_rng = np.random.default_rng([46, 1])
+        losses = []
+        for _ in range(3):
+            perm = shuffle_rng.permutation(17)
+            total = 0.0
+            for start in range(0, 17, 5):
+                idx = perm[start:start + 5]
+                loss, _, grads = nnet._batch_grads(want, X[idx], y[idx])
+                sgdm_step(want, grads, velocity)
+                total += loss
+            losses.append(total / 17)
+        assert len(idx) == 2
+        assert model.theta.tobytes() == want.theta.tobytes()
+        assert np.array(history.losses).tobytes() == np.array(losses).tobytes()
+
+    def test_predict_equals_one_call_per_chunk(self):
+        rng = np.random.default_rng(47)
+        model = init_model(30, seed=47)
+        seqs = [make_seq(rng.normal(size=(50, 10)), sid=str(k))
+                for k in range(40)]
+        want = np.concatenate([nnet.predict_batch(model, seqs[k:k + 16])
+                               for k in (0, 16, 32)])
+        assert set(want.tolist()) == {0, 1}
+        assert nnet.predict_batch(model, seqs).tolist() == want.tolist()
+        # The last chunk's probabilities, carved from a workspace that a
+        # full chunk used first, keep every bit.
+        X = np.stack([seq.values for seq in seqs])
+        ws = nnet._Workspace(30, 16, 50)
+        nnet._forward_batch(model, X[:16], ws)
+        probs = nnet._forward_batch(model, X[32:], ws)[0]
+        assert probs.tobytes() == nnet._forward_batch(model, X[32:])[0].tobytes()
+
+    def test_train_call_peaks_at_one_forward_cache(self):
+        # Three batches (16, 16 and 8) share one arena, not one per batch or
+        # per batch size; the call also holds its stacked training set.
+        rng = np.random.default_rng(48)
+        data = [make_seq(rng.normal(size=(199, 10)),
+                         label=(Label.HEALTHY, Label.PATHOLOGICAL)[k % 2],
+                         sid=str(k)) for k in range(40)]
+        peak = traced_peak(lambda: train(
+            data, 30, TrainConfig(epochs=1, batch_size=16), seed=48))
+        assert peak <= (1.10 * forward_cache_bytes(30, 16, 199)
+                        + 40 * 199 * 10 * 8)
+
+
 class TestPinnedBits:
     """Probabilities and gradients pinned bit for bit, so that a change
     meant to keep every output bit (a faster step loop, say) is checked to.
-    The pins come from numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another
-    BLAS may round its matmuls differently."""
+    The pins come from numpy 2.4 with OpenBLAS 0.3.31 on x86-64 at two
+    BLAS threads (OPENBLAS_NUM_THREADS=2, as CI runs them); another BLAS
+    may round its matmuls differently, and so does one thread, on the
+    K = 3184 weight-gradient matmuls of the (30, 16, 199) case."""
 
     PROBS = [
         "0x1.f8526a5ef2968p-2", "0x1.d7a0da5dcaa88p-2", "0x1.fe14a55585612p-2",
@@ -824,6 +899,9 @@ class TestPinnedBits:
     }
     # sha256 of a 5-epoch H = 30 train's theta followed by its losses.
     TRAIN = "3c3ab248d0a61b8a7f98f108677f66c2eaab0aebbca522f98a2815d7a2ab2a33"
+    # The same for 3 epochs on uneven_train_set(), whose last batch is 2 of 5.
+    UNEVEN_TRAIN = (
+        "0152248569f8b8dcf7cc2f93cb03f26de16862d61870b471545663806f80b234")
 
     @pytest.mark.parametrize("H, B, T", list(BPTT_GRADS))
     def test_bptt_gradients(self, H, B, T):
@@ -845,6 +923,12 @@ class TestPinnedBits:
                                seed=45)
         bits = np.concatenate([model.theta, history.losses]).astype("<f8")
         assert hashlib.sha256(bits.tobytes()).hexdigest() == self.TRAIN
+
+    def test_trained_theta_and_losses_with_an_uneven_last_batch(self):
+        model, history = train(uneven_train_set(), 30,
+                               TrainConfig(epochs=3, batch_size=5), seed=46)
+        bits = np.concatenate([model.theta, history.losses]).astype("<f8")
+        assert hashlib.sha256(bits.tobytes()).hexdigest() == self.UNEVEN_TRAIN
 
 
 class TestModelFile:
