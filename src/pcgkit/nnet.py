@@ -17,9 +17,13 @@ recurrent weights.  Every buffer is step-major: the gates are (T, B, 2, 4H)
 and the cell and hidden states (T+1, B, 2, H), so each step's gates,
 states and carries are one contiguous block, and each direction's
 (T*B, ...) rows are one strided 2-D view for the weight-gradient matmuls.
-The input projection is one matmul per direction into the gate buffer,
-which the loop turns into activations in place and BPTT into
-pre-activation gradients.  One tanh gives all four gates, since
+The input projection fills the gate buffer before the loop, which turns
+it into activations in place and BPTT into pre-activation gradients.  It
+is one (T*B, D) GEMM per direction wherever that gives the bits of the T
+per-step (B, D) products (`_one_gemm`): at every B >= 2 for D < 32
+(layer 1's ten inputs, and layer 2's 2H below H = 16), and otherwise at
+B*4H > 1200, below which OpenBLAS rounds each step's product in its
+small-matrix kernel.  One tanh gives all four gates, since
 sigma(x) = 0.5*tanh(x/2) + 0.5.
 
 Training and prediction take sequences of INPUT_SIZE (the ten
@@ -35,11 +39,13 @@ and BPTT), then `sgdm_step`.  `train` and `predict_batch` each make one
 (T+1, B, 2, H) cell and hidden states.  Every batch, a smaller last one
 included, carves its buffers from it, and BPTT recomputes nothing and
 puts each of its own buffers where a dead one was, so a call peaks at
-that one cache.  Layer 2's (T, B, 2H) input is not cached: the forward
-pass builds it in layer 2's cell-state buffer, where the input projection
-reads it before the loop writes the states, and the backward pass rebuilds
-it there once the cell states are dead, one direction at a time.  At
-T = 4970 and B = 16 that is 437 MiB at H = 30 and 1.42 GiB at H = 100.
+that one cache: at T = 4970 and B = 16, 437 MiB at H = 30 and 1.42 GiB
+at H = 100.  Layer 2's (T, B, 2H) input is not cached: the forward pass
+builds it, one step order per direction, in layer 2's cell-state and
+hidden-state buffers, where the input projection reads it before the loop
+writes the states, and the backward pass rebuilds it in the cell-state
+buffer once the cell states are dead, one direction at a time.  Only
+layer 1's one GEMM copies its input, time-major: T*B*10 floats.
 
 A model, its gradients and its velocity each own one float64 vector,
 theta, laid out by `param_layout`; every weight matrix and bias is a view
@@ -222,17 +228,32 @@ class _Workspace:
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def _layer_forward(layer: BiLayer, U: np.ndarray, cache: dict,
+def _one_gemm(b: int, D: int, n: int) -> bool:
+    """Whether the T per-step (b, D) @ (D, n) products of an input
+    projection run as one (T*b, D) @ (D, n) GEMM: exactly where that
+    gives the same bits.  OpenBLAS 0.3.31 runs a step's product as a GEMV
+    at b = 1, and through its small-matrix kernel where D >= 32 and
+    b*n <= 1200; both round unlike its general kernel, which the one GEMM
+    and every other step's product take.  Measured on x86-64 with AVX-512
+    at T in {7, 199, 1000, 4970}, b = 1 to 32, n = 4H for H in {5, 16,
+    30, 50, 100} and D in {10, 2H}."""
+    return b >= 2 and (D < 32 or b * n > 1200)
+
+
+def _layer_forward(layer: BiLayer, input_of, cache: dict,
                    ws: _Workspace) -> None:
-    """Both directions of one layer over a time-major (T, b, D) input U,
-    into cache's buffers (see `_Workspace.caches`).
+    """Both directions of one layer, into cache's buffers (see
+    `_Workspace.caches`).  input_of(d) gives the layer's (T, b, D) input in
+    direction d's step order.
 
     Step s runs time s of the forward direction and time T-1-s of the
     backward one, so the state is (b, 2, H) and each step's gates, states
     and carries are one contiguous block.  Z receives the gate activations;
     C and Hs the cell and hidden states, with the zero initial state at
-    index 0.  U is read only by the input projection, before C and Hs are
-    written, so it may share memory with them.
+    index 0.  Each direction's input is read only by its input projection,
+    before C and Hs are written, so input_of may build it in them.  The
+    projection is one GEMM per direction where `_one_gemm` allows, else
+    one product per step.
     """
     Z, C, Hs = cache["Z"], cache["C"], cache["Hs"]
     T, b = Z.shape[:2]
@@ -240,8 +261,13 @@ def _layer_forward(layer: BiLayer, U: np.ndarray, cache: dict,
     scale, offset = ws.scale[:b], ws.offset[:b]
     col = scale[0, 0]  # the per-column scale, folded into the weights
     Wx = layer.input_weights * col[:, None]
-    for d, X in enumerate((U, U[::-1])):
-        np.matmul(X, Wx[d].T, out=Z[:, :, d])
+    for d in (0, 1):
+        U, z = input_of(d), Z[:, :, d]
+        if _one_gemm(b, U.shape[-1], 4 * H):
+            # Copies only layer 1's input, a strided view of the batch.
+            U = np.ascontiguousarray(U).reshape(T * b, -1)
+            z = z.reshape(T * b, 4 * H)
+        np.matmul(U, Wx[d].T, out=z)
     Z += layer.bias * col
     # Copied contiguous once: each step's matmul runs about twice as fast.
     W = np.ascontiguousarray(
@@ -289,15 +315,18 @@ def _forward_batch(model: BiLSTMModel, X: np.ndarray,
     """Probabilities (B, 2), the head's (B, 2H) input feat and the two
     layers' caches for a (B, T, D) batch; feat and the caches are views of
     ws (a fresh workspace for this batch if None).  No cache keeps a
-    layer's input: layer 1's is X, and layer 2's lives in layer 2's C until
-    its input projection has read it."""
+    layer's input: layer 1's is X, and layer 2's lives in layer 2's C
+    (forward step order) and Hs (backward) until its input projection has
+    read it."""
     l1, l2 = model.layers
     B, T, _ = X.shape
     if ws is None:
         ws = _Workspace(model.hidden_size, B, T)
     c1, c2 = ws.caches(B)
-    _layer_forward(l1, X.transpose(1, 0, 2), c1, ws)
-    _layer_forward(l2, _layer2_input(c1["Hs"][1:], 0, c2["C"][:T]), c2, ws)
+    U1, Hs1 = X.transpose(1, 0, 2), c1["Hs"][1:]
+    _layer_forward(l1, lambda d: U1[::1 - 2 * d], c1, ws)
+    U2 = c2["C"][:T], c2["Hs"][:T]  # where layer 2's input is built
+    _layer_forward(l2, lambda d: _layer2_input(Hs1, d, U2[d]), c2, ws)
     # Forward ends at t = T-1 and backward at t = 0: both on the last step.
     feat = c2["Hs"][T].reshape(B, -1)  # (B, 2H): [forward, backward]
 
@@ -354,20 +383,21 @@ def predict_batch(model: BiLSTMModel,
 # Backward pass (BPTT)
 # ---------------------------------------------------------------------------
 
-def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray,
+def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray | None,
                     dh_carry: np.ndarray, grads: BiLayer, input_of,
                     ws: _Workspace) -> None:
     """BPTT through both directions of one layer, in reverse step order.
 
-    dHs holds the (T, b, 2, H) output gradients in step order, and dh_carry
-    the (b, 2, H) gradient that reaches the last step's hidden state from
-    outside dHs; the loop carries it back through the recurrence.  The gate
-    buffer cache["Z"] is overwritten with the pre-activation gradients dZ,
-    and the weight gradients are written into `grads`.  input_of(d) gives
-    the layer's (T, b, D) input in direction d's step order; it is called
-    once per direction, after the time loop, and each result is read before
-    the next call, so an input built on demand may reuse cache["C"], whose
-    last reader is the time loop.
+    dHs holds the (T, b, 2, H) output gradients in step order, or is None
+    where they are zero, and dh_carry the (b, 2, H) gradient that reaches
+    the last step's hidden state from outside dHs; the loop carries it back
+    through the recurrence.  The gate buffer cache["Z"] is overwritten with
+    the pre-activation gradients dZ, and the weight gradients are written
+    into `grads`.  input_of(d) gives the layer's (T, b, D) input in
+    direction d's step order; it is called once per direction, after the
+    time loop, and each result is read before the next call, so an input
+    built on demand may reuse cache["C"], whose last reader is the time
+    loop.
     """
     Z, C, Hs = cache["Z"], cache["C"], cache["Hs"]
     T, b = Z.shape[:2]
@@ -384,7 +414,8 @@ def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray,
     for s in range(T - 1, -1, -1):
         z = Z[s]
         i, f, g, o = zi[s], zf[s], zg[s], zo[s]
-        dh += dHs[s]  # dh holds the carry from step s + 1
+        if dHs is not None:
+            dh += dHs[s]  # dh holds the carry from step s + 1
         np.tanh(C[s + 1], out=tc)
         np.multiply(dh, o, out=dc)
         np.multiply(tc, tc, out=t)
@@ -421,9 +452,9 @@ def _batch_grads(model: BiLSTMModel, X: np.ndarray, labels: np.ndarray,
     before BPTT.
 
     Layer 2's outputs reach the loss only through feat, on its last step,
-    so the head's gradient seeds layer 2's carry and its output gradients
-    are a zero-stride view.  Every buffer after the forward cache goes into
-    memory whose occupant is dead: layer 2's input, rebuilt one direction
+    so the head's gradient seeds layer 2's carry and it has no other output
+    gradient.  Every buffer after the forward cache goes into memory whose
+    occupant is dead: layer 2's input, rebuilt one direction
     at a time for its weight gradients, and then the forward half of its
     input gradient into its C; the backward half into its Hs; and layer
     1's output gradient dHs1 into its Z.  A batch thus peaks at its
@@ -451,9 +482,8 @@ def _batch_grads(model: BiLSTMModel, X: np.ndarray, labels: np.ndarray,
     dfeat = dlogits @ model.head_weights  # (B, 2H): [forward, backward]
 
     l1, l2 = model.layers
-    zeros = np.broadcast_to(np.zeros((1, B, 2, H)), (T, B, 2, H))
     Hs1, C2, Hs2 = c1["Hs"][1:], c2["C"][:T], c2["Hs"][:T]
-    _layer_backward(l2, c2, zeros, dfeat.reshape(B, 2, H), grads.layers[1],
+    _layer_backward(l2, c2, None, dfeat.reshape(B, 2, H), grads.layers[1],
                     lambda d: _layer2_input(Hs1, d, C2), ws)
     dZ = c2["Z"]
     # Layer 2's input gradient, one half per direction, the backward one in

@@ -62,7 +62,7 @@ def layer_forward(layer, U):
     T, B = U.shape[:2]
     ws = nnet._Workspace(layer.recurrent_weights.shape[2], B, T)
     cache = ws.caches(B)[0]
-    nnet._layer_forward(layer, U, cache, ws)
+    nnet._layer_forward(layer, lambda d: U[::1 - 2 * d], cache, ws)
     return cache
 
 
@@ -325,6 +325,35 @@ class TestCellStep:
         for b in range(5):
             single = probs_of(model, make_seq(X[b]))
             assert np.allclose(probs[b], single, rtol=0, atol=1e-14)
+
+
+
+class TestInputProjection:
+    """`_layer_forward` runs a direction's input projection as one
+    (T*b, D) GEMM only where `nnet._one_gemm` says that keeps the bits of
+    the per-step products.  This checks the rule where it chooses the GEMM,
+    with the operands laid out as production lays them out: weights as a
+    (2, 4H, D) block, the input a time-major view of a (b, T, D) batch,
+    the output one direction of a (T, b, 2, 4H) gate buffer."""
+
+    @pytest.mark.parametrize("H, D", [(H, D) for H in (5, 16, 30, 50, 100)
+                                      for D in sorted({10, 2 * H})])
+    def test_one_gemm_gives_the_per_step_bits(self, H, D):
+        T = 7
+        rng = np.random.default_rng([H, D])
+        Wx = rng.normal(size=(2, 4 * H, D))
+        chosen = [b for b in range(1, 33) if nnet._one_gemm(b, D, 4 * H)]
+        assert chosen
+        for b in chosen:
+            U = rng.normal(size=(b, T, D)).transpose(1, 0, 2)
+            per_step = np.empty((T, b, 2, 4 * H))
+            one = np.empty_like(per_step)
+            for d in (0, 1):
+                X = U[::1 - 2 * d]
+                np.matmul(X, Wx[d].T, out=per_step[:, :, d])
+                np.matmul(np.ascontiguousarray(X).reshape(T * b, D), Wx[d].T,
+                          out=one[:, :, d].reshape(T * b, 4 * H))
+            assert np.array_equal(one, per_step), f"b = {b}"
 
 
 class TestForward:
@@ -896,6 +925,16 @@ class TestPinnedBits:
             "94c602b4915978a3d8d9ed8e8dece84dac2f1445bfeda5547f0a8d78721aaf92",
         (100, 4, 33):
             "097675d64da8586abdce896f5c63be43de7d7bdc847d6e911249670e25bf160c",
+        # Each side of where layer 2's input projection becomes one GEMM
+        # (nnet._one_gemm), pinned before it did.
+        (30, 10, 199):
+            "6be01a1c17ea43d990c8d482dc481bf9ab1818eb1281f2214223f87411f9d52f",
+        (30, 11, 199):
+            "e013f2cff026d396e634b37efbfd09da5c663c11edd223d4522c6dc506ee28c5",
+        (50, 6, 33):
+            "7ae702ecc7c00878e908996dd0fa3b1a790a00f14a9a3dfc601421e9df64325d",
+        (50, 7, 33):
+            "e8a55b745f5e35a2becafbeceb6a8c8cc5355df596262b6166f2b4b72cb2b99c",
     }
     # sha256 of a 5-epoch H = 30 train's theta followed by its losses.
     TRAIN = "3c3ab248d0a61b8a7f98f108677f66c2eaab0aebbca522f98a2815d7a2ab2a33"
