@@ -66,7 +66,6 @@ class TrialResult:
 
     confusion: Confusion
     predictions: np.ndarray
-    labels: np.ndarray
 
     @property
     def metrics(self) -> Metrics:
@@ -137,12 +136,11 @@ def split(dataset: list, seed: int = 0) -> tuple[list, list]:
 
 
 def score(model: nnet.BiLSTMModel, seqs: list[FeatureSequence]) -> TrialResult:
-    """Predictions, labels and confusion of a model on labeled sequences;
-    one class alone is fine (its other ratio is None)."""
+    """Predictions and confusion of a model on labeled sequences; one
+    class alone is fine (its other ratio is None)."""
     labels = nnet.class_indices(seqs)
     predictions = nnet.predict_batch(model, seqs)
-    return TrialResult(confusion=confusion(predictions, labels),
-                       predictions=predictions, labels=labels)
+    return TrialResult(confusion(predictions, labels), predictions)
 
 
 def run_trial(dataset: list[FeatureSequence], hidden: int,

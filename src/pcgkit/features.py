@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -336,12 +337,35 @@ def sidecar_path(path: Path) -> Path:
 
 
 def write_features(seq: FeatureSequence, path: str | Path) -> None:
-    """Write the feature matrix as CSV and its config as a .meta.json sidecar."""
+    """Write the feature matrix as CSV and its config as a .meta.json
+    sidecar, in which a numpy integer is a JSON integer."""
     path = Path(path)
-    np.savetxt(path, seq.values, fmt="%.17g", delimiter=",")
     meta = {"signal_id": seq.signal_id, "label": seq.label.value,
             **seq.config, "columns": list(FEATURE_NAMES)}
-    sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n")
+    text = json.dumps(meta, indent=2, default=operator.index) + "\n"
+    np.savetxt(path, seq.values, fmt="%.17g", delimiter=",")
+    sidecar_path(path).write_text(text)
+
+
+def record_sequence(record: dict, values: np.ndarray, signal_id: str = "",
+                    label: Label = Label.UNLABELED) -> FeatureSequence:
+    """The sequence of `values` made as `record` says, by its keys of
+    `FeatureSequence.config`: the rule read_features holds a sidecar to,
+    and load_model a model file's feature config.  L must be an even int,
+    and the rest what WindowSpec and FeatureSequence accept; KeyError names
+    a missing key and ValueError a bad value."""
+    if type(record["L"]) is not int or record["L"] % 2:
+        raise ValueError(f"L must be an even int, got {record['L']!r}")
+    return FeatureSequence(  # which checks every other field
+        values=values,
+        signal_id=signal_id,
+        label=label,
+        window=WindowSpec(WindowShape(record["window_shape"]),
+                          record["L"] // 2, record["alpha"]),
+        hop=record["hop"],
+        bins=record["bins"],
+        normalized=record["normalized"],
+    )
 
 
 def read_features(path: str | Path) -> FeatureSequence:
@@ -370,18 +394,8 @@ def read_features(path: str | Path) -> FeatureSequence:
     try:
         if meta["columns"] != list(FEATURE_NAMES):
             raise ValueError(f"columns {meta['columns']!r} are not FEATURE_NAMES")
-        if type(meta["L"]) is not int or meta["L"] % 2:
-            raise ValueError(f"L must be an even int, got {meta['L']!r}")
-        return FeatureSequence(  # which checks every other field
-            values=values,
-            signal_id=meta["signal_id"],
-            label=Label(meta["label"]),
-            window=WindowSpec(WindowShape(meta["window_shape"]),
-                              meta["L"] // 2, meta["alpha"]),
-            hop=meta["hop"],
-            bins=meta["bins"],
-            normalized=meta["normalized"],
-        )
+        return record_sequence(meta, values, meta["signal_id"],
+                               Label(meta["label"]))
     except KeyError as exc:
         raise PcgError(f"{meta_path}: no {exc} key") from None
     except ValueError as exc:

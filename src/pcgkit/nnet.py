@@ -33,8 +33,9 @@ one (B, T, INPUT_SIZE) array, and `predict_batch` runs forward passes over
 chunks of `TrainConfig().batch_size` rows.
 
 One optimizer step is `_batch_grads` (a mini-batch's forward pass, loss
-and BPTT), then `sgdm_step`.  `train` and `predict_batch` each make one
-`_Workspace` per call, an arena of exactly one batch's forward cache,
+and BPTT), then `sgdm_step`.  Only `train` and `predict_batch` make a
+`_Workspace`, one per call, which `_forward_batch` and `_batch_grads` take
+as their `ws`: an arena of exactly one batch's forward cache,
 8*(16TBH + 8(T+1)BH) bytes: per layer the (T, B, 2, 4H) gates and the
 (T+1, B, 2, H) cell and hidden states.  Every batch, a smaller last one
 included, carves its buffers from it, and BPTT recomputes nothing and
@@ -56,9 +57,10 @@ model file's body is theta's bytes: load_model checks the descriptor
 against the layout and the body for exactly 8 bytes per parameter.  The
 descriptor also records `FEATURE_NAMES`, which load_model checks, and the
 model's `feature_config`, the `FeatureSequence.config` of the sequences it
-was trained on, as it is; `predict_batch` holds every sequence to it, so
-a model refuses features made with another window, hop, bins or
-normalization.
+was trained on, as it is, which load_model holds to the rule read_features
+holds a sidecar to (`record_sequence`); `predict_batch` holds every
+sequence to it, so a model refuses features made with another window,
+hop, bins or normalization.
 
 Everything is plain numpy in double precision, deterministic in the seed.
 """
@@ -68,6 +70,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,7 +78,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PcgError, check_count, json_object
-from .features import FEATURE_NAMES, FeatureSequence
+from .features import FEATURE_NAMES, FeatureSequence, record_sequence
 from .ingest import CLASS_INDEX
 
 LEARNING_RATE = 0.01
@@ -311,17 +314,14 @@ def _layer2_input(Hs1: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
 
 
 def _forward_batch(model: BiLSTMModel, X: np.ndarray,
-                   ws: _Workspace | None = None) -> tuple:
+                   ws: _Workspace) -> tuple:
     """Probabilities (B, 2), the head's (B, 2H) input feat and the two
     layers' caches for a (B, T, D) batch; feat and the caches are views of
-    ws (a fresh workspace for this batch if None).  No cache keeps a
-    layer's input: layer 1's is X, and layer 2's lives in layer 2's C
-    (forward step order) and Hs (backward) until its input projection has
-    read it."""
+    ws.  No cache keeps a layer's input: layer 1's is X, and layer 2's
+    lives in layer 2's C (forward step order) and Hs (backward) until its
+    input projection has read it."""
     l1, l2 = model.layers
     B, T, _ = X.shape
-    if ws is None:
-        ws = _Workspace(model.hidden_size, B, T)
     c1, c2 = ws.caches(B)
     U1, Hs1 = X.transpose(1, 0, 2), c1["Hs"][1:]
     _layer_forward(l1, lambda d: U1[::1 - 2 * d], c1, ws)
@@ -444,12 +444,10 @@ def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray | None,
 
 
 def _batch_grads(model: BiLSTMModel, X: np.ndarray, labels: np.ndarray,
-                 ws: _Workspace | None = None
-                 ) -> tuple[float, int, BiLSTMModel]:
+                 ws: _Workspace) -> tuple[float, int, BiLSTMModel]:
     """Summed cross-entropy, number correct and the gradients of the mean
-    cross-entropy of a (B, T, D) batch, its buffers carved from ws (a fresh
-    workspace for this batch if None); a non-finite loss raises PcgError
-    before BPTT.
+    cross-entropy of a (B, T, D) batch, its buffers carved from ws; a
+    non-finite loss raises PcgError before BPTT.
 
     Layer 2's outputs reach the loss only through feat, on its last step,
     so the head's gradient seeds layer 2's carry and it has no other output
@@ -460,8 +458,6 @@ def _batch_grads(model: BiLSTMModel, X: np.ndarray, labels: np.ndarray,
     1's output gradient dHs1 into its Z.  A batch thus peaks at its
     forward cache.
     """
-    if ws is None:
-        ws = _Workspace(model.hidden_size, *X.shape[:2])
     probs, feat, c1, c2 = _forward_batch(model, X, ws)
     B, T, _ = X.shape
     H = model.hidden_size
@@ -588,12 +584,12 @@ def save_model(model: BiLSTMModel, path: str | Path,
     layout order).  The descriptor records the layout, `FEATURE_NAMES`
     and the model's `feature_config` (null for an untrained model);
     `config`, the settings the model was trained with, goes into it as
-    its `train_config`."""
+    its `train_config`.  A numpy integer is written as a JSON integer."""
     descriptor = {**_descriptor(model.hidden_size),
                   "feature_config": model.feature_config}
     if config is not None:
         descriptor["train_config"] = config
-    header = json.dumps(descriptor).encode("utf-8")
+    header = json.dumps(descriptor, default=operator.index).encode("utf-8")
     Path(path).write_bytes(MODEL_MAGIC + struct.pack("<I", len(header))
                            + header + model.theta.astype("<f8").tobytes())
 
@@ -632,9 +628,21 @@ def load_model(path: str | Path) -> BiLSTMModel:
     if "feature_config" not in descriptor:
         raise PcgError(f"{path}: descriptor has no 'feature_config'")
     feature_config = descriptor["feature_config"]
-    if feature_config is not None and not isinstance(feature_config, dict):
-        raise PcgError(f"{path}: feature_config {feature_config!r}, "
-                       "expected an object or null")
+    if feature_config is not None:
+        if not isinstance(feature_config, dict):
+            raise PcgError(f"{path}: feature_config {feature_config!r}, "
+                           "expected an object or null")
+        # The rule read_features holds a sidecar to, to the JSON text.
+        try:
+            config = record_sequence(feature_config,
+                                     np.zeros((1, INPUT_SIZE))).config
+        except KeyError as exc:
+            raise PcgError(f"{path}: feature_config has no {exc} key") from None
+        except ValueError as exc:
+            raise PcgError(f"{path}: feature_config: {exc}") from None
+        if json.dumps(config) != json.dumps(feature_config):
+            raise PcgError(f"{path}: feature_config {feature_config!r}, "
+                           f"expected {config!r}")
     body = len(raw) - 8 - hlen
     size = sum(math.prod(shape) for _, shape in param_layout(H))
     if body != 8 * size:

@@ -82,15 +82,18 @@ def make_window(spec: WindowSpec) -> np.ndarray:
 
 def frame_centers(n_samples: int, spec: WindowSpec, hop: int) -> np.ndarray:
     """Frame centers L/2, L/2+hop, ... while the window fits; PcgError
-    if that leaves fewer than two, the one rule of a usable window."""
+    if that leaves fewer than two, the one rule of a usable window.  The
+    frames are counted in Python integers before any array is made, so a
+    window of any length gets that rule's message."""
     check_count("hop", hop, 1)
-    centers = np.arange(spec.half_length, n_samples - spec.half_length, hop)
-    if centers.size < 2:
+    bounds = spec.half_length, n_samples - spec.half_length, hop
+    count = len(range(*bounds))
+    if count < 2:
         raise PcgError(
-            f"window length {spec.length} at hop {hop} leaves {centers.size} "
-            f"frame{'' if centers.size == 1 else 's'} in a record of "
+            f"window length {spec.length} at hop {hop} leaves {count} "
+            f"frame{'' if count == 1 else 's'} in a record of "
             f"{n_samples} samples; features need at least 2")
-    return centers
+    return np.arange(*bounds)
 
 
 def frame_matrix(samples: np.ndarray, spec: WindowSpec,

@@ -28,7 +28,7 @@ from pcgkit.windows import (
 
 from naive_features import NAIVE_BY_NAME
 from test_features import LIB_BY_NAME, RECT_31, edge_frames, random_frames
-from test_nnet import grads_of
+from test_nnet import grads_of, workspace
 
 
 def report(number: int, title: str, elapsed: float | None = None) -> None:
@@ -149,7 +149,7 @@ def test_criterion_4_gradient_check():
     grads = grads_of(model, X, labels)
 
     def mean_loss():
-        p = nnet._forward_batch(model, X)[0]
+        p = nnet._forward_batch(model, X, workspace(model, X))[0]
         return float(-np.log(p[np.arange(B), labels]).mean())
 
     eps = 1e-5

@@ -1014,6 +1014,28 @@ def test_impossible_allocation_exits_1_writing_nothing(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, hop", [
+    ("extract", 25), ("window-info", 1), ("grid", 250)])
+def test_window_beyond_int64_gets_the_framing_message(
+        corpus_dir, tmp_path, capsys, monkeypatch, command, hop):
+    # Its half length is past int64, where numpy refuses with its own text.
+    monkeypatch.chdir(tmp_path)
+    length = str(10**23)
+    wav = str(sorted(corpus_dir.glob("*.wav"))[0])
+    argv = {"extract": ["extract", "--input", wav, "--shape", "gaussian",
+                        "--length", length, "--hop", str(hop), "--out",
+                        "f.csv"],
+            "window-info": ["window-info", "--lengths", length],
+            "grid": ["grid", "--corpus", str(corpus_dir), *SMALL_GRID,
+                     "--lengths", length, "--out-dir", "out"]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: window length {10**23 + 1} at hop {hop} leaves 0 frames in "
+        "a record of 5000 samples; features need at least 2\n")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_missing_output_directories_are_made(corpus_dir, feature_dir,
                                              tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -189,7 +189,8 @@ class TestRunTrial:
 
     def test_metrics_recomputable_from_predictions(self):
         r = run_trial(self.data, 3, self.config, seed=7)
-        again = metrics(confusion(r.predictions, r.labels))
+        labels = nnet.class_indices(split(self.data, seed=mix_seed(7, 0))[1])
+        again = metrics(confusion(r.predictions, labels))
         assert again == r.metrics
 
     def test_predictions_match_per_sequence_forward(self):
@@ -207,13 +208,13 @@ class TestRunTrial:
 class TestTrialResult:
     def test_fields_are_what_the_trial_measured(self):
         assert [f.name for f in fields(TrialResult)] == [
-            "confusion", "predictions", "labels"]
+            "confusion", "predictions"]
         r = run_trial(toy_blobs(10, seed=3), 3, nnet.TrainConfig(epochs=2),
                       seed=5)
         assert r.metrics == metrics(r.confusion)
         with pytest.raises(TypeError):
             TrialResult(confusion=r.confusion, metrics=r.metrics,
-                        predictions=r.predictions, labels=r.labels)
+                        predictions=r.predictions)
 
 
 class TestScore:
@@ -221,7 +222,8 @@ class TestScore:
         # One class alone is scored: only train needs both.
         healthy = toy_blobs(4, seed=9)[:4]
         r = score(nnet.init_model(3, seed=9), healthy)
-        assert r.labels.dtype == np.int64 and r.labels.tolist() == [0] * 4
+        labels = nnet.class_indices(healthy)
+        assert labels.dtype == np.int64 and labels.tolist() == [0] * 4
         assert r.confusion.tp == r.confusion.fn == 0
         assert r.confusion.total == 4
         assert r.metrics.sensitivity is None

@@ -685,6 +685,22 @@ class TestNormalize:
             normalize_sequence(seq)
 
 
+@pytest.mark.parametrize("hop, half_length", [
+    (np.int64(25), 15), (25, np.int64(15))], ids=["hop", "half-length"])
+def test_numpy_integers_written_as_json_integers(tmp_path, hop, half_length):
+    rng = np.random.default_rng(21)
+    frames = rng.normal(size=(4, 31))
+    for name, h, half in (("numpy", hop, half_length), ("int", 25, 15)):
+        write_features(extract_sequence(
+            frames, signal_id="a", label=Label.HEALTHY, hop=h,
+            window=WindowSpec(WindowShape.GAUSSIAN, half)), tmp_path / name)
+    assert ((tmp_path / "numpy.meta.json").read_bytes()
+            == (tmp_path / "int.meta.json").read_bytes())
+    back = read_features(tmp_path / "numpy")
+    assert back.config == read_features(tmp_path / "int").config
+    assert (back.hop, back.window.half_length) == (25, 15)
+
+
 def test_feature_file_roundtrip(tmp_path):
     rng = np.random.default_rng(20)
     spec = WindowSpec(WindowShape.TRIANGULAR, 7)

@@ -46,15 +46,22 @@ def toy_blobs(n_per_class=8, T=5, D=10, seed=0, gap=2.0):
     return data
 
 
+def workspace(model, X):
+    """A workspace for the one (B, T, D) batch X, made as `train` makes
+    its own."""
+    return nnet._Workspace(model.hidden_size, *X.shape[:2])
+
+
 def probs_of(model, seq):
     """Class probabilities of one sequence: a forward pass at B = 1."""
-    return nnet._forward_batch(model, seq.values[None])[0][0]
+    X = seq.values[None]
+    return nnet._forward_batch(model, X, workspace(model, X))[0][0]
 
 
 def grads_of(model, X, y):
     """Gradients of the mean cross-entropy of a (B, T, D) batch with class
     indices y, as a training step takes them."""
-    return nnet._batch_grads(model, X, np.asarray(y))[2]
+    return nnet._batch_grads(model, X, np.asarray(y), workspace(model, X))[2]
 
 
 def layer_forward(layer, U):
@@ -103,6 +110,17 @@ def _header_edit(old, new):
     return lambda raw: _rewrite_header(raw, lambda h: h.replace(old, new))
 
 
+# A feature record as save_model writes one: FeatureSequence.config.
+FEATURE_RECORD = {"window_shape": "gaussian", "L": 30, "alpha": 2.5,
+                  "hop": 25, "bins": 10, "normalized": True}
+
+
+def _feature_record_edit(record):
+    """Puts `record` where an untrained model's file has a null one."""
+    return _header_edit(b'"feature_config": null',
+                        b'"feature_config": ' + json.dumps(record).encode())
+
+
 # Ways to break the file that save_model writes for init_model(3, seed=...),
 # whose input size is nnet.INPUT_SIZE, 10.
 MODEL_FILE_MUTATIONS = {
@@ -123,6 +141,12 @@ MODEL_FILE_MUTATIONS = {
     "missing_feature_config": _header_edit(b', "feature_config": null', b""),
     "feature_config_not_object":
         _header_edit(b'"feature_config": null', b'"feature_config": 250'),
+    "empty_feature_config": _feature_record_edit({}),
+    "feature_config_of_hop_only": _feature_record_edit({"hop": 25}),
+    "float_feature_L": _feature_record_edit({**FEATURE_RECORD, "L": 30.0}),
+    "bool_feature_hop": _feature_record_edit({**FEATURE_RECORD, "hop": True}),
+    "feature_config_extra_key":
+        _feature_record_edit({**FEATURE_RECORD, "signal_id": "a"}),
     "big_endian_dtype": _header_edit(b'"<f8"', b'">f8"'),
     "header_length_1e9":
         lambda raw: raw[:4] + struct.pack("<I", 10**9) + raw[8:],
@@ -321,7 +345,7 @@ class TestCellStep:
         rng = np.random.default_rng(4)
         model = init_model(4, seed=5)
         X = rng.normal(size=(5, 8, 10))
-        probs = nnet._forward_batch(model, X)[0]
+        probs = nnet._forward_batch(model, X, workspace(model, X))[0]
         for b in range(5):
             single = probs_of(model, make_seq(X[b]))
             assert np.allclose(probs[b], single, rtol=0, atol=1e-14)
@@ -418,7 +442,7 @@ class TestLoss:
             probs = probs_of(model, s)
             per_example.append(float(-np.log(probs[y])))
         X = np.stack([s.values for s in seqs])
-        probs = nnet._forward_batch(model, X)[0]
+        probs = nnet._forward_batch(model, X, workspace(model, X))[0]
         batch_mean = float(-np.log(probs[np.arange(4), labels]).mean())
         assert batch_mean == pytest.approx(np.mean(per_example), abs=1e-12)
 
@@ -443,7 +467,7 @@ class TestBackward:
         grads = grads_of(model, X, labels)
 
         def total_loss():
-            p = nnet._forward_batch(model, X)[0]
+            p = nnet._forward_batch(model, X, workspace(model, X))[0]
             return float(-np.log(p[np.arange(2), labels]).mean())
 
         eps = 1e-6
@@ -476,7 +500,7 @@ class TestBackward:
         grads = dict(grads_of(model, X, labels).blocks)
 
         def mean_loss():
-            p = nnet._forward_batch(model, X)[0]
+            p = nnet._forward_batch(model, X, workspace(model, X))[0]
             return float(-np.log(p[np.arange(B), labels]).mean())
 
         eps = 1e-5
@@ -814,7 +838,7 @@ class TestPredict:
         assert nnet.predict_batch(model, seqs).tolist() == want.tolist()
         # So does one 64-row forward pass.
         X = np.stack([s.values for s in seqs])
-        probs = nnet._forward_batch(model, X)[0]
+        probs = nnet._forward_batch(model, X, workspace(model, X))[0]
         assert probs.argmax(axis=1).tolist() == want.tolist()
         peak = traced_peak(lambda: nnet.predict_batch(model, seqs))
         assert peak <= 1.10 * forward_cache_bytes(30, n, 199)
@@ -848,7 +872,8 @@ class TestWorkspace:
             total = 0.0
             for start in range(0, 17, 5):
                 idx = perm[start:start + 5]
-                loss, _, grads = nnet._batch_grads(want, X[idx], y[idx])
+                loss, _, grads = nnet._batch_grads(
+                    want, X[idx], y[idx], workspace(want, X[idx]))
                 sgdm_step(want, grads, velocity)
                 total += loss
             losses.append(total / 17)
@@ -868,10 +893,11 @@ class TestWorkspace:
         # The last chunk's probabilities, carved from a workspace that a
         # full chunk used first, keep every bit.
         X = np.stack([seq.values for seq in seqs])
-        ws = nnet._Workspace(30, 16, 50)
+        ws = workspace(model, X[:16])
         nnet._forward_batch(model, X[:16], ws)
         probs = nnet._forward_batch(model, X[32:], ws)[0]
-        assert probs.tobytes() == nnet._forward_batch(model, X[32:])[0].tobytes()
+        assert probs.tobytes() == nnet._forward_batch(
+            model, X[32:], workspace(model, X[32:]))[0].tobytes()
 
     def test_train_call_peaks_at_one_forward_cache(self):
         # Three batches (16, 16 and 8) share one arena, not one per batch or
@@ -909,7 +935,7 @@ class TestPinnedBits:
         model = init_model(5, seed=40)
         X = rng.normal(size=(16, 6, 10))
         y = rng.integers(0, 2, size=16)
-        probs = nnet._forward_batch(model, X)[0]
+        probs = nnet._forward_batch(model, X, workspace(model, X))[0]
         grads = grads_of(model, X, y)
         assert [float.hex(float(p)) for p in probs[:, 1]] == self.PROBS
         theta = grads.theta.astype("<f8")
@@ -1005,6 +1031,26 @@ class TestModelFile:
         assert descriptor["feature_config"] == data[0].config
         assert load_model(path).feature_config == data[0].config
 
+    def test_feature_record_of_another_file_loads(self, tmp_path):
+        # The record that MODEL_FILE_MUTATIONS breaks one key of is sound.
+        path = tmp_path / "model.bin"
+        save_model(init_model(3, seed=0), path)
+        path.write_bytes(_feature_record_edit(FEATURE_RECORD)(
+            path.read_bytes()))
+        assert load_model(path).feature_config == FEATURE_RECORD
+
+    @pytest.mark.parametrize("hidden, config", [
+        (np.int64(3), None), (3, {"epochs": np.int64(2)})],
+        ids=["hidden-size", "train-config"])
+    def test_numpy_integers_written_as_json_integers(self, tmp_path, hidden,
+                                                     config):
+        save_model(init_model(hidden, seed=0), tmp_path / "numpy.bin", config)
+        plain = config and {k: int(v) for k, v in config.items()}
+        save_model(init_model(3, seed=0), tmp_path / "int.bin", plain)
+        raw = (tmp_path / "numpy.bin").read_bytes()
+        assert raw == (tmp_path / "int.bin").read_bytes()
+        assert load_model(tmp_path / "numpy.bin").hidden_size == 3
+
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bogus.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -1045,7 +1091,8 @@ class TestModelFile:
         ("float_num_layers", "num_layers 2.0, expected 2"),
         ("float_block_shape", "blocks ['layer1.fw.input_weights', [12.0, 10]], "
                               "expected ['layer1.fw.input_weights', [12, 10]]"),
-    ], ids=["input-size", "num-layers", "block-shape"])
+        ("float_feature_L", "feature_config: L must be an even int, got 30.0"),
+    ], ids=["input-size", "num-layers", "block-shape", "feature-L"])
     def test_header_value_of_another_json_type_named(self, tmp_path, mutation,
                                                      message):
         path = tmp_path / "model.bin"
