@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -90,10 +91,15 @@ def _check_output_dir(path: str | Path) -> Path:
     """Refuse an output directory that could not be made, before any work:
     the path, or else its nearest existing ancestor, must be a directory."""
     p = Path(path)
-    q = next((q for q in (p, *p.parents) if q.exists()), p)
+    q = _existing_ancestor(p)
     if not q.is_dir():
         raise NotADirectoryError(f"cannot write {p}: {q} is not a directory")
     return p
+
+
+def _existing_ancestor(p: Path) -> Path:
+    """p if it exists, else its nearest existing ancestor."""
+    return next((q for q in (p, *p.parents) if q.exists()), p)
 
 
 def _write_effective_config(out_dir: Path, args: argparse.Namespace) -> None:
@@ -113,8 +119,16 @@ def cmd_synth(args) -> int:
         duration_s=args.duration, murmur_gain=args.murmur_gain,
         noise_floor=args.noise_floor)
     out_dir = _check_output_dir(args.out_dir)
-    records = synth.generate_dataset(args.healthy, args.pathological,
+    # Each record is written as it is made, so memory holds one at a time.
+    records = synth.generate_records(args.healthy, args.pathological,
                                      base_seed=args.seed, config=config)
+    count = args.healthy + args.pathological
+    need = count * (ingest.WAV_HEADER_BYTES + 2 * config.num_samples)
+    free = shutil.disk_usage(_existing_ancestor(out_dir)).free
+    if need > free:
+        raise ValueError(f"--healthy and --pathological ask for {count} "
+                         f"records, whose WAV files need {need} bytes, more "
+                         f"than the {free} bytes free at {out_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
     clipped = []  # per record, the samples write_wav clipped
     with open(out_dir / "labels.csv", "w", newline="") as fh:
@@ -127,9 +141,9 @@ def cmd_synth(args) -> int:
     _write_effective_config(out_dir, args)
     if sum(clipped):
         print(f"warning: {sum(clipped)} samples in "
-              f"{sum(map(bool, clipped))} of {len(records)} records exceed "
+              f"{sum(map(bool, clipped))} of {count} records exceed "
               f"16-bit full scale and were clipped", file=sys.stderr)
-    print(f"wrote {len(records)} records to {out_dir}")
+    print(f"wrote {count} records to {out_dir}")
     return 0
 
 
@@ -214,7 +228,7 @@ def _train_config_from_args(args) -> nnet.TrainConfig:
 
 def cmd_train(args) -> int:
     config = _train_config_from_args(args)
-    check_count("hidden size", args.hidden, 1)
+    nnet.check_hidden_size(args.hidden)
     check_count("seed", args.seed, 0)
     out, history_path = _check_output_files(
         [("--out", args.out), ("--history", args.history)],

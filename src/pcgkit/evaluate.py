@@ -192,7 +192,7 @@ def grid_plan(shapes: list[WindowShape], lengths: list[int],
     specs = [[WindowSpec.from_nominal_length(shape, length)
               for length in lengths] for shape in shapes]
     for hidden in hidden_sizes:
-        check_count("hidden size", hidden, 1)
+        nnet.check_hidden_size(hidden)
     for axis, values in (("shape", [s.value for s in shapes]),
                          ("length", lengths), ("hidden size", hidden_sizes)):
         repeat = next((v for i, v in enumerate(values) if v in values[:i]), None)

@@ -146,8 +146,11 @@ def _mode_entropy_columns(frames: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     rows = np.arange(T)
     best = counts.argmax(axis=1)  # lowest bin wins ties
     mode = 0.5 * (edges[rows, best] + edges[rows, best + 1])
-    p = counts / n
-    entropy = (p * np.log(p, out=np.zeros_like(p), where=counts > 0)).sum(axis=1)
+    # A count is an integer 0..n, so p ln p takes n + 1 values: one table,
+    # then one lookup per bin.  The rows sum in the same (T, bins) layout.
+    p = np.arange(n + 1) / n
+    p_log_p = p * np.log(p, out=np.zeros_like(p), where=p > 0)
+    entropy = p_log_p[counts].sum(axis=1)
     mode[constant] = frames[constant, 0]
     entropy[constant] = 0.0
     return mode, entropy
@@ -267,7 +270,10 @@ def _feature_rows(frames: np.ndarray, bins: int, out: np.ndarray) -> None:
     kurt[ok] = m4[ok] / sigma[ok] ** 4 - 3.0
 
     y2 = frames * frames
-    y2logy2 = np.log(y2, out=np.zeros_like(y2), where=y2 > 0.0)
+    if y2.all():  # no zero sample: no masked log
+        y2logy2 = np.log(y2)
+    else:
+        y2logy2 = np.log(y2, out=np.zeros_like(y2), where=y2 > 0.0)
     y2logy2 *= y2
     energy = y2logy2.sum(axis=1)
     del y2, y2logy2
@@ -314,17 +320,22 @@ def normalize_sequence(seq: FeatureSequence) -> FeatureSequence:
     """
     if seq.num_frames < 2:
         raise ValueError("normalization needs at least 2 frames")
+    # np.std's own steps, once: the deviations it squares are the ones
+    # divided below, so sigma has np.std's bits.
     with np.errstate(over="ignore", invalid="ignore"):
         mu = seq.values.mean(axis=0)
-        sigma = seq.values.std(axis=0)
+        out = seq.values - mu
+        sigma = np.sqrt(np.square(out).sum(axis=0) / seq.num_frames)
     bad = ~(np.isfinite(mu) & np.isfinite(sigma))
     if bad.any():
         raise ValueError(f"sequence {seq.signal_id!r}: column {bad.argmax()} "
                          "has a mean or spread that is not finite (NaN or Inf "
                          "values, or a float64 overflow)")
-    out = np.zeros_like(seq.values)
     ok = sigma > 0.0
-    out[:, ok] = (seq.values[:, ok] - mu[ok]) / sigma[ok]
+    # Squared deviations can underflow to sigma = 0 while the deviations
+    # do not: those columns are divided by 1 and then zeroed, unwarned.
+    out /= np.where(ok, sigma, 1.0)
+    out[:, ~ok] = 0.0
     return replace(seq, values=out, normalized=True)
 
 

@@ -27,6 +27,8 @@ NUM_TAPS = 101
 PCM_FULL_SCALE = 32768.0  # int16 sample / 32768 -> float in [-1, 1)
 # RIFF's 32-bit size field holds 36 + the data's bytes, 2 per sample.
 MAX_WAV_SAMPLES = (2**32 - 37) // 2
+# write_wav's RIFF, fmt and data headers, ahead of 2 bytes per sample.
+WAV_HEADER_BYTES = 44
 
 
 class Label(enum.Enum):

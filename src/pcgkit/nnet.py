@@ -77,7 +77,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PcgError, check_count, json_object
+from .errors import PcgError, _shown, check_count, json_object
 from .features import FEATURE_NAMES, FeatureSequence, record_sequence
 from .ingest import CLASS_INDEX
 
@@ -164,9 +164,21 @@ class TrainHistory:
 # Parameter bookkeeping
 # ---------------------------------------------------------------------------
 
+def check_hidden_size(hidden) -> None:
+    """ValueError, naming the hidden size, unless it is an integer >= 1
+    whose theta fits one array: at most np.iinfo(np.intp).max bytes.  The
+    bytes are counted in Python integers, which do not overflow."""
+    check_count("hidden size", hidden, 1)
+    size = sum(math.prod(shape) for _, shape in param_layout(hidden))
+    limit = np.iinfo(np.intp).max
+    if 8 * size > limit:
+        raise ValueError(f"hidden size {_shown(hidden)} needs more than the "
+                         f"{limit} bytes one array holds for its parameters")
+
+
 def init_model(hidden: int, seed: int) -> BiLSTMModel:
     """Glorot-uniform weights, zero biases except forget-gate bias = 1."""
-    check_count("hidden size", hidden, 1)
+    check_hidden_size(hidden)
     rng = np.random.default_rng(seed)
     model = BiLSTMModel(hidden)
     for name, block in model.blocks:

@@ -20,6 +20,7 @@ cycles it holds.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,11 @@ class SynthConfig:
             raise ValueError(
                 f"duration {self.duration_s}s at rate {RATE_HZ} Hz is "
                 f"more than the {MAX_WAV_SAMPLES} samples a WAV file holds")
+
+    @property
+    def num_samples(self) -> int:
+        """Samples in each record: duration_s at RATE_HZ."""
+        return round(self.duration_s * RATE_HZ)
 
 
 def _tones(u: np.ndarray, t: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -121,7 +127,7 @@ def generate(config: SynthConfig, label: Label, seed: int) -> AudioRecord:
             f"label must be {' or '.join(l.name for l in CLASS_INDEX)}")
     check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    n = int(round(config.duration_s * RATE_HZ))
+    n = config.num_samples
     samples = np.zeros(n)
 
     bpm = rng.uniform(*HEART_RATE_BPM)
@@ -148,20 +154,26 @@ def generate(config: SynthConfig, label: Label, seed: int) -> AudioRecord:
                        samples=samples, sample_rate_hz=RATE_HZ, label=label)
 
 
-def generate_dataset(n_healthy: int, n_pathological: int, base_seed: int = 0,
-                     config: SynthConfig = SynthConfig()) -> list[AudioRecord]:
-    """A balanced-or-not labeled corpus with per-record derived seeds;
-    base_seed may be any integer, negative too."""
+def generate_records(n_healthy: int, n_pathological: int, base_seed: int = 0,
+                     config: SynthConfig = SynthConfig()) -> Iterator[AudioRecord]:
+    """A balanced-or-not labeled corpus with per-record derived seeds, one
+    record at a time, each made when it is asked for; base_seed may be any
+    integer, negative too.  The counts and seed are checked by this call."""
     check_count("base_seed", base_seed, -math.inf)
     check_count("n_healthy", n_healthy, 1)
     check_count("n_pathological", n_pathological, 1)
-    records = []
-    for i in range(n_healthy):
-        rec = generate(config, Label.HEALTHY, mix_seed(base_seed, 0, i))
-        rec.id = f"healthy_{i:03d}"
-        records.append(rec)
-    for i in range(n_pathological):
-        rec = generate(config, Label.PATHOLOGICAL, mix_seed(base_seed, 1, i))
-        rec.id = f"pathological_{i:03d}"
-        records.append(rec)
-    return records
+
+    def records():
+        for k, (label, count) in enumerate(((Label.HEALTHY, n_healthy),
+                                            (Label.PATHOLOGICAL, n_pathological))):
+            for i in range(count):
+                rec = generate(config, label, mix_seed(base_seed, k, i))
+                rec.id = f"{label.value}_{i:03d}"
+                yield rec
+    return records()
+
+
+def generate_dataset(n_healthy: int, n_pathological: int, base_seed: int = 0,
+                     config: SynthConfig = SynthConfig()) -> list[AudioRecord]:
+    """generate_records' corpus as one list."""
+    return list(generate_records(n_healthy, n_pathological, base_seed, config))

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,36 @@ class TestSynthCommand:
                                 "a directory\n")
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
+
+    def test_records_are_written_as_they_are_made(self, tmp_path):
+        # One 10 s record holds 20000 float64 samples, 160 kB: the peak
+        # stays within a few records, not the whole corpus.
+        argv = ["synth", "--healthy", "100", "--pathological", "100"]
+        assert main([*argv, "--out-dir", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(list((tmp_path / "out").glob("*.wav"))) == 200
+        assert peak <= 10 * 160_000
+
+    def test_more_records_than_the_disk_holds_exits_1_writing_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(synth, "generate", None)  # a call would fail
+        code = main(["synth", "--healthy", "100000000000000000000000",
+                     "--pathological", "1", "--out-dir", "big"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: --healthy and --pathological ask for "
+            "100000000000000000000001 records, whose WAV files need "
+            "4004400000000000000000040044 bytes, more than the ")
+        assert captured.err.endswith(" bytes free at big\n")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExtractCommand:
@@ -1012,6 +1043,24 @@ def test_impossible_allocation_exits_1_writing_nothing(
     assert captured.err.startswith("error: Unable to allocate ")
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_hidden_size_beyond_one_array_exits_1_before_reading(
+        corpus_dir, feature_dir, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    for reader in ("_load_corpus", "_load_feature_dir"):
+        monkeypatch.setattr(cli, reader, None)  # a call would fail
+    argv = {"train": ["train", "--features", str(feature_dir), "--seed", "0",
+                      "--out", "h.bin"],
+            "grid": ["grid", "--corpus", str(corpus_dir), *SMALL_GRID,
+                     "--out-dir", "out"]}[command]
+    assert main([*argv, "--hidden", "100000000000000000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: hidden size 100000000000000000000000 needs more than the "
+        "9223372036854775807 bytes one array holds for its parameters\n")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, hop", [

@@ -606,6 +606,42 @@ class TestSortedRowStatistics:
             assert np.array_equal(bits(matrix[:, ZCR]), bits(zcr)), n
             assert np.array_equal(bits(matrix[:, ENERGY]), bits(energy)), n
 
+    def test_energy_of_zero_free_frames_matches_masked_log_formula(self):
+        # Frames without a zero sample take the unmasked log.
+        rng = np.random.default_rng(93)
+        for n in (1, 2, 15, 31, 51):
+            frames = np.concatenate([
+                rng.standard_normal((40, n)),
+                rng.uniform(0.5, 1.0, (40, n)) * rng.choice([-1.0, 1.0], (40, n)),
+                rng.standard_normal((40, n)) * rng.choice([1e-150, 1e140],
+                                                          (40, 1)),
+                np.full((40, n), rng.choice([1e-150, -1.0, 3.0])),
+            ])
+            y2 = frames * frames
+            assert y2.all()
+            energy = (y2 * np.log(y2, out=np.zeros_like(y2),
+                                  where=y2 > 0.0)).sum(axis=1)
+            matrix = feature_matrix(frames)
+            assert np.array_equal(bits(matrix[:, ENERGY]), bits(energy)), n
+
+    @pytest.mark.parametrize("bins", [1, 2, 10, 64])
+    def test_entropy_matches_masked_p_log_p_of_the_counts(self, bins):
+        rng = np.random.default_rng(94 + bins)
+        for n in (1, 2, 15, 31, 51):
+            frames = np.concatenate([
+                rng.standard_normal((60, n)),
+                np.round(rng.standard_normal((60, n)) * 2) / 2,  # ties
+                np.full((5, n), 0.25),
+            ])
+            counts = np.array([
+                np.histogram(row, bins, range=(row.min(), row.max()))[0]
+                for row in frames])
+            p = counts / n
+            entropy = (p * np.log(p, out=np.zeros_like(p),
+                                  where=counts > 0)).sum(axis=1)
+            matrix = feature_matrix(frames, bins)
+            assert np.array_equal(bits(matrix[:, ENTROPY]), bits(entropy)), n
+
     def test_both_infinities_raise_before_any_warning(self):
         # The median sits between -inf and +inf: interpolating it would warn.
         frames = np.random.default_rng(92).normal(size=(5, 31))
@@ -678,6 +714,28 @@ class TestNormalize:
         seq.values[2, 0] = np.nan
         with pytest.raises(ValueError, match="column 0"):
             normalize_sequence(seq)
+
+    def test_matches_mean_and_std_formula_to_the_bit(self):
+        rng = np.random.default_rng(23)
+        T = 200
+        values = rng.standard_normal((T, 10)) * [1.0, 1e-150, 1e150, 3.0, 1.0,
+                                                 1.0, 1e-3, 1.0, 1.0, 1.0]
+        values[:, 4] += 1e6  # a mean far from zero
+        values[:, 5] = 0.25  # constant, with an exact mean
+        # Deviations of 1e-170 square to 0: sigma is 0, the deviations not.
+        values[:, 8] = np.where(np.arange(T) % 2, 1e-170, -1e-170)
+        values[:, 9] = rng.integers(0, 3, T)
+        seq = FeatureSequence(values, "s", Label.UNLABELED, RECT_15, 1, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize_sequence(seq).values
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = (values - values.mean(0)) / values.std(0)
+        spread = values.std(0) > 0.0
+        assert list(np.flatnonzero(~spread)) == [5, 8]
+        assert np.any(values[:, 8] - values[:, 8].mean() != 0.0)
+        assert np.array_equal(bits(out[:, spread]), bits(want[:, spread]))
+        assert np.array_equal(bits(out[:, ~spread]), bits(np.zeros((T, 2))))
 
     def test_too_short_rejected(self):
         seq = extract_sequence(np.ones((1, 15)), window=RECT_15, hop=1)
