@@ -114,6 +114,21 @@ def _write_effective_config(out_dir: Path, args: argparse.Namespace) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _replaced_wav_bytes(out_dir: Path, n_healthy: int,
+                        n_pathological: int) -> int:
+    """The bytes of the files in out_dir that synth's WAV files replace."""
+    counts = {Label.HEALTHY.value: n_healthy,
+              Label.PATHOLOGICAL.value: n_pathological}
+    total = 0
+    for path in out_dir.glob("*_*.wav") if out_dir.is_dir() else ():
+        label, _, index = path.stem.rpartition("_")
+        if (index.isascii() and index.isdigit()
+                and f"{int(index):03d}" == index
+                and int(index) < counts.get(label, 0) and path.is_file()):
+            total += path.stat().st_size
+    return total
+
+
 def cmd_synth(args) -> int:
     config = synth.SynthConfig(
         duration_s=args.duration, murmur_gain=args.murmur_gain,
@@ -123,7 +138,8 @@ def cmd_synth(args) -> int:
     records = synth.generate_records(args.healthy, args.pathological,
                                      base_seed=args.seed, config=config)
     count = args.healthy + args.pathological
-    need = count * (ingest.WAV_HEADER_BYTES + 2 * config.num_samples)
+    need = count * ingest.wav_bytes(config.num_samples)
+    need -= _replaced_wav_bytes(out_dir, args.healthy, args.pathological)
     free = shutil.disk_usage(_existing_ancestor(out_dir)).free
     if need > free:
         raise ValueError(f"--healthy and --pathological ask for {count} "

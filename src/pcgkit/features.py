@@ -270,10 +270,7 @@ def _feature_rows(frames: np.ndarray, bins: int, out: np.ndarray) -> None:
     kurt[ok] = m4[ok] / sigma[ok] ** 4 - 3.0
 
     y2 = frames * frames
-    if y2.all():  # no zero sample: no masked log
-        y2logy2 = np.log(y2)
-    else:
-        y2logy2 = np.log(y2, out=np.zeros_like(y2), where=y2 > 0.0)
+    y2logy2 = np.log(y2, out=np.zeros_like(y2), where=y2 > 0.0)
     y2logy2 *= y2
     energy = y2logy2.sum(axis=1)
     del y2, y2logy2

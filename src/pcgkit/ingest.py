@@ -27,8 +27,8 @@ NUM_TAPS = 101
 PCM_FULL_SCALE = 32768.0  # int16 sample / 32768 -> float in [-1, 1)
 # RIFF's 32-bit size field holds 36 + the data's bytes, 2 per sample.
 MAX_WAV_SAMPLES = (2**32 - 37) // 2
-# write_wav's RIFF, fmt and data headers, ahead of 2 bytes per sample.
-WAV_HEADER_BYTES = 44
+# write_wav's RIFF, fmt and data chunk headers, ahead of the samples.
+_WAV_HEADER = "<4sI4s4sIHHIIHH4sI"
 
 
 class Label(enum.Enum):
@@ -131,11 +131,16 @@ def write_wav(record: AudioRecord, path: str | Path) -> int:
     clipped = np.count_nonzero((ints < -32768) | (ints > 32767))
     payload = np.clip(ints, -32768, 32767).astype("<i2").tobytes()
     rate = int(record.sample_rate_hz)
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16)
-    header += b"data" + struct.pack("<I", len(payload))
+    header = struct.pack(_WAV_HEADER, b"RIFF", 36 + len(payload), b"WAVE",
+                         b"fmt ", 16, 1, 1, rate, rate * 2, 2, 16,
+                         b"data", len(payload))
     path.write_bytes(header + payload)
     return int(clipped)
+
+
+def wav_bytes(num_samples: int) -> int:
+    """The size of the file write_wav writes for num_samples samples."""
+    return struct.calcsize(_WAV_HEADER) + 2 * num_samples
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,25 @@ class TestSynthCommand:
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_wav_files_it_replaces_count_as_free(self, tmp_path, capsys,
+                                                 monkeypatch):
+        argv = ["synth", "--pathological", "1", "--duration", "2.5",
+                "--out-dir", str(tmp_path)]
+        assert main([*argv, "--healthy", "2"]) == 0
+        (tmp_path / "healthy_0000.wav").write_bytes(b"x" * 99)  # no target
+        before = {p.name: p.stat().st_size for p in tmp_path.iterdir()}
+        monkeypatch.setattr(shutil, "disk_usage",
+                            lambda path: shutil._ntuple_diskusage(0, 0, 0))
+        assert main([*argv, "--healthy", "2"]) == 0  # the same 3 files
+        assert {p.name: p.stat().st_size
+                for p in tmp_path.iterdir()} == before
+        capsys.readouterr()
+        assert main([*argv, "--healthy", "3"]) == 1  # one more file
+        assert capsys.readouterr().err.startswith(
+            "error: --healthy and --pathological ask for 4 records, whose "
+            "WAV files need 10044 bytes, more than the 0 bytes free at ")
+        assert not (tmp_path / "healthy_002.wav").exists()
+
 
 class TestExtractCommand:
     def test_frame_count_hop_one(self, corpus_dir, tmp_path):

@@ -607,7 +607,8 @@ class TestSortedRowStatistics:
             assert np.array_equal(bits(matrix[:, ENERGY]), bits(energy)), n
 
     def test_energy_of_zero_free_frames_matches_masked_log_formula(self):
-        # Frames without a zero sample take the unmasked log.
+        # Frames without a zero sample, where the mask selects every entry,
+        # at amplitudes whose squares sit near float64's ends.
         rng = np.random.default_rng(93)
         for n in (1, 2, 15, 31, 51):
             frames = np.concatenate([
