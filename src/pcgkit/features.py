@@ -329,6 +329,12 @@ def normalize_sequence(seq: FeatureSequence) -> FeatureSequence:
                          "has a mean or spread that is not finite (NaN or Inf "
                          "values, or a float64 overflow)")
     ok = sigma > 0.0
+    # A constant column whose mean does not round back to its value has
+    # sigma > 0, within T*eps*|mu|: only columns that close are compared.
+    close = ok & (sigma <= seq.num_frames * np.finfo(float).eps * np.abs(mu))
+    if close.any():
+        columns = seq.values[:, close]
+        ok[close] = (columns != columns[0]).any(axis=0)
     # Squared deviations can underflow to sigma = 0 while the deviations
     # do not: those columns are divided by 1 and then zeroed, unwarned.
     out /= np.where(ok, sigma, 1.0)

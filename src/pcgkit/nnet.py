@@ -36,16 +36,21 @@ One optimizer step is `_batch_grads` (a mini-batch's forward pass, loss
 and BPTT), then `sgdm_step`.  Only `train` and `predict_batch` make a
 `_Workspace`, one per call, which `_forward_batch` and `_batch_grads` take
 as their `ws`: an arena of exactly one batch's forward cache,
-8*(16TBH + 8(T+1)BH) bytes: per layer the (T, B, 2, 4H) gates and the
-(T+1, B, 2, H) cell and hidden states.  Every batch, a smaller last one
-included, carves its buffers from it, and BPTT recomputes nothing and
-puts each of its own buffers where a dead one was, so a call peaks at
-that one cache: at T = 4970 and B = 16, 437 MiB at H = 30 and 1.42 GiB
-at H = 100.  Layer 2's (T, B, 2H) input is not cached: the forward pass
-builds it, one step order per direction, in layer 2's cell-state and
-hidden-state buffers, where the input projection reads it before the loop
-writes the states, and the backward pass rebuilds it in the cell-state
-buffer once the cell states are dead, one direction at a time.  Only
+`arena_bytes(H, B, T)` = 8*(16TBH + 6(T+1)BH + 2BH) bytes: per layer the
+(T, B, 2, 4H) gates and the (T+1, B, 2, H) cell states, layer 1's
+(T+1, B, 2, H) hidden states and one (B, 2, H) row of layer 2's, for its
+forward pass reads only the previous step's h and keeps the last.  BPTT
+reads no hidden state: it rebuilds each h with one multiply, o*tanh(c),
+from the tanh(c) it takes anyway, into the cell-state row it has just read.
+Every batch, a smaller last one included, carves its buffers from it,
+and BPTT puts each of its own buffers where a dead one was, so a call
+peaks at that one cache: at T = 4970 and B = 16, 400 MiB at H = 30 and
+1.30 GiB at H = 100.  `_Workspace` refuses an arena larger than physical
+memory before it allocates.  Layer 2's (T, B, 2H) input is not cached:
+the forward pass builds it in layer 2's cell-state buffer, one direction's
+step order at a time, where the input projection reads it before the loop
+writes the states, and the backward pass rebuilds it there once the
+hidden states rebuilt in it are read, one direction at a time.  Only
 layer 1's one GEMM copies its input, time-major: T*B*10 floats.
 
 A model, its gradients and its velocity each own one float64 vector,
@@ -71,11 +76,13 @@ import itertools
 import json
 import math
 import operator
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import PcgError, _shown, check_count, json_object
 from .features import FEATURE_NAMES, FeatureSequence, record_sequence
@@ -194,13 +201,30 @@ def init_model(hidden: int, seed: int) -> BiLSTMModel:
 # Workspace
 # ---------------------------------------------------------------------------
 
+def arena_bytes(hidden: int, batch: int, T: int) -> int:
+    """Bytes of a `_Workspace(hidden, batch, T)`'s arena, a batch's forward
+    cache (see `_Workspace.caches`): 8*(16TBH + 6(T+1)BH + 2BH)."""
+    B, H = batch, hidden
+    return 8 * (16 * T * B * H + 6 * (T + 1) * B * H + 2 * B * H)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None
+
+
 class _Workspace:
     """The memory of one `train` or `predict_batch` call: batches of at most
     B sequences of length T at hidden size H.
 
     `arena` is one flat float64 array of exactly a batch's forward cache,
-    16TBH + 8(T+1)BH floats; `caches(b)` carves both layers' buffers for a
-    batch of b <= B sequences from it, each contiguous.  The rest is small
+    `arena_bytes(H, B, T)`; an arena larger than physical memory is refused
+    with PcgError before it is allocated.  `caches(b)` carves both layers'
+    buffers for a batch of b <= B sequences from it.  The rest is small
     and (B, 2, ...) in shape, so its first b rows are a contiguous (b, 2, ...)
     array: the step loops' `out=` buffers, two (B, 2, 4H) and five
     (B, 2, H), and three (B, 2, 4H) constants.  The gates are
@@ -213,7 +237,13 @@ class _Workspace:
 
     def __init__(self, H: int, B: int, T: int):
         self.H, self.T = H, T
-        self.arena = np.empty(16 * T * B * H + 8 * (T + 1) * B * H)
+        size, memory = arena_bytes(H, B, T), _physical_memory()
+        if memory is not None and size > memory:
+            raise PcgError(
+                f"hidden size {H}, batch {B} and T = {T} frames need a "
+                f"{size}-byte arena, more than the {memory} bytes "
+                "of physical memory")
+        self.arena = np.empty(size // 8)
         self.scale = np.full((B, 2, 4 * H), 0.5)
         self.scale[..., 2 * H:3 * H] = 1.0
         self.offset = 1.0 - self.scale
@@ -223,20 +253,20 @@ class _Workspace:
 
     def caches(self, b: int) -> tuple[dict, dict]:
         """Each layer's gates Z (T, b, 2, 4H) and cell and hidden states C
-        and Hs (T+1, b, 2, H), in step order, carved in turn from the arena.
-        Nothing is zeroed: the forward pass writes every row it reads but
-        row 0 of C and Hs, which it zeroes itself."""
+        and Hs (T+1, b, 2, H), in step order, carved in turn from the arena,
+        each contiguous but layer 2's Hs: one (b, 2, H) row seen at every
+        step, for its forward pass reads only the previous step's h and
+        keeps the last, and BPTT rebuilds the others.  Nothing is zeroed:
+        the forward pass writes every row it reads but row 0 of C and Hs,
+        which it zeroes itself."""
         T, H = self.T, self.H
-        layers, start = [], 0
-        for _ in range(2):
-            layer = {}
-            for key, shape in (("Z", (T, b, 2, 4 * H)), ("C", (T + 1, b, 2, H)),
-                               ("Hs", (T + 1, b, 2, H))):
-                size = math.prod(shape)
-                layer[key] = self.arena[start:start + size].reshape(shape)
-                start += size
-            layers.append(layer)
-        return tuple(layers)
+        gates, states = (T, b, 2, 4 * H), (T + 1, b, 2, H)
+        shapes = (gates, states, states, gates, states, (b, 2, H))
+        cuts = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+        Z1, C1, Hs1, Z2, C2, h2 = (self.arena[a:e].reshape(shape) for
+                                   shape, a, e in zip(shapes, cuts, cuts[1:]))
+        Hs2 = as_strided(h2, states, (0, *h2.strides))
+        return {"Z": Z1, "C": C1, "Hs": Hs1}, {"Z": Z2, "C": C2, "Hs": Hs2}
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +296,8 @@ def _layer_forward(layer: BiLayer, input_of, cache: dict,
     and carries are one contiguous block.  Z receives the gate activations;
     C and Hs the cell and hidden states, with the zero initial state at
     index 0.  Each direction's input is read only by its input projection,
-    before C and Hs are written, so input_of may build it in them.  The
+    before C is written and before input_of is asked for the next
+    direction's, so input_of may build both, in turn, in C.  The
     projection is one GEMM per direction where `_one_gemm` allows, else
     one product per step.
     """
@@ -330,15 +361,14 @@ def _forward_batch(model: BiLSTMModel, X: np.ndarray,
     """Probabilities (B, 2), the head's (B, 2H) input feat and the two
     layers' caches for a (B, T, D) batch; feat and the caches are views of
     ws.  No cache keeps a layer's input: layer 1's is X, and layer 2's
-    lives in layer 2's C (forward step order) and Hs (backward) until its
+    lives in layer 2's C, one direction's step order at a time, until its
     input projection has read it."""
     l1, l2 = model.layers
     B, T, _ = X.shape
     c1, c2 = ws.caches(B)
-    U1, Hs1 = X.transpose(1, 0, 2), c1["Hs"][1:]
+    U1, Hs1, C2 = X.transpose(1, 0, 2), c1["Hs"][1:], c2["C"][:T]
     _layer_forward(l1, lambda d: U1[::1 - 2 * d], c1, ws)
-    U2 = c2["C"][:T], c2["Hs"][:T]  # where layer 2's input is built
-    _layer_forward(l2, lambda d: _layer2_input(Hs1, d, U2[d]), c2, ws)
+    _layer_forward(l2, lambda d: _layer2_input(Hs1, d, C2), c2, ws)
     # Forward ends at t = T-1 and backward at t = 0: both on the last step.
     feat = c2["Hs"][T].reshape(B, -1)  # (B, 2H): [forward, backward]
 
@@ -405,13 +435,18 @@ def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray | None,
     the last step's hidden state from outside dHs; the loop carries it back
     through the recurrence.  The gate buffer cache["Z"] is overwritten with
     the pre-activation gradients dZ, and the weight gradients are written
-    into `grads`.  input_of(d) gives the layer's (T, b, D) input in
-    direction d's step order; it is called once per direction, after the
-    time loop, and each result is read before the next call, so an input
-    built on demand may reuse cache["C"], whose last reader is the time
-    loop.
+    into `grads`.
+
+    The loop reads no hidden state: at step s, once it has taken
+    tanh(C[s+1]), it writes h = o*tanh(c), the forward pass's bits (the
+    product commutes), over the dead C[s+1].  C[:-1] then holds the
+    hidden states h_0 (zero) to h_{T-1}, which the recurrent-weight
+    gradients read first.  input_of(d) gives the layer's (T, b, D) input
+    in direction d's step order; it is called once per direction, after
+    those, and each result is read before the next call, so an input built
+    on demand may reuse cache["C"].
     """
-    Z, C, Hs = cache["Z"], cache["C"], cache["Hs"]
+    Z, C = cache["Z"], cache["C"]
     T, b = Z.shape[:2]
     H = C.shape[-1]
     # (1 - a)(a + lo) is a(1 - a) on the sigmoid columns, 1 - a^2 on tanh's.
@@ -429,6 +464,7 @@ def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray | None,
         if dHs is not None:
             dh += dHs[s]  # dh holds the carry from step s + 1
         np.tanh(C[s + 1], out=tc)
+        np.multiply(o, tc, out=C[s + 1])  # h, over its last read c
         np.multiply(dh, o, out=dc)
         np.multiply(tc, tc, out=t)
         np.subtract(1.0, t, out=t)
@@ -447,10 +483,11 @@ def _layer_backward(layer: BiLayer, cache: dict, dHs: np.ndarray | None,
         z *= slope
         np.matmul(ZT[s], W, out=dhT)
 
+    dZ = [Z[:, :, d].reshape(T * b, 4 * H) for d in (0, 1)]
     for d in (0, 1):
-        dZ = Z[:, :, d].reshape(T * b, 4 * H)
-        grads.input_weights[d] = dZ.T @ input_of(d).reshape(T * b, -1)
-        grads.recurrent_weights[d] = dZ.T @ Hs[:-1, :, d].reshape(T * b, H)
+        grads.recurrent_weights[d] = dZ[d].T @ C[:-1, :, d].reshape(T * b, H)
+    for d in (0, 1):
+        grads.input_weights[d] = dZ[d].T @ input_of(d).reshape(T * b, -1)
     # Down the rows in order, as a sum per direction would run.
     grads.bias[...] = Z.reshape(T * b, 2, 4 * H).sum(axis=0)
 
@@ -464,11 +501,11 @@ def _batch_grads(model: BiLSTMModel, X: np.ndarray, labels: np.ndarray,
     Layer 2's outputs reach the loss only through feat, on its last step,
     so the head's gradient seeds layer 2's carry and it has no other output
     gradient.  Every buffer after the forward cache goes into memory whose
-    occupant is dead: layer 2's input, rebuilt one direction
-    at a time for its weight gradients, and then the forward half of its
-    input gradient into its C; the backward half into its Hs; and layer
-    1's output gradient dHs1 into its Z.  A batch thus peaks at its
-    forward cache.
+    occupant is dead: layer 2's input, rebuilt one direction at a time for
+    its input-weight gradients, and then the forward half of its input
+    gradient into its C; the backward half into layer 1's Hs, which BPTT
+    does not read; and layer 1's output gradient dHs1 into layer 2's Z.
+    A batch thus peaks at its forward cache.
     """
     probs, feat, c1, c2 = _forward_batch(model, X, ws)
     B, T, _ = X.shape
@@ -490,7 +527,7 @@ def _batch_grads(model: BiLSTMModel, X: np.ndarray, labels: np.ndarray,
     dfeat = dlogits @ model.head_weights  # (B, 2H): [forward, backward]
 
     l1, l2 = model.layers
-    Hs1, C2, Hs2 = c1["Hs"][1:], c2["C"][:T], c2["Hs"][:T]
+    Hs1, C2 = c1["Hs"][1:], c2["C"][:T]
     _layer_backward(l2, c2, None, dfeat.reshape(B, 2, H), grads.layers[1],
                     lambda d: _layer2_input(Hs1, d, C2), ws)
     dZ = c2["Z"]
@@ -499,7 +536,7 @@ def _batch_grads(model: BiLSTMModel, X: np.ndarray, labels: np.ndarray,
     fw = np.matmul(dZ[:, :, 0], l2.input_weights[0],
                    out=C2.reshape(T, B, 2 * H))
     bw = np.matmul(dZ[:, :, 1], l2.input_weights[1],
-                   out=Hs2.reshape(T, B, 2 * H))
+                   out=Hs1.reshape(T, B, 2 * H))
     dHs1 = dZ.reshape(-1)[:C2.size].reshape(C2.shape)
     np.add(fw[..., :H], bw[::-1, :, :H], out=dHs1[:, :, 0])
     np.add(fw[::-1, :, H:], bw[:, :, H:], out=dHs1[:, :, 1])

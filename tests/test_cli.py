@@ -143,7 +143,7 @@ class TestSynthCommand:
             self, tmp_path, capsys, monkeypatch, out_dir):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "f.txt").write_text("")
-        monkeypatch.setattr(synth, "generate_dataset", None)  # a call would fail
+        monkeypatch.setattr(synth, "generate", None)  # a call would fail
         code = main(["synth", "--healthy", "20", "--pathological", "20",
                      "--out-dir", out_dir])
         assert code == 2
@@ -978,7 +978,7 @@ def test_unwritable_output_exits_2_before_reading(
                   "--seed", "0", "--epochs", "1", "--out", "m.bin"],
         "grid": ["--corpus", str(corpus_dir), *SMALL_GRID],
     }
-    for module, name in [(synth, "generate_dataset"), (cli, "read_wav"),
+    for module, name in [(synth, "generate"), (cli, "read_wav"),
                          (cli, "_load_feature_dir"), (cli, "_load_corpus")]:
         monkeypatch.setattr(module, name, None)  # a call would fail
     work = tmp_path / "work"
@@ -1062,6 +1062,21 @@ def test_impossible_allocation_exits_1_writing_nothing(
     assert captured.err.startswith("error: Unable to allocate ")
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_arena_beyond_physical_memory_exits_1_writing_nothing(
+        feature_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(nnet, "_physical_memory", lambda: 1000)
+    assert main(["train", "--features", str(feature_dir), "--seed", "0",
+                 "--hidden", "3", "--epochs", "1", "--out", "m.bin",
+                 "--history", "h.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (  # 10 records of 20 frames
+        "error: hidden size 3, batch 10 and T = 20 frames need a "
+        f"{nnet.arena_bytes(3, 10, 20)}-byte arena, more than the 1000 bytes "
+        "of physical memory\n")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["train", "grid"])
@@ -1401,7 +1416,7 @@ SETTING_FLAGS = {
                 {"length": "nominal"}),
     "train": ((nnet.train,), {"dataset", "config"},
               {"features", "out", "history", *TRAINING_FLAGS}, {}),
-    "synth": ((synth.generate_dataset,), {"config"},
+    "synth": ((synth.generate_records,), {"config"},
               {"duration", "murmur_gain", "noise_floor", "out_dir"},
               {"healthy": "n_healthy", "pathological": "n_pathological",
                "seed": "base_seed"}),

@@ -738,6 +738,24 @@ class TestNormalize:
         assert np.array_equal(bits(out[:, spread]), bits(want[:, spread]))
         assert np.array_equal(bits(out[:, ~spread]), bits(np.zeros((T, 2))))
 
+    def test_constant_column_whose_mean_does_not_round_back_is_zero(self):
+        # 200 frames of 0.3 have mean 0.29999999999999993: every deviation
+        # is 5.6e-17, and so is sigma.  Column 6 is as close but not
+        # constant, and keeps the formula's bits, as every other column.
+        rng = np.random.default_rng(24)
+        T = 200
+        values = rng.standard_normal((T, 10))
+        values[:, 3] = values[:, 6] = 0.3
+        values[7, 6] = np.nextafter(0.3, 1.0)
+        assert values[:, 3].mean() != 0.3 and values[:, 3].std() > 0.0
+        seq = FeatureSequence(values, "s", Label.UNLABELED, RECT_15, 1, 10)
+        out = normalize_sequence(seq).values
+        want = (values - values.mean(0)) / values.std(0)
+        assert np.array_equal(bits(out[:, 3]), bits(np.zeros(T)))
+        assert np.array_equal(bits(np.delete(out, 3, axis=1)),
+                              bits(np.delete(want, 3, axis=1)))
+        assert np.all(out[:, 6] != 0.0)
+
     def test_too_short_rejected(self):
         seq = extract_sequence(np.ones((1, 15)), window=RECT_15, hop=1)
         with pytest.raises(ValueError):

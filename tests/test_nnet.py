@@ -82,8 +82,9 @@ def zero_model(H=3):
 
 def forward_cache_bytes(H, B, T):
     """Bytes of a batch's forward cache: per layer, the (2, T, B, 4H) gates
-    and the (2, T+1, B, H) cell and hidden states."""
-    return 8 * (16 * T * B * H + 8 * (T + 1) * B * H)
+    and the (2, T+1, B, H) cell states; layer 1's (2, T+1, B, H) hidden
+    states and one (2, B, H) row of layer 2's."""
+    return 8 * (16 * T * B * H + 6 * (T + 1) * B * H + 2 * B * H)
 
 
 def traced_peak(call):
@@ -910,6 +911,58 @@ class TestWorkspace:
             data, 30, TrainConfig(epochs=1, batch_size=16), seed=48))
         assert peak <= (1.10 * forward_cache_bytes(30, 16, 199)
                         + 40 * 199 * 10 * 8)
+
+    @pytest.mark.parametrize("H, B, T", [(30, 16, 199), (5, 3, 7), (100, 1, 2)])
+    def test_arena_is_the_forward_cache(self, H, B, T):
+        assert nnet._Workspace(H, B, T).arena.nbytes == forward_cache_bytes(
+            H, B, T) == nnet.arena_bytes(H, B, T)
+
+    def test_arena_of_nan_gives_the_bits_of_a_fresh_one(self):
+        # A full batch, then a smaller last one, on one workspace whose
+        # memory holds NaN: every row the passes read they wrote first,
+        # layer 2's one hidden-state row and the reused rows included.
+        rng = np.random.default_rng(49)
+        model = init_model(30, seed=49)
+        X = rng.normal(size=(21, 50, 10))
+        y = rng.integers(0, 2, size=21)
+        ws = workspace(model, X[:16])
+        for rows in (slice(0, 16), slice(16, 21)):
+            fresh = workspace(model, X[rows])
+            for buffer in (ws.arena, ws.wide, ws.narrow):
+                buffer[...] = np.nan
+            probs = nnet._forward_batch(model, X[rows], ws)[0]
+            assert probs.tobytes() == nnet._forward_batch(
+                model, X[rows], fresh)[0].tobytes()
+            ws.arena[...] = np.nan
+            loss, correct, grads = nnet._batch_grads(model, X[rows], y[rows],
+                                                     ws)
+            want = nnet._batch_grads(model, X[rows], y[rows],
+                                     workspace(model, X[rows]))
+            assert (loss, correct) == want[:2]
+            assert grads.theta.tobytes() == want[2].theta.tobytes()
+
+    def test_arena_beyond_physical_memory_refused(self, monkeypatch):
+        data = toy_blobs(2, T=9)
+        model = init_model(3, seed=0)
+        size = nnet.arena_bytes(3, 4, 9)
+        monkeypatch.setattr(nnet, "_physical_memory", lambda: size - 1)
+        message = re.escape(
+            f"hidden size 3, batch 4 and T = 9 frames need a {size}-byte "
+            f"arena, more than the {size - 1} bytes of physical memory")
+        with pytest.raises(PcgError, match=f"^{message}$"):
+            train(data, 3, TrainConfig(epochs=1), seed=0)
+        with pytest.raises(PcgError, match=f"^{message}$"):
+            nnet.predict_batch(model, data)
+        # An arena that fits, or memory that cannot be read, is not refused.
+        for memory in (size, None):
+            monkeypatch.setattr(nnet, "_physical_memory", lambda: memory)
+            assert len(nnet.predict_batch(model, data)) == 4
+
+    def test_physical_memory_is_read_where_sysconf_has_it(self, monkeypatch):
+        memory = nnet._physical_memory()
+        assert memory is None or memory > 2**20
+        monkeypatch.delattr(nnet.os, "sysconf")
+        assert nnet._physical_memory() is None
 
 
 class TestPinnedBits:
