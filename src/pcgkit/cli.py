@@ -244,7 +244,7 @@ def _train_config_from_args(args) -> nnet.TrainConfig:
 
 def cmd_train(args) -> int:
     config = _train_config_from_args(args)
-    nnet.check_hidden_size(args.hidden)
+    nnet.check_memory(args.hidden, 1, 1, 1)  # the smallest train call
     check_count("seed", args.seed, 0)
     out, history_path = _check_output_files(
         [("--out", args.out), ("--history", args.history)],

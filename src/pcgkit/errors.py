@@ -3,7 +3,10 @@
 Bad files and violated contracts raise :class:`PcgError`, the only
 exception class pcgkit defines; its message says what was refused.  A
 bad argument value (a count, a window, a grid axis, a training or synth
-setting) or a feature value that is not finite raises ValueError.  The
+setting) or a feature value that is not finite raises ValueError, and so
+does a hidden size too large for the machine: `nnet.check_memory` is the
+one memory rule, checked before a `train` or `predict_batch` call stacks
+its input and, in the grid and the CLI, before any input is read.  The
 CLI maps both to exit 1, and OSError to exit 2, so neither is taken for
 a genuine bug.
 :func:`json_object` is the one reader of JSON from outside the program

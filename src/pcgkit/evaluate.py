@@ -12,6 +12,7 @@ percentages derived from the counts (pathological is the positive class).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -110,6 +111,11 @@ def metrics(c: Confusion) -> Metrics:
     return Metrics(sensitivity=sens, specificity=spec, accuracy=accu)
 
 
+def _train_size(n: int) -> int:
+    """How many of a class's n sequences a 70/30 split trains on."""
+    return int(n * PROTOCOL_TRAIN_FRACTION)
+
+
 def split(dataset: list, seed: int = 0) -> tuple[list, list]:
     """Stratified random split of labeled sequences, class by class in
     CLASS_INDEX order; per class, floor(n * PROTOCOL_TRAIN_FRACTION) goes to
@@ -124,7 +130,7 @@ def split(dataset: list, seed: int = 0) -> tuple[list, list]:
     test: list = []
     for label, index in CLASS_INDEX.items():
         items = [item for item, k in zip(dataset, indices) if k == index]
-        n_train = int(len(items) * PROTOCOL_TRAIN_FRACTION)
+        n_train = _train_size(len(items))
         if n_train == 0:
             raise PcgError(
                 f"fraction {PROTOCOL_TRAIN_FRACTION} leaves class "
@@ -182,7 +188,8 @@ def grid_plan(shapes: list[WindowShape], lengths: list[int],
     """The grid's trials, lazily, as (spec, length_label, hidden, trial,
     seed) in run order, seed = mix_seed(base_seed, si, li, hi, trial), once
     this call has checked the grid: ValueError on an empty axis, a repeated
-    axis value, or a bad length, hidden size, trial count or seed; unless
+    axis value, or a bad length, hidden size, trial count or seed, or a
+    hidden size whose smallest call does not fit `nnet.check_memory`; unless
     `n_samples` is None, `frame_centers` raises for a bad hop or for a
     window that leaves a record of `n_samples` fewer than two frames."""
     if not (shapes and lengths and hidden_sizes):
@@ -192,7 +199,7 @@ def grid_plan(shapes: list[WindowShape], lengths: list[int],
     specs = [[WindowSpec.from_nominal_length(shape, length)
               for length in lengths] for shape in shapes]
     for hidden in hidden_sizes:
-        nnet.check_hidden_size(hidden)
+        nnet.check_memory(hidden, 1, 1, 1)
     for axis, values in (("shape", [s.value for s in shapes]),
                          ("length", lengths), ("hidden size", hidden_sizes)):
         repeat = next((v for i, v in enumerate(values) if v in values[:i]), None)
@@ -219,11 +226,24 @@ def run_grid(records: list[AudioRecord],
     """One GridCell of Confusion trials per shape x length x hidden size, in
     that order.  `grid_plan` checks every argument first (each window's fit
     against the shortest record) and gives each trial a seed of its own, so
-    no result depends on the trials before it.  Features are extracted once
-    per (shape, length), and only that dataset is held.
+    no result depends on the trials before it.  Then every (window, hidden
+    size) cell's training call is held to `nnet.check_memory`, at the
+    window's frame count in the shortest record and the batch of one
+    split's train side, before any features are extracted.  Features are
+    extracted once per (shape, length), and only that dataset is held.
     """
+    n_samples = min((rec.samples.size for rec in records), default=None)
     plan = grid_plan(shapes, lengths, hidden_sizes, trials, base_seed, hop,
-                     min((rec.samples.size for rec in records), default=None))
+                     n_samples)
+    if records:
+        n = sum(_train_size(sum(rec.label == label for rec in records))
+                for label in CLASS_INDEX)
+        batch = min(train_config.batch_size, n)
+        for shape, length in itertools.product(shapes, lengths):
+            spec = WindowSpec.from_nominal_length(shape, length)
+            T = frame_centers(n_samples, spec, hop).size
+            for hidden in hidden_sizes:
+                nnet.check_memory(hidden, batch, T, n)
     cells = []
     for (spec, length), window in groupby(plan, key=lambda p: p[:2]):
         dataset = extract_dataset(records, spec, hop=hop)

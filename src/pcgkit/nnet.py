@@ -45,13 +45,21 @@ from the tanh(c) it takes anyway, into the cell-state row it has just read.
 Every batch, a smaller last one included, carves its buffers from it,
 and BPTT puts each of its own buffers where a dead one was, so a call
 peaks at that one cache: at T = 4970 and B = 16, 400 MiB at H = 30 and
-1.30 GiB at H = 100.  `_Workspace` refuses an arena larger than physical
-memory before it allocates.  Layer 2's (T, B, 2H) input is not cached:
+1.30 GiB at H = 100.  Layer 2's (T, B, 2H) input is not cached:
 the forward pass builds it in layer 2's cell-state buffer, one direction's
 step order at a time, where the input projection reads it before the loop
 writes the states, and the backward pass rebuilds it there once the
 hidden states rebuilt in it are read, one direction at a time.  Only
 layer 1's one GEMM copies its input, time-major: T*B*10 floats.
+
+Memory has one rule, `check_memory`.  A call whose `peak_bytes(H, B, T,
+n)` (the arena, theta with its velocity and gradients, and the stacked
+input plus one batch of it) exceeds the physical memory is refused with
+one ValueError naming the hidden size, batch, T and bytes.  `train` and
+`predict_batch` check their call before they stack their input;
+`init_model`, `evaluate.grid_plan` and the CLI's `train` check the
+smallest call, and `evaluate.run_grid` each cell's trials, before any
+input is read or extracted.  `_Workspace` only carves.
 
 A model, its gradients and its velocity each own one float64 vector,
 theta, laid out by `param_layout`; every weight matrix and bias is a view
@@ -171,21 +179,11 @@ class TrainHistory:
 # Parameter bookkeeping
 # ---------------------------------------------------------------------------
 
-def check_hidden_size(hidden) -> None:
-    """ValueError, naming the hidden size, unless it is an integer >= 1
-    whose theta fits one array: at most np.iinfo(np.intp).max bytes.  The
-    bytes are counted in Python integers, which do not overflow."""
-    check_count("hidden size", hidden, 1)
-    size = sum(math.prod(shape) for _, shape in param_layout(hidden))
-    limit = np.iinfo(np.intp).max
-    if 8 * size > limit:
-        raise ValueError(f"hidden size {_shown(hidden)} needs more than the "
-                         f"{limit} bytes one array holds for its parameters")
-
-
 def init_model(hidden: int, seed: int) -> BiLSTMModel:
-    """Glorot-uniform weights, zero biases except forget-gate bias = 1."""
-    check_hidden_size(hidden)
+    """Glorot-uniform weights, zero biases except forget-gate bias = 1.
+    The hidden size is held to `check_memory` for the smallest call, one
+    sequence of one frame."""
+    check_memory(hidden, 1, 1, 1)
     rng = np.random.default_rng(seed)
     model = BiLSTMModel(hidden)
     for name, block in model.blocks:
@@ -198,7 +196,7 @@ def init_model(hidden: int, seed: int) -> BiLSTMModel:
 
 
 # ---------------------------------------------------------------------------
-# Workspace
+# Memory
 # ---------------------------------------------------------------------------
 
 def arena_bytes(hidden: int, batch: int, T: int) -> int:
@@ -206,6 +204,17 @@ def arena_bytes(hidden: int, batch: int, T: int) -> int:
     cache (see `_Workspace.caches`): 8*(16TBH + 6(T+1)BH + 2BH)."""
     B, H = batch, hidden
     return 8 * (16 * T * B * H + 6 * (T + 1) * B * H + 2 * B * H)
+
+
+def peak_bytes(hidden: int, batch: int, T: int, n: int) -> int:
+    """Peak bytes of a `train` or `predict_batch` call on n sequences of T
+    frames, in batches of at most `batch`, at hidden size `hidden`: the
+    arena, theta with its velocity and gradients, and the stacked
+    (n, T, INPUT_SIZE) input plus one batch of it.  Counted in Python
+    integers, which do not overflow."""
+    params = sum(math.prod(shape) for _, shape in param_layout(hidden))
+    return (arena_bytes(hidden, batch, T)
+            + 8 * (3 * params + (n + batch) * T * INPUT_SIZE))
 
 
 def _physical_memory() -> int | None:
@@ -217,13 +226,28 @@ def _physical_memory() -> int | None:
     return size if size > 0 else None
 
 
+def check_memory(hidden, batch: int, T: int, n: int) -> None:
+    """The one memory rule (see the module docstring for its callers):
+    ValueError, naming the hidden size, unless it is an integer >= 1 whose
+    `peak_bytes(hidden, batch, T, n)` fit the physical memory, or
+    np.iinfo(np.intp).max bytes where os.sysconf cannot tell that."""
+    check_count("hidden size", hidden, 1)
+    need, memory = peak_bytes(hidden, batch, T, n), _physical_memory()
+    limit = np.iinfo(np.intp).max if memory is None else memory
+    if need > limit:
+        raise ValueError(
+            f"hidden size {_shown(hidden)} at batch {batch} and T = {T} "
+            f"needs {_shown(need)} bytes, more than the {limit} bytes of "
+            "memory")
+
+
 class _Workspace:
     """The memory of one `train` or `predict_batch` call: batches of at most
     B sequences of length T at hidden size H.
 
     `arena` is one flat float64 array of exactly a batch's forward cache,
-    `arena_bytes(H, B, T)`; an arena larger than physical memory is refused
-    with PcgError before it is allocated.  `caches(b)` carves both layers'
+    `arena_bytes(H, B, T)`, which `train` and `predict_batch` hold to
+    `check_memory` before they make one.  `caches(b)` carves both layers'
     buffers for a batch of b <= B sequences from it.  The rest is small
     and (B, 2, ...) in shape, so its first b rows are a contiguous (b, 2, ...)
     array: the step loops' `out=` buffers, two (B, 2, 4H) and five
@@ -237,13 +261,7 @@ class _Workspace:
 
     def __init__(self, H: int, B: int, T: int):
         self.H, self.T = H, T
-        size, memory = arena_bytes(H, B, T), _physical_memory()
-        if memory is not None and size > memory:
-            raise PcgError(
-                f"hidden size {H}, batch {B} and T = {T} frames need a "
-                f"{size}-byte arena, more than the {memory} bytes "
-                "of physical memory")
-        self.arena = np.empty(size // 8)
+        self.arena = np.empty(arena_bytes(H, B, T) // 8)
         self.scale = np.full((B, 2, 4 * H), 0.5)
         self.scale[..., 2 * H:3 * H] = 1.0
         self.offset = 1.0 - self.scale
@@ -413,9 +431,11 @@ def predict_batch(model: BiLSTMModel,
     training batch's forward cache however long the list is."""
     if not seqs:
         return np.zeros(0, dtype=np.int64)
-    X = _stack(seqs, model.feature_config)
     n = TrainConfig().batch_size
-    ws = _Workspace(model.hidden_size, min(n, len(X)), X.shape[1])
+    B, T = min(n, len(seqs)), len(seqs[0].values)
+    check_memory(model.hidden_size, B, T, len(seqs))
+    X = _stack(seqs, model.feature_config)
+    ws = _Workspace(model.hidden_size, B, T)
     return np.concatenate([
         _forward_batch(model, X[k:k + n], ws)[0].argmax(axis=1)
         for k in range(0, len(X), n)])
@@ -580,16 +600,18 @@ def train(dataset: list[FeatureSequence], hidden: int, config: TrainConfig,
     labels = class_indices(dataset)
     if len(set(labels.tolist())) < 2:
         raise PcgError("training data must contain both classes")
+    n = len(dataset)
+    B, T = min(config.batch_size, n), len(dataset[0].values)
+    check_memory(hidden, B, T, n)
     X = _stack(dataset)
 
     model = init_model(hidden, seed=seed)
     model.feature_config = dataset[0].config
     velocity = BiLSTMModel(model.hidden_size)
     shuffle_rng = np.random.default_rng([seed, 1])
-    ws = _Workspace(hidden, min(config.batch_size, len(X)), X.shape[1])
+    ws = _Workspace(hidden, B, T)
 
     history = TrainHistory()
-    n = len(dataset)
     for _ in range(config.epochs):
         perm = shuffle_rng.permutation(n)
         total_loss = 0.0

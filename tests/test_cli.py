@@ -1050,8 +1050,8 @@ def test_output_naming_a_file_of_the_command_exits_2_before_reading(
 @pytest.mark.parametrize("command", ["train", "grid"])
 def test_impossible_allocation_exits_1_writing_nothing(
         corpus_dir, feature_dir, tmp_path, capsys, monkeypatch, command):
-    # At H = 1e8 theta is 32 H^2 float64s, 2.22 EiB: beyond any x86-64
-    # address space, so the allocation fails before it touches memory.
+    # At H = 1e8 theta is 32 H^2 float64s, 2.22 EiB: beyond any machine's
+    # memory, so the smallest call is refused before any input is read.
     monkeypatch.chdir(tmp_path)
     argv = {"train": ["train", "--features", str(feature_dir), "--seed", "0",
                       "--epochs", "1", "--out", "m.bin", "--history", "h.json"],
@@ -1059,23 +1059,45 @@ def test_impossible_allocation_exits_1_writing_nothing(
                      "--out-dir", "out"]}[command]
     assert main([*argv, "--hidden", "100000000"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: Unable to allocate ")
-    assert captured.err.count("\n") == 1 and captured.out == ""
-    assert list(tmp_path.iterdir()) == []
+    assert captured.err == (
+        "error: hidden size 100000000 at batch 1 and T = 1 needs "
+        f"{nnet.peak_bytes(10**8, 1, 1, 1)} bytes, more than the "
+        f"{nnet._physical_memory()} bytes of memory\n")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_arena_beyond_physical_memory_exits_1_writing_nothing(
         feature_dir, tmp_path, capsys, monkeypatch):
+    # One byte short of the call train makes: 10 records of 20 frames.
+    need = nnet.peak_bytes(3, 10, 20, 10)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(nnet, "_physical_memory", lambda: 1000)
+    monkeypatch.setattr(nnet, "_physical_memory", lambda: need - 1)
     assert main(["train", "--features", str(feature_dir), "--seed", "0",
                  "--hidden", "3", "--epochs", "1", "--out", "m.bin",
                  "--history", "h.json"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == (  # 10 records of 20 frames
-        "error: hidden size 3, batch 10 and T = 20 frames need a "
-        f"{nnet.arena_bytes(3, 10, 20)}-byte arena, more than the 1000 bytes "
-        "of physical memory\n")
+    assert captured.err == (
+        f"error: hidden size 3 at batch 10 and T = 20 needs {need} bytes, "
+        f"more than the {need - 1} bytes of memory\n")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_grid_beyond_physical_memory_exits_1_before_extracting(
+        corpus_dir, tmp_path, capsys, monkeypatch):
+    def extract_dataset(*args, **kwargs):
+        raise AssertionError("extract_dataset was called")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(nnet, "_physical_memory", lambda: 1000)
+    monkeypatch.setattr(evaluate, "extract_dataset", extract_dataset)
+    assert main(["grid", "--corpus", str(corpus_dir), "--shapes", "gaussian",
+                 "--lengths", "30", "--hidden", "5", "--trials", "1",
+                 "--epochs", "1", "--hop", "25", "--out-dir", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: hidden size 5 at batch 1 and T = 1 needs "
+        f"{nnet.peak_bytes(5, 1, 1, 1)} bytes, more than the 1000 bytes of "
+        "memory\n")
     assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
@@ -1089,11 +1111,15 @@ def test_hidden_size_beyond_one_array_exits_1_before_reading(
                       "--out", "h.bin"],
             "grid": ["grid", "--corpus", str(corpus_dir), *SMALL_GRID,
                      "--out-dir", "out"]}[command]
+    # Where os.sysconf cannot tell the physical memory, the limit is the
+    # most one array holds.
+    monkeypatch.setattr(nnet, "_physical_memory", lambda: None)
     assert main([*argv, "--hidden", "100000000000000000000000"]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: hidden size 100000000000000000000000 needs more than the "
-        "9223372036854775807 bytes one array holds for its parameters\n")
+        "error: hidden size 100000000000000000000000 at batch 1 and T = 1 "
+        f"needs {nnet.peak_bytes(10**23, 1, 1, 1)} bytes, more than the "
+        "9223372036854775807 bytes of memory\n")
     assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 

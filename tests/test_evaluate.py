@@ -25,7 +25,7 @@ from pcgkit.evaluate import (
 from pcgkit.features import FeatureSequence
 from pcgkit.ingest import AudioRecord, Label
 from pcgkit.rng import mix_seed
-from pcgkit.windows import WindowShape, WindowSpec
+from pcgkit.windows import WindowShape, WindowSpec, frame_centers
 
 from test_nnet import forward_argmax, make_seq, toy_blobs
 
@@ -316,6 +316,31 @@ class TestRunGrid:
         with pytest.raises(error, match=f"^{message}$"):
             run_grid(records, **{**grid, **axes}, train_config=FAST_TRAIN)
         assert calls == []
+
+    def test_cell_beyond_memory_refused_before_any_work(self, monkeypatch):
+        # Four records per class put 2 + 2 on a split's train side, one
+        # batch of 4.  The last window (L = 15) has the most frames, and
+        # hidden size 5 needs the most of its cells.
+        records = tiny_corpus()
+        spec = WindowSpec.from_nominal_length(WindowShape.GAUSSIAN, 15)
+        T = frame_centers(records[0].samples.size, spec, 25).size
+        need = nnet.peak_bytes(5, 4, T, 4)
+        grid = dict(shapes=[WindowShape.GAUSSIAN], lengths=[50, 15],
+                    hidden_sizes=[5, 3], trials=1, hop=25,
+                    train_config=nnet.TrainConfig(epochs=1))
+        calls = []
+        monkeypatch.setattr(evaluate, "extract_dataset",
+                            lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(nnet, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ValueError, match=(
+                f"^hidden size 5 at batch 4 and T = {T} needs {need} bytes, "
+                f"more than the {need - 1} bytes of memory$")):
+            run_grid(records, **grid)
+        assert calls == []
+        # At exactly that much, every trial's train and predict call fits.
+        monkeypatch.undo()
+        monkeypatch.setattr(nnet, "_physical_memory", lambda: need)
+        assert len(run_grid(records, **grid)) == 4
 
     def test_labels_with_one_L_are_not_repeats(self):
         cells = run_grid(tiny_corpus(), shapes=[WindowShape.GAUSSIAN],

@@ -912,6 +912,28 @@ class TestWorkspace:
         assert peak <= (1.10 * forward_cache_bytes(30, 16, 199)
                         + 40 * 199 * 10 * 8)
 
+    @pytest.mark.parametrize("call", ["train", "predict_batch"])
+    def test_peak_bytes_is_the_traced_peak(self, call):
+        # A train call whose last batch is uneven (16, 16 and 8), and a
+        # predict_batch call over four 16-row chunks.
+        n = {"train": 40, "predict_batch": 64}[call]
+        rng = np.random.default_rng(50)
+        data = [make_seq(rng.normal(size=(199, 10)),
+                         label=(Label.HEALTHY, Label.PATHOLOGICAL)[k % 2],
+                         sid=str(k)) for k in range(n)]
+        model = init_model(30, seed=50)
+        run = {"train": lambda: train(
+                   data, 30, TrainConfig(epochs=1, batch_size=16), seed=50),
+               "predict_batch": lambda: nnet.predict_batch(model, data)}[call]
+        estimate = nnet.peak_bytes(30, 16, 199, n)
+        assert abs(traced_peak(run) - estimate) <= 0.10 * estimate
+
+    def test_hidden_size_of_any_length_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=(
+                "^hidden size an integer of 5001 digits at batch 1 and T = 1 "
+                "needs an integer of 10003 digits bytes, ")):
+            init_model(10**5000, seed=0)
+
     @pytest.mark.parametrize("H, B, T", [(30, 16, 199), (5, 3, 7), (100, 1, 2)])
     def test_arena_is_the_forward_cache(self, H, B, T):
         assert nnet._Workspace(H, B, T).arena.nbytes == forward_cache_bytes(
@@ -944,14 +966,14 @@ class TestWorkspace:
     def test_arena_beyond_physical_memory_refused(self, monkeypatch):
         data = toy_blobs(2, T=9)
         model = init_model(3, seed=0)
-        size = nnet.arena_bytes(3, 4, 9)
+        size = nnet.peak_bytes(3, 4, 9, 4)
         monkeypatch.setattr(nnet, "_physical_memory", lambda: size - 1)
         message = re.escape(
-            f"hidden size 3, batch 4 and T = 9 frames need a {size}-byte "
-            f"arena, more than the {size - 1} bytes of physical memory")
-        with pytest.raises(PcgError, match=f"^{message}$"):
+            f"hidden size 3 at batch 4 and T = 9 needs {size} bytes, more "
+            f"than the {size - 1} bytes of memory")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             train(data, 3, TrainConfig(epochs=1), seed=0)
-        with pytest.raises(PcgError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             nnet.predict_batch(model, data)
         # An arena that fits, or memory that cannot be read, is not refused.
         for memory in (size, None):
