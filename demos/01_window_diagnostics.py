@@ -9,14 +9,8 @@ numbers that matter for short-time feature extraction: main-lobe width
 
 import numpy as np
 
-from pcgkit import (
-    WindowShape,
-    WindowSpec,
-    mainlobe_width,
-    make_window,
-    peak_sidelobe_db,
-    window_spectrum,
-)
+from pcgkit.windows import (WindowShape, WindowSpec, mainlobe_width,
+                            make_window, peak_sidelobe_db, window_spectrum)
 
 # The three shapes at a common length: note how the taper buys side-lobe
 # suppression at the cost of a wider main lobe.

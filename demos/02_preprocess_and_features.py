@@ -9,18 +9,10 @@ with a Gaussian window, and extracts the ten per-frame statistics.
 
 import numpy as np
 
-from pcgkit import (
-    FEATURE_NAMES,
-    Label,
-    SynthConfig,
-    WindowShape,
-    WindowSpec,
-    extract_sequence,
-    frame_matrix,
-    generate,
-    normalize_sequence,
-    preprocess,
-)
+from pcgkit.features import FEATURE_NAMES, extract_sequence, normalize_sequence
+from pcgkit.ingest import Label, preprocess
+from pcgkit.synth import SynthConfig, generate
+from pcgkit.windows import WindowShape, WindowSpec, frame_matrix
 
 record = generate(SynthConfig(), Label.PATHOLOGICAL, seed=42)
 print(f"raw record: {record.samples.size} samples at {record.sample_rate_hz} Hz "

@@ -7,18 +7,11 @@ Gaussian window, one stratified 70/30 split, 60 epochs of SGD with
 momentum, then sensitivity / specificity / accuracy on the held-out side.
 """
 
-from pcgkit import (
-    SynthConfig,
-    TrainConfig,
-    WindowShape,
-    WindowSpec,
-    generate_dataset,
-    preprocess,
-    score,
-    split,
-    train,
-)
-from pcgkit.evaluate import extract_dataset
+from pcgkit.evaluate import extract_dataset, score, split
+from pcgkit.ingest import preprocess
+from pcgkit.nnet import TrainConfig, train
+from pcgkit.synth import SynthConfig, generate_dataset
+from pcgkit.windows import WindowShape, WindowSpec
 
 records = [preprocess(r) for r in
            generate_dataset(20, 20, base_seed=7,

@@ -14,9 +14,11 @@ hop 1, 500 epochs) is the same call with bigger axes, or the CLI:
     pcgkit grid --corpus <dir> --out-dir <dir> --trials 30
 """
 
-from pcgkit import SynthConfig, TrainConfig, WindowShape, emit_results, preprocess
-from pcgkit.evaluate import run_grid
-from pcgkit.synth import generate_dataset
+from pcgkit.evaluate import emit_results, run_grid
+from pcgkit.ingest import preprocess
+from pcgkit.nnet import TrainConfig
+from pcgkit.synth import SynthConfig, generate_dataset
+from pcgkit.windows import WindowShape
 
 records = [preprocess(r) for r in
            generate_dataset(10, 10, base_seed=3,

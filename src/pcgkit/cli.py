@@ -5,7 +5,7 @@ Recordings are mono 16-bit PCM WAV files: synth writes them, extract and
 grid read them.
 Exit codes: 0 ok, 1 domain error or failed allocation, 2 usage or I/O error.
 All randomness flows from --seed: train requires it, and synth and grid
-default to 0, as generate_dataset and run_grid do; repeated runs with the
+default to 0, as generate_records and run_grid do; repeated runs with the
 same inputs and flags produce byte-identical outputs.
 """
 

@@ -226,24 +226,30 @@ def run_grid(records: list[AudioRecord],
     """One GridCell of Confusion trials per shape x length x hidden size, in
     that order.  `grid_plan` checks every argument first (each window's fit
     against the shortest record) and gives each trial a seed of its own, so
-    no result depends on the trials before it.  Then every (window, hidden
-    size) cell's training call is held to `nnet.check_memory`, at the
-    window's frame count in the shortest record and the batch of one
-    split's train side, before any features are extracted.  Features are
-    extracted once per (shape, length), and only that dataset is held.
+    no result depends on the trials before it.  Then the largest trial's
+    train and predict calls are held to `nnet.check_memory`, before any
+    features are extracted: `peak_bytes` never falls as H or T grows, so
+    that is the largest hidden size at the most frames any window cuts
+    from the shortest record, on one split's train and test sides.
+    Features are extracted once per (shape, length), and only that dataset
+    is held.
     """
     n_samples = min((rec.samples.size for rec in records), default=None)
     plan = grid_plan(shapes, lengths, hidden_sizes, trials, base_seed, hop,
                      n_samples)
     if records:
-        n = sum(_train_size(sum(rec.label == label for rec in records))
-                for label in CLASS_INDEX)
-        batch = min(train_config.batch_size, n)
-        for shape, length in itertools.product(shapes, lengths):
-            spec = WindowSpec.from_nominal_length(shape, length)
-            T = frame_centers(n_samples, spec, hop).size
-            for hidden in hidden_sizes:
-                nnet.check_memory(hidden, batch, T, n)
+        counts = [sum(rec.label == label for rec in records)
+                  for label in CLASS_INDEX]
+        n_train = sum(map(_train_size, counts))
+        n_test = sum(counts) - n_train
+        specs = (WindowSpec.from_nominal_length(shape, length)
+                 for shape, length in itertools.product(shapes, lengths))
+        T = max(frame_centers(n_samples, spec, hop).size for spec in specs)
+        # predict_batch runs the test side in chunks of
+        # TrainConfig().batch_size rows.
+        for batch, n in ((train_config.batch_size, n_train),
+                         (nnet.TrainConfig().batch_size, n_test)):
+            nnet.check_memory(max(hidden_sizes), min(batch, n), T, n)
     cells = []
     for (spec, length), window in groupby(plan, key=lambda p: p[:2]):
         dataset = extract_dataset(records, spec, hop=hop)

@@ -125,8 +125,13 @@ def read_wav(path: str | Path, label: Label = Label.UNLABELED) -> AudioRecord:
 def write_wav(record: AudioRecord, path: str | Path) -> int:
     """Write a record as mono 16-bit PCM WAV (inverse of read_wav's scaling)
     and return how many samples fell outside 16-bit full scale and were
-    clipped to it."""
+    clipped to it, ±Inf included.  A NaN sample, which has no PCM value,
+    raises PcgError before anything is written."""
     path = Path(path)
+    nan = np.flatnonzero(np.isnan(record.samples))
+    if nan.size:
+        raise PcgError(f"record {record.id!r} has a NaN at sample {nan[0]}; "
+                       f"{path} not written")
     ints = np.round(record.samples * PCM_FULL_SCALE)
     clipped = np.count_nonzero((ints < -32768) | (ints > 32767))
     payload = np.clip(ints, -32768, 32767).astype("<i2").tobytes()

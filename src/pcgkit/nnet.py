@@ -58,8 +58,8 @@ input plus one batch of it) exceeds the physical memory is refused with
 one ValueError naming the hidden size, batch, T and bytes.  `train` and
 `predict_batch` check their call before they stack their input;
 `init_model`, `evaluate.grid_plan` and the CLI's `train` check the
-smallest call, and `evaluate.run_grid` each cell's trials, before any
-input is read or extracted.  `_Workspace` only carves.
+smallest call, and `evaluate.run_grid` the largest trial's train and
+predict calls, before any input is read or extracted.  `_Workspace` only carves.
 
 A model, its gradients and its velocity each own one float64 vector,
 theta, laid out by `param_layout`; every weight matrix and bias is a view

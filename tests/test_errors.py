@@ -34,10 +34,14 @@ class TestOneRefusalType:
                    and v.__module__ == errors.__name__]
         assert defined == [PcgError]
 
-    def test_package_exports_one_exception(self):
-        exported = [v for v in vars(pcgkit).values()
-                    if isinstance(v, type) and issubclass(v, BaseException)]
-        assert exported == [PcgError]
+    def test_package_exports_only_its_modules(self):
+        modules = {m.name for m in pkgutil.iter_modules(pcgkit.__path__)}
+        for name in modules:
+            importlib.import_module(f"pcgkit.{name}")
+        # Every dunder but __version__ is the import system's.
+        names = {n for n in vars(pcgkit)
+                 if not n.startswith("__") or n == "__version__"}
+        assert names == modules | {"__version__"}
 
 
 class TestCheckCount:

@@ -342,6 +342,28 @@ class TestRunGrid:
         monkeypatch.setattr(nnet, "_physical_memory", lambda: need)
         assert len(run_grid(records, **grid)) == 4
 
+    def test_predict_beyond_memory_refused_before_any_work(self, monkeypatch):
+        # Twelve records per class put 8 + 8 on a split's train side, in
+        # batches of 4, and 4 + 4 on its test side, one predict_batch chunk
+        # of 8: the memory fits the train call and not the predict call.
+        records = tiny_corpus(12)
+        spec = WindowSpec.from_nominal_length(WindowShape.GAUSSIAN, 30)
+        T = frame_centers(records[0].samples.size, spec, 25).size
+        memory = nnet.peak_bytes(30, 4, T, 16)
+        need = nnet.peak_bytes(30, 8, T, 8)
+        assert need > memory
+        calls = []
+        monkeypatch.setattr(evaluate, "extract_dataset",
+                            lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(nnet, "_physical_memory", lambda: memory)
+        with pytest.raises(ValueError, match=(
+                f"^hidden size 30 at batch 8 and T = {T} needs {need} bytes, "
+                f"more than the {memory} bytes of memory$")):
+            run_grid(records, shapes=[WindowShape.GAUSSIAN], lengths=[30],
+                     hidden_sizes=[30], trials=1, hop=25,
+                     train_config=nnet.TrainConfig(epochs=1, batch_size=4))
+        assert calls == []
+
     def test_labels_with_one_L_are_not_repeats(self):
         cells = run_grid(tiny_corpus(), shapes=[WindowShape.GAUSSIAN],
                          lengths=[30, 31], hidden_sizes=[3], trials=1,

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -82,6 +83,20 @@ class TestReadWav:
         assert write_wav(AudioRecord("r", samples, 2000), path) == 3
         assert read_wav(path).samples.tolist() == [
             32767 / 32768, -1.0, -1.0, 32767 / 32768, 32767 / 32768, 0.0]
+
+    def test_write_refuses_a_nan_sample(self, tmp_path):
+        path = tmp_path / "r.wav"
+        record = AudioRecord("r", [0.1, float("nan"), 0.2], 2000)
+        message = f"record 'r' has a NaN at sample 1; {path} not written"
+        with pytest.raises(PcgError, match=f"^{re.escape(message)}$"):
+            write_wav(record, path)
+        assert not path.exists()
+
+    def test_write_clips_inf_to_full_scale(self, tmp_path):
+        path = tmp_path / "r.wav"
+        samples = [float("inf"), 0.5, -float("inf")]
+        assert write_wav(AudioRecord("r", samples, 2000), path) == 2
+        assert read_wav(path).samples.tolist() == [32767 / 32768, 0.5, -1.0]
 
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
