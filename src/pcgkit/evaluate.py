@@ -143,7 +143,8 @@ def split(dataset: list, seed: int = 0) -> tuple[list, list]:
 
 def score(model: nnet.BiLSTMModel, seqs: list[FeatureSequence]) -> TrialResult:
     """Predictions and confusion of a model on labeled sequences; one
-    class alone is fine (its other ratio is None)."""
+    class alone is fine (its other ratio is None).  The one scoring path:
+    trials, `pcgkit eval` and the demos all score through it."""
     labels = nnet.class_indices(seqs)
     predictions = nnet.predict_batch(model, seqs)
     return TrialResult(confusion(predictions, labels), predictions)

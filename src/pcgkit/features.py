@@ -4,8 +4,8 @@ Ten features are computed inside each windowed frame: mean, median, mode,
 variance, skewness, kurtosis, Shannon energy, Shannon entropy,
 zero-crossing rate, and interquartile range.  A signal becomes a T x 10
 feature sequence (one row per frame) which is z-scored per column before
-classification.  feature_matrix works through the frame matrix in fixed
-blocks of rows, so its memory beyond the T x 10 result does not grow with T.
+classification.  feature_matrix works through the frame matrix in blocks
+of 1024 rows, so its memory beyond the T x 10 result does not grow with T.
 
 Conventions, fixed once and used everywhere:
   * min, max and the quartiles come from one sort of the frame matrix's

@@ -3,9 +3,10 @@
 A recording enters the pipeline as an :class:`AudioRecord`, read from a
 mono 16-bit PCM WAV file by `read_wav` (`write_wav` writes one).
 `preprocess`, the one preprocessing step, low-pass filters it at
-CUTOFF_HZ (250 Hz), keeps one sample in rate / TARGET_RATE_HZ (500 Hz)
-and cuts or tiles it to TARGET_SAMPLES (5000, 10 s): the paper's fixed
-protocol, not parameters.  It returns a new record.
+CUTOFF_HZ (250 Hz) with a NUM_TAPS-tap (101) linear-phase windowed-sinc
+FIR, keeps one sample in rate / TARGET_RATE_HZ (500 Hz) and cuts or tiles
+it to TARGET_SAMPLES (5000, 10 s): the paper's fixed protocol, not
+parameters.  It returns a new record.
 """
 
 from __future__ import annotations

@@ -35,31 +35,24 @@ chunks of `TrainConfig().batch_size` rows.
 One optimizer step is `_batch_grads` (a mini-batch's forward pass, loss
 and BPTT), then `sgdm_step`.  Only `train` and `predict_batch` make a
 `_Workspace`, one per call, which `_forward_batch` and `_batch_grads` take
-as their `ws`: an arena of exactly one batch's forward cache,
-`arena_bytes(H, B, T)` = 8*(16TBH + 6(T+1)BH + 2BH) bytes: per layer the
-(T, B, 2, 4H) gates and the (T+1, B, 2, H) cell states, layer 1's
-(T+1, B, 2, H) hidden states and one (B, 2, H) row of layer 2's, for its
-forward pass reads only the previous step's h and keeps the last.  BPTT
-reads no hidden state: it rebuilds each h with one multiply, o*tanh(c),
-from the tanh(c) it takes anyway, into the cell-state row it has just read.
+as their `ws`: an arena of exactly one batch's forward cache, sized by
+`arena_bytes`.  Layer 2 keeps one row of hidden states, for its forward
+pass reads only the previous step's h and keeps the last.  BPTT reads no
+hidden state: it rebuilds each h with one multiply, o*tanh(c), from the
+tanh(c) it takes anyway, into the cell-state row it has just read.
 Every batch, a smaller last one included, carves its buffers from it,
 and BPTT puts each of its own buffers where a dead one was, so a call
-peaks at that one cache: at T = 4970 and B = 16, 400 MiB at H = 30 and
-1.30 GiB at H = 100.  Layer 2's (T, B, 2H) input is not cached:
+peaks at that one cache.  Layer 2's (T, B, 2H) input is not cached:
 the forward pass builds it in layer 2's cell-state buffer, one direction's
 step order at a time, where the input projection reads it before the loop
 writes the states, and the backward pass rebuilds it there once the
-hidden states rebuilt in it are read, one direction at a time.  Only
-layer 1's one GEMM copies its input, time-major: T*B*10 floats.
+hidden states rebuilt in it are read, one direction at a time.  Layer 1's
+input is copied: once in a `predict_batch` chunk and up to three times in
+a `train` batch (see `peak_bytes`).
 
-Memory has one rule, `check_memory`.  A call whose `peak_bytes(H, B, T,
-n)` (the arena, theta with its velocity and gradients, and the stacked
-input plus one batch of it) exceeds the physical memory is refused with
-one ValueError naming the hidden size, batch, T and bytes.  `train` and
-`predict_batch` check their call before they stack their input;
-`init_model`, `evaluate.grid_plan` and the CLI's `train` check the
-smallest call, and `evaluate.run_grid` the largest trial's train and
-predict calls, before any input is read or extracted.  `_Workspace` only carves.
+Memory has one rule, `check_memory`, which refuses a call whose
+`peak_bytes` exceed the physical memory; its docstring lists where it is
+checked.  `_Workspace` only carves.
 
 A model, its gradients and its velocity each own one float64 vector,
 theta, laid out by `param_layout`; every weight matrix and bias is a view
@@ -201,7 +194,11 @@ def init_model(hidden: int, seed: int) -> BiLSTMModel:
 
 def arena_bytes(hidden: int, batch: int, T: int) -> int:
     """Bytes of a `_Workspace(hidden, batch, T)`'s arena, a batch's forward
-    cache (see `_Workspace.caches`): 8*(16TBH + 6(T+1)BH + 2BH)."""
+    cache: 8*(16TBH + 6(T+1)BH + 2BH) for B = batch sequences of T frames
+    at hidden size H.  Per layer that is the (T, B, 2, 4H) gates and the
+    (T+1, B, 2, H) cell states, then layer 1's (T+1, B, 2, H) hidden
+    states and one (B, 2, H) row of layer 2's (see `_Workspace.caches`):
+    at T = 4970 and B = 16, 400 MiB at H = 30 and 1.30 GiB at H = 100."""
     B, H = batch, hidden
     return 8 * (16 * T * B * H + 6 * (T + 1) * B * H + 2 * B * H)
 
@@ -211,7 +208,15 @@ def peak_bytes(hidden: int, batch: int, T: int, n: int) -> int:
     frames, in batches of at most `batch`, at hidden size `hidden`: the
     arena, theta with its velocity and gradients, and the stacked
     (n, T, INPUT_SIZE) input plus one batch of it.  Counted in Python
-    integers, which do not overflow."""
+    integers, which do not overflow.
+
+    One batch copy is what a `predict_batch` chunk holds: layer 1's input
+    projection copies its time-major view.  A `train` batch's input is
+    copied up to three times: the `X[idx]` gather, that projection's
+    `np.ascontiguousarray` and `_layer_backward`'s reshape for the
+    input-weight gradients.  So on 28 sequences at B = 16 and T = 199 this
+    reads about 9 % under tracemalloc's peak of a `train` call at H = 5,
+    and about 3 % under at H = 30."""
     params = sum(math.prod(shape) for _, shape in param_layout(hidden))
     return (arena_bytes(hidden, batch, T)
             + 8 * (3 * params + (n + batch) * T * INPUT_SIZE))
@@ -227,10 +232,16 @@ def _physical_memory() -> int | None:
 
 
 def check_memory(hidden, batch: int, T: int, n: int) -> None:
-    """The one memory rule (see the module docstring for its callers):
-    ValueError, naming the hidden size, unless it is an integer >= 1 whose
+    """The one memory rule: ValueError, naming the hidden size, batch, T
+    and bytes, unless the hidden size is an integer >= 1 whose
     `peak_bytes(hidden, batch, T, n)` fit the physical memory, or
-    np.iinfo(np.intp).max bytes where os.sysconf cannot tell that."""
+    np.iinfo(np.intp).max bytes where os.sysconf cannot tell that.
+
+    `train` and `predict_batch` check their own call before they stack
+    their input.  `init_model`, `evaluate.grid_plan` and the CLI's `train`
+    check the smallest call, one sequence of one frame, and
+    `evaluate.run_grid` its largest trial's train and predict calls,
+    before any input is read or extracted."""
     check_count("hidden size", hidden, 1)
     need, memory = peak_bytes(hidden, batch, T, n), _physical_memory()
     limit = np.iinfo(np.intp).max if memory is None else memory
@@ -246,17 +257,16 @@ class _Workspace:
     B sequences of length T at hidden size H.
 
     `arena` is one flat float64 array of exactly a batch's forward cache,
-    `arena_bytes(H, B, T)`, which `train` and `predict_batch` hold to
-    `check_memory` before they make one.  `caches(b)` carves both layers'
-    buffers for a batch of b <= B sequences from it.  The rest is small
-    and (B, 2, ...) in shape, so its first b rows are a contiguous (b, 2, ...)
-    array: the step loops' `out=` buffers, two (B, 2, 4H) and five
-    (B, 2, H), and three (B, 2, 4H) constants.  The gates are
-    scale*tanh(scale*z) + offset: sigma(z) = 0.5*tanh(z/2) + 0.5 on the
-    sigmoid columns and tanh on the candidate's; halving is exact.  BPTT's
-    slope uses lo = scale - offset.  The constants come in the shape of one
-    step's gates: a broadcast operand costs the step loops about twice as
-    much per op.
+    `arena_bytes(H, B, T)`; `check_memory` is checked before one is made.
+    `caches(b)` carves both layers' buffers for a batch of b <= B
+    sequences from it.  The rest is small and (B, 2, ...) in shape, so its
+    first b rows are a contiguous (b, 2, ...) array: the step loops' `out=`
+    buffers, two (B, 2, 4H) and five (B, 2, H), and three (B, 2, 4H)
+    constants.  The gates are scale*tanh(scale*z) + offset:
+    sigma(z) = 0.5*tanh(z/2) + 0.5 on the sigmoid columns and tanh on the
+    candidate's; halving is exact.  BPTT's slope uses lo = scale - offset.
+    The constants come in the shape of one step's gates: a broadcast
+    operand costs the step loops about twice as much per op.
     """
 
     def __init__(self, H: int, B: int, T: int):

@@ -7,14 +7,8 @@ band-limited murmur energy inside the systolic gap, which is exactly the
 cue the feature/classifier pipeline is supposed to pick up.  The output is
 reproducible bit for bit from the seed passed to `generate`.  The signal
 model, and the rate RATE_HZ of the paper's corpus, are fixed by the module
-constants; SynthConfig holds only what the CLI sets.
-
-A record's random stream is the heart rate, then per cycle 24 uniforms
-(8 frequencies, 8 phases, 8 amplitudes) for S1, for S2 and, when it is
-pathological with a murmur, for the murmur, then the noise.  All tone
-uniforms come in one draw and each burst kind is one `sin` call over all
-cycles, so a record costs the same number of numpy calls however many
-cycles it holds.
+constants; SynthConfig holds only what the CLI sets.  `generate` lays
+out a record's random stream.
 """
 
 from __future__ import annotations
@@ -45,6 +39,12 @@ RATE_HZ = 2000
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """What `pcgkit synth` sets: the record duration in seconds, the murmur
+    gain and the noise floor.  Each must pass `check_real`, the gain and
+    the floor at least 0.  A duration must hold two cycles at the slowest
+    heart rate, and at most MAX_WAV_SAMPLES samples at RATE_HZ, the most
+    one WAV file holds.  Anything else raises ValueError."""
+
     duration_s: float = 10.0
     murmur_gain: float = 0.3
     noise_floor: float = 0.01

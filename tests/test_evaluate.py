@@ -309,7 +309,9 @@ class TestRunGrid:
         for name in ("extract_dataset", "run_trial"):
             monkeypatch.setattr(evaluate, name,
                                 lambda *args, name=name, **kw: calls.append(name))
-        records = tiny_corpus()  # 1250 samples each; the shortest sets the fit
+        # preprocess tiles each record to TARGET_SAMPLES (5000); the last one,
+        # cut to 1000 samples, is the shortest and sets the fit.
+        records = tiny_corpus()
         records[-1] = replace(records[-1], samples=records[-1].samples[:1000])
         grid = dict(shapes=[WindowShape.GAUSSIAN], lengths=[30],
                     hidden_sizes=[5], trials=1, hop=400)

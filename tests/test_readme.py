@@ -7,6 +7,7 @@ protocol's axes, is only parsed.
 """
 
 import collections
+import re
 import shlex
 from pathlib import Path
 
@@ -77,3 +78,17 @@ def test_library_quick_start_runs(capsys):
     assert code.count("epochs=60") == 1
     exec(code.replace("epochs=60", "epochs=1"), {})
     assert capsys.readouterr().out.startswith("Metrics(sensitivity=")
+
+
+def test_names_no_private_identifier_and_no_pass_count():
+    """README is the user's guide: a private name (`nnet._one_gemm`) is
+    documented in its module, and a test count goes stale every change."""
+    text = (ROOT / "README.md").read_text()
+    fences = re.findall(r"```.*?```", text, re.S)
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    names = re.findall(r"(?<!\w)[A-Za-z_][\w.]*", "\n".join(fences + spans))
+    private = [name for name in names if any(
+        part.startswith("_") and not part.endswith("__")
+        for part in name.split("."))]
+    assert private == []
+    assert re.findall(r"\d+ passed", text) == []
