@@ -12,7 +12,6 @@ percentages derived from the counts (pathological is the positive class).
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -185,14 +184,16 @@ def extract_dataset(records: list[AudioRecord], spec: WindowSpec,
 
 def grid_plan(shapes: list[WindowShape], lengths: list[int],
               hidden_sizes: list[int], trials: int, base_seed: int, hop: int,
-              n_samples: int | None) -> Iterator[tuple]:
+              n_samples: int) -> Iterator[tuple]:
     """The grid's trials, lazily, as (spec, length_label, hidden, trial,
     seed) in run order, seed = mix_seed(base_seed, si, li, hi, trial), once
     this call has checked the grid: ValueError on an empty axis, a repeated
     axis value, or a bad length, hidden size, trial count or seed, or a
-    hidden size whose smallest call does not fit `nnet.check_memory`; unless
-    `n_samples` is None, `frame_centers` raises for a bad hop or for a
-    window that leaves a record of `n_samples` fewer than two frames."""
+    hidden size whose smallest call does not fit `nnet.check_memory`; and
+    `frame_centers` raises for a bad hop or for a window that leaves a
+    record of `n_samples` fewer than two frames.  A window's frame count
+    depends on its L, not its shape, so only the longest window, at the
+    longest nominal length, is checked: it cuts the fewest frames."""
     if not (shapes and lengths and hidden_sizes):
         raise ValueError("grid axes must be non-empty")
     check_count("trials", trials, 1)
@@ -206,10 +207,7 @@ def grid_plan(shapes: list[WindowShape], lengths: list[int],
         repeat = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeat is not None:
             raise ValueError(f"grid repeats {axis} {repeat}")
-    if n_samples is not None:
-        for row in specs:
-            for spec in row:
-                frame_centers(n_samples, spec, hop)
+    frame_centers(n_samples, max(specs[0], key=lambda spec: spec.L), hop)
     return ((spec, length, hidden, t, mix_seed(base_seed, si, li, hi, t))
             for si, row in enumerate(specs)
             for li, (spec, length) in enumerate(zip(row, lengths))
@@ -225,32 +223,32 @@ def run_grid(records: list[AudioRecord],
              hop: int = PROTOCOL_HOP,
              train_config: nnet.TrainConfig = nnet.TrainConfig()) -> list[GridCell]:
     """One GridCell of Confusion trials per shape x length x hidden size, in
-    that order.  `grid_plan` checks every argument first (each window's fit
-    against the shortest record) and gives each trial a seed of its own, so
-    no result depends on the trials before it.  Then the largest trial's
-    train and predict calls are held to `nnet.check_memory`, before any
-    features are extracted: `peak_bytes` never falls as H or T grows, so
-    that is the largest hidden size at the most frames any window cuts
-    from the shortest record, on one split's train and test sides.
-    Features are extracted once per (shape, length), and only that dataset
-    is held.
+    that order; an empty record list is refused.  `grid_plan` checks every
+    argument first, the longest window against the shortest record, and
+    gives each trial a seed of its own, so no result depends on the trials
+    before it.  Then the largest trial's train and predict calls are held
+    to `nnet.check_memory`, before any features are extracted:
+    `peak_bytes` never falls as H or T grows, so that is the largest hidden
+    size at the T the shortest window cuts from the shortest record, on one
+    split's train and test sides.  Features are extracted once per (shape,
+    length), and only that dataset is held.
     """
-    n_samples = min((rec.samples.size for rec in records), default=None)
+    if not records:
+        raise PcgError("the grid needs at least one record")
+    n_samples = min(rec.samples.size for rec in records)
     plan = grid_plan(shapes, lengths, hidden_sizes, trials, base_seed, hop,
                      n_samples)
-    if records:
-        counts = [sum(rec.label == label for rec in records)
-                  for label in CLASS_INDEX]
-        n_train = sum(map(_train_size, counts))
-        n_test = sum(counts) - n_train
-        specs = (WindowSpec.from_nominal_length(shape, length)
-                 for shape, length in itertools.product(shapes, lengths))
-        T = max(frame_centers(n_samples, spec, hop).size for spec in specs)
-        # predict_batch runs the test side in chunks of
-        # TrainConfig().batch_size rows.
-        for batch, n in ((train_config.batch_size, n_train),
-                         (nnet.TrainConfig().batch_size, n_test)):
-            nnet.check_memory(max(hidden_sizes), min(batch, n), T, n)
+    counts = [sum(rec.label == label for rec in records)
+              for label in CLASS_INDEX]
+    n_train = sum(map(_train_size, counts))
+    n_test = sum(counts) - n_train
+    shortest = WindowSpec.from_nominal_length(shapes[0], min(lengths))
+    T = frame_centers(n_samples, shortest, hop).size
+    # predict_batch runs the test side in chunks of
+    # TrainConfig().batch_size rows.
+    for batch, n in ((train_config.batch_size, n_train),
+                     (nnet.TrainConfig().batch_size, n_test)):
+        nnet.check_memory(max(hidden_sizes), min(batch, n), T, n)
     cells = []
     for (spec, length), window in groupby(plan, key=lambda p: p[:2]):
         dataset = extract_dataset(records, spec, hop=hop)

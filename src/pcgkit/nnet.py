@@ -47,8 +47,7 @@ the forward pass builds it in layer 2's cell-state buffer, one direction's
 step order at a time, where the input projection reads it before the loop
 writes the states, and the backward pass rebuilds it there once the
 hidden states rebuilt in it are read, one direction at a time.  Layer 1's
-input is copied: once in a `predict_batch` chunk and up to three times in
-a `train` batch (see `peak_bytes`).
+input is the batch itself, which `peak_bytes` counts with its copies.
 
 Memory has one rule, `check_memory`, which refuses a call whose
 `peak_bytes` exceed the physical memory; its docstring lists where it is
@@ -192,34 +191,37 @@ def init_model(hidden: int, seed: int) -> BiLSTMModel:
 # Memory
 # ---------------------------------------------------------------------------
 
+def _cache_shapes(H: int, b: int, T: int) -> list[tuple]:
+    """The shapes of a batch's forward cache, b sequences of T frames at
+    hidden size H, in arena order: layer 1's gates Z (T, b, 2, 4H), cell
+    states C and hidden states Hs (T+1, b, 2, H), then layer 2's Z and C
+    and one (b, 2, H) row of its Hs (see `_Workspace.caches`)."""
+    gates, states = (T, b, 2, 4 * H), (T + 1, b, 2, H)
+    return [gates, states, states, gates, states, (b, 2, H)]
+
+
 def arena_bytes(hidden: int, batch: int, T: int) -> int:
-    """Bytes of a `_Workspace(hidden, batch, T)`'s arena, a batch's forward
-    cache: 8*(16TBH + 6(T+1)BH + 2BH) for B = batch sequences of T frames
-    at hidden size H.  Per layer that is the (T, B, 2, 4H) gates and the
-    (T+1, B, 2, H) cell states, then layer 1's (T+1, B, 2, H) hidden
-    states and one (B, 2, H) row of layer 2's (see `_Workspace.caches`):
-    at T = 4970 and B = 16, 400 MiB at H = 30 and 1.30 GiB at H = 100."""
-    B, H = batch, hidden
-    return 8 * (16 * T * B * H + 6 * (T + 1) * B * H + 2 * B * H)
+    """Bytes of a `_Workspace(hidden, batch, T)`'s arena, the float64
+    buffers of `_cache_shapes`: 8*(16TBH + 6(T+1)BH + 2BH) for B = batch
+    sequences of T frames at hidden size H.  At T = 4970 and B = 16 that
+    is 400 MiB at H = 30 and 1.30 GiB at H = 100."""
+    return 8 * sum(map(math.prod, _cache_shapes(hidden, batch, T)))
 
 
 def peak_bytes(hidden: int, batch: int, T: int, n: int) -> int:
     """Peak bytes of a `train` or `predict_batch` call on n sequences of T
     frames, in batches of at most `batch`, at hidden size `hidden`: the
     arena, theta with its velocity and gradients, and the stacked
-    (n, T, INPUT_SIZE) input plus one batch of it.  Counted in Python
-    integers, which do not overflow.
-
-    One batch copy is what a `predict_batch` chunk holds: layer 1's input
-    projection copies its time-major view.  A `train` batch's input is
-    copied up to three times: the `X[idx]` gather, that projection's
-    `np.ascontiguousarray` and `_layer_backward`'s reshape for the
-    input-weight gradients.  So on 28 sequences at B = 16 and T = 199 this
-    reads about 9 % under tracemalloc's peak of a `train` call at H = 5,
-    and about 3 % under at H = 30."""
+    (n, T, INPUT_SIZE) input plus two copies of one batch of it: a `train`
+    batch's `X[idx]` gather and layer 1's time-major copy, which its input
+    projection and its input-weight gradients each make in turn.  Counted
+    in Python integers, which do not overflow.  At B = 16 and T = 199 that
+    is within 3 % of tracemalloc's peak of a `train` call and about 3.5 %
+    over that of a `predict_batch` call, whose chunks are views and hold
+    only the second copy."""
     params = sum(math.prod(shape) for _, shape in param_layout(hidden))
     return (arena_bytes(hidden, batch, T)
-            + 8 * (3 * params + (n + batch) * T * INPUT_SIZE))
+            + 8 * (3 * params + (n + 2 * batch) * T * INPUT_SIZE))
 
 
 def _physical_memory() -> int | None:
@@ -280,20 +282,18 @@ class _Workspace:
         self.narrow = np.empty((5, B, 2, H))
 
     def caches(self, b: int) -> tuple[dict, dict]:
-        """Each layer's gates Z (T, b, 2, 4H) and cell and hidden states C
-        and Hs (T+1, b, 2, H), in step order, carved in turn from the arena,
-        each contiguous but layer 2's Hs: one (b, 2, H) row seen at every
-        step, for its forward pass reads only the previous step's h and
-        keeps the last, and BPTT rebuilds the others.  Nothing is zeroed:
-        the forward pass writes every row it reads but row 0 of C and Hs,
-        which it zeroes itself."""
-        T, H = self.T, self.H
-        gates, states = (T, b, 2, 4 * H), (T + 1, b, 2, H)
-        shapes = (gates, states, states, gates, states, (b, 2, H))
+        """Each layer's gates Z, cell states C and hidden states Hs, in step
+        order, carved in turn from the arena as `_cache_shapes`, each
+        contiguous but layer 2's Hs: one (b, 2, H) row seen at every step,
+        for its forward pass reads only the previous step's h and keeps the
+        last, and BPTT rebuilds the others.  Nothing is zeroed: the forward
+        pass writes every row it reads but row 0 of C and Hs, which it
+        zeroes itself."""
+        shapes = _cache_shapes(self.H, b, self.T)
         cuts = list(itertools.accumulate(map(math.prod, shapes), initial=0))
         Z1, C1, Hs1, Z2, C2, h2 = (self.arena[a:e].reshape(shape) for
                                    shape, a, e in zip(shapes, cuts, cuts[1:]))
-        Hs2 = as_strided(h2, states, (0, *h2.strides))
+        Hs2 = as_strided(h2, shapes[1], (0, *h2.strides))
         return {"Z": Z1, "C": C1, "Hs": Hs1}, {"Z": Z2, "C": C2, "Hs": Hs2}
 
 
@@ -338,9 +338,7 @@ def _layer_forward(layer: BiLayer, input_of, cache: dict,
     for d in (0, 1):
         U, z = input_of(d), Z[:, :, d]
         if _one_gemm(b, U.shape[-1], 4 * H):
-            # Copies only layer 1's input, a strided view of the batch.
-            U = np.ascontiguousarray(U).reshape(T * b, -1)
-            z = z.reshape(T * b, 4 * H)
+            U, z = U.reshape(T * b, -1), z.reshape(T * b, 4 * H)
         np.matmul(U, Wx[d].T, out=z)
     Z += layer.bias * col
     # Copied contiguous once: each step's matmul runs about twice as fast.

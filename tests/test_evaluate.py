@@ -374,7 +374,7 @@ class TestRunGrid:
 
     def test_no_records_refused_by_split(self):
         with pytest.raises(PcgError,
-                           match="split needs examples of both classes"):
+                           match="^the grid needs at least one record$"):
             run_grid([], shapes=[WindowShape.GAUSSIAN], lengths=[30],
                      hidden_sizes=[3], trials=1, train_config=FAST_TRAIN)
 
@@ -400,6 +400,12 @@ class TestGridPlan:
         with pytest.raises(PcgError, match="^window length 1201 at hop 400 "):
             grid_plan(self.SHAPES, [30, 1200], [2], trials=1, base_seed=0,
                       hop=400, n_samples=1000)
+
+    def test_longest_window_is_the_one_checked(self):
+        # Plan order would reach length 1100 first; 1200 leaves fewer frames.
+        with pytest.raises(PcgError, match="^window length 1201 at hop 400 "):
+            grid_plan(self.SHAPES, [30, 1100, 1200], [2], trials=1,
+                      base_seed=0, hop=400, n_samples=1000)
 
     def test_trial_count_is_not_materialized(self):
         plan = grid_plan(self.SHAPES, [30], [2], trials=10**12, base_seed=0,
